@@ -159,6 +159,21 @@ def _trace_schedule(
     return source, updates, channels
 
 
+def _front_compact(values: np.ndarray, mask: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each row's masked values packed into its first ``counts[i]`` columns.
+
+    Values keep ascending column order (as ``np.flatnonzero`` yields them)
+    and the rest of each row is zero; ``counts`` must be ``mask.sum(axis=1)``.
+    Boolean indexing reads and writes in row-major order and row ``i`` has
+    ``counts[i]`` slots on both sides, so every row's values land in its own
+    leading columns — the same array a stable argsort of ``~mask`` gathers,
+    without the sort.
+    """
+    packed = np.zeros(values.shape, dtype=values.dtype)
+    packed[np.arange(values.shape[1]) < counts[:, None]] = values[mask]
+    return packed
+
+
 #: Hop-count memo keyed by PE-array shape: the chain-of-routers topology (and
 #: hence every GLB->PE hop count) is fully determined by (num_dpe, num_spe),
 #: so sweeps over other knobs skip the networkx graph build entirely.  LRU
@@ -202,13 +217,24 @@ def _segment_sums(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np
     length, the result is bit-identical no matter how the surrounding batch
     is shaped (fused sweep, per-config fleet partition, or solo run), which
     ``np.add.reduceat``'s pairwise trees are not.  Empty segments sum to 0.
-    The loop runs max(sizes) times — layers per step / steps per trace, both
-    small — over fancy-indexed gathers, so it stays O(rows) work overall.
+
+    One fancy-indexed gather lays the rows out as ``(offset, segment)``
+    slabs, zero-padded past each segment's end, and the loop adds one
+    contiguous slab per offset — max(sizes) iterations, layers per step /
+    steps per trace, both small.  The slabs hold max(sizes) rows for every
+    segment, at most max/mean times ``rows``, far below the kernel's
+    (entries x channels) matrices.  The padding is exact: a running sum that
+    starts at +0.0 can never become -0.0, so adding +0.0 leaves it unchanged
+    bit for bit.
     """
+    width = int(sizes.max()) if len(sizes) else 0
+    offsets = np.arange(width)
+    present = offsets[:, None] < sizes[None, :]
+    slabs = np.zeros((width, len(starts), rows.shape[1]), dtype=rows.dtype)
+    slabs[present] = rows[(starts[None, :] + offsets[:, None])[present]]
     sums = np.zeros((len(starts), rows.shape[1]), dtype=rows.dtype)
-    for offset in range(int(sizes.max()) if len(sizes) else 0):
-        open_segments = sizes > offset
-        sums[open_segments] += rows[starts[open_segments] + offset]
+    for slab in slabs:
+        sums += slab
     return sums
 
 
@@ -388,16 +414,21 @@ def _run_config_traces_impl(
     # (integer-valued float64 products are exact well past these
     # magnitudes).  The entry-axis gathers copy values verbatim, so entries
     # replaying the same trace under different configs are bit-identical to
-    # extracting per entry.
-    raw = np.array(
-        [
-            (w.in_channels, w.out_channels, w.kernel_size, w.out_height, w.out_width,
-             w.weight_bits, w.act_bits)
-            for w in cell_workloads
-        ],
-        dtype=np.float64,
-    )
+    # extracting per entry.  The geometry goes through one flat list: NumPy
+    # converts a flat list of ints far faster than a list of tuples.
+    geometry: list[int] = []
+    for w in cell_workloads:
+        geometry += (
+            w.in_channels,
+            w.out_channels,
+            w.kernel_size,
+            w.out_height,
+            w.out_width,
+            w.weight_bits,
+            w.act_bits,
+        )
     num_cells = len(cell_workloads)
+    raw = np.array(geometry, dtype=np.float64).reshape(num_cells, 7)
     in_channels_u = raw[:, 0].astype(np.int64)
     kernel_sq_u = raw[:, 2] * raw[:, 2]
     spatial_u = raw[:, 3] * raw[:, 4]
@@ -423,9 +454,7 @@ def _run_config_traces_impl(
     # Python loop.
     max_channels = max(1, int(in_channels_u.max()))
     sparsity_cell = np.zeros((num_cells, max_channels), dtype=np.float64)
-    flat_sparsity = np.concatenate(
-        [np.asarray(w.channel_sparsity, dtype=np.float64) for w in cell_workloads]
-    )
+    flat_sparsity = np.concatenate([w.channel_sparsity for w in cell_workloads], dtype=np.float64)
     rows = np.repeat(np.arange(num_cells), in_channels_u)
     starts_per_row = np.concatenate(([0], np.cumsum(in_channels_u)[:-1]))
     cols = np.arange(flat_sparsity.size) - np.repeat(starts_per_row, in_channels_u)
@@ -493,9 +522,8 @@ def _run_config_traces_impl(
 
     sparsity_src = sparsity_now[source] if detector_active else sparsity_now
     sparse_mask = (sparsity_src >= threshold_e[:, None]) & valid
-    dense_mask = valid & ~sparse_mask
-    num_dense = dense_mask.sum(axis=1)
     num_sparse = sparse_mask.sum(axis=1)
+    num_dense = in_channels_u[cell_idx] - num_sparse
 
     # --- dense PE chunks --------------------------------------------------
     if max_dpe:
@@ -515,20 +543,16 @@ def _run_config_traces_impl(
     # --- sparse PE chunks -------------------------------------------------
     if max_spe:
         # Densities of the sparse channels, compacted to the front of each
-        # row in ascending channel order (matching np.flatnonzero), so
-        # array_split chunk sums become prefix-sum differences.
-        sparse_density = np.where(sparse_mask, 1.0 - sparsity_now, 0.0)
-        front_order = np.argsort(~sparse_mask, axis=1, kind="stable")
-        compacted = np.take_along_axis(sparse_density, front_order, axis=1)
+        # row, so array_split chunk sums become prefix-sum differences.
+        compacted = _front_compact(1.0 - sparsity_now, sparse_mask, num_sparse)
         prefix = np.zeros((num_entries, max_channels + 1), dtype=np.float64)
         np.cumsum(compacted, axis=1, out=prefix[:, 1:])
 
         sparse_counts = _chunk_counts(num_sparse, spe_e, max_spe)
         chunk_ends = np.cumsum(sparse_counts, axis=1)
         chunk_starts = chunk_ends - sparse_counts
-        density_sums = np.take_along_axis(prefix, chunk_ends, axis=1) - np.take_along_axis(
-            prefix, chunk_starts, axis=1
-        )
+        entry_rows = np.arange(num_entries)[:, None]
+        density_sums = prefix[entry_rows, chunk_ends] - prefix[entry_rows, chunk_starts]
         sparse_counts = sparse_counts.astype(np.float64)
 
         sparse_group_macs = sparse_counts * macs_per_channel[:, None]

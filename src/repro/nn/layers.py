@@ -92,6 +92,28 @@ class Module:
         return self.forward(*args, **kwargs)
 
 
+#: ``(weight, spec, apply_weight_format(weight, spec))`` memoised on a layer.
+_FormattedWeight = tuple[np.ndarray, QuantFormatSpec, np.ndarray]
+
+
+def _effective_weight(layer: Conv2d | Linear) -> np.ndarray:
+    """The weight a forward pass multiplies by: fake-quantized under ``weight_spec``.
+
+    Weights are constant during sampling and change only by reassignment, so
+    the quantized weight is computed once per (weight object, spec) and
+    reused by every later forward pass.  The memo holds the weight itself,
+    so its identity cannot be reused by another array.
+    """
+    spec = layer.weight_spec
+    if spec is None:
+        return layer.weight
+    memo = layer._formatted_weight
+    if memo is None or memo[0] is not layer.weight or memo[1] != spec:
+        quantized = apply_weight_format(layer.weight, spec, out_channel_axis=0)
+        memo = layer._formatted_weight = (layer.weight, spec, quantized)
+    return memo[2]
+
+
 class Conv2d(Module):
     """2-D convolution with optional weight/activation fake quantization.
 
@@ -125,11 +147,10 @@ class Conv2d(Module):
         self.bias = np.zeros(out_channels) if bias else None
         self.weight_spec: QuantFormatSpec | None = None
         self.act_spec: QuantFormatSpec | None = None
+        self._formatted_weight: _FormattedWeight | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        weight = self.weight
-        if self.weight_spec is not None:
-            weight = apply_weight_format(weight, self.weight_spec, out_channel_axis=0)
+        weight = _effective_weight(self)
         if self.act_spec is not None:
             x = apply_activation_format(x, self.act_spec, channel_axis=1)
         out = F.conv2d(x, weight, self.bias, stride=self.stride, padding=self.padding)
@@ -167,11 +188,10 @@ class Linear(Module):
         self.bias = np.zeros(out_features) if bias else None
         self.weight_spec: QuantFormatSpec | None = None
         self.act_spec: QuantFormatSpec | None = None
+        self._formatted_weight: _FormattedWeight | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        weight = self.weight
-        if self.weight_spec is not None:
-            weight = apply_weight_format(weight, self.weight_spec, out_channel_axis=0)
+        weight = _effective_weight(self)
         if self.act_spec is not None:
             x = apply_activation_format(x, self.act_spec, channel_axis=x.ndim - 1)
         out = F.linear(x, weight, self.bias)

@@ -21,6 +21,7 @@ from repro.accelerator import (
     safe_speedup,
     sqdm_config,
 )
+from repro.accelerator.backends.vectorized import _front_compact, _segment_sums
 
 RTOL = 1e-9
 
@@ -297,6 +298,52 @@ class TestCrossConfigBatching:
         vectorized = np.zeros_like(looped)
         vectorized[rows, cols] = flat
         assert np.array_equal(looped, vectorized)
+
+
+def _bits(array: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+class TestKernelHelpers:
+    """The kernel's segment reduction and sparse-channel compaction against
+    their plain formulations, bit for bit, special values included."""
+
+    def test_segment_sums_match_sequential_loop(self):
+        rng = np.random.default_rng(29)
+        rows = rng.normal(size=(40, 8)) * 10.0 ** rng.integers(-8, 8, size=(40, 8))
+        rows[3] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324]
+        rows[4] = -0.0
+        sizes = rng.integers(0, 7, size=12)
+        sizes[[0, 5]] = 0
+        starts = rng.integers(0, 40 - sizes)  # arbitrary, even overlapping windows
+        starts[1], sizes[1] = 3, 2  # a segment over the special-value rows
+        expected = np.zeros((len(sizes), rows.shape[1]))
+        for segment, (start, size) in enumerate(zip(starts, sizes)):
+            for offset in range(size):
+                expected[segment] += rows[start + offset]
+        got = _segment_sums(rows, starts, sizes)
+        assert np.array_equal(_bits(got), _bits(expected))
+
+    def test_segment_sums_of_no_segments(self):
+        rows = np.ones((4, 3))
+        empty = np.zeros(0, dtype=np.int64)
+        assert _segment_sums(rows, empty, empty).shape == (0, 3)
+        zeros = np.zeros(2, dtype=np.int64)
+        assert np.array_equal(_bits(_segment_sums(rows, zeros, zeros)), _bits(np.zeros((2, 3))))
+
+    def test_front_compact_matches_stable_argsort_gather(self):
+        rng = np.random.default_rng(31)
+        values = rng.random((30, 17))
+        values[0, :4] = [np.nan, np.inf, -0.0, 0.0]
+        mask = rng.random((30, 17)) < 0.4
+        mask[0, :4] = True
+        mask[1] = True
+        mask[2] = False
+        order = np.argsort(~mask, axis=1, kind="stable")
+        expected = np.take_along_axis(np.where(mask, values, 0.0), order, axis=1)
+        got = _front_compact(values, mask, mask.sum(axis=1))
+        assert np.array_equal(_bits(got), _bits(expected))
+        assert _front_compact(values[:0], mask[:0], np.zeros(0, dtype=np.int64)).shape == (0, 17)
 
 
 class TestPerReportDetectorStats:

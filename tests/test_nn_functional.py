@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.diffusion.fid import RandomFeatureExtractor
 from repro.nn import functional as F
+from repro.workloads.models import WORKLOAD_SPECS, build_unet
 
 
 class TestActivations:
@@ -97,6 +99,14 @@ class TestConv2d:
         with pytest.raises(ValueError):
             F.conv2d(rng.normal(size=(1, 1, 2, 2)), rng.normal(size=(1, 1, 5, 5)), padding=0)
 
+    @pytest.mark.parametrize("stride, padding", [(0, 1), (-1, 1), (1, -1), (2, -2)])
+    def test_bad_geometry_raises(self, rng, stride, padding):
+        x = rng.normal(size=(1, 2, 6, 6))
+        with pytest.raises(ValueError, match="stride >= 1 and padding >= 0"):
+            F.conv2d(x, rng.normal(size=(3, 2, 3, 3)), stride=stride, padding=padding)
+        with pytest.raises(ValueError, match="stride >= 1 and padding >= 0"):
+            F.im2col(x, 3, 3, stride=stride, padding=padding)
+
 
 class TestLinearAndNorm:
     def test_linear_matches_matmul(self, rng):
@@ -178,3 +188,151 @@ class TestAttentionAndResampling:
     def test_positional_embedding_distinguishes_values(self):
         emb = F.positional_embedding(np.array([0.0, 5.0]), dim=32)
         assert not np.allclose(emb[0], emb[1])
+
+
+# ---------------------------------------------------------------------------
+# Bit-and-stride equivalence with the kernels the fast path replaced
+# ---------------------------------------------------------------------------
+#
+# The references below are the einsum convolution, masked sigmoid and
+# mean/var group norm that produced every pinned FID.  The fast kernels must
+# give the same bits *and* the same strides: group norm and the FID pooling
+# sum in memory order, so a conv output in another layout changes results.
+
+
+def _reference_im2col(x, kernel_h, kernel_w, stride=1, padding=0):
+    x = np.asarray(x, dtype=np.float64)
+    batch, channels, height, width = x.shape
+    if padding > 0:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)), mode="constant")
+    padded_h, padded_w = x.shape[2], x.shape[3]
+    out_h = (padded_h - kernel_h) // stride + 1
+    out_w = (padded_w - kernel_w) // stride + 1
+    cols = np.empty((batch, channels, kernel_h, kernel_w, out_h, out_w), dtype=np.float64)
+    for i in range(kernel_h):
+        i_end = i + stride * out_h
+        for j in range(kernel_w):
+            j_end = j + stride * out_w
+            cols[:, :, i, j, :, :] = x[:, :, i:i_end:stride, j:j_end:stride]
+    return cols.reshape(batch, channels * kernel_h * kernel_w, out_h * out_w), out_h, out_w
+
+
+def _reference_conv2d(x, weight, bias=None, stride=1, padding=0):
+    x = np.asarray(x, dtype=np.float64)
+    batch = x.shape[0]
+    out_channels, _, kernel_h, kernel_w = weight.shape
+    cols, out_h, out_w = _reference_im2col(x, kernel_h, kernel_w, stride=stride, padding=padding)
+    w_mat = weight.reshape(out_channels, -1)
+    out = np.einsum("ok,bkp->bop", w_mat, cols, optimize=True)
+    out = out.reshape(batch, out_channels, out_h, out_w)
+    if bias is not None:
+        out = out + np.asarray(bias, dtype=np.float64).reshape(1, -1, 1, 1)
+    return out
+
+
+def _reference_sigmoid(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    exp_x = np.exp(x[~pos])
+    out[~pos] = exp_x / (1.0 + exp_x)
+    return out
+
+
+def _reference_group_norm(x, num_groups, gamma=None, beta=None, eps=1e-5):
+    x = np.asarray(x, dtype=np.float64)
+    batch, channels, height, width = x.shape
+    grouped = x.reshape(batch, num_groups, channels // num_groups, height, width)
+    mean = grouped.mean(axis=(2, 3, 4), keepdims=True)
+    var = grouped.var(axis=(2, 3, 4), keepdims=True)
+    normed = (grouped - mean) / np.sqrt(var + eps)
+    out = normed.reshape(batch, channels, height, width)
+    if gamma is not None:
+        out = out * np.asarray(gamma, dtype=np.float64).reshape(1, -1, 1, 1)
+    if beta is not None:
+        out = out + np.asarray(beta, dtype=np.float64).reshape(1, -1, 1, 1)
+    return out
+
+
+def _channels_last(x):
+    """The same values as ``x``, stored (batch, height, width, channels)."""
+    return np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def _assert_same_bits_and_strides(new, ref, case=""):
+    assert new.shape == ref.shape, case
+    assert np.array_equal(new, ref, equal_nan=True), case
+    assert new.strides == ref.strides, case
+
+
+@pytest.fixture(scope="module")
+def workload_conv_calls():
+    """One ``conv2d`` call per geometry the paper workloads and the FID extractor run.
+
+    U-Net forwards at the batch sizes the pipeline uses (one trace sample,
+    the two-image ReLU calibration batch, eight FID samples) and feature
+    extraction in chunks of 64 and 8.  Keyed by (input shape, weight shape,
+    stride, padding, has bias).
+    """
+    calls = {}
+    conv2d = F.conv2d
+
+    def record(x, weight, bias=None, stride=1, padding=0):
+        key = (x.shape, weight.shape, stride, padding, bias is not None)
+        calls.setdefault(key, (np.array(x), weight, bias, stride, padding))
+        return conv2d(x, weight, bias, stride=stride, padding=padding)
+
+    rng = np.random.default_rng(0)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(F, "conv2d", record)
+        for spec in WORKLOAD_SPECS.values():
+            unet = build_unet(spec, resolution=16)
+            for batch in (1, 2, 8):
+                unet(rng.normal(size=(batch, 3, 16, 16)), rng.normal(size=batch))
+        RandomFeatureExtractor().extract(rng.normal(size=(72, 3, 16, 16)))
+    return calls
+
+
+class TestBitExactKernels:
+    def test_conv2d_matches_einsum_reference(self, workload_conv_calls):
+        kinds = {(key[1][2], key[2], key[3], key[4]) for key in workload_conv_calls}
+        # 3x3 same-padding and 1x1 U-Net convs, stride-2 bias-free FID convs.
+        assert kinds == {(3, 1, 1, True), (1, 1, 0, True), (3, 2, 1, False)}
+        for key, (x, weight, bias, stride, padding) in workload_conv_calls.items():
+            layouts = {"C": np.ascontiguousarray(x), "channels-last": _channels_last(x)}
+            for layout, x_in in layouts.items():
+                new = F.conv2d(x_in, weight, bias, stride=stride, padding=padding)
+                ref = _reference_conv2d(x_in, weight, bias, stride=stride, padding=padding)
+                _assert_same_bits_and_strides(new, ref, f"{key} on {layout} input")
+                # A channels-last view, never a C-contiguous copy.
+                assert not new.flags.c_contiguous, key
+
+    def test_im2col_rows_match_reference_columns(self, rng):
+        x = _channels_last(rng.normal(size=(2, 5, 7, 6)))
+        for stride, padding in [(1, 1), (2, 1), (1, 0), (3, 2)]:
+            rows, out_h, out_w = F.im2col(x, 3, 2, stride=stride, padding=padding)
+            cols, ref_h, ref_w = _reference_im2col(x, 3, 2, stride=stride, padding=padding)
+            assert (out_h, out_w) == (ref_h, ref_w)
+            assert np.array_equal(rows, cols.transpose(0, 2, 1).reshape(rows.shape))
+
+    @pytest.mark.parametrize(
+        "shape, groups", [((8, 32, 16, 16), 8), ((1, 48, 8, 8), 8), ((2, 96, 4, 4), 8)]
+    )
+    @pytest.mark.parametrize("affine", [False, True])
+    def test_group_norm_matches_mean_var_reference(self, rng, shape, groups, affine):
+        channels = shape[1]
+        gamma = rng.lognormal(size=channels) if affine else None
+        beta = rng.normal(size=channels) if affine else None
+        for x in (rng.normal(3.0, 2.0, size=shape), _channels_last(rng.normal(size=shape))):
+            new = F.group_norm(x, groups, gamma, beta)
+            _assert_same_bits_and_strides(new, _reference_group_norm(x, groups, gamma, beta))
+
+    def test_sigmoid_and_silu_match_masked_reference(self, rng):
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 36.7, -745.2])
+        flat = np.concatenate([special, rng.normal(scale=4.0, size=8 * 16 * 4 * 4 - special.size)])
+        with np.errstate(invalid="ignore"):
+            for x in (special, _channels_last(flat.reshape(8, 16, 4, 4))):
+                _assert_same_bits_and_strides(F.sigmoid(x), _reference_sigmoid(x))
+                _assert_same_bits_and_strides(F.silu(x), x * _reference_sigmoid(x))
+        assert np.signbit(F.silu(np.array([-0.0]))[0])

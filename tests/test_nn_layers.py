@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
+from repro.core.policy import table1_policy
+from repro.diffusion.edm import quantization_disabled
+from repro.nn import functional as F
+from repro.nn import layers
 from repro.nn.layers import (
     Activation,
     Conv2d,
@@ -15,7 +21,9 @@ from repro.nn.layers import (
     Sequential,
     Upsample,
 )
+from repro.nn.unet import EDMUNet
 from repro.quant import int4_spec, int8_spec, mxint8_spec
+from repro.quant.dispatch import apply_weight_format
 
 
 class TestModuleSystem:
@@ -99,6 +107,105 @@ class TestConvLinearQuant:
         lin.weight_spec = int4_spec()
         lin.act_spec = int4_spec()
         assert not np.allclose(reference, lin(x))
+
+
+def _layer_and_input(kind, rng):
+    if kind == "conv":
+        return Conv2d(4, 6, name="conv", rng=rng), rng.normal(size=(2, 4, 5, 5))
+    return Linear(8, 6, name="lin", rng=rng), rng.normal(size=(3, 8))
+
+
+def _fresh_forward(layer, x):
+    """``layer(x)`` with the weight fake-quantized afresh (no activation spec)."""
+    weight = layer.weight
+    if layer.weight_spec is not None:
+        weight = apply_weight_format(weight, layer.weight_spec, out_channel_axis=0)
+    if isinstance(layer, Conv2d):
+        return F.conv2d(x, weight, layer.bias, stride=layer.stride, padding=layer.padding)
+    return F.linear(x, weight, layer.bias)
+
+
+@pytest.mark.parametrize("kind", ["conv", "linear"])
+class TestWeightMemo:
+    """The memoised fake-quantized weight always equals a fresh ``apply_weight_format``."""
+
+    def test_constant_weight_is_quantized_once(self, kind, rng, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return apply_weight_format(*args, **kwargs)
+
+        monkeypatch.setattr(layers, "apply_weight_format", counting)
+        layer, x = _layer_and_input(kind, rng)
+        layer.weight_spec = int4_spec()
+        for _ in range(3):
+            assert np.array_equal(layer(x), _fresh_forward(layer, x))
+        assert len(calls) == 1
+
+    def test_weight_reassigned(self, kind, rng):
+        layer, x = _layer_and_input(kind, rng)
+        layer.weight_spec = int4_spec()
+        before = layer(x)
+        layer.weight = layer.weight * 3.0
+        assert np.array_equal(layer(x), _fresh_forward(layer, x))
+        assert not np.allclose(layer(x), before)
+
+    def test_weight_spec_changed(self, kind, rng):
+        layer, x = _layer_and_input(kind, rng)
+        for spec in (int4_spec(), int8_spec(), mxint8_spec(), int4_spec()):
+            layer.weight_spec = spec
+            assert np.array_equal(layer(x), _fresh_forward(layer, x))
+
+    def test_quantization_disabled(self, kind, rng):
+        layer, x = _layer_and_input(kind, rng)
+        layer.weight_spec = int4_spec()
+        quantized = layer(x)
+        with quantization_disabled(layer):
+            assert np.array_equal(layer(x), _fresh_forward(layer, x))
+            assert not np.allclose(layer(x), quantized)
+        assert np.array_equal(layer(x), _fresh_forward(layer, x))
+        assert np.array_equal(layer(x), quantized)
+
+    def test_deepcopy_with_replaced_weight(self, kind, rng):
+        layer, x = _layer_and_input(kind, rng)
+        layer.weight_spec = int4_spec()
+        original = layer(x)
+        clone = copy.deepcopy(layer)
+        assert np.array_equal(clone(x), original)
+        clone.weight = rng.normal(size=clone.weight.shape)
+        assert np.array_equal(clone(x), _fresh_forward(clone, x))
+        assert not np.allclose(clone(x), original)
+        assert np.array_equal(layer(x), original)
+
+    def test_memo_is_not_a_parameter(self, kind, rng):
+        layer, x = _layer_and_input(kind, rng)
+        layer.weight_spec = int4_spec()
+        layer(x)
+        params = layer.parameters()
+        assert sorted(params) == [f"{layer.name}.bias", f"{layer.name}.weight"]
+        assert params[f"{layer.name}.weight"] is layer.weight
+        assert layer.parameter_count() == layer.weight.size + layer.bias.size
+
+
+def test_weight_memo_follows_policy_clear_and_reapply(tiny_unet_config, rng):
+    x = rng.normal(size=(2, 3, 8, 8))
+    noise = rng.normal(size=2)
+
+    def fresh(format_name):
+        model = EDMUNet(tiny_unet_config)
+        if format_name is not None:
+            table1_policy(model, format_name).apply(model)
+        return model(x, noise)
+
+    model = EDMUNet(tiny_unet_config)
+    policy = table1_policy(model, "INT4")
+    policy.apply(model)
+    assert np.array_equal(model(x, noise), fresh("INT4"))
+    policy.clear(model)
+    assert np.array_equal(model(x, noise), fresh(None))
+    table1_policy(model, "INT8").apply(model)
+    assert np.array_equal(model(x, noise), fresh("INT8"))
 
 
 class TestOtherLayers:
