@@ -1,13 +1,13 @@
 """Pluggable simulation engines for the SQ-DM accelerator model.
 
 The simulator facade (:class:`repro.accelerator.AcceleratorSimulator`)
-delegates trace execution to one of the backends registered here:
+delegates ``run(entries)`` to one of the backends registered here:
 
 ``reference``
-    The stateful per-layer controller loop — semantic ground truth, exposes
-    per-PE results and traffic counters.
+    The stateful per-layer controller loop — semantic ground truth; its own
+    ``run_trace`` exposes per-PE results and traffic counters.
 ``vectorized``
-    Whole-trace batched NumPy evaluation — equivalent reports (to
+    Whole-grid batched NumPy evaluation — equivalent reports (to
     floating-point round-off), an order of magnitude faster; the default.
 
 Select a backend by name (``AcceleratorSimulator(cfg, backend="reference")``)

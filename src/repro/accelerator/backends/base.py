@@ -1,20 +1,22 @@
 """Simulation-backend protocol shared by the reference and vectorized engines.
 
-A backend turns a :data:`~repro.accelerator.simulator.WorkloadTrace` into a
-:class:`~repro.accelerator.simulator.SimulationReport`.  Two implementations
-ship with the package:
+A backend turns a ``(config x trace)`` grid of
+:data:`~repro.accelerator.simulator.WorkloadTrace`\\ s into one
+:class:`~repro.core.columnar.ColumnarReportBatch`.  Two implementations ship
+with the package:
 
 * :class:`~repro.accelerator.backends.reference.ReferenceBackend` drives the
   stateful controller / PE / NoC / memory objects layer by layer — the
-  original, easily-inspectable model;
+  original, easily-inspectable model — and packs its eager reports into a
+  batch;
 * :class:`~repro.accelerator.backends.vectorized.VectorizedBackend` flattens
-  the whole trace into NumPy arrays and evaluates every (time step, layer,
-  PE) cell with batched array operations, producing equivalent reports at a
-  fraction of the cost.
+  the whole grid into NumPy arrays and evaluates every (config, trace, time
+  step, layer, PE) cell with batched array operations, producing equivalent
+  batches at a fraction of the cost.
 
-Both expose the same interface so :class:`AcceleratorSimulator` (and any
-sweep tooling) can switch between them via ``backend="reference"`` /
-``backend="vectorized"``.
+Both expose the same single entry point so :class:`AcceleratorSimulator`
+(and any sweep tooling) can switch between them via ``backend="reference"``
+/ ``backend="vectorized"``.
 """
 
 from __future__ import annotations
@@ -23,20 +25,17 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from ...core.columnar import ColumnarReportBatch
     from ..config import AcceleratorConfig
-    from ..simulator import SimulationReport, WorkloadTrace
+    from ..simulator import WorkloadTrace
 
 
 @dataclass(slots=True)
 class DetectorStats:
-    """Temporal-sparsity-detector activity observed during the last run."""
+    """Temporal-sparsity-detector activity of one simulated trace."""
 
     updates_performed: int = 0
     channels_evaluated: int = 0
-
-    def reset(self) -> None:
-        self.updates_performed = 0
-        self.channels_evaluated = 0
 
 
 @runtime_checkable
@@ -46,38 +45,15 @@ class SimulationBackend(Protocol):
     #: Registry name of the backend ("reference", "vectorized", ...).
     name: str
 
-    #: Detector activity of the most recent :meth:`run_trace` call.
-    detector_stats: DetectorStats
-
-    def run_trace(self, trace: "WorkloadTrace") -> "SimulationReport":
-        """Execute a full multi-time-step workload trace."""
-        ...
-
-    def run_traces(self, traces: "list[WorkloadTrace]") -> "list[SimulationReport]":
-        """Execute several traces on this configuration, one report each.
-
-        Engines that can batch across traces (the vectorized backend) fuse
-        the whole list into a single pass; others run a plain loop.  Either
-        way, each trace's report must be identical to a ``run_trace`` run,
-        and ``detector_stats`` afterwards reflects the whole batch.
-        """
-        ...
-
-    def run_config_traces(
+    def run(
         self, entries: "list[tuple[AcceleratorConfig, list[WorkloadTrace]]]"
-    ) -> "list[list[SimulationReport]]":
-        """Execute a ``(config x trace)`` batch, one report list per entry.
+    ) -> "ColumnarReportBatch":
+        """Execute a ``(config x trace)`` grid as one columnar batch.
 
-        The cross-config generalization of :meth:`run_traces`: every entry
-        pairs a configuration with the traces to run on it, and the result is
-        aligned with the input.  The vectorized engine fuses the whole batch
-        (all configs, all traces) into one NumPy pass; the reference engine
-        loops.  All entries share this backend's energy table, and every
-        report must be identical to a solo ``run_trace`` of its
-        (config, trace) pair.
+        Every entry pairs a configuration with the traces to run on it; the
+        batch holds one report per (config, trace) pair in entry order, each
+        carrying its own detector activity.  All entries share this
+        backend's energy table, and every report must equal a solo run of
+        its (config, trace) pair.
         """
-        ...
-
-    def reset(self) -> None:
-        """Clear any cross-run state (detector classifications, counters)."""
         ...

@@ -5,11 +5,13 @@ This is the original execution model of the simulator: one
 per time step, each of which exercises the detector, PE, NoC and memory
 models as distinct Python objects.  It is the semantic ground truth the
 vectorized engine is validated against, and remains the right tool for
-unit-level inspection (per-PE results, buffer traffic counters).
+unit-level inspection (per-PE results, buffer traffic counters) through
+:meth:`ReferenceBackend.run_trace` and :meth:`ReferenceBackend.run_step`.
 """
 
 from __future__ import annotations
 
+from ...core.columnar import ColumnarReportBatch
 from ..config import AcceleratorConfig
 from ..controller import AcceleratorController
 from ..energy import DEFAULT_ENERGY_TABLE, EnergyBreakdown, EnergyTable
@@ -32,16 +34,22 @@ class ReferenceBackend:
         self.energy_table = energy_table or DEFAULT_ENERGY_TABLE
         self.controller = controller or AcceleratorController(config, self.energy_table)
 
-    @property
-    def detector_stats(self) -> DetectorStats:
-        detector = self.controller.detector
-        return DetectorStats(
-            updates_performed=detector.updates_performed,
-            channels_evaluated=detector.channels_evaluated,
-        )
+    def run(
+        self, entries: "list[tuple[AcceleratorConfig, list[list[list[ConvLayerWorkload]]]]]"
+    ) -> ColumnarReportBatch:
+        """Execute a ``(config x trace)`` grid, one controller per configuration.
 
-    def reset(self) -> None:
-        self.controller.reset()
+        Each entry's configuration gets a fresh :class:`ReferenceBackend`
+        sharing this backend's energy table (this backend's own controller
+        serves its own configuration), and the eager reports are packed into
+        one batch.  Per-PE ``pe_results`` do not survive the packing; call
+        :meth:`run_trace` directly for those.
+        """
+        reports = []
+        for config, traces in entries:
+            backend = self if config is self.config else ReferenceBackend(config, self.energy_table)
+            reports.append((config, [backend.run_trace(trace) for trace in traces]))
+        return ColumnarReportBatch.from_reports(reports)
 
     def run_step(self, workloads: list[ConvLayerWorkload], time_step: int = 0):
         """Execute all layers of one time step back to back."""
@@ -59,33 +67,8 @@ class ReferenceBackend:
             time_step=time_step, cycles=cycles, energy=energy, layer_results=layer_results
         )
 
-    def run_traces(self, traces: "list[list[list[ConvLayerWorkload]]]") -> "list":
-        """Execute several traces back to back (no cross-trace batching).
-
-        Provided for interface parity with the vectorized engine's batched
-        entry point; the reference model is inherently sequential, so this is
-        a plain loop with the usual per-trace controller reset.
-        """
-        return [self.run_trace(trace) for trace in traces]
-
-    def run_config_traces(
-        self, entries: "list[tuple[AcceleratorConfig, list[list[list[ConvLayerWorkload]]]]]"
-    ) -> "list[list]":
-        """Execute a ``(config x trace)`` batch, looping one controller per config.
-
-        Interface parity with the vectorized engine's cross-config kernel:
-        each entry's configuration gets a fresh :class:`ReferenceBackend`
-        sharing this backend's energy table, so results are exactly what solo
-        ``run_trace`` calls would produce.
-        """
-        results = []
-        for config, traces in entries:
-            backend = self if config is self.config else ReferenceBackend(config, self.energy_table)
-            results.append(backend.run_traces(traces))
-        return results
-
     def run_trace(self, trace: "list[list[ConvLayerWorkload]]"):
-        """Execute a full multi-time-step workload trace."""
+        """Execute a full multi-time-step workload trace, per-PE results included."""
         from ..simulator import SimulationReport
 
         self.controller.reset()
@@ -97,13 +80,17 @@ class ReferenceBackend:
             step_results.append(step)
             total_cycles += step.cycles
             total_energy = total_energy + step.energy
+        # The controller was reset at trace start, so the detector's counters
+        # at this point are exactly this trace's activity.
+        detector = self.controller.detector
         return SimulationReport(
             config_name=self.config.name,
             total_cycles=total_cycles,
             total_energy=total_energy,
             step_results=step_results,
             clock_ghz=self.config.clock_ghz,
-            # The controller was reset at trace start, so the detector's
-            # counters at this point are exactly this trace's activity.
-            detector_stats=self.detector_stats,
+            detector_stats=DetectorStats(
+                updates_performed=detector.updates_performed,
+                channels_evaluated=detector.channels_evaluated,
+            ),
         )

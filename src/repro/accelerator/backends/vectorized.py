@@ -20,24 +20,22 @@ bound the test suite enforces.
 
 Batching happens on two axes:
 
-* *cross-trace* (PR 2): :meth:`VectorizedBackend.run_traces` fuses N traces
-  sharing one configuration into a single pass;
-* *cross-config* (PR 6): :func:`run_config_traces` additionally stacks the
-  per-config scalar parameters (PE counts, thresholds, multiplier and
-  packing factors, clocks, buffer capacities, NoC hop tables) into arrays
-  aligned with the flattened entry axis, so a whole design-space sweep —
-  many configurations, each over many traces — is one NumPy pass.
+* *cross-trace*: N traces sharing one configuration are fused into a single
+  pass;
+* *cross-config*: the per-config scalar parameters (PE counts,
+  thresholds, multiplier and packing factors, clocks, buffer capacities,
+  NoC hop tables) are additionally stacked into arrays aligned with the
+  flattened entry axis, so a whole design-space sweep — many
+  configurations, each over many traces — is one NumPy pass.
   Configurations whose PE counts differ are padded to the widest PE axis in
   the batch and masked; every per-entry quantity stays row-independent, so
-  each report is bit-identical to a solo ``run_trace`` of that
-  (config, trace) pair.
+  each report is bit-identical to a solo run of that (config, trace) pair.
 
-The kernel's native output is columnar (this revision):
+The kernel's native output is columnar:
 :func:`run_config_traces_columnar` returns a
 :class:`~repro.core.columnar.ColumnarReportBatch` — the whole result grid as
 contiguous arrays plus offset tables, with **zero** per-entry Python object
-construction.  :func:`run_config_traces` is now just the materializing
-wrapper (``.report_lists()``), kept for callers that want eager objects.
+construction; :meth:`VectorizedBackend.run` is a thin wrapper over it.
 Two further hot-path savings ride on the same restructure:
 
 * *unique-trace dedup*: a sweep points many configurations at the same
@@ -51,8 +49,8 @@ Two further hot-path savings ride on the same restructure:
   instead of re-walked per (config, trace) pair.
 
 Intentional difference: per-PE :class:`ChannelGroupResult` lists are omitted
-(``LayerExecutionResult.pe_results`` stays empty) — use the reference backend
-when per-PE introspection is needed.
+(``LayerExecutionResult.pe_results`` stays empty) — use
+:meth:`ReferenceBackend.run_trace` when per-PE introspection is needed.
 """
 
 from __future__ import annotations
@@ -69,7 +67,6 @@ from ..config import AcceleratorConfig
 from ..energy import DEFAULT_ENERGY_TABLE, EnergyTable
 from ..noc import InterconnectNetwork
 from ..workload import ConvLayerWorkload
-from .base import DetectorStats
 
 # Kernel telemetry: how long each batched NumPy pass takes and how it was
 # shaped (configs fused per call, flattened entry rows per call).
@@ -272,13 +269,12 @@ def _zero_batch(
 def run_config_traces_columnar(
     entries: "list[tuple[AcceleratorConfig, list[list[list[ConvLayerWorkload]]]]]",
     energy_table: EnergyTable | None = None,
-    batch_stats: DetectorStats | None = None,
 ) -> ColumnarReportBatch:
     """Timed wrapper over :func:`_run_config_traces_impl` (the actual kernel):
     records call duration and batch shape into the telemetry registry."""
     began = time.monotonic()
     try:
-        return _run_config_traces_impl(entries, energy_table, batch_stats)
+        return _run_config_traces_impl(entries, energy_table)
     finally:
         _KERNEL_SECONDS.observe(time.monotonic() - began)
         _KERNEL_CONFIGS.observe(len(entries))
@@ -292,20 +288,9 @@ def run_config_traces_columnar(
         )
 
 
-def run_config_traces(
-    entries: "list[tuple[AcceleratorConfig, list[list[list[ConvLayerWorkload]]]]]",
-    energy_table: EnergyTable | None = None,
-    batch_stats: DetectorStats | None = None,
-) -> "list[list]":
-    """Eager-object variant of :func:`run_config_traces_columnar`: one list of
-    materialized :class:`SimulationReport`\\ s per input entry."""
-    return run_config_traces_columnar(entries, energy_table, batch_stats).report_lists()
-
-
 def _run_config_traces_impl(
     entries: "list[tuple[AcceleratorConfig, list[list[list[ConvLayerWorkload]]]]]",
     energy_table: EnergyTable | None = None,
-    batch_stats: DetectorStats | None = None,
 ) -> ColumnarReportBatch:
     """Execute a ``(config x trace)`` batch in one cross-config NumPy pass.
 
@@ -317,13 +302,12 @@ def _run_config_traces_impl(
     quantities are padded to the widest PE count in the batch — so an entire
     sweep costs one batched pass instead of one per configuration.  Every
     report later materialized from the batch is bit-identical to a solo
-    ``run_trace`` of its (config, trace) pair: the per-entry math is
+    run of its (config, trace) pair: the per-entry math is
     row-independent, padding columns stay exactly zero, and each
     (config, trace) pair keeps its own detector schedule.
 
     All configurations in a batch must share ``energy_table``; the scheduler
-    guarantees this by grouping requests on the table fingerprint.  When
-    ``batch_stats`` is given it receives the whole batch's detector totals.
+    guarantees this by grouping requests on the table fingerprint.
     """
     table = energy_table or DEFAULT_ENERGY_TABLE
     configs = [config for config, _ in entries]
@@ -516,9 +500,6 @@ def _run_config_traces_impl(
         detector_updates[pair_idx] = updates
         detector_channels[pair_idx] = channels
         detector_active = True
-    if batch_stats is not None:
-        batch_stats.updates_performed = int(detector_updates.sum())
-        batch_stats.channels_evaluated = int(detector_channels.sum())
 
     sparsity_src = sparsity_now[source] if detector_active else sparsity_now
     sparse_mask = (sparsity_src >= threshold_e[:, None]) & valid
@@ -671,54 +652,21 @@ def _run_config_traces_impl(
 
 
 class VectorizedBackend:
-    """Evaluates an entire workload trace with batched NumPy operations."""
+    """Evaluates whole ``(config x trace)`` grids with batched NumPy operations."""
 
     name = "vectorized"
 
     def __init__(self, config: AcceleratorConfig, energy_table: EnergyTable | None = None):
         self.config = config
         self.energy_table = energy_table or DEFAULT_ENERGY_TABLE
-        self.detector_stats = DetectorStats()
 
-    def reset(self) -> None:
-        self.detector_stats.reset()
-
-    def run_trace(self, trace: "list[list[ConvLayerWorkload]]"):
-        """Execute a full multi-time-step workload trace."""
-        return self.run_traces([trace])[0]
-
-    def run_traces(self, traces: "list[list[list[ConvLayerWorkload]]]") -> "list":
-        """Execute several traces on this configuration in one batched pass.
-
-        The cross-trace entry point behind fleet sweeps: all (trace, time
-        step, layer) cells are flattened into one entry axis and every array
-        quantity is computed for the whole batch at once, so N queued traces
-        sharing an :class:`AcceleratorConfig` cost one NumPy pass instead of
-        N.  Per-trace results are bit-identical to ``run_trace`` runs — the
-        per-entry math is row-independent and each trace keeps its own
-        detector schedule — and :attr:`detector_stats` holds the batch totals.
-        """
-        return self.run_config_traces([(self.config, traces)])[0]
-
-    def run_config_traces(
-        self, entries: "list[tuple[AcceleratorConfig, list[list[list[ConvLayerWorkload]]]]]"
-    ) -> "list[list]":
-        """Execute a ``(config x trace)`` batch in one cross-config pass.
-
-        See the module-level :func:`run_config_traces`; this instance method
-        additionally records the whole batch's detector totals on
-        :attr:`detector_stats`.  The backend's own configuration does not
-        constrain the batch — every entry carries its config — but all
-        entries share this backend's energy table.
-        """
-        return self.run_config_traces_columnar(entries).report_lists()
-
-    def run_config_traces_columnar(
+    def run(
         self, entries: "list[tuple[AcceleratorConfig, list[list[list[ConvLayerWorkload]]]]]"
     ) -> ColumnarReportBatch:
-        """Columnar variant of :meth:`run_config_traces`: the whole grid as a
-        :class:`~repro.core.columnar.ColumnarReportBatch`, no objects built."""
-        self.reset()
-        return run_config_traces_columnar(
-            entries, self.energy_table, batch_stats=self.detector_stats
-        )
+        """Execute a ``(config x trace)`` grid in one cross-config kernel pass.
+
+        The backend's own configuration does not constrain the batch — every
+        entry carries its config — but all entries share this backend's
+        energy table.
+        """
+        return run_config_traces_columnar(entries, self.energy_table)

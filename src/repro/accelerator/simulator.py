@@ -15,7 +15,9 @@ the comparisons the paper's Fig. 12 reports:
 engines (:mod:`repro.accelerator.backends`): the stateful per-layer
 ``reference`` backend and the batched-NumPy ``vectorized`` backend, which
 produces equivalent reports roughly an order of magnitude faster and is the
-default for trace execution.
+default.  Every simulation goes through one entry point,
+:meth:`AcceleratorSimulator.run`, which executes a ``(config x trace)`` grid
+and returns a :class:`~repro.core.columnar.ColumnarReportBatch`.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .workload import ConvLayerWorkload
 from .backends.base import DetectorStats
 
 if TYPE_CHECKING:  # pragma: no cover - the backends package imports us lazily
+    from ..core.columnar import ColumnarReportBatch
     from .backends import SimulationBackend
 
 #: A workload trace: one list of layer workloads per diffusion time step.
@@ -91,11 +94,10 @@ class SimulationReport:
     total_energy: EnergyBreakdown
     step_results: list[StepResult] = field(default_factory=list)
     clock_ghz: float = 1.0
-    #: Temporal-sparsity-detector activity attributed to *this* run — unlike
-    #: the backend instance's mutable batch totals, this survives caching and
-    #: stays correct when the report came out of a multi-trace or
-    #: cross-config batch.  ``None`` only on reports decoded from artifacts
-    #: written before the field existed.
+    #: Temporal-sparsity-detector activity attributed to *this* run; it
+    #: survives caching and stays correct when the report came out of a
+    #: multi-trace or cross-config batch.  ``None`` only on reports decoded
+    #: from artifacts written before the field existed.
     detector_stats: DetectorStats | None = None
 
     @property
@@ -135,16 +137,16 @@ class AcceleratorSimulator:
     config / energy_table:
         Hardware configuration and 28 nm energy constants.
     backend:
-        Simulation engine used by :meth:`run_trace` — a registered backend
-        name (``"vectorized"``, the default, or ``"reference"``) or an
+        Simulation engine used by :meth:`run` — a registered backend name
+        (``"vectorized"``, the default, or ``"reference"``) or an
         already-constructed :class:`SimulationBackend` instance.  The
         unit-level entry points :meth:`run_layer` / :meth:`run_step` always
         execute on the stateful reference controller, which remains exposed
         as :attr:`controller` for per-PE and traffic introspection.
 
-    Both the controller and the backend are constructed lazily: sweeps that
-    only call :meth:`run_trace` on the vectorized backend never pay for the
-    controller's PE/NoC object graph, and vice versa.
+    Both the controller and the backend are constructed lazily: sweeps on
+    the vectorized backend never pay for the controller's PE/NoC object
+    graph, and vice versa.
     """
 
     def __init__(
@@ -173,11 +175,11 @@ class AcceleratorSimulator:
     def controller(self) -> AcceleratorController:
         """The stateful reference controller (created on first use).
 
-        Only :meth:`run_layer` / :meth:`run_step` (and ``run_trace`` on the
-        ``reference`` backend) drive this object; after a ``run_trace`` on
-        the vectorized backend its detector/traffic counters stay at their
-        initial values — read :attr:`detector_stats` for backend-agnostic
-        detector activity instead.
+        Only :meth:`run_layer` / :meth:`run_step` (and runs of this
+        simulator's own configuration on the ``reference`` backend) drive
+        this object; after a run on the vectorized backend its
+        detector/traffic counters stay at their initial values — read the
+        report's ``detector_stats`` for backend-agnostic detector activity.
         """
         if self._controller is None:
             self._controller = AcceleratorController(self.config, self.energy_table)
@@ -209,11 +211,6 @@ class AcceleratorSimulator:
     def backend_name(self) -> str:
         return self.backend.name
 
-    @property
-    def detector_stats(self):
-        """Detector activity of the most recent :meth:`run_trace` call."""
-        return self.backend.detector_stats
-
     def run_layer(self, workload: ConvLayerWorkload, time_step: int = 0) -> LayerExecutionResult:
         """Execute a single layer workload (unit-level entry point)."""
         return self.controller.execute_layer(workload, time_step)
@@ -222,61 +219,24 @@ class AcceleratorSimulator:
         """Execute all layers of one time step back to back (reference engine)."""
         return self._reference().run_step(workloads, time_step)
 
-    def run_trace(self, trace: WorkloadTrace) -> SimulationReport:
-        """Execute a full multi-time-step workload trace on the active backend."""
-        return self.backend.run_trace(trace)
-
-    def run_traces(self, traces: list[WorkloadTrace]) -> list[SimulationReport]:
-        """Execute several traces on the active backend, one report per trace.
-
-        The vectorized engine fuses the whole batch into a single NumPy pass
-        (cross-trace batching, the fleet-sweep fast path); backends without a
-        batched entry point fall back to a per-trace loop.
-        """
-        run_traces = getattr(self.backend, "run_traces", None)
-        if run_traces is not None:
-            return run_traces(traces)
-        return [self.backend.run_trace(trace) for trace in traces]
-
-    def run_config_traces(
+    def run(
         self, entries: "list[tuple[AcceleratorConfig, list[WorkloadTrace]]]"
-    ) -> list[list[SimulationReport]]:
-        """Execute a ``(config x trace)`` batch, one report list per entry.
+    ) -> "ColumnarReportBatch":
+        """Execute a ``(config x trace)`` grid on the active backend.
 
-        The cross-config sweep fast path: on the vectorized backend the whole
-        batch — every configuration with its traces — is one fused NumPy
-        pass, with per-config scalars stacked into entry-aligned arrays.  The
-        simulator's own configuration does not constrain the batch (each
+        The one simulation entry point: every entry pairs a configuration
+        with the traces to run on it, and the whole grid comes back as one
+        :class:`~repro.core.columnar.ColumnarReportBatch` in entry order.
+        The simulator's own configuration does not constrain the grid (each
         entry carries its config), but all entries share this simulator's
-        energy table.  Backends without the batched entry point fall back to
-        a per-config loop.
+        energy table.  On the vectorized backend the grid is one fused NumPy
+        pass; reports are materialized only when indexed.
         """
-        run_config_traces = getattr(self.backend, "run_config_traces", None)
-        if run_config_traces is not None:
-            return run_config_traces(entries)
-        return [
-            AcceleratorSimulator(config, self.energy_table, backend=self.backend.name).run_traces(
-                traces
-            )
-            for config, traces in entries
-        ]
+        return self.backend.run(entries)
 
-    def run_config_traces_columnar(
-        self, entries: "list[tuple[AcceleratorConfig, list[WorkloadTrace]]]"
-    ):
-        """Columnar variant of :meth:`run_config_traces`, or ``None``.
-
-        On backends with a columnar entry point (the vectorized engine) the
-        whole ``(config x trace)`` grid comes back as one
-        :class:`~repro.core.columnar.ColumnarReportBatch` — contiguous
-        arrays, zero report objects built.  Returns ``None`` for backends
-        without it (notably the reference oracle), signalling callers to take
-        the eager :meth:`run_config_traces` path instead.
-        """
-        runner = getattr(self.backend, "run_config_traces_columnar", None)
-        if runner is None:
-            return None
-        return runner(entries)
+    def run_trace(self, trace: WorkloadTrace) -> SimulationReport:
+        """Execute one trace on this simulator's configuration."""
+        return self.run([(self.config, [trace])]).report_at(0)
 
 
 @dataclass(slots=True)

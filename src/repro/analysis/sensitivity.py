@@ -89,8 +89,7 @@ def block_sensitivity_sweep(
             fid_delta=evaluation.fid - reference.fid,
         )
 
-    # Resolve the string to an executor instance here (the run_sweep string
-    # path is a deprecated shim); "serial" maps to the inline backend.
+    # run_sweep takes executor instances; "serial" means the inline backend.
     with resolve_executor(
         "inline" if executor == "serial" else executor, max_workers=max_workers
     ) as runner:

@@ -42,14 +42,11 @@ Robustness contract:
 documents (:mod:`repro.core.codec`), with NumPy arrays and bytes split out
 into binary sidecar buffers after the JSON header — no base64 bloat, no
 pickles on disk.  Only types with a registered wire schema (plus plain JSON
-values, bytes and arrays) can be stored.  Old version-1 files, which held
-pickles, are readable only through an explicit opt-in
-(``legacy_pickle=True`` or ``REPRO_ARTIFACT_LEGACY_PICKLE=1``) and are
-otherwise reported as misses; :meth:`ArtifactStore.migrate_legacy`
-(``repro cache migrate``) rewrites a store in place so the opt-in can be
-dropped.  A version-2 file whose schema *version* this process does not
-know is likewise a miss (not corruption): newer writers never crash older
-readers.
+values, bytes and arrays) can be stored.  Any other file format — the
+pickled version 1 included — has an unrecognised magic, so it is
+quarantined and recomputed like any foreign file.  A version-2 file whose
+schema *version* this process does not know is a miss but not corruption:
+newer writers never crash older readers.
 
 Set the ``REPRO_ARTIFACT_DIR`` environment variable to give the process-wide
 report cache (and :class:`~repro.core.pipeline.SQDMPipeline`) a default
@@ -62,7 +59,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import pickle
 import tempfile
 import threading
 import time
@@ -71,7 +67,7 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from . import codec
-from .telemetry import event_log, get_registry
+from .telemetry import get_registry
 
 # Process-wide disk-tier telemetry, aggregated across every store instance
 # (per-store counts stay on each instance's ``ArtifactStoreStats``).
@@ -85,16 +81,15 @@ _HITS = get_registry().counter(
     "repro_artifact_hits_total", "Artifact reads that verified and decoded."
 )
 _MISSES = get_registry().counter(
-    "repro_artifact_misses_total", "Artifact reads served as misses (absent, corrupt, legacy)."
+    "repro_artifact_misses_total",
+    "Artifact reads served as misses (absent, corrupt, unknown schema).",
 )
 _WRITES = get_registry().counter("repro_artifact_writes_total", "Artifacts persisted.")
 
-#: File-format magics.  The trailing version is bumped when the layout
+#: File-format magic.  The trailing version is bumped when the layout
 #: changes; readers reject versions they do not understand instead of
-#: misparsing them.  Version 1 held pickles and is read-only, behind an
-#: explicit opt-in.
+#: misparsing them.
 _MAGIC = b"RPRO-ART2\n"
-_MAGIC_V1 = b"RPRO-ART1\n"
 _DIGEST_BYTES = 32
 _HEADER_LEN_BYTES = 8
 _SUFFIX = ".art"
@@ -106,10 +101,6 @@ ARTIFACT_DIR_ENV_VAR = "REPRO_ARTIFACT_DIR"
 #: Environment variables providing default eviction caps for new stores.
 MAX_BYTES_ENV_VAR = "REPRO_ARTIFACT_MAX_BYTES"
 TTL_ENV_VAR = "REPRO_ARTIFACT_TTL"
-
-#: Environment variable enabling the legacy pickle *read* path for stores
-#: written before the typed wire schema (anything truthy enables it).
-LEGACY_PICKLE_ENV_VAR = "REPRO_ARTIFACT_LEGACY_PICKLE"
 
 
 def _env_number(name: str, convert: type) -> float | int | None:
@@ -126,18 +117,12 @@ def _env_number(name: str, convert: type) -> float | int | None:
 
 @dataclass
 class ArtifactStoreStats:
-    """Per-store counters, for hit-rate reporting and tests.
-
-    ``legacy_skipped`` counts reads of version-1 (pickled) artifacts that
-    were refused because the legacy read path is not enabled; they are
-    reported as misses but the files are left in place for migration.
-    """
+    """Per-store counters, for hit-rate reporting and tests."""
 
     hits: int = 0
     misses: int = 0
     writes: int = 0
     corrupt_discarded: int = 0
-    legacy_skipped: int = 0
     evicted: int = 0
     evicted_bytes: int = 0
 
@@ -168,22 +153,6 @@ class EvictionResult:
         }
 
 
-@dataclass
-class MigrationResult:
-    """Outcome of one :meth:`ArtifactStore.migrate_legacy` pass."""
-
-    migrated: int = 0
-    already_current: int = 0
-    failed: int = 0
-
-    def summary(self) -> dict[str, Any]:
-        return {
-            "migrated": self.migrated,
-            "already_current": self.already_current,
-            "failed": self.failed,
-        }
-
-
 class ArtifactStore:
     """Content-addressed persistent artifact storage under one root directory.
 
@@ -196,12 +165,6 @@ class ArtifactStore:
     ttl_seconds:
         Age limit: artifacts not read or written for this long are evicted on
         the next pass (defaults to ``REPRO_ARTIFACT_TTL`` when unset).
-    legacy_pickle:
-        Opt-in *read* support for version-1 artifacts, which stored pickles
-        (defaults to the ``REPRO_ARTIFACT_LEGACY_PICKLE`` environment
-        variable).  Writes always use the typed JSON format; enable this
-        only for stores written by older code, ideally just long enough to
-        run :meth:`migrate_legacy`.
     """
 
     def __init__(
@@ -209,7 +172,6 @@ class ArtifactStore:
         root: str | os.PathLike[str],
         max_bytes: int | None = None,
         ttl_seconds: float | None = None,
-        legacy_pickle: bool | None = None,
     ):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -217,14 +179,6 @@ class ArtifactStore:
             max_bytes = _env_number(MAX_BYTES_ENV_VAR, int)
         if ttl_seconds is None:
             ttl_seconds = _env_number(TTL_ENV_VAR, float)
-        if legacy_pickle is None:
-            legacy_pickle = os.environ.get(LEGACY_PICKLE_ENV_VAR, "").strip().lower() in (
-                "1",
-                "true",
-                "yes",
-                "on",
-            )
-        self.legacy_pickle = bool(legacy_pickle)
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive (or None for no size cap)")
         if ttl_seconds is not None and ttl_seconds <= 0:
@@ -377,10 +331,9 @@ class ArtifactStore:
         Any failure mode of the file — missing, truncated, bad magic, payload
         checksum mismatch, undecodable bytes — counts as a miss; corrupt
         files are additionally deleted so they stop costing a read each
-        lookup.  Two failure modes are misses but *not* corruption (the file
-        is left in place): a version-1 pickled artifact without the legacy
-        opt-in, and a valid file whose schema version this process does not
-        know (written by newer code).
+        lookup.  One failure mode is a miss but *not* corruption (the file
+        is left in place): a valid file whose schema version this process
+        does not know (written by newer code).
         """
         began = time.monotonic()
         path = self.path_for(kind, key)
@@ -401,8 +354,6 @@ class ArtifactStore:
                 self.stats.misses += 1
                 if status == "corrupt":
                     self.stats.corrupt_discarded += 1
-                elif status == "legacy":
-                    self.stats.legacy_skipped += 1
         (_HITS if status == "ok" else _MISSES).inc()
         _READ_SECONDS.observe(time.monotonic() - began)
         if status == "corrupt":
@@ -420,27 +371,18 @@ class ArtifactStore:
     def _decode(self, blob: bytes) -> tuple[Any, str]:
         """Decode one artifact file; returns ``(obj, status)``.
 
-        ``status`` is ``"ok"``, ``"corrupt"`` (checksum/format failure —
-        quarantine), ``"legacy"`` (valid v1 pickle, legacy reads disabled) or
-        ``"unknown-schema"`` (valid v2 file, unregistered schema version) —
-        everything but ``"ok"`` is served as a miss.
+        ``status`` is ``"ok"``, ``"corrupt"`` (checksum/format failure, an
+        unrecognised magic included — quarantine) or ``"unknown-schema"``
+        (valid file, unregistered schema version) — everything but ``"ok"``
+        is served as a miss.
         """
-        legacy = blob.startswith(_MAGIC_V1)
-        magic = _MAGIC_V1 if legacy else _MAGIC
-        header_len = len(magic) + _DIGEST_BYTES
-        if len(blob) < header_len or not blob.startswith(magic):
+        header_len = len(_MAGIC) + _DIGEST_BYTES
+        if len(blob) < header_len or not blob.startswith(_MAGIC):
             return None, "corrupt"
-        digest = blob[len(magic) : header_len]
+        digest = blob[len(_MAGIC) : header_len]
         payload = blob[header_len:]
         if hashlib.sha256(payload).digest() != digest:
             return None, "corrupt"
-        if legacy:
-            if not self.legacy_pickle:
-                return None, "legacy"
-            try:
-                return pickle.loads(payload), "ok"
-            except Exception:  # noqa: BLE001 - any unpicklable payload is corruption
-                return None, "corrupt"
         try:
             return self._decode_payload(payload), "ok"
         except codec.UnknownSchemaError:
@@ -551,51 +493,6 @@ class ArtifactStore:
                 pass
         return removed
 
-    def migrate_legacy(self) -> MigrationResult:
-        """Rewrite version-1 (pickled) artifacts into the typed JSON format.
-
-        Unpickling is inherent to migration, so this method reads v1 files
-        regardless of the ``legacy_pickle`` setting — run it only on stores
-        this codebase wrote.  Artifacts that fail to unpickle or that hold
-        types without a registered wire schema are counted as ``failed`` and
-        left untouched.  After a clean migration the legacy opt-in can be
-        dropped and a warm server restart is served entirely from the store.
-        """
-        result = MigrationResult()
-        for path in list(self._artifact_paths()):
-            try:
-                blob = path.read_bytes()
-            except OSError:
-                continue
-            if blob.startswith(_MAGIC):
-                result.already_current += 1
-                continue
-            header_len = len(_MAGIC_V1) + _DIGEST_BYTES
-            if (
-                len(blob) < header_len
-                or not blob.startswith(_MAGIC_V1)
-                or hashlib.sha256(blob[header_len:]).digest() != blob[len(_MAGIC_V1) : header_len]
-            ):
-                result.failed += 1
-                continue
-            kind = path.parent.parent.name
-            key = path.name[: -len(_SUFFIX)]
-            # Preserve the artifact's last-use ordering across the rewrite
-            # (put() would otherwise stamp it as freshly used).
-            last_used = self._last_used(path, path.stat())
-            try:
-                obj = pickle.loads(blob[header_len:])
-                self.put(kind, key, obj)
-            except Exception as exc:  # noqa: BLE001 - unpicklable or schema-less artifact
-                event_log().emit(
-                    "artifacts.migrate_failed", level="warning", kind=kind, key=key, error=repr(exc)
-                )
-                result.failed += 1
-                continue
-            self._write_stamp(path, last_used)
-            result.migrated += 1
-        return result
-
     def evict(
         self,
         max_bytes: int | None = None,
@@ -697,31 +594,24 @@ def artifact_store_at(
     root: str | os.PathLike[str],
     max_bytes: int | None = None,
     ttl_seconds: float | None = None,
-    legacy_pickle: bool | None = None,
 ) -> ArtifactStore:
     """The process-wide :class:`ArtifactStore` for a directory (created once).
 
-    Explicit eviction caps (and the legacy-pickle read opt-in) apply when the
-    store is first created for the directory and reconfigure the shared
-    instance on later calls.
+    Explicit eviction caps apply when the store is first created for the
+    directory and reconfigure the shared instance on later calls.
     """
     resolved = str(Path(root).expanduser().resolve())
     with _STORES_LOCK:
         store = _STORES_BY_ROOT.get(resolved)
         if store is None:
             store = _STORES_BY_ROOT[resolved] = ArtifactStore(
-                resolved,
-                max_bytes=max_bytes,
-                ttl_seconds=ttl_seconds,
-                legacy_pickle=legacy_pickle,
+                resolved, max_bytes=max_bytes, ttl_seconds=ttl_seconds
             )
         else:
             if max_bytes is not None:
                 store.max_bytes = max_bytes
             if ttl_seconds is not None:
                 store.ttl_seconds = ttl_seconds
-            if legacy_pickle is not None:
-                store.legacy_pickle = legacy_pickle
         return store
 
 

@@ -13,7 +13,7 @@ landed.  Three measurements cover the stack:
     sweep whose consumer reads array aggregates — no report objects built.
 ``sweep_wall_clock_s`` / ``per_config_sweep_wall_clock_s``
     Wall-clock of a 16-config x 8-trace design-space sweep through the
-    cross-config kernel vs the PR-2 per-config ``run_traces`` loop; their
+    cross-config kernel vs a per-config loop of single-config runs; their
     ratio is ``cross_config_speedup``.
 ``report_assembly_entries_per_sec``
     Materialization throughput: entries per second turned from columnar
@@ -229,11 +229,13 @@ def _time_sweeps(
     simulator = AcceleratorSimulator(configs[0], backend="vectorized")
 
     def cross_config() -> None:
-        simulator.run_config_traces_columnar(entries)
+        simulator.run(entries)
 
     def per_config() -> None:
         for config in configs:
-            AcceleratorSimulator(config, backend="vectorized").run_traces(traces)
+            AcceleratorSimulator(config, backend="vectorized").run(
+                [(config, traces)]
+            ).report_lists()
 
     return _min_runtime(cross_config, repeats), _min_runtime(per_config, repeats)
 
@@ -253,7 +255,7 @@ def _time_assembly(
     simulator = AcceleratorSimulator(configs[0], backend="vectorized")
     best = float("inf")
     for _ in range(max(1, repeats)):
-        batch = simulator.run_config_traces_columnar(entries)
+        batch = simulator.run(entries)
         start = time.perf_counter()
         batch.report_lists()
         best = min(best, time.perf_counter() - start)
@@ -268,7 +270,7 @@ def _sweep_peak_alloc_mb(
     simulator = AcceleratorSimulator(configs[0], backend="vectorized")
     tracemalloc.start()
     try:
-        simulator.run_config_traces_columnar(entries)
+        simulator.run(entries)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -15,7 +15,8 @@ reports:
     :class:`~repro.accelerator.energy.EnergyBreakdown` components, per-step
     and per-trace totals, detector activity) plus offset tables.  The
     vectorized kernel produces it directly, with **zero** per-entry Python
-    object construction.
+    object construction; the reference backend packs its eager reports into
+    one with :meth:`ColumnarReportBatch.from_reports`.
 
 Lazy materialization
     :meth:`ColumnarReportBatch.report` builds one real
@@ -195,6 +196,53 @@ class ColumnarReportBatch:
         )
         self.detector_channels = _as_1d(
             self.detector_channels, np.int64, "detector_channels", num_traces
+        )
+
+    @classmethod
+    def from_reports(
+        cls, entries: "list[tuple[Any, list[SimulationReport]]]"
+    ) -> "ColumnarReportBatch":
+        """Pack eager reports into a batch, one ``(config, reports)`` pair per config.
+
+        ``config`` needs only ``name`` and ``clock_ghz``.  Every cell is the
+        report's own value converted to float64 (or int64), so the batch
+        materializes the same numbers back; only per-PE ``pe_results`` are
+        dropped.  Reports must carry ``detector_stats``.
+        """
+        reports = [report for _, config_reports in entries for report in config_reports]
+        steps = [step for report in reports for step in report.step_results]
+        layers = [layer for step in steps for layer in step.layer_results]
+
+        def energies(breakdown: Any) -> list[float]:
+            return [getattr(breakdown, component) for component in ENERGY_COMPONENTS]
+
+        def rows(values: list, width: int) -> np.ndarray:
+            return np.array(values, dtype=np.float64).reshape(-1, width)
+
+        return cls(
+            config_names=[config.name for config, _ in entries],
+            clock_ghz=[config.clock_ghz for config, _ in entries],
+            traces_per_config=[len(config_reports) for _, config_reports in entries],
+            trace_steps=[len(report.step_results) for report in reports],
+            step_sizes=[len(step.layer_results) for step in steps],
+            layer_names=[layer.layer_name for layer in layers],
+            layer_cycles=[layer.cycles for layer in layers],
+            layer_energy=rows([energies(layer.energy) for layer in layers], len(ENERGY_COMPONENTS)),
+            total_macs=[layer.total_macs for layer in layers],
+            executed_macs=[layer.executed_macs for layer in layers],
+            dense_channels=[layer.dense_channels for layer in layers],
+            sparse_channels=[layer.sparse_channels for layer in layers],
+            dense_cycles=[layer.dense_cycles for layer in layers],
+            sparse_cycles=[layer.sparse_cycles for layer in layers],
+            step_totals=rows(
+                [[step.cycles, *energies(step.energy)] for step in steps], TOTALS_WIDTH
+            ),
+            trace_totals=rows(
+                [[report.total_cycles, *energies(report.total_energy)] for report in reports],
+                TOTALS_WIDTH,
+            ),
+            detector_updates=[report.detector_stats.updates_performed for report in reports],
+            detector_channels=[report.detector_stats.channels_evaluated for report in reports],
         )
 
     # -- shape -----------------------------------------------------------------

@@ -1,14 +1,12 @@
 """Unified execution API: one ``Executor`` protocol over every backend.
 
-The fleet layer grew four ways to run an evaluation — inline in the calling
+The fleet layer has four ways to run an evaluation — inline in the calling
 thread, fanned out over :mod:`concurrent.futures` pools, queued on an
 in-process :class:`~repro.serve.service.EvaluationService`, or POSTed to a
-remote ``repro serve`` endpoint — and until now callers picked between them
-with ``run_sweep(executor="...")`` string dispatch and juggled three
-incompatible result types (``Job``, ``RemoteJob``, raw reports).  Large
-acquisition systems solve the same problem by exposing *one* submission
-front end over heterogeneous readout backends; this module is that front
-end for the repository:
+remote ``repro serve`` endpoint — each with its own result type (``Job``,
+``RemoteJob``, raw reports).  Large acquisition systems solve the same
+problem by exposing *one* submission front end over heterogeneous readout
+backends; this module is that front end for the repository:
 
 :class:`Executor`
     The protocol every backend implements: ``submit(spec) -> JobHandle``,
@@ -33,8 +31,8 @@ end for the repository:
     through the protocol.
 :func:`register_executor` / :func:`resolve_executor`
     A name registry so new backends (pull-based workers, sharded servers)
-    slot in behind the same surface — and so the deprecated
-    ``run_sweep(executor="...")`` strings keep resolving during migration.
+    slot in behind the same surface, and command lines can pick one by
+    name.
 
 Everything serve-related is imported lazily: the core package stays
 importable (and this module usable with :class:`InlineExecutor` /
@@ -845,10 +843,8 @@ def _make_service(
     return ServiceExecutor(service=service, cache=cache, max_workers=max_workers)
 
 
-def _make_remote(endpoint: Any = None, service: Any = None, **_: Any) -> Executor:
-    # run_sweep's legacy surface passed an existing RemoteEvaluationClient via
-    # its ``service=`` parameter; honor that spelling here.
-    return RemoteExecutor(endpoint=endpoint, client=service)
+def _make_remote(endpoint: Any = None, **_: Any) -> Executor:
+    return RemoteExecutor(endpoint=endpoint)
 
 
 def _make_worker_pool(cache: Any = None, max_workers: Any = None, **_: Any) -> Executor:
@@ -860,7 +856,6 @@ def _make_worker_pool(cache: Any = None, max_workers: Any = None, **_: Any) -> E
 
 
 register_executor("inline", _make_inline)
-register_executor("serial", _make_inline)  # legacy run_sweep spelling
 register_executor("thread", _make_thread)
 register_executor("process", _make_process)
 register_executor("service", _make_service)

@@ -17,74 +17,19 @@ instance — ``InlineExecutor``, ``PoolExecutor`` (thread/process),
 with :func:`~repro.core.execution.register_executor` — and the sweep's grid
 points are submitted as jobs on it.  Omitting ``executor`` fans out over a
 thread pool (the NumPy-heavy evaluation functions release the GIL for their
-array work).  Legacy string names (``"thread"`` / ``"process"`` /
-``"serial"`` / ``"service"`` / ``"remote"``) still resolve through the
-executor registry but emit a :class:`DeprecationWarning`.  Results always
-come back in deterministic grid order; failures either propagate
-(``on_error="raise"``) or are captured per-case (``on_error="capture"``) so
-one bad design point cannot sink a thousand-point sweep.
+array work).  Results always come back in deterministic grid order;
+failures either propagate (``on_error="raise"``) or are captured per-case
+(``on_error="capture"``) so one bad design point cannot sink a
+thousand-point sweep.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-from .execution import (
-    Executor,
-    InlineExecutor,
-    JobFailedError,
-    LocalCallSpec,
-    PoolExecutor,
-    ensure_picklable,  # noqa: F401 - canonical home moved; re-exported for compat
-    executor_names,
-    resolve_executor,
-)
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only; serve imports us at runtime
-    from ..serve.client import RemoteEvaluationClient
-    from ..serve.service import EvaluationService
-
-#: Legacy string names accepted (deprecated) by :func:`run_sweep`.
-EXECUTORS = ("thread", "process", "serial", "service", "remote", "inline")
-
-#: What the deprecation warning suggests per legacy name.
-_EXECUTOR_REPLACEMENTS = {
-    "thread": 'PoolExecutor("thread")',
-    "process": 'PoolExecutor("process")',
-    "serial": "InlineExecutor()",
-    "inline": "InlineExecutor()",
-    "service": "ServiceExecutor(...)",
-    "remote": "RemoteExecutor(endpoint=...)",
-}
-
-
-def _require_picklable_case_fn(fn: Callable[..., Any]) -> None:
-    ensure_picklable(
-        fn,
-        f"the 'process' executor requires a picklable case function, "
-        f"but {fn!r} cannot be pickled. Use a module-level function taking "
-        "plain-data arguments, or executor='thread' for closures over live objects.",
-    )
-
-
-def _require_wire_case_fn(fn: Callable[..., Any] | str) -> None:
-    """Remote sweeps name server-side functions; nothing callable crosses the wire."""
-    if isinstance(fn, str):
-        return
-    from ..serve.specs import wire_function_name
-
-    if wire_function_name(fn) is None:
-        raise ValueError(
-            f"executor='remote' submits *named* server-side functions over the "
-            f"typed JSON wire, but {fn!r} is not a registered wire function. "
-            "Register it with repro.serve.specs.register_wire_function (the "
-            "server must import the registering module too), pass its "
-            "registered name as a string, or use executor='service' to run "
-            "the sweep in-process."
-        )
+from .execution import Executor, InlineExecutor, JobFailedError, LocalCallSpec, PoolExecutor
 
 
 @dataclass(frozen=True)
@@ -160,11 +105,9 @@ def run_sweep(
     fn: Callable[..., Any] | str,
     spec: SweepSpec | Mapping[str, Sequence[Any]],
     *,
-    executor: "Executor | str | None" = None,
+    executor: Executor | None = None,
     max_workers: int | None = None,
     on_error: str = "raise",
-    service: "EvaluationService | RemoteEvaluationClient | None" = None,
-    endpoint: str | None = None,
 ) -> SweepResult:
     """Evaluate ``fn(**params)`` over every grid point of ``spec``.
 
@@ -183,11 +126,8 @@ def run_sweep(
     executor:
         Any :class:`~repro.core.execution.Executor` instance (left open for
         the caller to close), or None for an ephemeral thread pool sized by
-        ``max_workers``.  Legacy string names — ``"thread"``, ``"process"``,
-        ``"serial"``/``"inline"``, ``"service"``, ``"remote"`` — are
-        **deprecated**: they still resolve through the executor registry
-        (:func:`~repro.core.execution.resolve_executor`) but emit a
-        :class:`DeprecationWarning` naming the replacement.
+        ``max_workers``.  To run by registry name, build the instance with
+        :func:`~repro.core.execution.resolve_executor` first.
     max_workers:
         Worker count when this call builds its own pooled executor (library
         default if None); ignored when an executor instance is given.
@@ -196,15 +136,6 @@ def run_sweep(
         exception on the affected :class:`SweepCaseResult` and continues.
         Remote failures carry the server-side error message, not the
         original exception type.
-    service:
-        Deprecated-path plumbing: the evaluation service for
-        ``executor="service"`` (an ephemeral one is created — and shut
-        down — when omitted), or an existing
-        :class:`RemoteEvaluationClient` for ``executor="remote"``.
-    endpoint:
-        Deprecated-path plumbing: server base URL for ``executor="remote"``
-        (e.g. ``"http://127.0.0.1:8035"``); ignored when ``service`` is
-        given.
     """
     if not isinstance(spec, SweepSpec):
         spec = SweepSpec(name="sweep", grid=dict(spec))
@@ -214,17 +145,15 @@ def run_sweep(
     owned = True
     if executor is None:
         executor = PoolExecutor("thread", max_workers=max_workers)
-    elif isinstance(executor, str):
-        executor = _resolve_legacy_executor(executor, fn, max_workers, service, endpoint)
     elif isinstance(executor, Executor):
         owned = False
     else:
-        # Catch the likely migration slip (passing an EvaluationService or a
-        # client here) before it surfaces as a bare AttributeError deep in map().
+        # Catch the likely slips (a registry name, an EvaluationService or a
+        # client) before they surface as a bare AttributeError deep in map().
         raise TypeError(
-            f"executor must be a repro.core.execution.Executor instance, one of the "
-            f"registered names {sorted(executor_names())}, or None for the thread-pool "
-            f"default — got {type(executor).__name__}. Wrap a live service/client via "
+            f"executor must be a repro.core.execution.Executor instance or None for "
+            f"the thread-pool default — got {type(executor).__name__}. Build one by "
+            "name with resolve_executor(...), or wrap a live service/client via "
             "service.as_executor() / client.as_executor()."
         )
 
@@ -258,42 +187,6 @@ def run_sweep(
             executor.close()
 
     return SweepResult(spec=spec, cases=cases)
-
-
-def _resolve_legacy_executor(
-    name: str,
-    fn: Callable[..., Any] | str,
-    max_workers: int | None,
-    service: Any,
-    endpoint: str | None,
-) -> Executor:
-    """The deprecated string-dispatch shim: registry resolution + fail-fast guards."""
-    if name not in executor_names():
-        raise ValueError(
-            f"executor must be an Executor instance or one of {sorted(executor_names())}, "
-            f"got {name!r}"
-        )
-    replacement = _EXECUTOR_REPLACEMENTS.get(name, f"resolve_executor({name!r})")
-    warnings.warn(
-        f"run_sweep(executor={name!r}) is deprecated; pass an Executor instance "
-        f"instead, e.g. repro.core.execution.{replacement} "
-        f"(or resolve_executor({name!r}, ...))",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    # Fail fast with the long-standing actionable messages before any pool
-    # or connection is created.
-    if name == "process":
-        _require_picklable_case_fn(fn)
-    if name == "remote":
-        _require_wire_case_fn(fn)
-        if service is None and endpoint is None:
-            raise ValueError(
-                "executor='remote' needs endpoint='http://host:port' (or service=client)"
-            )
-    return resolve_executor(
-        name, max_workers=max_workers, service=service, endpoint=endpoint
-    )
 
 
 def sweep_table(

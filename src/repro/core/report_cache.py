@@ -14,7 +14,9 @@ tiers:
    fresh CLI invocation — loads reports from disk instead of re-simulating.
 
 Reports returned from the cache are shared objects: treat them as read-only,
-as all existing analysis code already does.
+as all existing analysis code already does.  The cache never simulates:
+:func:`~repro.serve.scheduler.run_batched` is the one path from a cache miss
+to the simulator.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from ..accelerator.config import AcceleratorConfig
 from ..accelerator.energy import DEFAULT_ENERGY_TABLE, EnergyTable
-from ..accelerator.simulator import AcceleratorSimulator, SimulationReport, WorkloadTrace
+from ..accelerator.simulator import SimulationReport, WorkloadTrace
 from .artifacts import ArtifactStore, default_artifact_store
 from .columnar import ColumnarReportBatch, ensure_report
 from .telemetry import get_registry
@@ -343,63 +345,8 @@ class ReportCache:
             },
         }
 
-    # -- public API ------------------------------------------------------------
-
-    def lookup(
-        self,
-        config: AcceleratorConfig,
-        trace: WorkloadTrace,
-        energy_table: EnergyTable | None = None,
-        backend: str | None = None,
-    ) -> SimulationReport | None:
-        """Cached report for these inputs, or None (used by the batch scheduler)."""
-        return self.lookup_key(self.key(config, trace, energy_table, backend))
-
-    def insert(
-        self,
-        config: AcceleratorConfig,
-        trace: WorkloadTrace,
-        report: SimulationReport,
-        energy_table: EnergyTable | None = None,
-        backend: str | None = None,
-    ) -> SimulationReport:
-        """Insert an externally computed report (used by the batch scheduler)."""
-        return self.insert_key(self.key(config, trace, energy_table, backend), report)
-
-    def get_or_run(
-        self,
-        config: AcceleratorConfig,
-        trace: WorkloadTrace,
-        energy_table: EnergyTable | None = None,
-        backend: str | None = None,
-    ) -> SimulationReport:
-        """Return the cached report for these inputs, simulating on a miss.
-
-        Thread-safe: concurrent sweep workers may look up and insert reports
-        simultaneously.  The simulation itself runs outside the lock, so two
-        threads missing on the same key race benignly (one result wins).
-        """
-        key = self.key(config, trace, energy_table, backend)
-        cached = self.lookup_key(key)
-        if cached is not None:
-            return cached
-        report = AcceleratorSimulator(config, energy_table, backend=backend).run_trace(trace)
-        return self.insert_key(key, report)
-
 
 #: Process-wide cache used by the pipeline and sweep helpers.  Its persistent
 #: tier follows the ``REPRO_ARTIFACT_DIR`` environment variable.
 DEFAULT_REPORT_CACHE = ReportCache(store="auto")
 
-
-def simulate_cached(
-    config: AcceleratorConfig,
-    trace: WorkloadTrace,
-    energy_table: EnergyTable | None = None,
-    backend: str | None = None,
-    cache: ReportCache | None = None,
-) -> SimulationReport:
-    """Run a trace through the (default) report cache."""
-    # Explicit None check: an empty ReportCache is falsy (it has __len__).
-    cache = DEFAULT_REPORT_CACHE if cache is None else cache
-    return cache.get_or_run(config, trace, energy_table, backend)

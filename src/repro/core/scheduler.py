@@ -125,13 +125,12 @@ def analyze_update_period(
     points = []
     for period in periods:
         config = base_config.with_update_period(int(period))
-        simulator = AcceleratorSimulator(config)
-        report = simulator.run_trace(trace)
+        report = AcceleratorSimulator(config).run_trace(trace)
         points.append(
             UpdatePeriodPoint(
                 update_period=int(period),
                 speedup=safe_speedup(baseline_report.total_cycles, report.total_cycles),
-                updates_performed=simulator.detector_stats.updates_performed,
+                updates_performed=report.detector_stats.updates_performed,
             )
         )
     return points

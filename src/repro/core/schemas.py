@@ -26,7 +26,7 @@ from ..accelerator.simulator import SimulationReport, StepResult
 from ..accelerator.workload import ConvLayerWorkload
 from ..diffusion.fid import FeatureStatistics
 from . import codec
-from .artifacts import ArtifactStoreStats, EvictionResult, MigrationResult
+from .artifacts import ArtifactStoreStats, EvictionResult
 from .codec import Decoder, Encoder, register_dataclass, register_schema
 from .columnar import ARRAY_FIELDS, ColumnarReportBatch
 from .costs import CostSummary
@@ -157,4 +157,3 @@ register_dataclass(FeatureStatistics, "feature_statistics")
 register_dataclass(CacheStats, "cache_stats")
 register_dataclass(ArtifactStoreStats, "artifact_store_stats")
 register_dataclass(EvictionResult, "eviction_result")
-register_dataclass(MigrationResult, "migration_result")

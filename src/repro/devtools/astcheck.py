@@ -25,7 +25,7 @@ Rule catalogue (one line each; the rule docstrings carry the full
 rationale):
 
 ========  =======================================================================
-REP001    ``pickle`` only on the allowlisted legacy path (``core/artifacts.py``)
+REP001    no ``pickle`` imports anywhere (the allowlist is empty)
 REP002    no wall-clock ``time.time`` — durations use ``time.monotonic``
 REP003    no ``reduceat``/pairwise-association reductions in kernel backends
 REP004    every wire-reachable dataclass has a registered codec schema
@@ -446,9 +446,9 @@ _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # -- REP001 -----------------------------------------------------------------------
 
-#: The one module allowed to import pickle: the artifact store's read-only
-#: legacy (v1 file format) path and its explicit migration entry point.
-_PICKLE_ALLOWLIST = {"src/repro/core/artifacts.py"}
+#: Modules allowed to import pickle: none.  An audited exception (a
+#: picklability guard that never deserializes) takes a suppression comment.
+_PICKLE_ALLOWLIST: frozenset[str] = frozenset()
 _PICKLE_MODULES = {"pickle", "cPickle", "dill", "cloudpickle"}
 
 
@@ -457,7 +457,7 @@ _PICKLE_MODULES = {"pickle", "cPickle", "dill", "cloudpickle"}
     "no-pickle",
     "The wire and the artifact store are pickle-free by design (PR 4): pickles "
     "execute arbitrary code on load and break cross-version compatibility.  "
-    "Only the legacy v1 artifact path in core/artifacts.py may touch pickle.",
+    "The allowlist is empty: no module may import pickle.",
 )
 def _check_no_pickle(ctx: FileContext) -> Iterator[Finding]:
     if ctx.relpath in _PICKLE_ALLOWLIST:
@@ -469,16 +469,14 @@ def _check_no_pickle(ctx: FileContext) -> Iterator[Finding]:
                     yield ctx.finding(
                         "REP001",
                         node,
-                        f"import of {alias.name!r}: pickle is allowed only on the "
-                        "legacy artifact path in core/artifacts.py",
+                        f"import of {alias.name!r}: no module may import pickle",
                     )
         elif isinstance(node, ast.ImportFrom):
             if node.module and node.module.split(".")[0] in _PICKLE_MODULES:
                 yield ctx.finding(
                     "REP001",
                     node,
-                    f"import from {node.module!r}: pickle is allowed only on the "
-                    "legacy artifact path in core/artifacts.py",
+                    f"import from {node.module!r}: no module may import pickle",
                 )
 
 

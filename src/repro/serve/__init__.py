@@ -9,10 +9,9 @@ traffic*, not as one script.  This package provides the service layer:
     events.
 ``repro.serve.scheduler``
     Request coalescing: queued simulation requests sharing an energy table
-    and backend are fused into one batched pass — cross-trace
-    (:meth:`VectorizedBackend.run_traces`) for a single configuration,
-    cross-config (:meth:`VectorizedBackend.run_config_traces`) for a whole
-    sweep grid — behind the two-tier report cache.
+    and backend are fused into one
+    :meth:`~repro.accelerator.simulator.AcceleratorSimulator.run` call over
+    their whole (config x trace) grid, behind the two-tier report cache.
 ``repro.serve.service``
     :class:`EvaluationService` — the job queue itself: a coalescing scheduler
     thread, a thread pool for simulation-bound work (NumPy releases the GIL)

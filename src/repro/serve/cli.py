@@ -28,7 +28,7 @@ reports instead of recomputing them:
     ``GET /jobs`` and renders queue depth, coalescing ratio, cache hit rate
     and p50/p95/p99 job latency (``--once`` for a single snapshot).
 ``repro cache``
-    Inspect, wipe, evict from, or migrate the artifact store.
+    Inspect, wipe or evict from the artifact store.
 ``repro bench``
     Measure simulation/sweep/service throughput (:mod:`repro.core.bench`),
     optionally gating against a committed ``BENCH_<n>.json`` baseline.
@@ -523,17 +523,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         )
         return 2
     store = artifact_store_at(args.artifact_dir)
-    if args.action == "migrate":
-        result = store.migrate_legacy()
-        print(
-            f"migrated {result.migrated} legacy artifact(s) at {store.root}; "
-            f"{result.already_current} already current, {result.failed} failed"
-        )
-        _write_json(
-            args.json_path,
-            {"command": "cache", "action": "migrate", **result.summary()},
-        )
-        return 0 if result.failed == 0 else 1
     if args.action == "wipe":
         removed = store.wipe(args.kind)
         print(f"removed {removed} artifact(s) from {store.root}")
@@ -888,10 +877,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top.set_defaults(fn=_cmd_top)
 
-    cache = sub.add_parser(
-        "cache", help="inspect, wipe, evict from, or migrate the artifact store"
-    )
-    cache.add_argument("action", choices=["stats", "wipe", "evict", "migrate"])
+    cache = sub.add_parser("cache", help="inspect, wipe or evict from the artifact store")
+    cache.add_argument("action", choices=["stats", "wipe", "evict"])
     cache.add_argument("--kind", default=None, help="restrict wipe to one artifact kind")
     cache.add_argument(
         "--max-bytes",

@@ -8,13 +8,12 @@ evaluation service and the pipeline both use:
 1. deduplicate requests by cache key and look each unique key up in the
    two-tier :class:`~repro.core.report_cache.ReportCache`;
 2. group the misses into *compatibility groups* — requests sharing an energy
-   table and backend, regardless of configuration — and dispatch each group
-   through one batched simulator call: single-config groups take the
-   cross-trace ``run_traces`` fast path, multi-config groups on the
-   vectorized backend fuse into one cross-config ``run_config_traces``
-   NumPy pass covering the whole (config x trace) grid;
-3. insert the fresh reports into both cache tiers and return everything in
-   request order.
+   table and backend, regardless of configuration — and simulate each group
+   with one :meth:`~repro.accelerator.simulator.AcceleratorSimulator.run`
+   call covering its whole (config x trace) grid;
+3. slice the group's columnar batch into per-key single-trace batches,
+   insert them into both cache tiers and return everything in request
+   order.
 
 Pass a :class:`BatchStats` to observe how the scheduler carved a workload
 into kernel calls (the service exposes this as ``service_stats()`` ->
@@ -68,8 +67,7 @@ class BatchStats:
         self._registry = registry if registry is not None else get_registry()
         self._kernel_calls = self._registry.counter(
             "repro_scheduler_kernel_calls_total",
-            "Batched simulator invocations, by single- vs cross-config mode.",
-            labels=("mode",),
+            "Batched simulator invocations, one per compatibility group with a cache miss.",
         )
         self._configs = self._registry.counter(
             "repro_scheduler_configs_simulated_total",
@@ -85,57 +83,36 @@ class BatchStats:
     def _raw(self) -> dict[str, float]:
         """Current registry totals (call under the registry lock for consistency)."""
         return {
-            "cross": self._kernel_calls.value(mode="cross_config"),
-            "single": self._kernel_calls.value(mode="single_config"),
-            "configs": self._configs.value(),
-            "traces": self._traces.value(),
+            "kernel_calls": self._kernel_calls.value(),
+            "configs_simulated": self._configs.value(),
+            "traces_simulated": self._traces.value(),
         }
 
     def record_group(self, num_configs: int, num_traces: int) -> None:
-        mode = "cross_config" if num_configs > 1 else "single_config"
         with self._registry.locked():
-            self._kernel_calls.inc(mode=mode)
+            self._kernel_calls.inc()
             self._configs.inc(num_configs)
             self._traces.inc(num_traces)
 
     # -- derived, per-instance counters -----------------------------------------
 
     @property
-    def cross_config_calls(self) -> int:
-        """Kernel calls that fused several configurations into one pass."""
-        return int(self._kernel_calls.value(mode="cross_config") - self._base["cross"])
-
-    @property
-    def single_config_calls(self) -> int:
-        """Kernel calls that took the single-config ``run_traces`` fast path."""
-        return int(self._kernel_calls.value(mode="single_config") - self._base["single"])
-
-    @property
     def kernel_calls(self) -> int:
         """Batched simulator invocations: one per group with >= 1 cache miss."""
-        with self._registry.locked():
-            return self.cross_config_calls + self.single_config_calls
+        return int(self._kernel_calls.value() - self._base["kernel_calls"])
 
     @property
     def configs_simulated(self) -> int:
-        return int(self._configs.value() - self._base["configs"])
+        return int(self._configs.value() - self._base["configs_simulated"])
 
     @property
     def traces_simulated(self) -> int:
-        return int(self._traces.value() - self._base["traces"])
+        return int(self._traces.value() - self._base["traces_simulated"])
 
     def as_dict(self) -> dict[str, int]:
         with self._registry.locked():  # one lock: a consistent snapshot
             raw = self._raw()
-        return {
-            "kernel_calls": int(
-                (raw["cross"] - self._base["cross"]) + (raw["single"] - self._base["single"])
-            ),
-            "cross_config_calls": int(raw["cross"] - self._base["cross"]),
-            "single_config_calls": int(raw["single"] - self._base["single"]),
-            "configs_simulated": int(raw["configs"] - self._base["configs"]),
-            "traces_simulated": int(raw["traces"] - self._base["traces"]),
-        }
+        return {name: int(value - self._base[name]) for name, value in raw.items()}
 
 
 def coalesce_requests(
@@ -178,16 +155,17 @@ def run_batched(
 
     Returns one result per request, in request order.  Every unique key costs
     at most one cache lookup and (on a miss) exactly one simulated trace;
-    misses sharing an energy table and backend run as a single batched pass —
-    cross-config on the vectorized backend, per-config otherwise.
+    misses sharing an energy table and backend run as a single
+    :meth:`AcceleratorSimulator.run` call over their (config x trace) grid.
 
-    On columnar backends the kernel returns one
-    :class:`~repro.core.columnar.ColumnarReportBatch` for the whole group,
-    which is sliced (pure array copies, no objects) into per-key single-trace
-    batches for the cache.  With ``materialize=True`` (the default) every
-    returned result is a :class:`SimulationReport`; ``materialize=False``
-    returns raw cache entries — reports or single-trace batches — for callers
-    that keep sweep results columnar until someone indexes a specific report.
+    The call returns one :class:`~repro.core.columnar.ColumnarReportBatch`
+    for the whole group, which is sliced (pure array copies, no objects)
+    into per-key single-trace batches for the cache.  With
+    ``materialize=True`` (the default) every returned result is a
+    :class:`SimulationReport`; ``materialize=False`` returns raw cache
+    entries — single-trace batches, or reports read from older artifacts —
+    for callers that keep sweep results columnar until someone indexes a
+    specific report.
     """
     # Explicit None check: an empty ReportCache is falsy (it has __len__).
     cache = DEFAULT_REPORT_CACHE if cache is None else cache
@@ -209,36 +187,19 @@ def run_batched(
     for group in coalesce_requests(pending):
         partitions = _config_partitions(group)
         first = group[0]
-        simulator = AcceleratorSimulator(first.config, first.energy_table, backend=first.backend)
         entries = [
             (partition[0].config, [request.trace for request in partition])
             for partition in partitions
         ]
         if stats is not None:
             stats.record_group(num_configs=len(partitions), num_traces=len(group))
-        batch = simulator.run_config_traces_columnar(entries)
-        if batch is not None:
-            # Columnar fast path: one kernel call for the whole group (also
-            # for single-config groups — the kernel's cross-trace and
-            # cross-config flattening coincide there), then per-key slices.
-            # _segment_sums keeps every slice bit-identical to a solo run.
-            flat = 0
-            for partition in partitions:
-                for request in partition:
-                    results[request.key()] = cache.insert_key(
-                        request.key(), batch.slice_trace(flat)
-                    )
-                    flat += 1
-            continue
-        # Eager fallback for backends without the columnar entry point
-        # (notably the reference oracle, which carries per-PE results).
-        if len(partitions) == 1:
-            batch_reports = [simulator.run_traces([request.trace for request in partitions[0]])]
-        else:
-            batch_reports = simulator.run_config_traces(entries)
-        for partition, partition_reports in zip(partitions, batch_reports):
-            for request, report in zip(partition, partition_reports):
-                results[request.key()] = cache.insert_key(request.key(), report)
+        simulator = AcceleratorSimulator(first.config, first.energy_table, backend=first.backend)
+        batch = simulator.run(entries)
+        # Flat trace order is entry order; _segment_sums keeps every slice
+        # bit-identical to a solo run.
+        ordered = [request for partition in partitions for request in partition]
+        for flat, request in enumerate(ordered):
+            results[request.key()] = cache.insert_key(request.key(), batch.slice_trace(flat))
 
     if materialize:
         return [ensure_report(results[request.key()]) for request in requests]

@@ -41,6 +41,7 @@ import itertools
 import threading
 from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Mapping
 
 from ..accelerator.config import AcceleratorConfig
@@ -740,8 +741,17 @@ class EvaluationService:
         if not job.mark_running():
             return
         try:
-            future = self._processes().submit(fn, *args, **kwargs)
-        except Exception as exc:  # noqa: BLE001 - e.g. submitting to a broken pool
+            pool = self._processes()
+            try:
+                future = pool.submit(fn, *args, **kwargs)
+            except BrokenProcessPool:
+                # A worker died (e.g. OOM-killed) and took the pool with it.
+                # Replace the pool and resubmit once: this job never started.
+                # Only the scheduler thread touches the pool, so no lock.
+                pool.shutdown(wait=False)
+                self._process_pool = None
+                future = self._processes().submit(fn, *args, **kwargs)
+        except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable payload
             job.mark_failed(exc)
             return
         future.add_done_callback(complete)

@@ -434,36 +434,8 @@ def _decode_result_item(value: Any, ctx: Decoder, what: str) -> Any:
     )
 
 
-def _encode_sweep_result_v1(result: SweepJobResult, ctx: Encoder) -> dict:
-    # Legacy shape (the register_dataclass layout of the eager class):
-    # reports materialized per case.  Kept so version-pinned peers can still
-    # be answered; current peers speak @2, which ships results columnar.
-    return {
-        "name": result.name,
-        "params": ctx.value(result.params),
-        "reports": [ctx.value(report) for report in result.reports],
-        "baseline": None if result.baseline is None else ctx.value(result.baseline),
-    }
-
-
-def _decode_sweep_result_v1(doc: Mapping[str, Any], ctx: Decoder) -> SweepJobResult:
-    reports = doc.get("reports", [])
-    if not isinstance(reports, list):
-        raise codec.SchemaError("sweep_result 'reports' must be a list")
-    return SweepJobResult(
-        name=ctx.value(doc.get("name")),
-        params=ctx.value(doc.get("params", [])),
-        reports=[_decode_result_item(item, ctx, "'reports' items") for item in reports],
-        baseline=(
-            None
-            if doc.get("baseline") is None
-            else _decode_result_item(doc["baseline"], ctx, "'baseline'")
-        ),
-    )
-
-
 def _encode_sweep_result(result: SweepJobResult, ctx: Encoder) -> dict:
-    # v2 ships results in stored form: single-trace columnar batches stay
+    # Results ship in stored form: single-trace columnar batches stay
     # columnar (one envelope with $ndarray sidecars per case), so encoding a
     # sweep result materializes nothing.
     return {
@@ -492,7 +464,4 @@ def _decode_sweep_result(doc: Mapping[str, Any], ctx: Decoder) -> SweepJobResult
     )
 
 
-register_schema("sweep_result", 1, _encode_sweep_result_v1, _decode_sweep_result_v1)
-# Type dispatch resolves to the highest registered version, so plain
-# codec.encode(result) speaks @2.
 register_schema("sweep_result", 2, _encode_sweep_result, _decode_sweep_result, type=SweepJobResult)

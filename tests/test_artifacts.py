@@ -19,31 +19,27 @@ from repro.accelerator import (
 )
 from repro.core import codec
 from repro.core.artifacts import (
-    _MAGIC_V1,
     ArtifactStore,
     artifact_store_at,
     default_artifact_store,
 )
-from repro.core.report_cache import (
-    REPORT_ARTIFACT_KIND,
-    ReportCache,
-    artifact_key_for,
-    simulate_cached,
-)
+from repro.core.report_cache import ReportCache
 from repro.serve.scheduler import SimulationRequest, run_batched
-
-
-class _OpaqueLegacy:
-    """Picklable (module-level) but carries no wire schema."""
 
 
 def write_legacy_artifact(store: ArtifactStore, kind: str, key: str, obj) -> None:
     """Plant a version-1 (pickled) artifact, as written by older releases."""
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    blob = _MAGIC_V1 + hashlib.sha256(payload).digest() + payload
+    blob = b"RPRO-ART1\n" + hashlib.sha256(payload).digest() + payload
     path = store.path_for(kind, key)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(blob)
+
+
+def cached_run(cache: ReportCache, config, trace):
+    """One simulation through the cache: the scheduler is the only path to the
+    simulator."""
+    return run_batched([SimulationRequest(config, trace)], cache=cache)[0]
 
 
 @pytest.fixture()
@@ -98,15 +94,17 @@ class TestArtifactStore:
 
     @pytest.mark.parametrize(
         "corruption",
-        ["truncate", "garbage", "bad_magic", "bit_flip"],
+        ["truncate", "garbage", "bad_magic", "bit_flip", "v1_pickle"],
     )
     def test_corrupt_file_recovers_as_miss(self, store, corruption):
-        """A damaged artifact is a miss (recompute), never a crash."""
+        """A damaged or foreign artifact is a miss (recompute), never a crash."""
         key = ArtifactStore.key_for("doomed")
         store.put("report", key, {"value": 42})
         path = store.path_for("report", key)
         blob = path.read_bytes()
-        if corruption == "truncate":
+        if corruption == "v1_pickle":  # the pickled version-1 format is foreign
+            write_legacy_artifact(store, "report", key, {"value": 42})
+        elif corruption == "truncate":
             path.write_bytes(blob[: len(blob) // 2])
         elif corruption == "garbage":
             path.write_bytes(b"not an artifact at all")
@@ -167,25 +165,6 @@ class TestTypedFormatAndLegacy:
             store.put("report", ArtifactStore.key_for("bad"), NotWireSafe())
         assert store.count() == 0
 
-    def test_legacy_pickle_read_requires_opt_in(self, tmp_path):
-        key = ArtifactStore.key_for("legacy")
-        locked = ArtifactStore(tmp_path / "s", legacy_pickle=False)
-        write_legacy_artifact(locked, "report", key, {"value": 42})
-        assert locked.get("report", key) is None
-        assert locked.stats.legacy_skipped == 1
-        assert locked.stats.corrupt_discarded == 0
-        assert locked.contains("report", key), "legacy artifact must not be quarantined"
-
-        permissive = ArtifactStore(tmp_path / "s", legacy_pickle=True)
-        assert permissive.get("report", key) == {"value": 42}
-        assert permissive.stats.hits == 1
-
-    def test_legacy_env_var_opt_in(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_ARTIFACT_LEGACY_PICKLE", "1")
-        assert ArtifactStore(tmp_path / "a").legacy_pickle is True
-        monkeypatch.delenv("REPRO_ARTIFACT_LEGACY_PICKLE")
-        assert ArtifactStore(tmp_path / "b").legacy_pickle is False
-
     def test_unknown_schema_version_is_miss_not_corruption(self, store):
         """Files written by newer code are refused, not deleted."""
         key = ArtifactStore.key_for("future")
@@ -198,57 +177,6 @@ class TestTypedFormatAndLegacy:
         assert store.get("report", key) is None
         assert store.stats.corrupt_discarded == 0
         assert path.exists()
-
-    def test_migrate_legacy_rewrites_in_place(self, tmp_path):
-        store = ArtifactStore(tmp_path / "s", legacy_pickle=False)
-        for i in range(3):
-            write_legacy_artifact(store, "report", ArtifactStore.key_for(f"m{i}"), {"i": i})
-        store.put("trace", ArtifactStore.key_for("fresh"), [1, 2, 3])
-
-        result = store.migrate_legacy()
-        assert result.migrated == 3
-        assert result.already_current == 1
-        assert result.failed == 0
-        # readable without any pickle opt-in now, and stored as version 2
-        for i in range(3):
-            key = ArtifactStore.key_for(f"m{i}")
-            assert store.get("report", key) == {"i": i}
-            assert store.path_for("report", key).read_bytes().startswith(b"RPRO-ART2\n")
-
-    def test_migrate_counts_unconvertible_artifacts_as_failed(self, tmp_path):
-        store = ArtifactStore(tmp_path / "s")
-        write_legacy_artifact(store, "report", ArtifactStore.key_for("op"), _OpaqueLegacy())
-        result = store.migrate_legacy()
-        assert result.failed == 1 and result.migrated == 0
-        assert store.contains("report", ArtifactStore.key_for("op"))
-
-    def test_migrated_store_serves_reports_without_resimulation(self, store, small_trace):
-        """Acceptance: after migration, a warm restart is 100% store-served."""
-        report = AcceleratorSimulator(sqdm_config()).run_trace(small_trace)
-        key = ReportCache.key(sqdm_config(), small_trace)
-        write_legacy_artifact(store, REPORT_ARTIFACT_KIND, artifact_key_for(key), report)
-
-        cold = ReportCache(store=store)
-        assert cold.lookup_key(key) is None  # legacy payload refused by default
-        assert store.stats.legacy_skipped == 1
-
-        assert store.migrate_legacy().migrated == 1
-
-        warm = ReportCache(store=store)
-        loaded = warm.lookup_key(key)
-        assert loaded is not None
-        assert warm.stats.disk_hits == 1 and warm.stats.misses == 0
-        assert loaded.total_cycles == report.total_cycles
-        assert loaded.total_energy.total_pj == report.total_energy.total_pj
-
-    def test_cli_cache_migrate(self, tmp_path, capsys):
-        from repro.serve.cli import main as cli_main
-
-        store = ArtifactStore(tmp_path / "cli-store")
-        write_legacy_artifact(store, "report", ArtifactStore.key_for("x"), {"x": 1})
-        assert cli_main(["cache", "migrate", "--artifact-dir", str(store.root)]) == 0
-        assert "migrated 1 legacy artifact" in capsys.readouterr().out
-        assert store.get("report", ArtifactStore.key_for("x")) == {"x": 1}
 
 
 class TestMetadataLRU:
@@ -398,13 +326,13 @@ class TestEviction:
         """An evicted artifact is a miss, not an error: callers recompute."""
         store = ArtifactStore(tmp_path / "s")
         cache = ReportCache(store=store)
-        before = cache.get_or_run(sqdm_config(), small_trace)
+        before = cached_run(cache, sqdm_config(), small_trace)
         assert store.count("report") == 1
         result = store.evict(max_bytes=1)  # evict everything
         assert result.removed == 1 and store.count("report") == 0
 
         fresh = ReportCache(store=store)  # fresh memory tier, post-eviction disk
-        after = fresh.get_or_run(sqdm_config(), small_trace)
+        after = cached_run(fresh, sqdm_config(), small_trace)
         assert fresh.stats.misses == 1 and fresh.stats.disk_hits == 0
         assert after.total_cycles == before.total_cycles
         assert store.count("report") == 1  # re-persisted for the next process
@@ -436,34 +364,34 @@ class TestEviction:
 class TestTwoTierReportCache:
     def test_disk_tier_survives_new_cache_instance(self, store, small_trace):
         first = ReportCache(store=store)
-        report = first.get_or_run(sqdm_config(), small_trace)
+        report = cached_run(first, sqdm_config(), small_trace)
         assert first.stats.misses == 1
 
         second = ReportCache(store=store)  # fresh memory tier, same disk
-        loaded = second.get_or_run(sqdm_config(), small_trace)
+        loaded = cached_run(second, sqdm_config(), small_trace)
         assert second.stats.disk_hits == 1 and second.stats.misses == 0
         assert loaded.total_cycles == report.total_cycles
         # promoted to memory: the next lookup does not touch the disk tier
-        second.get_or_run(sqdm_config(), small_trace)
+        cached_run(second, sqdm_config(), small_trace)
         assert second.stats.hits == 1
 
     def test_corrupt_report_artifact_recomputes(self, store, small_trace):
         cache = ReportCache(store=store)
-        cache.get_or_run(sqdm_config(), small_trace)
+        cached_run(cache, sqdm_config(), small_trace)
         (artifact_path,) = [store.path_for("report", k) for k in store.keys("report")]
         artifact_path.write_bytes(b"garbage" * 100)
 
         fresh = ReportCache(store=store)
-        report = fresh.get_or_run(sqdm_config(), small_trace)
+        report = cached_run(fresh, sqdm_config(), small_trace)
         assert fresh.stats.misses == 1 and fresh.stats.disk_hits == 0
         assert store.stats.corrupt_discarded == 1
         direct = AcceleratorSimulator(sqdm_config()).run_trace(small_trace)
         assert report.total_cycles == direct.total_cycles
 
-    def test_simulate_cached_respects_explicit_empty_cache(self, store, small_trace):
+    def test_run_batched_respects_explicit_empty_cache(self, store, small_trace):
         """Regression: an empty ReportCache is falsy, but must still be used."""
         cache = ReportCache(store=store)
-        simulate_cached(sqdm_config(), small_trace, cache=cache)
+        cached_run(cache, sqdm_config(), small_trace)
         assert cache.stats.misses == 1
 
     def test_invalid_store_spec_rejected(self):
@@ -492,12 +420,8 @@ class TestCrossProcessReuse:
         def forbidden(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("re-run should not simulate anything")
 
-        original_trace, original_traces = (
-            AcceleratorSimulator.run_trace,
-            AcceleratorSimulator.run_traces,
-        )
-        AcceleratorSimulator.run_trace = forbidden
-        AcceleratorSimulator.run_traces = forbidden
+        original_run = AcceleratorSimulator.run
+        AcceleratorSimulator.run = forbidden
         try:
             second_reports = run_batched(
                 [SimulationRequest(c, small_trace) for c in configs]
@@ -505,8 +429,7 @@ class TestCrossProcessReuse:
                 cache=second_process,
             )
         finally:
-            AcceleratorSimulator.run_trace = original_trace
-            AcceleratorSimulator.run_traces = original_traces
+            AcceleratorSimulator.run = original_run
 
         stats = second_process.stats
         assert stats.misses == 0

@@ -100,6 +100,11 @@ class TestBackendRegistry:
         assert isinstance(ReferenceBackend(config), SimulationBackend)
         assert isinstance(VectorizedBackend(config), SimulationBackend)
 
+    def test_protocol_declares_only_name_and_run(self):
+        methods = {name for name in vars(SimulationBackend) if not name.startswith("_")}
+        assert methods == {"run"}
+        assert set(SimulationBackend.__annotations__) == {"name"}
+
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown simulation backend"):
             get_backend("cycle_accurate", sqdm_config())
@@ -140,18 +145,10 @@ class TestVectorizedEquivalence:
 
     def test_detector_update_schedule_matches(self, synthetic_trace):
         config = sqdm_config(sparsity_update_period=2)
-        ref_sim = AcceleratorSimulator(config, backend="reference")
-        vec_sim = AcceleratorSimulator(config, backend="vectorized")
-        ref_sim.run_trace(synthetic_trace)
-        vec_sim.run_trace(synthetic_trace)
-        assert (
-            vec_sim.detector_stats.updates_performed
-            == ref_sim.detector_stats.updates_performed
-        )
-        assert (
-            vec_sim.detector_stats.channels_evaluated
-            == ref_sim.detector_stats.channels_evaluated
-        )
+        ref = AcceleratorSimulator(config, backend="reference").run_trace(synthetic_trace)
+        vec = AcceleratorSimulator(config, backend="vectorized").run_trace(synthetic_trace)
+        assert vec.detector_stats.updates_performed == ref.detector_stats.updates_performed
+        assert vec.detector_stats.channels_evaluated == ref.detector_stats.channels_evaluated
 
     def test_empty_trace(self):
         for config in (sqdm_config(), dense_baseline_config()):
@@ -211,7 +208,7 @@ class TestCrossConfigBatching:
             for _ in range(3)
         ]
         entries = [(config, traces) for config in self.GRID]
-        batched = AcceleratorSimulator(self.GRID[0]).run_config_traces(entries)
+        batched = AcceleratorSimulator(self.GRID[0]).run(entries).report_lists()
         assert [len(reports) for reports in batched] == [3] * len(self.GRID)
         for config, reports in zip(self.GRID, batched):
             for trace, report in zip(traces, reports):
@@ -225,7 +222,7 @@ class TestCrossConfigBatching:
         rng = np.random.default_rng(7)
         traces = [random_trace(rng, steps=2, layers=2) for _ in range(2)]
         entries = [(config, traces) for config in self.GRID]
-        batched = AcceleratorSimulator(self.GRID[0]).run_config_traces(entries)
+        batched = AcceleratorSimulator(self.GRID[0]).run(entries).report_lists()
         for config, reports in zip(self.GRID, batched):
             for trace, report in zip(traces, reports):
                 solo = AcceleratorSimulator(config).run_trace(trace)
@@ -250,7 +247,7 @@ class TestCrossConfigBatching:
             (dense_baseline_config(), [[], trace]),
             (sqdm_config(sparsity_threshold=0.7), [trace, [[]], []]),
         ]
-        batched = AcceleratorSimulator(sqdm_config()).run_config_traces(entries)
+        batched = AcceleratorSimulator(sqdm_config()).run(entries).report_lists()
         assert [len(reports) for reports in batched] == [0, 2, 3]
         assert batched[1][0].total_cycles == 0.0 and batched[1][0].step_results == []
         assert len(batched[2][1].step_results) == 1  # one empty step survives
@@ -263,11 +260,9 @@ class TestCrossConfigBatching:
     def test_single_entry_batch_matches_run_traces(self):
         rng = np.random.default_rng(13)
         traces = [random_trace(rng, steps=1, layers=2) for _ in range(2)]
-        via_batch = AcceleratorSimulator(sqdm_config()).run_config_traces(
-            [(sqdm_config(), traces)]
-        )
-        via_traces = AcceleratorSimulator(sqdm_config()).run_traces(traces)
-        for batched, direct in zip(via_batch[0], via_traces):
+        via_batch = AcceleratorSimulator(sqdm_config()).run([(sqdm_config(), traces)])
+        via_traces = [AcceleratorSimulator(sqdm_config()).run_trace(trace) for trace in traces]
+        for batched, direct in zip(via_batch.report_lists()[0], via_traces):
             assert batched.total_cycles == direct.total_cycles
             assert batched.total_energy.total_pj == direct.total_energy.total_pj
 
@@ -275,10 +270,8 @@ class TestCrossConfigBatching:
         rng = np.random.default_rng(17)
         trace = random_trace(rng, steps=1, layers=1)
         entries = [(sqdm_config(), [trace]), (dense_baseline_config(), [trace])]
-        reports = AcceleratorSimulator(sqdm_config(), backend="reference").run_config_traces(
-            entries
-        )
-        for (config, _), config_reports in zip(entries, reports):
+        reports = AcceleratorSimulator(sqdm_config(), backend="reference").run(entries)
+        for (config, _), config_reports in zip(entries, reports.report_lists()):
             solo = AcceleratorSimulator(config, backend="reference").run_trace(trace)
             assert config_reports[0].total_cycles == pytest.approx(solo.total_cycles, rel=1e-12)
 
@@ -346,40 +339,96 @@ class TestKernelHelpers:
         assert _front_compact(values[:0], mask[:0], np.zeros(0, dtype=np.int64)).shape == (0, 17)
 
 
+def report_bits(report) -> tuple[list[str], list[int]]:
+    """A report's names and every number in it (structure included), as bits."""
+    names = [report.config_name]
+    numbers = [
+        report.clock_ghz,
+        report.total_cycles,
+        *report.total_energy.as_dict().values(),
+        report.detector_stats.updates_performed,
+        report.detector_stats.channels_evaluated,
+    ]
+    for step in report.step_results:
+        numbers += [step.time_step, len(step.layer_results), step.cycles]
+        numbers += step.energy.as_dict().values()
+        for layer in step.layer_results:
+            names.append(layer.layer_name)
+            numbers += [
+                layer.cycles,
+                *layer.energy.as_dict().values(),
+                layer.total_macs,
+                layer.executed_macs,
+                layer.dense_channels,
+                layer.sparse_channels,
+                layer.dense_cycles,
+                layer.sparse_cycles,
+                len(layer.pe_results),
+            ]
+    return names, _bits(np.array(numbers, dtype=np.float64)).tolist()
+
+
+class TestSingleEntryPoint:
+    """Every backend answers through ``run``; the reference backend packs its
+    eager reports into a batch, so the facade's ``run_trace`` materializes
+    them back.  That round trip must not change a bit."""
+
+    @pytest.mark.parametrize("trial", range(3))
+    def test_facade_reference_run_trace_is_bit_identical_to_backend(self, trial):
+        rng = np.random.default_rng(9000 + trial)
+        channels = int(rng.integers(1, 12))
+        traces = [
+            random_trace(rng, steps=int(rng.integers(1, 4)), layers=int(rng.integers(1, 4)))
+            for _ in range(2)
+        ]
+        uniform = random_workload(in_channels=channels, seed=trial)
+        traces += [
+            [],
+            [[]],
+            # a step with every channel dense, then one with every channel sparse
+            [[uniform.replace(channel_sparsity=np.full(channels, value))] for value in (0, 1)],
+        ]
+        for config in TestCrossConfigBatching.GRID:
+            for trace in traces:
+                via_facade = AcceleratorSimulator(config, backend="reference").run_trace(trace)
+                direct = ReferenceBackend(config).run_trace(trace)
+                for step in direct.step_results:
+                    for layer in step.layer_results:
+                        layer.pe_results = []
+                assert via_facade == direct
+                assert report_bits(via_facade) == report_bits(direct)
+
+
 class TestPerReportDetectorStats:
-    """Satellite: detector activity is reported per (config, trace) pair on
-    the immutable report, not only as mutable batch totals on the backend."""
+    """Detector activity is reported per (config, trace) pair on the
+    immutable report; backends keep no batch-level totals."""
 
     def test_solo_report_carries_detector_stats(self, synthetic_trace):
         config = sqdm_config(sparsity_update_period=2)
-        sim = AcceleratorSimulator(config)
-        report = sim.run_trace(synthetic_trace)
+        report = AcceleratorSimulator(config).run_trace(synthetic_trace)
+        ref = ReferenceBackend(config).run_trace(synthetic_trace)
         assert report.detector_stats is not None
-        assert report.detector_stats.updates_performed == sim.detector_stats.updates_performed
-        assert report.detector_stats.channels_evaluated == sim.detector_stats.channels_evaluated
+        assert report.detector_stats == ref.detector_stats
         assert report.detector_stats.updates_performed > 0
 
     def test_batched_reports_carry_per_trace_stats(self, synthetic_trace):
-        """Batch totals on the backend equal the sum of per-report stats, and
+        """The batch's per-trace detector columns sum to the batch totals, and
         each per-report value matches the solo run."""
         config = sqdm_config(sparsity_update_period=2)
         sim = AcceleratorSimulator(config)
         solo = sim.run_trace(synthetic_trace)
-        batched = sim.run_traces([synthetic_trace, synthetic_trace, synthetic_trace])
-        for report in batched:
-            assert report.detector_stats.updates_performed == solo.detector_stats.updates_performed
-            assert (
-                report.detector_stats.channels_evaluated == solo.detector_stats.channels_evaluated
-            )
-        assert sim.detector_stats.updates_performed == 3 * solo.detector_stats.updates_performed
+        batch = sim.run([(config, [synthetic_trace, synthetic_trace, synthetic_trace])])
+        for report in batch.report_lists()[0]:
+            assert report.detector_stats == solo.detector_stats
+        assert batch.detector_updates.sum() == 3 * solo.detector_stats.updates_performed
 
     def test_cross_config_stats_match_reference(self):
         rng = np.random.default_rng(29)
         trace = random_trace(rng, steps=3, layers=2)
         configs = [sqdm_config(sparsity_update_period=2), sqdm_config(sparsity_threshold=0.7)]
-        batched = AcceleratorSimulator(configs[0]).run_config_traces(
+        batched = AcceleratorSimulator(configs[0]).run(
             [(config, [trace]) for config in configs]
-        )
+        ).report_lists()
         for config, reports in zip(configs, batched):
             ref = AcceleratorSimulator(config, backend="reference").run_trace(trace)
             assert reports[0].detector_stats.updates_performed == (

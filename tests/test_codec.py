@@ -14,7 +14,7 @@ from repro.accelerator.energy import EnergyBreakdown, EnergyTable
 from repro.accelerator.pe import ChannelGroupResult
 from repro.accelerator.simulator import StepResult
 from repro.core import codec
-from repro.core.artifacts import ArtifactStoreStats, EvictionResult, MigrationResult
+from repro.core.artifacts import ArtifactStoreStats, EvictionResult
 from repro.core.costs import CostSummary
 from repro.core.pipeline import HardwareEvaluation, QuantizationEvaluation
 from repro.core.report_cache import CacheStats
@@ -44,7 +44,7 @@ def make_report():
 
 
 def make_columnar_batch():
-    return AcceleratorSimulator(sqdm_config()).run_config_traces_columnar(
+    return AcceleratorSimulator(sqdm_config()).run(
         [
             (sqdm_config(), [make_trace(0), make_trace(1)]),
             (sqdm_config(sparsity_threshold=0.8), [make_trace(2)]),
@@ -163,7 +163,6 @@ def sample_objects() -> dict[str, tuple]:
         "cache_stats": (CacheStats(hits=3, disk_hits=2, misses=1), None),
         "artifact_store_stats": (ArtifactStoreStats(hits=1, misses=2, writes=3), None),
         "eviction_result": (EvictionResult(removed=2, reclaimed_bytes=4096), None),
-        "migration_result": (MigrationResult(migrated=3, already_current=1, failed=0), None),
         "simulate_spec": (SimulateJobSpec(config=sqdm_config(), trace=trace), None),
         "quality_spec": (
             QualityJobSpec(workload="cifar10", scheme="MXINT8", pipeline_overrides={"seed": 1}),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.accelerator import AcceleratorSimulator, sqdm_config
-from repro.accelerator.backends import vectorized
+from repro.accelerator.backends import ReferenceBackend, vectorized
 from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.controller import LayerExecutionResult
 from repro.accelerator.energy import EnergyBreakdown
@@ -160,6 +160,29 @@ class TestReferenceOracle:
         oracle = AcceleratorSimulator(config, backend="reference").run_trace(trace)
         assert lazy.total_cycles == pytest.approx(oracle.total_cycles, rel=1e-9)
         assert lazy.total_energy.total_pj == pytest.approx(oracle.total_energy.total_pj, rel=1e-9)
+
+    def test_from_reports_packs_uneven_reference_grids(self):
+        """The reference backend's batch (built by ``from_reports``) keeps
+        entries with no traces, empty traces and empty steps, and gives back
+        every eager report except its per-PE results."""
+        rng = np.random.default_rng(13)
+        trace = random_trace(rng, steps=2, layers=2)
+        entries = [
+            (sqdm_config(), []),
+            (AcceleratorConfig(name="all_sparse", num_dpe=0, num_spe=2), [[], trace]),
+            (sqdm_config(sparsity_threshold=0.9), [trace, [[]]]),
+        ]
+        batch = ReferenceBackend(sqdm_config()).run(entries)
+        assert batch.config_names == ["sqdm", "all_sparse", "sqdm"]
+        assert batch.traces_per_config.tolist() == [0, 2, 2]
+        for (config, traces), reports in zip(entries, batch.report_lists()):
+            for trace, report in zip(traces, reports):
+                eager = ReferenceBackend(config).run_trace(trace)
+                for step in eager.step_results:
+                    for layer in step.layer_results:
+                        layer.pe_results = []
+                assert report == eager
+        assert codec.decode(codec.encode(batch)) == batch
 
 
 class TestAggregates:

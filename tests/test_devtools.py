@@ -152,11 +152,12 @@ class TestRules:
             report = check_source(tmp_path, source, rules=["REP001"])
             assert finding_rules(report) == ["REP001"], source
 
-    def test_rep001_allows_the_legacy_artifact_path(self, tmp_path):
+    def test_rep001_flags_pickle_in_core_artifacts(self, tmp_path):
+        """The allowlist is empty: pickle is flagged in the artifact store too."""
         report = check_source(
             tmp_path, "import pickle\n", rules=["REP001"], relpath="src/repro/core/artifacts.py"
         )
-        assert report.ok
+        assert finding_rules(report) == ["REP001"]
 
     def test_rep002_flags_wall_clock_reads(self, tmp_path):
         source = "import time\ndef f(t0):\n    return time.time() - t0\n"

@@ -1,9 +1,8 @@
 """Tests for the unified execution API: Executor protocol + JobHandle futures.
 
 Covers the acceptance contract of the redesign: `JobHandle.cancel()` /
-`result(timeout=)` semantics on every backend, the executor registry (and
-the deprecated `run_sweep(executor="...")` string shim resolving through
-it), and one sweep driven through `InlineExecutor`, `ServiceExecutor` and
+`result(timeout=)` semantics on every backend, the executor registry, and
+one sweep driven through `InlineExecutor`, `ServiceExecutor` and
 `RemoteExecutor` yielding bit-identical `SimulationReport`s.
 """
 
@@ -455,9 +454,8 @@ class TestRemoteExecutor:
 
 class TestExecutorRegistry:
     def test_builtins_registered(self):
-        assert {"inline", "serial", "thread", "process", "service", "remote"} <= set(
-            executor_names()
-        )
+        assert {"inline", "thread", "process", "service", "remote"} <= set(executor_names())
+        assert "serial" not in executor_names()
 
     def test_unknown_name_rejected_with_alternatives(self):
         with pytest.raises(ValueError, match="registered executors"):
@@ -477,9 +475,8 @@ class TestExecutorRegistry:
                 assert isinstance(executor, RecordingExecutor)
                 assert RecordingExecutor.created_with["max_workers"] == 3
                 assert executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 2})).result() == 4
-            # the deprecated run_sweep string shim reaches it too
-            with pytest.warns(DeprecationWarning):
-                result = run_sweep(_square, {"x": [2, 3]}, executor="recording")
+                # run_sweep takes the resolved instance
+                result = run_sweep(_square, {"x": [2, 3]}, executor=executor)
             assert result.values() == [4, 9]
         finally:
             from repro.core.execution import _EXECUTOR_FACTORIES
@@ -508,28 +505,6 @@ class TestRunSweepExecutors:
             executor=InlineExecutor(),
         )
         assert result.values() == [13, 14, 23, 24]
-
-    def test_deprecated_string_warns_and_matches_instance_results(self):
-        """Satellite: the string shim resolves through the registry, warns, and
-        produces results identical to the explicit-instance form."""
-        grid = {"a": [1, 2, 3], "b": [10, 20]}
-        modern = run_sweep(lambda a, b: a * b, grid, executor=InlineExecutor())
-        with pytest.warns(DeprecationWarning, match="InlineExecutor"):
-            legacy = run_sweep(lambda a, b: a * b, grid, executor="serial")
-        assert legacy.values() == modern.values()
-        assert [case.params for case in legacy.cases] == [case.params for case in modern.cases]
-
-    @pytest.mark.parametrize(
-        "name, replacement",
-        [
-            ("thread", "PoolExecutor"),
-            ("service", "ServiceExecutor"),
-        ],
-    )
-    def test_every_string_name_warns_with_replacement(self, name, replacement):
-        with pytest.warns(DeprecationWarning, match=replacement):
-            result = run_sweep(_square, {"x": [2]}, executor=name)
-        assert result.values() == [4]
 
     def test_inline_raise_mode_stops_at_first_failure(self):
         """The historical serial contract: on_error='raise' must not run the

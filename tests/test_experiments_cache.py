@@ -13,6 +13,7 @@ from repro.accelerator import (
     random_workload,
     sqdm_config,
 )
+from repro.core.execution import InlineExecutor, PoolExecutor
 from repro.core.experiments import SweepSpec, run_sweep, sweep_table
 from repro.core.report_cache import (
     ReportCache,
@@ -21,6 +22,7 @@ from repro.core.report_cache import (
     fingerprint_trace,
 )
 from repro.accelerator.energy import EnergyTable
+from repro.serve.scheduler import SimulationRequest, run_batched
 
 
 class TestSweepSpec:
@@ -42,11 +44,16 @@ class TestSweepSpec:
 
 
 class TestRunSweep:
-    @pytest.mark.parametrize("executor", ["serial", "thread"])
-    def test_results_in_grid_order(self, executor):
-        result = run_sweep(
-            lambda a, b: a * 10 + b, {"a": [1, 2, 3], "b": [4, 5]}, executor=executor
-        )
+    @pytest.mark.parametrize(
+        "make_executor",
+        [InlineExecutor, lambda: PoolExecutor("thread")],
+        ids=["serial", "thread"],
+    )
+    def test_results_in_grid_order(self, make_executor):
+        with make_executor() as executor:
+            result = run_sweep(
+                lambda a, b: a * 10 + b, {"a": [1, 2, 3], "b": [4, 5]}, executor=executor
+            )
         assert result.values() == [14, 15, 24, 25, 34, 35]
 
     def test_threaded_sweep_actually_fans_out(self):
@@ -58,7 +65,8 @@ class TestRunSweep:
             barrier.wait()  # deadlocks unless 3 workers run concurrently
             return i
 
-        result = run_sweep(task, {"i": [0, 1, 2]}, executor="thread", max_workers=3)
+        with PoolExecutor("thread", max_workers=3) as executor:
+            result = run_sweep(task, {"i": [0, 1, 2]}, executor=executor)
         assert result.values() == [0, 1, 2]
         assert sorted(started) == [0, 1, 2]
 
@@ -79,14 +87,15 @@ class TestRunSweep:
             raise ValueError("nope")
 
         with pytest.raises(ValueError, match="nope"):
-            run_sweep(bad, {"i": [0, 1]}, executor="serial")
+            run_sweep(bad, {"i": [0, 1]}, executor=InlineExecutor())
 
     def test_invalid_executor_rejected(self):
-        with pytest.raises(ValueError):
-            run_sweep(lambda i: i, {"i": [1]}, executor="gpu")
+        for name in ("gpu", "thread"):  # registry names are not executors
+            with pytest.raises(TypeError, match="resolve_executor"):
+                run_sweep(lambda i: i, {"i": [1]}, executor=name)
 
     def test_sweep_table_view(self):
-        result = run_sweep(lambda a: a + 1, {"a": [1, 2]}, executor="serial")
+        result = run_sweep(lambda a: a + 1, {"a": [1, 2]}, executor=InlineExecutor())
         header, rows = sweep_table(result, value_label="a+1")
         assert header == ["a", "a+1"]
         assert rows == [[1, 2], [2, 3]]
@@ -103,47 +112,53 @@ def small_trace():
     ]
 
 
+def cached_run(cache: ReportCache, config, trace):
+    """One simulation through the cache: the scheduler is the only path to the
+    simulator."""
+    return run_batched([SimulationRequest(config, trace)], cache=cache)[0]
+
+
 class TestReportCache:
     def test_identical_inputs_hit(self, small_trace):
         cache = ReportCache()
-        first = cache.get_or_run(sqdm_config(), small_trace)
-        second = cache.get_or_run(sqdm_config(), small_trace)
+        first = cached_run(cache, sqdm_config(), small_trace)
+        second = cached_run(cache, sqdm_config(), small_trace)
         assert second is first
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
     def test_cached_report_matches_direct_simulation(self, small_trace):
         cache = ReportCache()
-        cached = cache.get_or_run(sqdm_config(), small_trace)
+        cached = cached_run(cache, sqdm_config(), small_trace)
         direct = AcceleratorSimulator(sqdm_config()).run_trace(small_trace)
         assert cached.total_cycles == direct.total_cycles
         assert cached.total_energy.total_pj == direct.total_energy.total_pj
 
     def test_different_config_misses(self, small_trace):
         cache = ReportCache()
-        cache.get_or_run(sqdm_config(), small_trace)
-        cache.get_or_run(dense_baseline_config(), small_trace)
+        cached_run(cache, sqdm_config(), small_trace)
+        cached_run(cache, dense_baseline_config(), small_trace)
         assert cache.stats.misses == 2
 
     def test_different_sparsity_misses(self, small_trace):
         cache = ReportCache()
-        cache.get_or_run(sqdm_config(), small_trace)
+        cached_run(cache, sqdm_config(), small_trace)
         changed = [
             [w.replace(channel_sparsity=np.zeros(w.in_channels)) for w in s] for s in small_trace
         ]
-        cache.get_or_run(sqdm_config(), changed)
+        cached_run(cache, sqdm_config(), changed)
         assert cache.stats.misses == 2
 
     def test_lru_eviction(self, small_trace):
         cache = ReportCache(max_entries=1)
-        cache.get_or_run(sqdm_config(), small_trace)
-        cache.get_or_run(dense_baseline_config(), small_trace)
+        cached_run(cache, sqdm_config(), small_trace)
+        cached_run(cache, dense_baseline_config(), small_trace)
         assert len(cache) == 1
-        cache.get_or_run(sqdm_config(), small_trace)  # evicted -> miss again
+        cached_run(cache, sqdm_config(), small_trace)  # evicted -> miss again
         assert cache.stats.misses == 3
 
     def test_clear(self, small_trace):
         cache = ReportCache()
-        cache.get_or_run(sqdm_config(), small_trace)
+        cached_run(cache, sqdm_config(), small_trace)
         cache.clear()
         assert len(cache) == 0 and cache.stats.requests == 0
 
@@ -153,23 +168,24 @@ class TestReportCache:
         configs = [sqdm_config(sparsity_threshold=t) for t in (0.1, 0.2, 0.3)]
         cache = ReportCache(max_entries=3)
         for config in configs:
-            cache.get_or_run(config, small_trace)
+            cached_run(cache, config, small_trace)
         assert cache.stats.misses == 3
 
-        cache.get_or_run(configs[0], small_trace)  # refresh the oldest entry
+        cached_run(cache, configs[0], small_trace)  # refresh the oldest entry
         assert cache.stats.hits == 1
 
         # Inserting a fourth entry must now evict configs[1] (the LRU), not
         # configs[0] (oldest inserted but recently used).
-        cache.get_or_run(sqdm_config(sparsity_threshold=0.4), small_trace)
+        cached_run(cache, sqdm_config(sparsity_threshold=0.4), small_trace)
         assert len(cache) == 3
-        cache.get_or_run(configs[0], small_trace)
+        cached_run(cache, configs[0], small_trace)
         assert cache.stats.misses == 4  # still cached -> hit
-        cache.get_or_run(configs[1], small_trace)
+        cached_run(cache, configs[1], small_trace)
         assert cache.stats.misses == 5  # evicted -> recomputed
 
     def test_concurrent_get_or_run_same_key_returns_one_report(self, small_trace):
-        """Racing threads on one key all get the same object; stats balance."""
+        """Racing threads simulating one key through the cache all get the same
+        object; stats balance."""
         cache = ReportCache()
         num_threads = 8
         barrier = threading.Barrier(num_threads, timeout=10)
@@ -179,7 +195,7 @@ class TestReportCache:
         def worker(slot: int) -> None:
             try:
                 barrier.wait()  # maximize lookup/insert overlap
-                results[slot] = cache.get_or_run(sqdm_config(), small_trace)
+                results[slot] = cached_run(cache, sqdm_config(), small_trace)
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -205,7 +221,7 @@ class TestReportCache:
 
         def worker(threshold: float) -> None:
             barrier.wait()
-            cache.get_or_run(sqdm_config(sparsity_threshold=threshold), small_trace)
+            cached_run(cache, sqdm_config(sparsity_threshold=threshold), small_trace)
 
         threads = [threading.Thread(target=worker, args=(t,)) for t in thresholds]
         for thread in threads:
@@ -216,7 +232,7 @@ class TestReportCache:
         assert len(cache) == len(thresholds)
         assert cache.stats.misses == len(thresholds)
         for threshold in thresholds:
-            cache.get_or_run(sqdm_config(sparsity_threshold=threshold), small_trace)
+            cached_run(cache, sqdm_config(sparsity_threshold=threshold), small_trace)
         assert cache.stats.hits == len(thresholds)
 
 

@@ -24,6 +24,7 @@ import pytest
 from repro.accelerator import AcceleratorSimulator, dense_baseline_config, sqdm_config
 from repro.core import codec
 from repro.core.artifacts import ArtifactStore
+from repro.core.execution import RemoteExecutor
 from repro.core.experiments import run_sweep
 from repro.core.report_cache import ReportCache
 from repro.serve import (
@@ -97,8 +98,7 @@ class TestEndpoints:
         assert listing["wire_version"] == 1
         for name in ("simulate_spec", "sweep_spec", "simulation_report"):
             assert listing["schemas"][name] == [1]
-        # sweep_result grew a columnar @2; @1 stays decodable for old peers.
-        assert listing["schemas"]["sweep_result"] == [1, 2]
+        assert listing["schemas"]["sweep_result"] == [2]
         assert listing["schemas"]["columnar_report_batch"] == [1]
 
     def test_cache_stats_shape(self, served):
@@ -578,14 +578,13 @@ class TestRawJSONWire:
 class TestRemoteSweeps:
     def test_run_sweep_remote_executor_with_wire_function(self, served):
         client, _, _, server = served
-        result = run_sweep(
-            _module_level_square, {"x": [2, 3, 4]}, executor="remote", endpoint=server.endpoint
-        )
+        with RemoteExecutor(endpoint=server.endpoint) as executor:
+            result = run_sweep(_module_level_square, {"x": [2, 3, 4]}, executor=executor)
         assert result.values() == [4, 9, 16]
 
     def test_run_sweep_remote_with_shared_client_and_name(self, served):
         client, _, _, _ = served
-        result = run_sweep("square", {"x": [5, 6]}, executor="remote", service=client)
+        result = run_sweep("square", {"x": [5, 6]}, executor=client.as_executor())
         assert result.values() == [25, 36]
 
     def test_run_sweep_remote_captures_failures(self, served):
@@ -593,8 +592,7 @@ class TestRemoteSweeps:
         result = run_sweep(
             _remote_flaky,
             {"i": [0, 1, 2]},
-            executor="remote",
-            service=client,
+            executor=client.as_executor(),
             on_error="capture",
         )
         assert [case.ok for case in result.cases] == [True, False, True]
@@ -602,15 +600,14 @@ class TestRemoteSweeps:
 
     def test_run_sweep_remote_requires_endpoint(self):
         with pytest.raises(ValueError, match="endpoint"):
-            run_sweep(_module_level_square, {"x": [1]}, executor="remote")
+            RemoteExecutor()
 
     def test_run_sweep_remote_rejects_unregistered_fn(self, served):
         client, _, _, _ = served
         captured = []
         with pytest.raises(ValueError, match="register_wire_function"):
-            run_sweep(
-                lambda i: captured.append(i), {"i": [0]}, executor="remote", service=client
-            )
+            run_sweep(lambda i: captured.append(i), {"i": [0]}, executor=client.as_executor())
+        assert captured == []
 
 
 def _remote_flaky(i):

@@ -7,6 +7,7 @@ import os
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.accelerator import (
@@ -17,6 +18,8 @@ from repro.accelerator import (
 )
 from repro.accelerator.backends import resolve_backend_name
 from repro.core.artifacts import ArtifactStore
+from repro.core.columnar import ARRAY_FIELDS, ColumnarReportBatch
+from repro.core.execution import PoolExecutor, ServiceExecutor
 from repro.core.experiments import run_sweep
 from repro.core.report_cache import ReportCache
 from repro.serve import (
@@ -53,13 +56,20 @@ def make_trace(seed: int, steps: int = 3, layers: int = 2, in_channels: int = 24
 # -- cross-trace batched backend entry point ------------------------------------
 
 
+def run_traces(simulator, traces):
+    """Run several traces on the simulator's own configuration, one report each."""
+    return simulator.run([(simulator.config, traces)]).report_lists()[0]
+
+
 class TestRunTraces:
+    """Cross-trace batching: several traces on one configuration in one ``run``."""
+
     def test_batched_reports_bit_identical_to_per_trace_runs(self):
-        """Acceptance: run_traces batches >=2 traces in one call and matches
-        per-trace runs to (better than) 1e-9 relative."""
+        """Acceptance: one run batches >=2 traces and matches per-trace runs
+        to (better than) 1e-9 relative."""
         config = sqdm_config(sparsity_update_period=2)
         traces = [make_trace(seed) for seed in range(4)]
-        batched = AcceleratorSimulator(config).run_traces(traces)
+        batched = run_traces(AcceleratorSimulator(config), traces)
         assert len(batched) == 4
         for trace, report in zip(traces, batched):
             single = AcceleratorSimulator(config).run_trace(trace)
@@ -80,17 +90,15 @@ class TestRunTraces:
         trace = make_trace(7, steps=5)
         simulator = AcceleratorSimulator(config)
         single = simulator.run_trace(trace)
-        single_updates = simulator.detector_stats.updates_performed
-        batched = simulator.run_traces([trace, trace, trace])
+        batched = run_traces(simulator, [trace, trace, trace])
         for report in batched:
             assert report.total_cycles == single.total_cycles
-        # batch totals are the sum of per-trace detector activity
-        assert simulator.detector_stats.updates_performed == 3 * single_updates
+            assert report.detector_stats == single.detector_stats
 
     def test_empty_batch_and_empty_members(self):
         simulator = AcceleratorSimulator(sqdm_config())
-        assert simulator.run_traces([]) == []
-        reports = simulator.run_traces([[], make_trace(1), [[]]])
+        assert run_traces(simulator, []) == []
+        reports = run_traces(simulator, [[], make_trace(1), [[]]])
         assert reports[0].total_cycles == 0.0 and reports[0].step_results == []
         assert reports[1].total_cycles > 0.0
         assert reports[2].total_cycles == 0.0 and len(reports[2].step_results) == 1
@@ -98,7 +106,7 @@ class TestRunTraces:
     def test_reference_backend_runs_traces_sequentially(self):
         traces = [make_trace(seed) for seed in range(2)]
         reference = AcceleratorSimulator(sqdm_config(), backend="reference")
-        reports = reference.run_traces(traces)
+        reports = run_traces(reference, traces)
         for trace, report in zip(traces, reports):
             single = AcceleratorSimulator(sqdm_config(), backend="reference").run_trace(trace)
             assert report.total_cycles == pytest.approx(single.total_cycles, rel=1e-12)
@@ -108,7 +116,7 @@ class TestRunTraces:
         config = sqdm_config()
         lowp = make_trace(3)
         highp = [[w.replace(weight_bits=16, act_bits=16) for w in step] for step in lowp]
-        batched = AcceleratorSimulator(config).run_traces([lowp, highp])
+        batched = run_traces(AcceleratorSimulator(config), [lowp, highp])
         assert batched[0].total_cycles == AcceleratorSimulator(config).run_trace(lowp).total_cycles
         assert batched[1].total_cycles == AcceleratorSimulator(config).run_trace(highp).total_cycles
 
@@ -128,13 +136,13 @@ class TestRunBatched:
         ]
 
         calls: list[list[int]] = []
-        original = AcceleratorSimulator.run_config_traces_columnar
+        original = AcceleratorSimulator.run
 
         def counting(self, entries):
             calls.append([len(traces) for _, traces in entries])
             return original(self, entries)
 
-        monkeypatch.setattr(AcceleratorSimulator, "run_config_traces_columnar", counting)
+        monkeypatch.setattr(AcceleratorSimulator, "run", counting)
         cache = ReportCache()
         stats = BatchStats()
         reports = run_batched(requests, cache=cache, stats=stats)
@@ -143,7 +151,6 @@ class TestRunBatched:
         # request stream fuses into ONE cross-config kernel call.
         assert calls == [[2, 2]]
         assert stats.kernel_calls == 1
-        assert stats.cross_config_calls == 1
         assert stats.configs_simulated == 2
         assert stats.traces_simulated == 4
         for request, report in zip(requests, reports):
@@ -153,22 +160,47 @@ class TestRunBatched:
 
     def test_single_config_group_is_one_kernel_call(self, monkeypatch):
         """A group with one distinct configuration still costs exactly one
-        kernel call (the columnar entry point) and counts as single-config."""
+        kernel call, over one configuration."""
         calls: list[list[int]] = []
-        original = AcceleratorSimulator.run_config_traces_columnar
+        original = AcceleratorSimulator.run
 
         def counting(self, entries):
             calls.append([len(traces) for _, traces in entries])
             return original(self, entries)
 
-        monkeypatch.setattr(AcceleratorSimulator, "run_config_traces_columnar", counting)
+        monkeypatch.setattr(AcceleratorSimulator, "run", counting)
         requests = [SimulationRequest(sqdm_config(), make_trace(seed)) for seed in range(3)]
         stats = BatchStats()
         run_batched(requests, cache=ReportCache(), stats=stats)
         assert calls == [[3]]
-        assert stats.kernel_calls == 1
-        assert stats.single_config_calls == 1
-        assert stats.cross_config_calls == 0
+        assert stats.as_dict() == {
+            "kernel_calls": 1,
+            "configs_simulated": 1,
+            "traces_simulated": 3,
+        }
+
+    def test_reference_backend_batches_match_vectorized(self):
+        """The reference backend goes through the same batch path: its
+        single-trace batches match the vectorized ones within 1e-9."""
+        configs = [sqdm_config(), dense_baseline_config(), sqdm_config(sparsity_update_period=2)]
+        traces = [make_trace(seed) for seed in range(3)] + [[], [[]]]
+
+        def batches(backend):
+            requests = [
+                SimulationRequest(config, trace, backend=backend)
+                for config in configs
+                for trace in traces
+            ]
+            return run_batched(requests, cache=ReportCache(), materialize=False)
+
+        for ref, vec in zip(batches("reference"), batches("vectorized"), strict=True):
+            assert isinstance(ref, ColumnarReportBatch) and ref.num_traces == 1
+            assert ref.config_names == vec.config_names
+            assert ref.layer_names == vec.layer_names
+            for name in ARRAY_FIELDS:
+                np.testing.assert_allclose(
+                    getattr(ref, name), getattr(vec, name), rtol=1e-9, atol=1e-9, err_msg=name
+                )
 
     def test_duplicate_requests_simulated_once(self):
         trace = make_trace(5)
@@ -215,24 +247,24 @@ def _module_level_boom():
 class TestEvaluationService:
     def test_simulation_jobs_coalesce_and_complete(self, monkeypatch):
         calls: list[int] = []
-        original = AcceleratorSimulator.run_config_traces_columnar
+        original = AcceleratorSimulator.run
 
         def counting(self, entries):
             calls.append(sum(len(traces) for _, traces in entries))
             return original(self, entries)
 
-        monkeypatch.setattr(AcceleratorSimulator, "run_config_traces_columnar", counting)
+        monkeypatch.setattr(AcceleratorSimulator, "run", counting)
 
         traces = [make_trace(seed) for seed in range(4)]
         cache = ReportCache()
         with EvaluationService(cache=cache, max_workers=2) as service:
             jobs = [service.submit_simulation(sqdm_config(), trace) for trace in traces]
             reports = [job.result(timeout=60) for job in jobs]
+        # all four unique traces were simulated, in fewer batched calls
+        assert sum(calls) == 4 and len(calls) < 4
         for trace, report in zip(traces, reports):
             expected = AcceleratorSimulator(sqdm_config()).run_trace(trace)
             assert report.total_cycles == expected.total_cycles
-        # all four unique traces were simulated, in fewer batched calls
-        assert sum(calls) == 4 and len(calls) < 4
 
     def test_callable_jobs_and_status(self):
         with EvaluationService(max_workers=2) as service:
@@ -255,6 +287,17 @@ class TestEvaluationService:
         with EvaluationService(process_workers=1) as service:
             job = service.submit_sampling(os.getpid)
             worker_pid = job.result(timeout=120)
+        assert worker_pid != os.getpid()
+
+    def test_killed_sampling_worker_does_not_break_later_jobs(self):
+        """A worker that dies takes the process pool with it; the service
+        replaces the pool, so only the killed job fails."""
+        with EvaluationService(process_workers=1) as service:
+            killed = service.submit_sampling(os._exit, args=(1,))
+            assert killed.wait(120)
+            assert killed.status is JobStatus.FAILED
+            survivor = service.submit_sampling(os.getpid)
+            worker_pid = survivor.result(timeout=120)
         assert worker_pid != os.getpid()
 
     def test_unpicklable_sampling_job_fails_fast(self):
@@ -331,8 +374,6 @@ class TestSweepJobs:
             scheduler = service.service_stats()["scheduler"]
         assert scheduler == {
             "kernel_calls": 1,
-            "cross_config_calls": 1,
-            "single_config_calls": 0,
             "configs_simulated": 4,
             "traces_simulated": 4,
         }
@@ -361,7 +402,7 @@ class TestSweepJobs:
         def explode(self, entries):
             raise RuntimeError("sim exploded")
 
-        monkeypatch.setattr(AcceleratorSimulator, "run_config_traces_columnar", explode)
+        monkeypatch.setattr(AcceleratorSimulator, "run", explode)
         spec = SweepJobSpec(
             base=sqdm_config(), grid={"sparsity_threshold": [0.2]}, trace=make_trace(3)
         )
@@ -386,13 +427,13 @@ class TestSweepJobs:
         monkeypatch.setattr(service_module, "coalesce_requests", gated)
 
         simulated: list[int] = []
-        original_run = AcceleratorSimulator.run_config_traces_columnar
+        original_run = AcceleratorSimulator.run
 
         def counting(self, entries):
             simulated.append(sum(len(traces) for _, traces in entries))
             return original_run(self, entries)
 
-        monkeypatch.setattr(AcceleratorSimulator, "run_config_traces_columnar", counting)
+        monkeypatch.setattr(AcceleratorSimulator, "run", counting)
 
         with EvaluationService(cache=ReportCache(), max_workers=2) as service:
             blocker = service.submit_simulation(sqdm_config(), make_trace(1))
@@ -447,13 +488,13 @@ class TestCancellation:
         monkeypatch.setattr(service_module, "coalesce_requests", gated)
 
         simulated: list[int] = []
-        original_run = AcceleratorSimulator.run_config_traces_columnar
+        original_run = AcceleratorSimulator.run
 
         def counting(self, entries):
             simulated.append(sum(len(traces) for _, traces in entries))
             return original_run(self, entries)
 
-        monkeypatch.setattr(AcceleratorSimulator, "run_config_traces_columnar", counting)
+        monkeypatch.setattr(AcceleratorSimulator, "run", counting)
 
         with EvaluationService(cache=ReportCache(), max_workers=2) as service:
             job = service.submit_simulation(sqdm_config(), make_trace(1))
@@ -508,14 +549,14 @@ class TestSingleFlight:
         attach to it instead of re-simulating (N clients, one sweep)."""
         release = threading.Event()
         simulated: list[int] = []
-        original_run = AcceleratorSimulator.run_config_traces_columnar
+        original_run = AcceleratorSimulator.run
 
         def slow_counting(self, entries):
             release.wait(30)
             simulated.append(sum(len(traces) for _, traces in entries))
             return original_run(self, entries)
 
-        monkeypatch.setattr(AcceleratorSimulator, "run_config_traces_columnar", slow_counting)
+        monkeypatch.setattr(AcceleratorSimulator, "run", slow_counting)
 
         trace = make_trace(11)
         cache = ReportCache()
@@ -542,7 +583,10 @@ class TestSingleFlight:
 
 class TestServiceExecutorSweeps:
     def test_run_sweep_on_ephemeral_service(self):
-        result = run_sweep(lambda a, b: a * 10 + b, {"a": [1, 2], "b": [3, 4]}, executor="service")
+        with ServiceExecutor() as executor:
+            result = run_sweep(
+                lambda a, b: a * 10 + b, {"a": [1, 2], "b": [3, 4]}, executor=executor
+            )
         assert result.values() == [13, 14, 23, 24]
 
     def test_run_sweep_on_shared_service_captures_errors(self):
@@ -553,7 +597,7 @@ class TestServiceExecutorSweeps:
 
         with EvaluationService(max_workers=2) as service:
             result = run_sweep(
-                flaky, {"i": [0, 1, 2]}, executor="service", service=service, on_error="capture"
+                flaky, {"i": [0, 1, 2]}, executor=service.as_executor(), on_error="capture"
             )
         assert [case.ok for case in result.cases] == [True, False, True]
         assert result.cases[0].value == 0 and result.cases[2].value == 2
@@ -588,11 +632,14 @@ class TestEagerBackendValidation:
 class TestProcessSweepGuard:
     def test_unpicklable_case_function_fails_fast(self):
         captured = []  # makes the lambda a closure over a local -> unpicklable
-        with pytest.raises(ValueError, match="picklable case function"):
-            run_sweep(lambda i: captured.append(i), {"i": [0, 1]}, executor="process")
+        with PoolExecutor("process", max_workers=1) as executor:
+            with pytest.raises(ValueError, match="picklable case function"):
+                run_sweep(lambda i: captured.append(i), {"i": [0, 1]}, executor=executor)
+        assert captured == []
 
     def test_module_level_function_still_works(self):
-        result = run_sweep(_module_level_square, {"x": [2, 3]}, executor="process")
+        with PoolExecutor("process", max_workers=1) as executor:
+            result = run_sweep(_module_level_square, {"x": [2, 3]}, executor=executor)
         assert result.values() == [4, 9]
 
 
