@@ -9,6 +9,9 @@ workload and shared across benchmark modules.
 
 from __future__ import annotations
 
+import time
+from collections.abc import Callable
+
 import pytest
 
 from repro.core.experiments import SweepSpec, run_sweep
@@ -85,3 +88,30 @@ def ctx() -> BenchmarkContext:
 def run_once(benchmark, fn):
     """Run an experiment exactly once under pytest-benchmark timing."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
+
+
+def _elapsed(fn: Callable[[], object]) -> float:
+    start = time.perf_counter()
+    fn()
+    return time.perf_counter() - start
+
+
+def alternating_min_runtimes(
+    slow: Callable[[], object],
+    fast: Callable[[], object],
+    rounds: int,
+    fast_per_round: int = 1,
+) -> tuple[float, float]:
+    """Minimum wall-clock of both sides of a speed gate, timed in one window.
+
+    Each round runs ``slow`` once and then ``fast`` ``fast_per_round`` times,
+    so when a shared host switches between a fast and a slow phase both
+    sides see it, instead of one side being timed in each phase.  Returns
+    ``(slow_min, fast_min)`` in seconds.
+    """
+    slow_min = fast_min = float("inf")
+    for _ in range(rounds):
+        slow_min = min(slow_min, _elapsed(slow))
+        for _ in range(fast_per_round):
+            fast_min = min(fast_min, _elapsed(fast))
+    return slow_min, fast_min

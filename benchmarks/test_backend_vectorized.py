@@ -5,16 +5,15 @@ real evaluation trace (the quantized CIFAR-10 trace behind Fig. 12) within
 1e-9 relative tolerance, while executing ``run_trace`` at least an order of
 magnitude faster than the reference controller loop
 (``ReferenceBackend.run_trace``).  Timings use the minimum over several
-runs, which is robust against scheduler noise on shared machines.
+runs, which is robust against scheduler noise on shared machines, and the
+two sides alternate round by round so both see the same host phases.
 """
 
 from __future__ import annotations
 
-import time
-
 import pytest
 
-from conftest import run_once
+from conftest import alternating_min_runtimes, run_once
 
 from repro.accelerator import AcceleratorSimulator, ReferenceBackend, random_workload, sqdm_config
 from repro.analysis.tables import format_table
@@ -25,15 +24,6 @@ from repro.core.sparsity import trace_to_workloads
 from repro.serve import BatchStats, SimulationRequest, run_batched
 
 RTOL = 1e-9
-
-
-def _min_runtime(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def test_vectorized_backend_matches_and_outruns_reference(benchmark, ctx):
@@ -62,8 +52,12 @@ def test_vectorized_backend_matches_and_outruns_reference(benchmark, ctx):
         ), component
 
     # --- speed: >= 10x faster on the same trace ----------------------------
-    ref_time = _min_runtime(lambda: reference.run_trace(quant_trace), repeats=5)
-    vec_time = _min_runtime(lambda: vectorized.run_trace(quant_trace), repeats=25)
+    ref_time, vec_time = alternating_min_runtimes(
+        lambda: reference.run_trace(quant_trace),
+        lambda: vectorized.run_trace(quant_trace),
+        rounds=5,
+        fast_per_round=5,
+    )
     speedup = ref_time / vec_time
 
     print()
@@ -129,8 +123,9 @@ def test_cross_config_sweep_fuses_kernel_calls_and_outruns_per_config(benchmark)
         for config in configs:
             AcceleratorSimulator(config).run([(config, traces)]).report_lists()
 
-    fused_time = _min_runtime(lambda: fused.run(entries).report_lists(), repeats=9)
-    loop_time = _min_runtime(per_config, repeats=5)
+    loop_time, fused_time = alternating_min_runtimes(
+        per_config, lambda: fused.run(entries).report_lists(), rounds=5, fast_per_round=2
+    )
     speedup = loop_time / fused_time
 
     print()

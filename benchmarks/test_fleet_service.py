@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from conftest import run_once
+from conftest import alternating_min_runtimes, run_once
 
 from repro.accelerator import (
     AcceleratorSimulator,
@@ -52,15 +52,6 @@ def fleet_traces(num_traces: int = 16, steps: int = 5, layers: int = 6):
     ]
 
 
-def _min_runtime(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def test_batched_sweep_beats_per_trace_loop(benchmark):
     traces = fleet_traces()
     simulator = AcceleratorSimulator(sqdm_config())
@@ -79,8 +70,9 @@ def test_batched_sweep_beats_per_trace_loop(benchmark):
         )
 
     # --- speed: one batched pass vs the PR 1 per-trace loop ----------------
-    loop_time = _min_runtime(lambda: [simulator.run_trace(t) for t in traces], repeats=5)
-    batched_time = _min_runtime(run_batch, repeats=5)
+    loop_time, batched_time = alternating_min_runtimes(
+        lambda: [simulator.run_trace(t) for t in traces], run_batch, rounds=5
+    )
     speedup = loop_time / batched_time
 
     print()

@@ -170,7 +170,7 @@ def measure_model_sparsity(
     try:
         model(x, np.full(batch, 0.1))
         values = []
-        for _, module in model.named_modules():
+        for module in model.modules():
             if (
                 isinstance(module, Activation)
                 and module.last_output is not None

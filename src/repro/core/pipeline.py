@@ -204,9 +204,13 @@ class SQDMPipeline:
             self._relu_unet, _ = adapt_to_relu(self.workload.unet, calibration)
         return self._relu_unet
 
+    def _base_model(self, relu: bool) -> EDMUNet:
+        """The shared SiLU or ReLU model; policies are built from it, never applied to it."""
+        return self.relu_unet() if relu else self.workload.unet
+
     def _model_for(self, relu: bool) -> EDMUNet:
-        base = self.relu_unet() if relu else self.workload.unet
-        return copy.deepcopy(base)
+        """A private copy of the base model for one evaluation to quantize and run."""
+        return copy.deepcopy(self._base_model(relu))
 
     def _denoiser_for(self, model: EDMUNet):
         from ..diffusion.edm import EDMDenoiser
@@ -242,16 +246,14 @@ class SQDMPipeline:
 
     def evaluate_format(self, format_name: str) -> QuantizationEvaluation:
         """Evaluate one Table I uniform format ("FP32", "INT8", "INT4-VSQ", ...)."""
-        model = self._model_for(relu=False)
         if format_name in ("FP32",):
             return self.evaluate_policy(None, scheme_name="FP32")
-        policy = table1_policy(model, format_name)
+        policy = table1_policy(self._base_model(relu=False), format_name)
         return self.evaluate_policy(policy, scheme_name=format_name)
 
     def evaluate_mixed_precision(self, relu: bool) -> QuantizationEvaluation:
         """Evaluate Ours (MP-only) or Ours (MP+ReLU) from Table II."""
-        model = self._model_for(relu)
-        policy = mixed_precision_policy(model, relu=relu)
+        policy = mixed_precision_policy(self._base_model(relu), relu=relu)
         return self.evaluate_policy(policy, scheme_name=policy.name)
 
     # -- sparsity + hardware evaluation --------------------------------------------
@@ -282,8 +284,7 @@ class SQDMPipeline:
         *before* keying, so explicit and defaulted callers share one artifact.
         """
         if policy is None:
-            base = self.relu_unet() if relu else self.workload.unet
-            policy = mixed_precision_policy(base, relu=relu)
+            policy = mixed_precision_policy(self._base_model(relu), relu=relu)
         store = self.artifact_store
         key = self._trace_key(relu, policy)
         if store is not None:
@@ -333,8 +334,7 @@ class SQDMPipeline:
         from ..serve.specs import SimulateJobSpec
         from .execution import InlineExecutor
 
-        model = self._model_for(relu=True)
-        policy = mixed_precision_policy(model, relu=True)
+        policy = mixed_precision_policy(self._base_model(relu=True), relu=True)
         if trace is None:
             trace = self.collect_trace(relu=True, policy=policy)
 

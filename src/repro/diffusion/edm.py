@@ -23,6 +23,13 @@ so that every property the paper studies — error accumulation across time
 steps, per-format degradation, block sensitivity, SiLU/ReLU activation
 statistics and temporal per-channel sparsity — is produced by the real
 network code path, while image fidelity in the unquantized limit is exact.
+
+In that limit the injected error is zero, so the unquantized network is run
+only when some module is recording its output (a sparsity trace or an
+activation study reads it); otherwise the denoiser returns the prior's
+posterior mean directly.  Either way the evaluation is counted in
+``network_evaluations``, which counts the evaluations the modelled sampler
+performs, not the forwards this process executes.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ class EDMPrecond:
 def quantization_disabled(model: Module):
     """Temporarily strip all weight/activation quantization specs from a model."""
     saved: list[tuple[Module, object, object]] = []
-    for _, module in model.named_modules():
+    for module in model.modules():
         if isinstance(module, (Conv2d, Linear)):
             saved.append((module, module.weight_spec, module.act_spec))
             module.weight_spec = None
@@ -75,7 +82,7 @@ def quantization_disabled(model: Module):
 
 def model_is_quantized(model: Module) -> bool:
     """True if any layer in the model has a quantization spec attached."""
-    for _, module in model.named_modules():
+    for module in model.modules():
         if isinstance(module, (Conv2d, Linear)):
             if module.weight_spec is not None or module.act_spec is not None:
                 return True
@@ -136,13 +143,17 @@ class EDMDenoiser:
             return self.precond.c_skip(sigma) * x + self.precond.c_out(sigma) * f_x
 
         d_prior = self.prior.posterior_mean(x, sigma)
-        f_current = self._network(x, sigma, labels)
         if not model_is_quantized(self.unet):
-            # No quantization error to inject: the network evaluation is still
-            # performed (it is what the accelerator executes and what the
-            # sparsity analysis observes), but the denoised estimate is the
-            # analytic optimum.
+            # No quantization error to inject: the denoised estimate is the
+            # analytic optimum.  The evaluation still counts (the accelerator
+            # executes it), but the forward only runs when a module records
+            # its output, e.g. for a sparsity trace.
+            if any(module.recording for module in self.unet.modules()):
+                self._network(x, sigma, labels)
+            else:
+                self.network_evaluations += 1
             return d_prior
+        f_current = self._network(x, sigma, labels)
         with quantization_disabled(self.unet):
             f_reference = self._network(x, sigma, labels)
         error = f_current - f_reference

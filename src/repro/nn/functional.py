@@ -32,7 +32,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
 
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -43,7 +46,9 @@ def silu(x: np.ndarray) -> np.ndarray:
     quantization levels.
     """
     x = np.asarray(x, dtype=np.float64)
-    return x * sigmoid(x)
+    out = sigmoid(x)
+    out *= x
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -218,9 +223,12 @@ def group_norm(
     centered /= np.sqrt(var)
     out = centered.reshape(batch, channels, height, width)
     if gamma is not None:
+        # A new array, not ``out *=``: on a one-image channels-last input the
+        # product's strides differ from the view's, and output strides are
+        # part of the numerical contract (module docstring).
         out = out * np.asarray(gamma, dtype=np.float64).reshape(1, -1, 1, 1)
     if beta is not None:
-        out = out + np.asarray(beta, dtype=np.float64).reshape(1, -1, 1, 1)
+        out += np.asarray(beta, dtype=np.float64).reshape(1, -1, 1, 1)
     return out
 
 

@@ -2,7 +2,7 @@
 
 A small module system in the spirit of ``torch.nn`` but built on NumPy:
 modules own their parameters as NumPy arrays, expose a ``forward`` method,
-can be traversed via ``named_modules``, and support two cross-cutting
+can be traversed via ``modules``/``named_modules``, and support two cross-cutting
 concerns required by the SQ-DM study:
 
 * **Quantization** -- ``Conv2d`` and ``Linear`` accept weight/activation
@@ -14,6 +14,8 @@ concerns required by the SQ-DM study:
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -27,7 +29,7 @@ class Module:
 
     Subclasses set parameters as attributes and implement ``forward``.
     Child modules registered as attributes are discovered automatically by
-    ``named_modules``/``children``.
+    ``modules``/``named_modules``/``children``.
     """
 
     def __init__(self, name: str = ""):
@@ -46,6 +48,16 @@ class Module:
             elif isinstance(value, (list, tuple)):
                 found.extend(v for v in value if isinstance(v, Module))
         return found
+
+    def modules(self) -> Iterator["Module"]:
+        """All descendant modules, self first, in :meth:`named_modules` order.
+
+        Builds no dotted names, so walks that only look at the modules
+        themselves (quantization specs, recording flags) stay cheap.
+        """
+        yield self
+        for child in self.children():
+            yield from child.modules()
 
     def named_modules(self, prefix: str = "") -> list[tuple[str, "Module"]]:
         """All descendant modules as (dotted_name, module) pairs, self included."""
@@ -73,7 +85,7 @@ class Module:
 
     def set_recording(self, enabled: bool) -> None:
         """Enable or disable output capture for this module and all children."""
-        for _, module in self.named_modules():
+        for module in self.modules():
             module.recording = enabled
             if not enabled:
                 module.last_output = None

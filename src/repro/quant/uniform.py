@@ -48,7 +48,7 @@ class QuantizedTensor:
 
     def dequantize(self) -> np.ndarray:
         """Reconstruct the floating-point tensor from codes and scales."""
-        return self.codes.astype(np.float64) * self.scales
+        return self.codes.astype(np.float64, copy=False) * self.scales
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
-from repro.core.pipeline import PipelineConfig, SQDMPipeline
+from repro.core.pipeline import PipelineConfig, SQDMPipeline, _policy_fingerprint
+from repro.core.policy import TABLE1_POLICY_SPECS, mixed_precision_policy, table1_policy
 from repro.workloads.models import load_workload
 
 
@@ -61,6 +64,43 @@ class TestQualityEvaluation:
         assert ev.workload == "cifar10"
         assert ev.relu_based
         assert ev.scheme == "Ours (MP+ReLU)"
+
+
+class TestOneModelCopy:
+    """Policies are built from the shared base model; each evaluation copies it once."""
+
+    @pytest.mark.parametrize(
+        "evaluate",
+        [
+            lambda p: p.evaluate_format("INT8"),
+            lambda p: p.evaluate_format("FP32"),
+            lambda p: p.evaluate_mixed_precision(relu=False),
+        ],
+        ids=["INT8", "FP32", "MP-only"],
+    )
+    def test_evaluation_copies_the_model_once(self, pipeline, monkeypatch, evaluate):
+        copies: list[bool] = []
+        model_for = pipeline._model_for
+
+        def spy(relu: bool):
+            copies.append(relu)
+            return model_for(relu)
+
+        monkeypatch.setattr(pipeline, "_model_for", spy)
+        evaluate(pipeline)
+        assert len(copies) == 1
+
+    def test_policy_from_base_equals_policy_from_copy(self, pipeline):
+        silu, relu = pipeline.workload.unet, pipeline.relu_unet()
+        builders = [(lambda m, f=f: table1_policy(m, f), silu) for f in TABLE1_POLICY_SPECS]
+        builders += [
+            (lambda m: mixed_precision_policy(m, relu=False), silu),
+            (lambda m: mixed_precision_policy(m, relu=True), relu),
+        ]
+        for build, base in builders:
+            from_base, from_copy = build(base), build(copy.deepcopy(base))
+            assert from_base == from_copy, from_base.name
+            assert _policy_fingerprint(from_base) == _policy_fingerprint(from_copy)
 
 
 class TestHardwareEvaluation:

@@ -14,7 +14,9 @@ from repro.diffusion.schedule import (
     linear_sigmas,
     num_model_evaluations,
 )
+from repro.core.sparsity import collect_sparsity_trace
 from repro.quant import int4_spec, int8_spec
+from repro.nn import functional as F
 from repro.nn.layers import Conv2d, Linear
 
 
@@ -200,3 +202,66 @@ class TestDenoiserAndSampler:
         sample(tiny_denoiser, 1, (3, 8, 8), cfg, step_callback=lambda i, s, x: steps.append((i, s)))
         assert len(steps) == 5
         assert steps[0][1] > steps[-1][1]
+
+
+class TestUnquantizedForwardSkip:
+    """Hybrid mode discards an unquantized forward, so it runs only while recording."""
+
+    @pytest.fixture()
+    def conv_calls(self, monkeypatch) -> list[tuple]:
+        calls: list[tuple] = []
+        conv2d = F.conv2d
+
+        def spy(*args, **kwargs):
+            calls.append(args[1].shape)
+            return conv2d(*args, **kwargs)
+
+        monkeypatch.setattr(F, "conv2d", spy)
+        return calls
+
+    def test_unquantized_denoise_is_the_prior_mean_without_a_forward(
+        self, tiny_denoiser, tiny_dataset, conv_calls, rng
+    ):
+        x = rng.normal(size=(2, 3, 8, 8))
+        before = tiny_denoiser.network_evaluations
+        out = tiny_denoiser.denoise(x, 0.5)
+        assert np.array_equal(out, tiny_dataset.prior.posterior_mean(x, 0.5))
+        assert conv_calls == []
+        assert tiny_denoiser.network_evaluations == before + 1
+
+    def test_recording_model_runs_the_forward(self, tiny_denoiser, conv_calls, rng):
+        unet = tiny_denoiser.unet
+        unet.set_recording(True)
+        tiny_denoiser.denoise(rng.normal(size=(2, 3, 8, 8)), 0.5)
+        assert conv_calls
+        assert unet.last_output is not None
+
+    def test_one_recording_activation_runs_the_forward(self, tiny_denoiser, conv_calls, rng):
+        unet = tiny_denoiser.unet
+        act0 = unet.block_infos()[0].block.act0
+        act0.recording = True
+        tiny_denoiser.denoise(rng.normal(size=(2, 3, 8, 8)), 0.5)
+        assert conv_calls
+        assert act0.last_output is not None
+        assert unet.last_output is None
+
+    def test_sparsity_trace_of_unquantized_relu_model(self, tiny_unet, tiny_dataset):
+        tiny_unet.set_activation("relu")
+        denoiser = EDMDenoiser(tiny_unet, prior=tiny_dataset.prior)
+        cfg = SamplerConfig(schedule=ScheduleConfig(num_steps=3))
+        trace = collect_sparsity_trace(denoiser, tiny_dataset.image_shape, cfg, num_samples=1)
+        fractions = np.concatenate([f for step in trace.steps for f in step.values()])
+        assert trace.num_steps == 3
+        assert np.any(fractions > 0)
+
+    def test_quantized_denoise_runs_two_forwards(self, tiny_denoiser, conv_calls, rng):
+        x = rng.normal(size=(2, 3, 8, 8))
+        EDMDenoiser(tiny_denoiser.unet).denoise(x, 0.5)
+        one_forward = len(conv_calls)
+        conv_calls.clear()
+        tiny_denoiser.unet.conv_in.weight_spec = int8_spec()
+        before = tiny_denoiser.network_evaluations
+        tiny_denoiser.denoise(x, 0.5)
+        assert one_forward > 0
+        assert len(conv_calls) == 2 * one_forward
+        assert tiny_denoiser.network_evaluations == before + 2

@@ -22,6 +22,7 @@ from repro.nn.layers import (
     Upsample,
 )
 from repro.nn.unet import EDMUNet
+from repro.workloads.models import load_workload, workload_names
 from repro.quant import int4_spec, int8_spec, mxint8_spec
 from repro.quant.dispatch import apply_weight_format
 
@@ -31,6 +32,15 @@ class TestModuleSystem:
         seq = Sequential([Conv2d(3, 4, name="c1"), Activation("relu", name="a1")], name="seq")
         names = [name for name, _ in seq.named_modules()]
         assert "seq" in names and "seq.c1" in names and "seq.a1" in names
+
+    @pytest.mark.parametrize("workload", workload_names())
+    def test_modules_walks_named_modules_without_names(self, workload):
+        unet = load_workload(workload).unet
+        walked = list(unet.modules())
+        named = [module for _, module in unet.named_modules()]
+        assert walked[0] is unet
+        assert len(walked) == len(named)
+        assert all(a is b for a, b in zip(walked, named))
 
     def test_parameters_collects_weights(self):
         conv = Conv2d(3, 4, name="conv")
