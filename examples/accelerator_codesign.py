@@ -9,9 +9,10 @@ meet specific latency and power requirements" (Sec. IV-D).
 Design-point evaluations are independent, so the sparsity and PE-scaling
 studies fan out through the declarative sweep runner
 (:func:`repro.core.experiments.run_sweep`) over one shared
-:class:`~repro.core.execution.PoolExecutor` opened as a context manager —
-the same sweeps would run on a :class:`~repro.core.execution.ServiceExecutor`
-or a remote endpoint by swapping that one object.  The organization study
+:class:`~repro.serve.EvaluationService` opened as a context manager — the
+same sweeps would run inline (:class:`~repro.core.execution.InlineExecutor`)
+or on a remote endpoint (:class:`~repro.serve.RemoteEvaluationClient`) by
+swapping that one object.  The organization study
 goes through the batching scheduler (:func:`repro.serve.run_batched`), which
 coalesces the two dense-baseline traces into one cross-trace batched pass
 and caches every report.
@@ -33,9 +34,8 @@ from repro.accelerator import (
     sqdm_config,
 )
 from repro.analysis.tables import format_percentage, format_speedup, format_table
-from repro.core.execution import PoolExecutor
 from repro.core.experiments import SweepSpec, run_sweep
-from repro.serve import SimulationRequest, run_batched
+from repro.serve import EvaluationService, SimulationRequest, run_batched
 
 
 def build_trace(mean_sparsity: float, steps: int = 6, layers: int = 8):
@@ -102,14 +102,13 @@ def main() -> None:
             format_percentage(1 - hetero.total_energy.total_pj / dense.total_energy.total_pj),
         ]
 
-    # One thread pool, context-managed, serves both studies below.
-    pool = PoolExecutor("thread")
-
-    with pool:
+    # One evaluation service, context-managed, serves both studies below; its
+    # thread pool fans the design points out.
+    with EvaluationService() as service:
         sweep = run_sweep(
             sparsity_point,
             SweepSpec(name="sparsity-sensitivity", grid={"mean_sparsity": [0.3, 0.5, 0.65, 0.8]}),
-            executor=pool,
+            executor=service,
         )
         print(
             format_table(
@@ -132,7 +131,7 @@ def main() -> None:
         sweep = run_sweep(
             scaling_point,
             SweepSpec(name="pe-scaling", grid={"multipliers": [64, 128, 256, 512]}),
-            executor=pool,
+            executor=service,
         )
         print(format_table(["Multipliers per PE", "Latency (ms)", "Energy (uJ)"], sweep.values()))
     print(

@@ -3,11 +3,11 @@
 Demonstrates the unified execution API end to end, the workflow a fleet
 operator uses to serve evaluation traffic:
 
-1. open a :class:`~repro.core.execution.ServiceExecutor` (the evaluation
-   service behind the ``Executor`` protocol) as a context manager and submit
-   a burst of typed simulation specs for design points sharing a hardware
-   configuration — the service coalesces them into cross-trace batched
-   NumPy passes, and every submission comes back as a uniform ``JobHandle``;
+1. open an :class:`~repro.serve.EvaluationService` (itself an ``Executor``)
+   as a context manager and submit a burst of typed simulation specs for
+   design points sharing a hardware configuration — the service coalesces
+   them into cross-trace batched NumPy passes, and every submission comes
+   back as a uniform ``JobHandle``;
 2. re-submit the same traffic against a fresh in-memory cache backed by the
    same artifact directory — everything is served from disk with zero
    re-simulation (what a second worker process or a re-started job sees).
@@ -30,9 +30,9 @@ import tempfile
 from repro.accelerator import dense_baseline_config, random_workload, sqdm_config
 from repro.analysis.tables import format_speedup, format_table
 from repro.core.artifacts import ArtifactStore
-from repro.core.execution import ServiceExecutor
+from repro.core.execution import Executor
 from repro.core.report_cache import ReportCache
-from repro.serve import SimulateJobSpec
+from repro.serve import EvaluationService, SimulateJobSpec
 
 
 def build_fleet_traces(num_traces: int = 12, steps: int = 5, layers: int = 6):
@@ -55,11 +55,11 @@ def build_fleet_traces(num_traces: int = 12, steps: int = 5, layers: int = 6):
     ]
 
 
-def submit_fleet(executor: ServiceExecutor, traces) -> list:
+def submit_fleet(executor: Executor, traces) -> list:
     """One sweep's worth of traffic: every trace on SQ-DM and on the baseline.
 
     Specs in, ``JobHandle`` futures out — the same two lines would drive a
-    ``RemoteExecutor`` pointed at a ``repro serve`` endpoint.
+    ``RemoteEvaluationClient`` pointed at a ``repro serve`` endpoint.
     """
     specs, labels = [], []
     for index, trace in enumerate(traces):
@@ -78,8 +78,8 @@ def main() -> None:
 
         print("== First process: cold cache, batched simulation ==")
         cache = ReportCache(store=store)
-        with ServiceExecutor(cache=cache) as executor:
-            handles = submit_fleet(executor, traces)
+        with EvaluationService(cache=cache) as service:
+            handles = submit_fleet(service, traces)
             reports = [handle.result() for handle in handles]
         rows = [
             [f"trace {i}",
@@ -94,8 +94,8 @@ def main() -> None:
 
         print("== Second process: fresh memory cache over the same artifact dir ==")
         rerun_cache = ReportCache(store=ArtifactStore(root))
-        with ServiceExecutor(cache=rerun_cache) as executor:
-            handles = submit_fleet(executor, traces)
+        with EvaluationService(cache=rerun_cache) as service:
+            handles = submit_fleet(service, traces)
             rerun_reports = [handle.result() for handle in handles]
         identical = all(
             a.total_cycles == b.total_cycles for a, b in zip(reports, rerun_reports)

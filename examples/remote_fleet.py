@@ -6,9 +6,9 @@ shape of a fleet evaluation service:
 1. start an :class:`EvaluationHTTPServer` over an artifact directory (in a
    real deployment this is ``repro serve --port 8035 --artifact-dir ...`` on
    a beefy machine);
-2. run two concurrent clients submitting the *same* sweep through
-   :class:`~repro.core.execution.RemoteExecutor` (the unified execution API
-   over HTTP) — the server's single-flight scheduler coalesces their
+2. run two concurrent clients (:class:`~repro.serve.RemoteEvaluationClient`,
+   an executor of the unified execution API over HTTP) submitting the
+   *same* sweep — the server's single-flight scheduler coalesces their
    identical requests, so each unique (config, trace) pair is simulated
    exactly once;
 3. restart the server over the same artifact directory and re-run the
@@ -16,9 +16,10 @@ shape of a fleet evaluation service:
 4. submit one *grid description* (:class:`~repro.serve.specs.SweepJobSpec`)
    and let the server plan, coalesce and batch the design points.
 
-The client code is executor-agnostic: swap ``RemoteExecutor(endpoint)`` for
-a ``ServiceExecutor`` (or ``InlineExecutor``) and the same specs, handles
-and results flow through an in-process backend instead.
+The client code is executor-agnostic: swap
+``RemoteEvaluationClient(endpoint)`` for an ``EvaluationService`` (or an
+``InlineExecutor``) and the same specs, handles and results flow through an
+in-process backend instead.
 
 Everything crosses the wire as versioned, schema-tagged JSON — no pickles —
 so any HTTP client (curl included) could drive the same flows.
@@ -41,10 +42,10 @@ import threading
 
 from repro.accelerator import dense_baseline_config, random_workload, sqdm_config
 from repro.core.artifacts import ArtifactStore
-from repro.core.execution import RemoteExecutor
 from repro.core.report_cache import ReportCache
 from repro.serve import (
     EvaluationService,
+    RemoteEvaluationClient,
     SimulateJobSpec,
     SweepJobSpec,
     start_http_server,
@@ -78,8 +79,8 @@ def client_sweep(name: str, endpoint: str, traces) -> list:
         labels.append(f"{name}-sqdm[{index}]")
         specs.append(SimulateJobSpec(config=dense_baseline_config(), trace=trace))
         labels.append(f"{name}-dense[{index}]")
-    with RemoteExecutor(endpoint=endpoint) as executor:
-        handles = executor.map(specs, labels=labels)
+    with RemoteEvaluationClient(endpoint) as client:
+        handles = client.map(specs, labels=labels)
         return [handle.result(timeout=600) for handle in handles]
 
 
@@ -132,8 +133,8 @@ def main() -> None:
             baseline=dense_baseline_config(),
             name="threshold-grid",
         )
-        with RemoteExecutor(endpoint=server.endpoint) as executor:
-            outcome = executor.submit(spec).result(timeout=600)
+        with RemoteEvaluationClient(server.endpoint) as client:
+            outcome = client.submit(spec).result(timeout=600)
         for params, report in zip(outcome.params, outcome.reports):
             speedup = outcome.baseline.total_cycles / report.total_cycles
             print(f"  {params}: {report.total_time_ms:.3f} ms ({speedup:.2f}x vs dense)")

@@ -48,29 +48,18 @@ class SensitivityReport:
 
 
 def block_sensitivity_sweep(
-    pipeline: SQDMPipeline,
-    executor: str = "thread",
-    max_workers: int | None = None,
+    pipeline: SQDMPipeline, *, max_workers: int | None = None
 ) -> SensitivityReport:
     """Run the Fig. 3 sweep: for each block, 4-bit that block only and measure FID.
 
     The per-block evaluations are independent, so they fan out through the
-    declarative sweep runner (``executor="serial"`` restores the sequential
-    behaviour; ``"service"`` routes the grid points through a shared
-    :class:`~repro.serve.service.EvaluationService` as callable jobs, which
-    still run on threads; ``"process"`` is not supported because the
-    evaluation closes over the live pipeline/model, which cannot cross
-    process boundaries).  Each grid point deep-copies its own model; the
-    shared FID reference statistics are materialized up front so workers
-    only read them.
+    declarative sweep runner, on the thread pool (``max_workers`` threads)
+    of an evaluation service it owns for the sweep; they stay on threads
+    because the evaluation closes over the live pipeline and model, which
+    cannot cross process boundaries.  Each grid point deep-copies its own
+    model; the shared FID reference statistics are materialized up front so
+    workers only read them.
     """
-    if executor not in ("thread", "serial", "service"):
-        raise ValueError(
-            "block_sensitivity_sweep supports executor='thread', 'serial' or "
-            f"'service', got {executor!r}"
-        )
-    from ..core.execution import resolve_executor
-
     model = pipeline.workload.unet
     infos = model.block_infos()
 
@@ -89,17 +78,11 @@ def block_sensitivity_sweep(
             fid_delta=evaluation.fid - reference.fid,
         )
 
-    # run_sweep takes executor instances; "serial" means the inline backend.
-    with resolve_executor(
-        "inline" if executor == "serial" else executor, max_workers=max_workers
-    ) as runner:
-        sweep = run_sweep(
-            evaluate_block,
-            SweepSpec(
-                name="fig3-block-sensitivity", grid={"block_name": [i.name for i in infos]}
-            ),
-            executor=runner,
-        )
+    sweep = run_sweep(
+        evaluate_block,
+        SweepSpec(name="fig3-block-sensitivity", grid={"block_name": [i.name for i in infos]}),
+        max_workers=max_workers,
+    )
     return SensitivityReport(
         workload=pipeline.workload.name, reference_fid=reference.fid, blocks=sweep.values()
     )

@@ -1,62 +1,57 @@
 """Unified execution API: one ``Executor`` protocol over every backend.
 
-The fleet layer has four ways to run an evaluation — inline in the calling
-thread, fanned out over :mod:`concurrent.futures` pools, queued on an
-in-process :class:`~repro.serve.service.EvaluationService`, or POSTed to a
-remote ``repro serve`` endpoint — each with its own result type (``Job``,
-``RemoteJob``, raw reports).  Large acquisition systems solve the same
-problem by exposing *one* submission front end over heterogeneous readout
-backends; this module is that front end for the repository:
+An evaluation runs in one of three places, and each of them *is* an
+:class:`Executor` — there is no wrapper layer in between:
 
-:class:`Executor`
-    The protocol every backend implements: ``submit(spec) -> JobHandle``,
-    ``map(specs)``, ``stats()``, ``capabilities()``, ``close()`` and
-    context-manager lifecycle.  What is submitted are the typed job specs of
-    :mod:`repro.serve.specs` (``simulate_spec`` / ``sweep_spec`` /
-    ``quality_spec`` / ``callable_spec``) plus :class:`LocalCallSpec` for
-    in-process callables that never cross a wire.
-:class:`JobHandle`
-    The uniform future every ``submit`` returns — ``result(timeout=)``,
-    ``done()``, ``cancel()``, ``status``, ``add_done_callback`` — subsuming
-    the previous ``Job`` / ``RemoteJob`` split.  ``result`` raises
-    :class:`TimeoutError` when the timeout expires and
-    :class:`JobFailedError` (chained to the underlying exception) when the
-    job failed or was cancelled, on every backend.
-:class:`InlineExecutor` / :class:`PoolExecutor` / :class:`ServiceExecutor` /
-:class:`RemoteExecutor`
-    The built-in backends.  ``InlineExecutor.map`` batches simulation work
+:class:`InlineExecutor`
+    In the calling thread, at submission.  ``map`` batches simulation work
     through one :func:`~repro.serve.scheduler.run_batched` pass (shared
     baselines coalesce exactly like the service's scheduler), so the
-    pipeline's hardware evaluation keeps its batching behaviour when routed
-    through the protocol.
-:func:`register_executor` / :func:`resolve_executor`
-    A name registry so new backends (pull-based workers, sharded servers)
-    slot in behind the same surface, and command lines can pick one by
-    name.
+    pipeline's hardware evaluation keeps its batching behaviour.
+:class:`~repro.serve.service.EvaluationService`
+    Queued on the in-process service: coalescing scheduler, single-flight
+    registry, a thread pool and a process pool for sampling jobs.
+    :class:`~repro.serve.worker.WorkerPoolExecutor` is that service with a
+    loopback pull-worker fleet attached.
+:class:`~repro.serve.client.RemoteEvaluationClient`
+    POSTed to a remote ``repro serve`` endpoint as typed JSON.
+
+The shared vocabulary lives here:
+
+:class:`Executor`
+    The protocol every backend implements: ``submit(spec, label) ->
+    JobHandle``, ``map(specs)``, ``stats()``, ``capabilities()``,
+    ``close()`` and context-manager lifecycle.  What is submitted are the
+    typed job specs of :mod:`repro.serve.specs` (``simulate_spec`` /
+    ``sweep_spec`` / ``quality_spec`` / ``callable_spec``) plus
+    :class:`LocalCallSpec` for in-process callables that never cross a wire.
+:class:`JobHandle`
+    The uniform future every ``submit`` returns — the service's ``Job``, the
+    client's ``RemoteJob`` or an inline :class:`CompletedHandle`:
+    ``result(timeout=)``, ``done``, ``cancel()``, ``status``,
+    ``add_done_callback``.  ``result`` raises :class:`TimeoutError` when
+    the timeout expires and :class:`JobFailedError` (chained to the
+    underlying exception where it is local) when the job failed or was
+    cancelled, on every backend.
 
 Everything serve-related is imported lazily: the core package stays
-importable (and this module usable with :class:`InlineExecutor` /
-:class:`PoolExecutor` on plain callables) without pulling the service stack
-in at import time.
+importable (and :class:`InlineExecutor` usable on plain callables) without
+pulling the service stack in at import time.
 """
 
 from __future__ import annotations
 
 import itertools
 import pickle  # repro: allow[REP001] picklability *guard* only — nothing is ever deserialized
-import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import CancelledError, Future, ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .telemetry import event_log
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; serve imports stay lazy
-    from ..serve.client import RemoteEvaluationClient
-    from ..serve.service import EvaluationService
+    from ..serve.jobs import JobKind
     from .report_cache import ReportCache
 
 
@@ -85,8 +80,7 @@ def ensure_picklable(obj: Any, error_message: str) -> None:
     locally-defined functions or closures over live models that fails deep
     inside the pool with a bare ``PicklingError`` traceback.  Checking at the
     submission boundary turns it into an actionable error before any worker
-    spawns — the process-pool executor and the evaluation service's sampling
-    jobs both route through this guard.
+    spawns — the evaluation service's sampling jobs route through this guard.
     """
     try:
         pickle.dumps(obj)
@@ -111,10 +105,10 @@ class LocalCallSpec:
     """An in-process callable with its arguments — the local-only job spec.
 
     ``fn`` may also be a wire-function *name* (a string), in which case every
-    backend — including :class:`RemoteExecutor` — resolves it through the
+    backend — the remote client included — resolves it through the
     wire-function registry of :mod:`repro.serve.specs`.  A live callable is
-    accepted by the local backends as-is; :class:`RemoteExecutor` accepts it
-    only when it is wire-registered, since code never crosses the wire.
+    accepted by the local backends as-is; the remote client accepts it only
+    when it is wire-registered, since code never crosses the wire.
     """
 
     fn: Callable[..., Any] | str
@@ -127,6 +121,15 @@ class LocalCallSpec:
 
     def default_label(self) -> str:
         return f"call:{getattr(self.fn, '__name__', self.fn)}"
+
+    def resolve(self) -> Callable[..., Any]:
+        """The callable to run: ``fn`` itself, or the wire function it names
+        (:class:`ValueError` for an unregistered name)."""
+        if isinstance(self.fn, str):
+            from ..serve.specs import resolve_wire_function
+
+            return resolve_wire_function(self.fn)
+        return self.fn
 
 
 def spec_kind(spec: Any) -> str:
@@ -152,28 +155,32 @@ def spec_kind(spec: Any) -> str:
     )
 
 
-def _default_label(spec: Any) -> str:
-    label = getattr(spec, "default_label", None)
-    return label() if callable(label) else ""
+def _job_kind(spec: Any, kind: str) -> "JobKind":
+    """The service job kind a spec of ``spec_kind`` ``kind`` runs as, which
+    every backend reports as its handles' ``kind``: quality specs and
+    process-pool callables are sampling jobs, local calls are callables."""
+    from ..serve.jobs import JobKind
+
+    if kind == "simulate_spec":
+        return JobKind.SIMULATION
+    if kind == "sweep_spec":
+        return JobKind.SWEEP
+    if kind == "quality_spec" or (kind == "callable_spec" and spec.pool == "process"):
+        return JobKind.SAMPLING
+    return JobKind.CALLABLE
 
 
 def execute_spec(spec: Any, cache: "ReportCache | None" = None) -> Any:
     """Execute one job spec synchronously and return its result value.
 
-    This is the single local interpretation of the typed specs, shared by
-    :class:`InlineExecutor` and :class:`PoolExecutor` — and, being a
-    module-level function over picklable specs, it is what process pools
-    submit.  ``cache`` backs simulation and sweep specs (the process default
-    when None).
+    This is the single local interpretation of the typed specs; the inline
+    backend runs every spec that is not simulation work through it.
+    ``cache`` backs simulation and sweep specs (the process default when
+    None).
     """
     kind = spec_kind(spec)
     if kind == LOCAL_CALL_KIND:
-        fn = spec.fn
-        if isinstance(fn, str):
-            from ..serve.specs import resolve_wire_function
-
-            fn = resolve_wire_function(fn)
-        return fn(*spec.args, **dict(spec.kwargs))
+        return spec.resolve()(*spec.args, **dict(spec.kwargs))
     if kind == "simulate_spec":
         from ..serve.scheduler import run_batched
 
@@ -225,34 +232,36 @@ def _sweep_result(spec: Any, reports: list) -> Any:
 class JobHandle(ABC):
     """Uniform future for one submitted job, identical across backends.
 
-    Every handle exposes ``id`` / ``label`` / ``kind`` attributes, the
-    :attr:`status` property, and the blocking / completion API below.  The
-    contract is the strict one the service's ``Job`` already kept:
+    Implemented by the service's :class:`~repro.serve.jobs.Job`, the remote
+    client's :class:`~repro.serve.client.RemoteJob` and the inline
+    :class:`CompletedHandle`.  Every handle exposes ``id`` / ``label`` /
+    ``kind`` / ``error`` attributes — ``kind`` is the service's job kind
+    (``simulation``, ``sweep``, ``sampling`` or ``callable``) on every
+    backend, ``error`` the failure once the job is terminal — the
+    :attr:`status` and :attr:`done` properties, and the blocking /
+    completion API below:
 
     * :meth:`result` raises :class:`TimeoutError` when ``timeout`` expires
       first, and :class:`JobFailedError` — chained to the underlying
-      exception via ``__cause__`` where one exists — when the job failed or
-      was cancelled.
+      exception via ``__cause__`` where one exists locally — when the job
+      failed or was cancelled.
     * :meth:`cancel` returns True only when this call prevented the work
       from running; work that already started (or finished) is never
       interrupted.
     * :meth:`add_done_callback` fires exactly once per registered callback,
-      immediately when the job is already terminal.
+      immediately when the job is already terminal; callback exceptions are
+      logged and swallowed.
     """
 
     id: str
     label: str
     kind: str
+    error: BaseException | None
 
     @property
     @abstractmethod
     def status(self) -> JobStatus:
         """The job's current lifecycle state."""
-
-    @property
-    @abstractmethod
-    def error(self) -> BaseException | None:
-        """The underlying failure, once the job is terminal (None if it succeeded)."""
 
     @abstractmethod
     def wait(self, timeout: float | None = None) -> bool:
@@ -270,6 +279,7 @@ class JobHandle(ABC):
     def add_done_callback(self, fn: Callable[["JobHandle"], None]) -> None:
         """Run ``fn(handle)`` once the job is terminal (immediately if it already is)."""
 
+    @property
     def done(self) -> bool:
         """True once the job reached a terminal state (done, failed or cancelled)."""
         return self.status in TERMINAL_STATUSES
@@ -277,6 +287,12 @@ class JobHandle(ABC):
     @property
     def ok(self) -> bool:
         return self.status is JobStatus.DONE
+
+    def _run_callback(self, fn: Callable[[Any], None]) -> None:
+        try:
+            fn(self)
+        except Exception as exc:  # noqa: BLE001 - observers must not break completion
+            event_log().emit("job.callback_error", level="warning", job=self.id, error=repr(exc))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(id={self.id!r}, status={self.status.value!r})"
@@ -297,195 +313,32 @@ class CompletedHandle(JobHandle):
         self.label = label
         self.kind = kind
         self._value = value
-        self._error = error
+        self.error = error
 
     @property
     def status(self) -> JobStatus:
-        return JobStatus.FAILED if self._error is not None else JobStatus.DONE
-
-    @property
-    def error(self) -> BaseException | None:
-        return self._error
+        return JobStatus.FAILED if self.error is not None else JobStatus.DONE
 
     def wait(self, timeout: float | None = None) -> bool:
         return True
 
     def result(self, timeout: float | None = None) -> Any:
-        if self._error is not None:
+        if self.error is not None:
             raise JobFailedError(
-                f"job {self.id} ({self.label or self.kind}) failed: {self._error}"
-            ) from self._error
+                f"job {self.id} ({self.label or self.kind}) failed: {self.error}"
+            ) from self.error
         return self._value
 
     def cancel(self) -> bool:
         return False  # inline jobs run at submission; there is nothing to prevent
 
     def add_done_callback(self, fn: Callable[[JobHandle], None]) -> None:
-        try:
-            fn(self)
-        except Exception as exc:  # noqa: BLE001 - same contract as every other backend
-            event_log().emit(
-                "executor.callback_error", level="warning", job=self.id, error=repr(exc)
-            )
-
-
-class FutureHandle(JobHandle):
-    """A job running on a :mod:`concurrent.futures` pool."""
-
-    def __init__(self, id: str, label: str, kind: str, future: Future) -> None:  # noqa: A002
-        self.id = id
-        self.label = label
-        self.kind = kind
-        self._future = future
-
-    @property
-    def status(self) -> JobStatus:
-        future = self._future
-        if future.cancelled():
-            return JobStatus.CANCELLED
-        if future.done():
-            return JobStatus.FAILED if future.exception() is not None else JobStatus.DONE
-        if future.running():
-            return JobStatus.RUNNING
-        return JobStatus.QUEUED
-
-    @property
-    def error(self) -> BaseException | None:
-        future = self._future
-        if future.cancelled():
-            return JobFailedError(f"job {self.id} ({self.label or self.kind}) cancelled")
-        if future.done():
-            return future.exception()
-        return None
-
-    def wait(self, timeout: float | None = None) -> bool:
-        try:
-            self._future.exception(timeout)
-        except CancelledError:
-            return True
-        except _FutureTimeout:
-            return False
-        return True
-
-    def result(self, timeout: float | None = None) -> Any:
-        if not self.wait(timeout):
-            raise TimeoutError(f"job {self.id} ({self.label or self.kind}) still running")
-        if self._future.cancelled():
-            raise JobFailedError(f"job {self.id} ({self.label or self.kind}) cancelled")
-        exc = self._future.exception()
-        if exc is not None:
-            raise JobFailedError(
-                f"job {self.id} ({self.label or self.kind}) failed: {exc}"
-            ) from exc
-        return self._future.result()
-
-    def cancel(self) -> bool:
-        return self._future.cancel()
-
-    def add_done_callback(self, fn: Callable[[JobHandle], None]) -> None:
-        self._future.add_done_callback(lambda _future: fn(self))
-
-
-class ServiceJobHandle(JobHandle):
-    """A job queued on an in-process :class:`EvaluationService`."""
-
-    def __init__(self, service: "EvaluationService", job: Any) -> None:
-        self._service = service
-        self._job = job
-        self.id = job.id
-        self.label = job.label
-        self.kind = job.kind.value
-
-    @property
-    def status(self) -> JobStatus:
-        return JobStatus(self._job.status.value)
-
-    @property
-    def error(self) -> BaseException | None:
-        return self._job.error
-
-    def wait(self, timeout: float | None = None) -> bool:
-        return self._job.wait(timeout)
-
-    def result(self, timeout: float | None = None) -> Any:
-        return self._job.result(timeout)
-
-    def cancel(self) -> bool:
-        try:
-            return self._service.cancel(self.id)
-        except KeyError:
-            # Retired from the service's history; terminal either way.
-            return False
-
-    def add_done_callback(self, fn: Callable[[JobHandle], None]) -> None:
-        self._job.add_done_callback(lambda _job: fn(self))
-
-
-class RemoteJobHandle(JobHandle):
-    """A job living on a remote ``repro serve`` endpoint."""
-
-    def __init__(self, client: "RemoteEvaluationClient", job: Any) -> None:
-        self._client = client
-        self._job = job
-        self.id = job.id
-        self.label = job.label
-        self.kind = job.kind
-        self._callbacks: list[Callable[[JobHandle], None]] = []
-        self._callbacks_drained = False
-        self._watcher: threading.Thread | None = None
-        self._callback_lock = threading.Lock()
-
-    @property
-    def status(self) -> JobStatus:
-        if not self._job.done:
-            self._job._refresh()
-        return JobStatus(self._job.status.value)
-
-    @property
-    def error(self) -> BaseException | None:
-        return self._job.error
-
-    def wait(self, timeout: float | None = None) -> bool:
-        return self._job.wait(timeout)
-
-    def result(self, timeout: float | None = None) -> Any:
-        return self._job.result(timeout)
-
-    def cancel(self) -> bool:
-        return self._job.cancel()
-
-    def add_done_callback(self, fn: Callable[[JobHandle], None]) -> None:
-        run_now = False
-        with self._callback_lock:
-            if self._callbacks_drained:
-                run_now = True
-            else:
-                self._callbacks.append(fn)
-                if self._watcher is None:
-                    # Remote completion is observed by polling; one daemon
-                    # watcher per handle serves every registered callback.
-                    self._watcher = threading.Thread(
-                        target=self._watch, name=f"repro-handle-{self.id}", daemon=True
-                    )
-                    self._watcher.start()
-        if run_now:
-            fn(self)
-
-    def _watch(self) -> None:
-        self._job.wait()
-        with self._callback_lock:
-            self._callbacks_drained = True
-            callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            try:
-                fn(self)
-            except Exception as exc:  # noqa: BLE001 - callbacks must not kill the watcher
-                event_log().emit(
-                    "executor.callback_error", level="warning", job=self.id, error=repr(exc)
-                )
+        self._run_callback(fn)
 
 
 # -- the executor protocol ---------------------------------------------------------
+
+_ExecutorT = TypeVar("_ExecutorT", bound="Executor")
 
 
 class Executor(ABC):
@@ -494,7 +347,9 @@ class Executor(ABC):
     Implementations accept the typed job specs (plus :class:`LocalCallSpec`
     where code stays in-process) and return :class:`JobHandle` futures.  Use
     as a context manager — ``close()`` releases whatever the executor owns
-    (pools, an owned service); handles returned earlier stay readable.
+    (pools, servers); handles returned earlier stay readable.  Whoever
+    builds an executor closes it: code handed one (``run_sweep``,
+    ``evaluate_hardware``) leaves it open.
     """
 
     #: Short backend name, used in ``stats()`` and error messages.
@@ -522,7 +377,7 @@ class Executor(ABC):
     def close(self) -> None:
         """Release owned resources; no-op by default."""
 
-    def __enter__(self) -> "Executor":
+    def __enter__(self: _ExecutorT) -> _ExecutorT:
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
@@ -572,13 +427,9 @@ class InlineExecutor(Executor):
                 spec_requests = None
                 # Unknown wire-function names raise here, at submission —
                 # the same contract as the queueing backends.
-                if kind == LOCAL_CALL_KIND and isinstance(spec.fn, str):
-                    from ..serve.specs import resolve_wire_function
-
-                    resolve_wire_function(spec.fn)
-                elif kind == "callable_spec":
+                if kind in (LOCAL_CALL_KIND, "callable_spec"):
                     spec.resolve()
-            prepared.append((spec, label or _default_label(spec), kind, spec_requests))
+            prepared.append((spec, label or spec.default_label(), kind, spec_requests))
             if spec_requests:
                 requests.extend(spec_requests)
 
@@ -619,245 +470,10 @@ class InlineExecutor(Executor):
                     value, error = None, exc
             if error is not None:
                 self._failed += 1
-            handles.append(CompletedHandle(job_id, label, kind, value=value, error=error))
+            handles.append(
+                CompletedHandle(job_id, label, _job_kind(spec, kind), value=value, error=error)
+            )
         return handles
 
     def stats(self) -> dict[str, Any]:
         return {"executor": self.name, "submitted": self._submitted, "failed": self._failed}
-
-
-class PoolExecutor(Executor):
-    """Fan specs out over a :mod:`concurrent.futures` thread or process pool.
-
-    ``kind="thread"`` suits the NumPy-heavy evaluation paths (the array work
-    releases the GIL) and shares ``cache`` across workers; ``kind="process"``
-    suits GIL-bound sampling work and requires picklable specs — verified at
-    submission, so mistakes fail fast with an actionable message instead of
-    a pool traceback.  Handles support :meth:`JobHandle.cancel` while the
-    work is still queued behind busy workers.
-    """
-
-    def __init__(
-        self,
-        kind: str = "thread",
-        max_workers: int | None = None,
-        cache: "ReportCache | None" = None,
-    ) -> None:
-        if kind not in ("thread", "process"):
-            raise ValueError(f"kind must be 'thread' or 'process', got {kind!r}")
-        self.kind = kind
-        self.name = kind
-        self.cache = cache
-        pool_cls = ThreadPoolExecutor if kind == "thread" else ProcessPoolExecutor
-        self._pool = pool_cls(max_workers=max_workers)
-        self._ids = itertools.count(1)
-        self._submitted = 0
-
-    def submit(self, spec: Any, label: str = "") -> JobHandle:
-        kind = spec_kind(spec)
-        if self.kind == "process":
-            ensure_picklable(
-                spec,
-                "the process pool executor requires a picklable case function and "
-                "plain-data job specs: pass a module-level function taking plain-data "
-                "arguments, or use a thread/inline executor for closures over live objects",
-            )
-            # Worker processes cannot share this process's report cache; they
-            # fall back to their own (and the artifact store, when configured).
-            future = self._pool.submit(execute_spec, spec)
-        else:
-            future = self._pool.submit(execute_spec, spec, self.cache)
-        self._submitted += 1
-        job_id = f"{self.kind}-{next(self._ids):04d}"
-        return FutureHandle(job_id, label or _default_label(spec), kind, future)
-
-    def stats(self) -> dict[str, Any]:
-        return {"executor": f"pool:{self.kind}", "submitted": self._submitted}
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=True)
-
-
-class ServiceExecutor(Executor):
-    """Submit specs to an in-process :class:`EvaluationService`.
-
-    Wraps an existing ``service`` (left running at :meth:`close`), or owns a
-    fresh one built from ``cache`` / ``max_workers`` / ``process_workers``
-    (shut down at :meth:`close`).  Jobs share the service's coalescing
-    scheduler, single-flight registry and worker pools with every other
-    client of that service.
-    """
-
-    name = "service"
-
-    def __init__(
-        self,
-        service: "EvaluationService | None" = None,
-        *,
-        cache: "ReportCache | None" = None,
-        max_workers: int | None = None,
-        process_workers: int | None = None,
-    ) -> None:
-        self._owned = service is None
-        if service is None:
-            from ..serve.service import EvaluationService
-
-            service = EvaluationService(
-                cache=cache, max_workers=max_workers, process_workers=process_workers
-            )
-        self.service = service
-
-    def submit(self, spec: Any, label: str = "") -> JobHandle:
-        if isinstance(spec, LocalCallSpec):
-            fn = spec.fn
-            if isinstance(fn, str):
-                from ..serve.specs import resolve_wire_function
-
-                fn = resolve_wire_function(fn)
-            job = self.service.submit_callable(
-                fn, args=spec.args, kwargs=spec.kwargs, label=label or spec.default_label()
-            )
-        else:
-            spec_kind(spec)  # reject non-specs with the uniform message
-            job = self.service.submit_spec(spec, label=label)
-        return ServiceJobHandle(self.service, job)
-
-    def stats(self) -> dict[str, Any]:
-        return {"executor": self.name, **self.service.service_stats()}
-
-    def close(self) -> None:
-        if self._owned:
-            self.service.close()
-
-
-class RemoteExecutor(Executor):
-    """Submit specs to a remote ``repro serve`` endpoint over the typed wire.
-
-    Wraps an existing :class:`RemoteEvaluationClient` (borrowed: left open at
-    :meth:`close`, mirroring :class:`ServiceExecutor`) or builds an owned one
-    from ``endpoint``.  Only wire specs cross: a :class:`LocalCallSpec` is
-    accepted when its function is a registered wire function (or its name),
-    and rejected with the registration recipe otherwise.
-    :meth:`capabilities` is discovered from the server's ``GET /schemas``,
-    so callers can probe which spec kinds a given deployment accepts.
-    """
-
-    name = "remote"
-
-    def __init__(
-        self,
-        endpoint: str | None = None,
-        client: "RemoteEvaluationClient | None" = None,
-        **client_options: Any,
-    ) -> None:
-        self._owned = client is None
-        if client is None:
-            if endpoint is None:
-                raise ValueError(
-                    "RemoteExecutor needs endpoint='http://host:port' (or client=...)"
-                )
-            from ..serve.client import RemoteEvaluationClient
-
-            client = RemoteEvaluationClient(endpoint, **client_options)
-        self.client = client
-
-    def submit(self, spec: Any, label: str = "") -> JobHandle:
-        if isinstance(spec, LocalCallSpec):
-            from ..serve.specs import CallableJobSpec, require_wire_name
-
-            label = label or spec.default_label()
-            spec = CallableJobSpec(
-                function=require_wire_name(spec.fn),
-                args=spec.args,
-                kwargs=dict(spec.kwargs),
-                pool="thread",
-            )
-        else:
-            spec_kind(spec)
-        job = self.client.submit_spec(spec, label=label or _default_label(spec))
-        return RemoteJobHandle(self.client, job)
-
-    def capabilities(self) -> frozenset[str]:
-        schemas = self.client.schemas().get("schemas", {})
-        return frozenset(kind for kind in WIRE_SPEC_KINDS if kind in schemas)
-
-    def stats(self) -> dict[str, Any]:
-        health = self.client.health()
-        return {"executor": self.name, **health.get("service", {})}
-
-    def close(self) -> None:
-        if self._owned:
-            self.client.close()
-
-
-# -- executor registry -------------------------------------------------------------
-
-_EXECUTOR_FACTORIES: dict[str, Callable[..., Executor]] = {}
-
-
-def register_executor(name: str, factory: Callable[..., Executor]) -> Callable[..., Executor]:
-    """Register an executor backend under ``name`` for :func:`resolve_executor`.
-
-    ``factory(**options)`` must return an :class:`Executor`; it receives the
-    caller's keyword options (``max_workers``, ``cache``, ``service``,
-    ``endpoint`` from the built-in call sites) and should ignore what it
-    does not need.  Re-registering a name rebinds it, so third-party
-    backends can override the built-ins in tests.
-    """
-    _EXECUTOR_FACTORIES[name] = factory
-    return factory
-
-
-def executor_names() -> tuple[str, ...]:
-    """Registered executor names, sorted (for error messages and CLIs)."""
-    return tuple(sorted(_EXECUTOR_FACTORIES))
-
-
-def resolve_executor(name: str, **options: Any) -> Executor:
-    """Build the executor registered under ``name`` with the given options."""
-    try:
-        factory = _EXECUTOR_FACTORIES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor {name!r}; registered executors: {list(executor_names())} "
-            "(see repro.core.execution.register_executor)"
-        ) from None
-    return factory(**options)
-
-
-def _make_inline(cache: Any = None, **_: Any) -> Executor:
-    return InlineExecutor(cache=cache)
-
-
-def _make_thread(max_workers: Any = None, cache: Any = None, **_: Any) -> Executor:
-    return PoolExecutor("thread", max_workers=max_workers, cache=cache)
-
-
-def _make_process(max_workers: Any = None, cache: Any = None, **_: Any) -> Executor:
-    return PoolExecutor("process", max_workers=max_workers, cache=cache)
-
-
-def _make_service(
-    service: Any = None, cache: Any = None, max_workers: Any = None, **_: Any
-) -> Executor:
-    return ServiceExecutor(service=service, cache=cache, max_workers=max_workers)
-
-
-def _make_remote(endpoint: Any = None, **_: Any) -> Executor:
-    return RemoteExecutor(endpoint=endpoint)
-
-
-def _make_worker_pool(cache: Any = None, max_workers: Any = None, **_: Any) -> Executor:
-    # A self-contained fleet: worker-dispatch service + loopback HTTP server
-    # + N in-process workers pulling over the real lease/heartbeat protocol.
-    from ..serve.worker import WorkerPoolExecutor
-
-    return WorkerPoolExecutor(num_workers=max_workers or 2, cache=cache)
-
-
-register_executor("inline", _make_inline)
-register_executor("thread", _make_thread)
-register_executor("process", _make_process)
-register_executor("service", _make_service)
-register_executor("remote", _make_remote)
-register_executor("worker-pool", _make_worker_pool)

@@ -12,12 +12,12 @@ module gives that shape a first-class API:
 
 Execution goes through the unified execution API
 (:mod:`repro.core.execution`): pass any :class:`~repro.core.execution.Executor`
-instance — ``InlineExecutor``, ``PoolExecutor`` (thread/process),
-``ServiceExecutor``, ``RemoteExecutor``, or a third-party backend registered
-with :func:`~repro.core.execution.register_executor` — and the sweep's grid
-points are submitted as jobs on it.  Omitting ``executor`` fans out over a
-thread pool (the NumPy-heavy evaluation functions release the GIL for their
-array work).  Results always come back in deterministic grid order;
+— an ``InlineExecutor``, an ``EvaluationService`` or a
+``RemoteEvaluationClient`` — and the sweep's grid points are submitted as
+jobs on it.  Omitting ``executor`` runs them on an evaluation service of the
+sweep's own, whose thread pool fans them out (the NumPy-heavy evaluation
+functions release the GIL for their array work).  Results always come back
+in deterministic grid order;
 failures either propagate (``on_error="raise"``) or are captured per-case
 (``on_error="capture"``) so one bad design point cannot sink a
 thousand-point sweep.
@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from .execution import Executor, InlineExecutor, JobFailedError, LocalCallSpec, PoolExecutor
+from .execution import Executor, InlineExecutor, JobFailedError, LocalCallSpec
 
 
 @dataclass(frozen=True)
@@ -115,22 +115,20 @@ def run_sweep(
     ----------
     fn:
         Evaluation function taking the grid's parameters as keyword
-        arguments, or a registered wire-function *name*.  A process-pool
-        executor needs a picklable (module-level) function; a
-        :class:`~repro.core.execution.RemoteExecutor` needs a registered
-        wire function (or its name), since remote jobs cross the wire as
-        typed JSON specs, never as code.
+        arguments, or a registered wire-function *name*.  A
+        :class:`~repro.serve.client.RemoteEvaluationClient` needs a
+        registered wire function (or its name), since remote jobs cross the
+        wire as typed JSON specs, never as code.
     spec:
         A :class:`SweepSpec`, or a bare ``{param: values}`` mapping which is
         wrapped into an anonymous spec.
     executor:
-        Any :class:`~repro.core.execution.Executor` instance (left open for
-        the caller to close), or None for an ephemeral thread pool sized by
-        ``max_workers``.  To run by registry name, build the instance with
-        :func:`~repro.core.execution.resolve_executor` first.
+        Any :class:`~repro.core.execution.Executor` (left open for the
+        caller to close), or None for an evaluation service of this call's
+        own, closed when the sweep ends.
     max_workers:
-        Worker count when this call builds its own pooled executor (library
-        default if None); ignored when an executor instance is given.
+        Thread count of that owned service (library default if None);
+        ignored when an executor is given.
     on_error:
         ``"raise"`` propagates the first failure; ``"capture"`` records the
         exception on the affected :class:`SweepCaseResult` and continues.
@@ -142,19 +140,18 @@ def run_sweep(
     if on_error not in ("raise", "capture"):
         raise ValueError(f"on_error must be 'raise' or 'capture', got {on_error!r}")
 
-    owned = True
+    owned = executor is None
     if executor is None:
-        executor = PoolExecutor("thread", max_workers=max_workers)
-    elif isinstance(executor, Executor):
-        owned = False
-    else:
-        # Catch the likely slips (a registry name, an EvaluationService or a
-        # client) before they surface as a bare AttributeError deep in map().
+        from ..serve.service import EvaluationService
+
+        executor = EvaluationService(max_workers=max_workers)
+    elif not isinstance(executor, Executor):
+        # Catch the likely slip (an executor *name*) before it surfaces as a
+        # bare AttributeError deep in map().
         raise TypeError(
-            f"executor must be a repro.core.execution.Executor instance or None for "
-            f"the thread-pool default — got {type(executor).__name__}. Build one by "
-            "name with resolve_executor(...), or wrap a live service/client via "
-            "service.as_executor() / client.as_executor()."
+            "executor must be a repro.core.execution.Executor — an InlineExecutor, "
+            "an EvaluationService or a RemoteEvaluationClient — or None for a "
+            f"service of the sweep's own; got {type(executor).__name__}"
         )
 
     cases = [SweepCaseResult(index=i, params=params) for i, params in enumerate(spec.cases())]

@@ -326,10 +326,10 @@ class SQDMPipeline:
         vary only one configuration re-use the shared FP16 / dense-baseline
         runs (from memory or the artifact store), and the cache misses that
         do simulate share cross-trace batched passes.  Pass any other
-        :class:`~repro.core.execution.Executor` (a ``ServiceExecutor``, a
-        ``RemoteExecutor``, ...) to route the same three jobs through a
-        shared service or a remote server instead; the caller keeps
-        ownership of a passed-in executor.
+        :class:`~repro.core.execution.Executor` (an ``EvaluationService``, a
+        ``RemoteEvaluationClient``, ...) to route the same three jobs through
+        a shared service or a remote server instead; a passed-in executor
+        stays open.
         """
         from ..serve.specs import SimulateJobSpec
         from .execution import InlineExecutor

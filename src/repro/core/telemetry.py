@@ -155,7 +155,8 @@ class Gauge(_Metric):
     def __init__(self, name: str, help: str, labels: Sequence[str], lock: threading.RLock) -> None:
         super().__init__(name, help, labels, lock)
         self._values: dict[LabelValues, float] = {}
-        self._fn: Callable[[], float] | None = None
+        #: Registered callbacks, oldest first; the last one is active.
+        self._fns: list[Callable[[], float]] = []
 
     def set(self, value: float, **labels: Any) -> None:
         key = _label_key(self.label_names, labels)
@@ -173,26 +174,29 @@ class Gauge(_Metric):
     def set_function(self, fn: Callable[[], float] | None) -> None:
         """Read the gauge from ``fn()`` at collection time (unlabeled only).
 
-        The last registered callback wins; pass None to unregister.  A
-        callback that raises reports the last directly-set value instead of
-        breaking collection.
+        The most recently registered callback wins; pass None to unregister
+        every callback.  A callback that raises reports the last directly-set
+        value instead of breaking collection.
         """
         if self.label_names:
             raise ValueError("callback gauges cannot be labeled")
         with self._lock:
-            self._fn = fn
+            if fn is None:
+                self._fns.clear()
+            else:
+                self._fns.append(fn)
 
     def clear_function(self, fn: Callable[[], float]) -> None:
-        """Unregister ``fn`` if it is still the active callback (no-op otherwise),
-        so a closing component never clobbers a newer owner's callback."""
+        """Unregister ``fn``; the gauge falls back to the most recent callback
+        still registered, so a closing component neither clobbers a newer
+        owner's callback nor blanks an older owner that is still alive."""
         with self._lock:
-            if self._fn is fn:
-                self._fn = None
+            self._fns = [registered for registered in self._fns if registered is not fn]
 
     def value(self, **labels: Any) -> float:
         key = _label_key(self.label_names, labels)
         with self._lock:
-            fn = self._fn
+            fn = self._fns[-1] if self._fns else None
             stored = self._values.get(key, 0.0)
         if fn is not None:
             try:
@@ -202,7 +206,7 @@ class Gauge(_Metric):
         return stored
 
     def _samples(self) -> list[tuple[str, dict[str, str], float]]:
-        if self._fn is not None:
+        if self._fns:
             return [(self.name, {}, self.value())]
         return [
             (self.name, dict(zip(self.label_names, key)), value)

@@ -28,7 +28,8 @@ touching global state.
 The wrappers delegate everything else to the real primitive and implement
 the private ``_release_save``/``_acquire_restore``/``_is_owned`` hooks so a
 wrapped ``RLock`` still works as the backing lock of a
-``threading.Condition``.
+``threading.Condition``, and ``_at_fork_reinit`` so stdlib modules that
+import after installation can register their locks' at-fork hooks.
 """
 
 from __future__ import annotations
@@ -134,6 +135,15 @@ class TrackedLock:
             self._inner.release()
             return False
         return True
+
+    # -- fork integration ---------------------------------------------------
+    # Stdlib modules register this hook with os.register_at_fork for their
+    # module-level locks (concurrent.futures.thread does at import), so a
+    # forked child starts with the lock free and off its held stack.
+
+    def _at_fork_reinit(self) -> None:
+        self._watch._on_release(self)
+        self._inner._at_fork_reinit()
 
 
 class LockWatch:

@@ -16,7 +16,8 @@ traffic*, not as one script.  This package provides the service layer:
     :class:`EvaluationService` — the job queue itself: a coalescing scheduler
     thread, a thread pool for simulation-bound work (NumPy releases the GIL)
     and a ``ProcessPoolExecutor`` for sampling-bound work (FID generation,
-    which is GIL-limited).
+    which is GIL-limited).  Jobs enter through ``submit(spec)`` or the
+    per-kind ``submit_*`` helpers.
 ``repro.serve.specs``
     The typed wire job specs — ``simulate_spec`` / ``quality_spec`` /
     ``sweep_spec`` / ``callable_spec`` — resolved server-side, plus the
@@ -43,11 +44,10 @@ traffic*, not as one script.  This package provides the service layer:
     :class:`RemoteEvaluationClient` — urllib-based client mirroring the
     service surface, with jittered retry/backoff and polling job handles.
 
-Both the service and the client also speak the unified execution API of
-:mod:`repro.core.execution` (re-exported here): ``service.as_executor()`` /
-``client.as_executor()`` — or ``ServiceExecutor`` / ``RemoteExecutor``
-directly — give the uniform ``submit(spec) -> JobHandle`` surface shared
-with the inline and pool backends.
+The service and the client *are* executors of the unified execution API in
+:mod:`repro.core.execution` (re-exported here): pass either one wherever an
+:class:`Executor` is expected, next to :class:`InlineExecutor`.  Their jobs
+(:class:`Job`, :class:`RemoteJob`) are :class:`JobHandle` futures.
 ``repro.serve.top``
     The ``repro top`` dashboard: polls ``GET /metrics`` (Prometheus text)
     and ``GET /jobs`` and renders queue depth, coalescing ratio, cache hit
@@ -61,18 +61,15 @@ from . import workers as _workers  # noqa: F401 - registers the wire functions
 from ..core.execution import (
     Executor,
     InlineExecutor,
+    JobFailedError,
     JobHandle,
+    JobStatus,
     LocalCallSpec,
-    PoolExecutor,
-    RemoteExecutor,
-    ServiceExecutor,
-    register_executor,
-    resolve_executor,
 )
 from .client import RemoteEvaluationClient, RemoteJob, RemoteServiceError
 from .fleet import FleetTask, WorkerFleet, WorkerInfo
 from .http import EvaluationHTTPServer, start_http_server
-from .jobs import Job, JobFailedError, JobKind, JobStatus
+from .jobs import Job, JobKind
 from .worker import WorkerPoolExecutor, WorkerRuntime, run_worker
 from .scheduler import BatchStats, SimulationRequest, coalesce_requests, run_batched
 from .service import EvaluationService
@@ -99,13 +96,10 @@ __all__ = [
     "JobKind",
     "JobStatus",
     "LocalCallSpec",
-    "PoolExecutor",
     "QualityJobSpec",
     "RemoteEvaluationClient",
-    "RemoteExecutor",
     "RemoteJob",
     "RemoteServiceError",
-    "ServiceExecutor",
     "SimulateJobSpec",
     "SimulationRequest",
     "SweepJobResult",
@@ -115,9 +109,7 @@ __all__ = [
     "WorkerPoolExecutor",
     "WorkerRuntime",
     "coalesce_requests",
-    "register_executor",
     "register_wire_function",
-    "resolve_executor",
     "run_batched",
     "run_worker",
     "start_http_server",

@@ -13,9 +13,8 @@ reports instead of recomputing them:
     baseline.  With ``--endpoint`` the same spec goes to a remote
     ``repro serve`` process as plain JSON, where grids from any number of
     clients coalesce through one single-flight scheduler and share one
-    artifact store.  ``--executor`` picks the backend explicitly (any name
-    from the :mod:`repro.core.execution` registry — ``inline``, ``thread``,
-    ``process``, ``service``, ``remote``, or a registered third-party one).
+    artifact store.  ``--executor`` picks the backend explicitly:
+    ``inline``, ``service``, ``worker-pool`` or ``remote``.
 ``repro evaluate``
     The Fig. 12 hardware comparison for one workload, optionally with
     declarative quality (FID) specs fanned out to the process pool.
@@ -54,14 +53,16 @@ from ..core.artifacts import (
     ArtifactStore,
     artifact_store_at,
 )
-from ..core.execution import RemoteExecutor, executor_names, resolve_executor
+from ..core.execution import Executor, InlineExecutor
 from ..core.pipeline import PipelineConfig, SQDMPipeline
 from ..core.policy import mixed_precision_policy
 from ..core.report_cache import ReportCache
 from ..core.sparsity import trace_to_workloads
 from ..workloads.models import workload_names
+from .client import RemoteEvaluationClient
 from .service import EvaluationService
 from .specs import QualityJobSpec, SweepJobSpec
+from .worker import WorkerPoolExecutor
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(AcceleratorConfig)} - {"name", "pe"}
 
@@ -182,6 +183,24 @@ def _write_json(path: str | None, payload: dict[str, Any]) -> None:
             json.dump(payload, handle, indent=2, sort_keys=True)
 
 
+#: ``--executor`` names of ``repro sweep``; ``repro evaluate`` takes all but ``remote``.
+_EXECUTOR_NAMES = ("inline", "service", "worker-pool", "remote")
+
+
+def _build_executor(
+    name: str, cache: ReportCache, max_workers: int | None = None, endpoint: str | None = None
+) -> Executor:
+    """The executor ``--executor name`` selects, for the caller to close."""
+    if name == "inline":
+        return InlineExecutor(cache=cache)
+    if name == "service":
+        return EvaluationService(cache=cache, max_workers=max_workers)
+    if name == "worker-pool":
+        return WorkerPoolExecutor(num_workers=max_workers or 2, cache=cache)
+    assert endpoint is not None
+    return RemoteEvaluationClient(endpoint)
+
+
 def _print_cache_line(cache: ReportCache, store: ArtifactStore | None) -> None:
     stats = cache.stats
     line = (
@@ -203,9 +222,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cache = ReportCache(store=store)
 
     # One spec, one executor: the whole grid goes through the unified
-    # execution API, so switching between an in-process service, a plain
-    # pool and a remote server is the choice of one --executor name.
-    # Resolved first, before any pipeline/trace work, so a bad name or a
+    # execution API, so switching between inline execution, an in-process
+    # service and a remote server is the choice of one --executor name.
+    # Built first, before any pipeline/trace work, so a bad option or a
     # --endpoint/--executor contradiction fails in milliseconds.
     executor_name = args.executor or ("remote" if args.endpoint else "service")
     if executor_name == "remote" and not args.endpoint:
@@ -221,19 +240,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        executor = resolve_executor(
-            executor_name,
-            cache=cache,
-            max_workers=args.max_workers,
-            endpoint=args.endpoint,
-        )
+        executor = _build_executor(executor_name, cache, args.max_workers, args.endpoint)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
 
-    remote_stats_before: dict[str, Any] | None = None
-    if isinstance(executor, RemoteExecutor):
-        remote_stats_before = executor.client.cache_stats()
+    remote_stats_before: dict[str, Any] = {}
+    if isinstance(executor, RemoteEvaluationClient):
+        remote_stats_before = executor.cache_stats()
 
     with executor:
         pipeline = _build_pipeline(args, store, cache)
@@ -259,10 +273,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         outcome = executor.submit(spec).result()
         baseline = outcome.baseline
         reports = outcome.reports
-        if remote_stats_before is not None:
-            cache_summary = _remote_cache_summary(
-                remote_stats_before, executor.client.cache_stats()
-            )
+        if isinstance(executor, RemoteEvaluationClient):
+            cache_summary = _remote_cache_summary(remote_stats_before, executor.cache_stats())
         else:
             cache_summary = _cache_summary(cache, store)
 
@@ -326,29 +338,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     from ..analysis.tables import format_table
 
-    if args.executor == "remote":
-        print(
-            "repro evaluate runs in-process and has no --endpoint; "
-            "use --executor inline/thread/process/service (or `repro sweep "
-            "--endpoint` for remote execution)",
-            file=sys.stderr,
-        )
-        return 2
-
     store = _resolve_store(args)
     cache = ReportCache(store=store)
-
-    # Resolve a non-service executor up front (it only needs the cache), so
-    # an unknown name fails before any pipeline or quality work starts;
-    # "service" is bound to this command's service below.
-    hw_executor = None
-    if args.executor != "service":
-        try:
-            hw_executor = resolve_executor(args.executor, cache=cache)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-
     pipeline = _build_pipeline(args, store, cache)
 
     quality_results: list[dict[str, Any]] = []
@@ -373,11 +364,12 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         ]
         # The hardware comparison goes through the unified execution API;
         # --executor service reuses this command's service (and its pools)
-        # for the simulation jobs too.
-        if hw_executor is None:
-            hw_executor = service.as_executor()
-        with hw_executor:
-            evaluation = pipeline.evaluate_hardware(executor=hw_executor)
+        # for the simulation jobs too, and leaves it open for the quality jobs.
+        if args.executor == "service":
+            evaluation = pipeline.evaluate_hardware(executor=service)
+        else:
+            with _build_executor(args.executor, cache) as hw_executor:
+                evaluation = pipeline.evaluate_hardware(executor=hw_executor)
         quality_results = [job.result() for job in quality_jobs]
 
     print(
@@ -711,10 +703,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--executor",
         default=None,
-        metavar="NAME",
-        help="execution backend for the sweep spec: one of "
-        f"{sorted(executor_names())} or any name registered via "
-        "repro.core.execution.register_executor (default: 'service', or "
+        choices=_EXECUTOR_NAMES,
+        help="execution backend for the sweep spec (default: 'service', or "
         "'remote' when --endpoint is given)",
     )
     sweep.add_argument(
@@ -741,12 +731,9 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--executor",
         default="inline",
-        metavar="NAME",
-        help="execution backend for the hardware-simulation jobs: inline, "
-        "thread, process, service (reuses this command's evaluation "
-        "service), or a registered third-party name — 'remote' is not "
-        "available here since evaluate has no --endpoint (default: "
-        "%(default)s)",
+        choices=_EXECUTOR_NAMES[:-1],
+        help="execution backend for the hardware-simulation jobs; 'service' "
+        "reuses this command's evaluation service (default: %(default)s)",
     )
     evaluate.set_defaults(fn=_cmd_evaluate)
 

@@ -1,11 +1,13 @@
 """Remote client for the evaluation service's HTTP front end.
 
 :class:`RemoteEvaluationClient` mirrors the submission surface of
-:class:`~repro.serve.service.EvaluationService` — ``submit_simulation`` /
-``submit_sweep`` / ``submit_quality`` / ``submit_callable`` /
-``submit_sampling`` / ``job`` / ``jobs`` / ``cancel`` / ``wait_all`` — over
-plain :mod:`urllib`, so call sites switch between the in-process service and
-a remote server by swapping one object:
+:class:`~repro.serve.service.EvaluationService` — the executor entry point
+``submit(spec)``, the per-kind ``submit_simulation`` / ``submit_sweep`` /
+``submit_quality`` / ``submit_callable`` / ``submit_sampling`` helpers, and
+``job`` / ``jobs`` / ``cancel`` / ``wait_all`` — over plain :mod:`urllib`.
+Both are :class:`~repro.core.execution.Executor` implementations, so call
+sites switch between the in-process service and a remote server by swapping
+one object:
 
     with RemoteEvaluationClient("http://fleet-server:8035") as client:
         job = client.submit_simulation(sqdm_config(), trace)
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -45,8 +48,17 @@ from ..accelerator.config import AcceleratorConfig
 from ..accelerator.energy import EnergyTable
 from ..accelerator.simulator import WorkloadTrace
 from ..core import codec
+from ..core.execution import (
+    TERMINAL_STATUSES,
+    WIRE_SPEC_KINDS,
+    Executor,
+    JobFailedError,
+    JobHandle,
+    JobStatus,
+    LocalCallSpec,
+    spec_kind,
+)
 from ..core.telemetry import get_registry
-from .jobs import JobFailedError, JobStatus
 
 # Client-side transport telemetry, shared by every client in the process.
 _REQUEST_SECONDS = get_registry().histogram(
@@ -67,8 +79,6 @@ from .specs import (
     SweepJobSpec,
     require_wire_name,
 )
-
-_TERMINAL = (JobStatus.DONE, JobStatus.FAILED, JobStatus.CANCELLED)
 
 #: Upper bound honored for a server's ``Retry-After`` header, so a
 #: misconfigured (or hostile) server cannot park clients for hours.
@@ -92,14 +102,17 @@ class RemoteServiceError(RuntimeError):
     """The server rejected a request or could not be reached."""
 
 
-class RemoteJob:
+class RemoteJob(JobHandle):
     """Handle to one job living on a remote evaluation server.
 
-    Mirrors the read side of :class:`~repro.serve.jobs.Job`: ``status`` /
-    ``done`` / ``ok`` properties, blocking :meth:`wait` and :meth:`result`,
-    plus ``result_value`` and ``error`` attributes populated once the job
-    reaches a terminal state (so sweep runners treat local and remote jobs
-    uniformly).
+    The client's :class:`~repro.core.execution.JobHandle`, with the contract
+    of the service's :class:`~repro.serve.jobs.Job`.  It holds the job
+    summary the server last returned: ``done``, :meth:`wait` and
+    :meth:`result` poll only until that summary is terminal, while reading
+    ``status`` of a job not yet terminal fetches a fresh one.
+    ``result_value`` and ``error`` are populated once the job reaches a
+    terminal state.  Failures carry the server-side error message; the
+    original exception type does not cross the wire.
     """
 
     def __init__(self, client: "RemoteEvaluationClient", summary: Mapping[str, Any]) -> None:
@@ -111,43 +124,49 @@ class RemoteJob:
         self.result_value: Any = None
         self.error: BaseException | None = None
         self._result_fetched = False
+        self._callback_lock = threading.Lock()
+        #: Callbacks for the watcher thread; None once it fired them.
+        self._callbacks: list[Callable[[JobHandle], None]] | None = []  #: guarded by _callback_lock
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"RemoteJob(id={self.id!r}, status={self.status.value!r})"
+        return f"RemoteJob(id={self.id!r}, status={self._last_status().value!r})"
 
     # -- state ------------------------------------------------------------------
+
+    def _last_status(self) -> JobStatus:
+        """The status in the last summary read (no request)."""
+        return JobStatus(self._summary["status"])
 
     def _refresh(self, with_result: bool = False) -> None:
         path = f"/jobs/{self.id}"
         if with_result:
             path += "?result=1"
         self._summary = self._client._request("GET", path)
-        if self.status in _TERMINAL and not self._result_fetched:
+        if self.done and not self._result_fetched:
             self._finalize()
 
     def _finalize(self) -> None:
-        if self.status is JobStatus.DONE:
+        if self._last_status() is JobStatus.DONE:
             if "result" not in self._summary:
                 self._summary = self._client._request("GET", f"/jobs/{self.id}?result=1")
             self.result_value = codec.decode(self._summary["result"])
         else:
             self.error = JobFailedError(
-                f"job {self.id} ({self.label or self.kind}) {self.status.value}: "
+                f"job {self.id} ({self.label or self.kind}) {self._last_status().value}: "
                 f"{self._summary.get('error')}"
             )
         self._result_fetched = True
 
     @property
     def status(self) -> JobStatus:
-        return JobStatus(self._summary["status"])
+        """The job's current state: a job not yet terminal is re-read from the server."""
+        if not self.done:
+            self._refresh()
+        return self._last_status()
 
     @property
     def done(self) -> bool:
-        return self.status in _TERMINAL
-
-    @property
-    def ok(self) -> bool:
-        return self.status is JobStatus.DONE
+        return self._last_status() in TERMINAL_STATUSES
 
     def summary(self) -> dict[str, Any]:
         return {k: v for k, v in self._summary.items() if k != "result"}
@@ -177,17 +196,48 @@ class RemoteJob:
         """The job's result, blocking until completion (parity with ``Job.result``)."""
         if not self.wait(timeout):
             raise TimeoutError(f"job {self.id} ({self.label or self.kind}) still running")
-        if self.status is not JobStatus.DONE:
+        if self._last_status() is not JobStatus.DONE:
             assert self.error is not None
             raise self.error
         return self.result_value
 
     def cancel(self) -> bool:
-        """Ask the server to cancel this job; True when the cancellation won."""
-        return self._client.cancel(self.id)
+        """Ask the server to cancel this job; True when the cancellation won.
+
+        False, too, for a job the server has already retired from its history.
+        """
+        try:
+            return self._client.cancel(self.id)
+        except KeyError:
+            return False
+
+    def add_done_callback(self, fn: Callable[[JobHandle], None]) -> None:
+        """Run ``fn(job)`` once the job is terminal (immediately if it already is).
+
+        Remote completion is observed by polling: the first callback of a
+        running job starts one daemon watcher thread, which waits for the
+        job and then fires every callback registered by then.
+        """
+        start_watcher = False
+        with self._callback_lock:
+            callbacks = None if self.done else self._callbacks
+            if callbacks is not None:
+                callbacks.append(fn)
+                start_watcher = len(callbacks) == 1
+        if callbacks is None:
+            self._run_callback(fn)
+        elif start_watcher:
+            threading.Thread(target=self._watch, name=f"repro-job-{self.id}", daemon=True).start()
+
+    def _watch(self) -> None:
+        self.wait()
+        with self._callback_lock:
+            callbacks, self._callbacks = self._callbacks or [], None
+        for fn in callbacks:
+            self._run_callback(fn)
 
 
-class RemoteEvaluationClient:
+class RemoteEvaluationClient(Executor):
     """Submit evaluation jobs to a ``repro serve`` HTTP endpoint.
 
     Parameters
@@ -206,6 +256,8 @@ class RemoteEvaluationClient:
     poll_interval / max_poll_interval:
         Result-polling cadence for :meth:`RemoteJob.wait`.
     """
+
+    name = "remote"
 
     def __init__(
         self,
@@ -329,10 +381,27 @@ class RemoteEvaluationClient:
 
     # -- submission -------------------------------------------------------------
 
-    def submit_spec(self, spec: Any, label: str = "") -> RemoteJob:
-        """Submit one typed job spec as a schema-tagged JSON envelope."""
+    def submit(self, spec: Any, label: str = "") -> RemoteJob:
+        """Submit one job spec as a schema-tagged JSON envelope (the executor
+        entry point).
+
+        A :class:`~repro.core.execution.LocalCallSpec` crosses only as the
+        ``callable_spec`` of a registered wire function, run on the server's
+        thread pool: no code crosses the wire, so an unregistered callable
+        is rejected with the registration recipe.
+        """
+        if isinstance(spec, LocalCallSpec):
+            label = label or spec.default_label()
+            spec = CallableJobSpec(
+                function=require_wire_name(spec.fn),
+                args=spec.args,
+                kwargs=dict(spec.kwargs),
+                pool="thread",
+            )
+        else:
+            spec_kind(spec)  # rejects non-specs with the uniform TypeError
         summary = self._request(
-            "POST", "/jobs", {"spec": codec.encode(spec), "label": label}
+            "POST", "/jobs", {"spec": codec.encode(spec), "label": label or spec.default_label()}
         )
         return RemoteJob(self, summary)
 
@@ -349,7 +418,7 @@ class RemoteEvaluationClient:
         spec = SimulateJobSpec(
             config=config, trace=trace, energy_table=energy_table, backend=backend
         )
-        return self.submit_spec(spec, label or spec.default_label())
+        return self.submit(spec, label)
 
     def submit_sweep(self, spec: SweepJobSpec, label: str = "") -> RemoteJob:
         """Submit one grid; the server plans, coalesces and batches the cases.
@@ -358,11 +427,11 @@ class RemoteEvaluationClient:
         (per-case reports in grid order, plus the baseline report if the
         spec names one).
         """
-        return self.submit_spec(spec, label or spec.default_label())
+        return self.submit(spec, label)
 
     def submit_quality(self, spec: QualityJobSpec, label: str = "") -> RemoteJob:
         """Queue one declarative FID evaluation on the server's process pool."""
-        return self.submit_spec(spec, label or spec.default_label())
+        return self.submit(spec, label)
 
     def submit_callable(
         self,
@@ -384,7 +453,7 @@ class RemoteEvaluationClient:
             kwargs=dict(kwargs or {}),
             pool="thread",
         )
-        return self.submit_spec(spec, label or spec.default_label())
+        return self.submit(spec, label)
 
     def submit_sampling(
         self,
@@ -400,19 +469,15 @@ class RemoteEvaluationClient:
             kwargs=dict(kwargs or {}),
             pool="process",
         )
-        return self.submit_spec(spec, label or spec.default_label())
+        return self.submit(spec, label)
 
-    def submit(self, fn: Callable[..., Any] | str, *args: Any, **kwargs: Any) -> RemoteJob:
-        """Convenience form of :meth:`submit_callable`."""
-        return self.submit_callable(fn, args=args, kwargs=kwargs)
+    def capabilities(self) -> frozenset[str]:
+        """Spec kinds the server accepts, from its ``GET /schemas``."""
+        schemas = self.schemas().get("schemas", {})
+        return frozenset(kind for kind in WIRE_SPEC_KINDS if kind in schemas)
 
-    def as_executor(self) -> "Any":
-        """This client behind the unified :class:`~repro.core.execution.Executor`
-        protocol (``submit(spec) -> JobHandle``), sharing this client's
-        transport, retry and polling configuration."""
-        from ..core.execution import RemoteExecutor
-
-        return RemoteExecutor(client=self)
+    def stats(self) -> dict[str, Any]:
+        return {"executor": self.name, **self.health().get("service", {})}
 
     # -- inspection -------------------------------------------------------------
 
@@ -542,13 +607,3 @@ class RemoteEvaluationClient:
         """The server's fleet summary (``GET /workers``)."""
         return self._request("GET", "/workers")
 
-    # -- lifecycle --------------------------------------------------------------
-
-    def close(self) -> None:
-        """Parity with :meth:`EvaluationService.close`; the client is stateless."""
-
-    def __enter__(self) -> "RemoteEvaluationClient":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()

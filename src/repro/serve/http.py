@@ -75,7 +75,7 @@ from urllib.parse import parse_qs, urlparse
 
 from ..core import codec, telemetry
 from ..core.artifacts import ArtifactStore
-from .jobs import JobStatus
+from ..core.execution import JobStatus
 from .service import EvaluationService
 from .specs import JOB_SPEC_TYPES, QualityJobSpec
 
@@ -409,7 +409,7 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
                 spec, artifact_dir=str(store.root) if store is not None else None
             )
         try:
-            job = self.server.service.submit_spec(spec, label=label)
+            job = self.server.service.submit(spec, label=label)
         except (TypeError, ValueError, KeyError) as exc:
             # e.g. an unregistered wire function or a config the spec's own
             # validation only catches at planning time: the client's error.

@@ -6,7 +6,9 @@ sampling run, or an arbitrary callable — owned by an
 ``QUEUED -> RUNNING -> DONE | FAILED`` (or ``CANCELLED``, either at service
 shutdown or through :meth:`EvaluationService.cancel`); completion is
 signalled through a :class:`threading.Event`, so any number of client threads
-can block on :meth:`Job.wait` without polling.
+can block on :meth:`Job.wait` without polling.  ``Job`` is the service's
+:class:`~repro.core.execution.JobHandle`: the same future the inline and
+remote backends return.
 
 State transitions are serialized by a per-job lock, so a cancellation racing
 the dispatcher resolves deterministically: whichever of
@@ -21,14 +23,15 @@ import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
-# The lifecycle vocabulary is shared with every other execution backend
-# through the unified execution API; re-exported here for compatibility.
-from ..core.execution import JobFailedError, JobStatus
-from ..core.telemetry import Trace, event_log
+from ..core.execution import JobFailedError, JobHandle, JobStatus
+from ..core.telemetry import Trace
 
-__all__ = ["Job", "JobFailedError", "JobKind", "JobStatus"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .service import EvaluationService
+
+__all__ = ["Job", "JobKind"]
 
 
 class JobKind(str, Enum):
@@ -49,7 +52,7 @@ class JobKind(str, Enum):
 
 
 @dataclass
-class Job:
+class Job(JobHandle):
     """One queued evaluation, with its eventual result or error."""
 
     id: str
@@ -76,6 +79,8 @@ class Job:
     _completed: threading.Event = field(default_factory=threading.Event, repr=False)
     _transitions: threading.Lock = field(default_factory=threading.Lock, repr=False)
     _callbacks: list = field(default_factory=list, repr=False)  #: guarded by _transitions
+    #: The owning service, which :meth:`cancel` goes through (set at submission).
+    _service: "EvaluationService" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.trace is None:
@@ -85,10 +90,6 @@ class Job:
     def done(self) -> bool:
         """True once the job reached a terminal state (DONE, FAILED or CANCELLED)."""
         return self._completed.is_set()
-
-    @property
-    def ok(self) -> bool:
-        return self.status is JobStatus.DONE
 
     @property
     def queued_seconds(self) -> float:
@@ -133,6 +134,17 @@ class Job:
             ) from self.error
         return self.result_value
 
+    def cancel(self) -> bool:
+        """Cancel the job if it has not started; True when this call won.
+
+        Goes through the owning service exactly like
+        ``service.cancel(job.id)`` — queue entry, cancelled counter and
+        metric — except that a job the service already retired from its
+        history (always a terminal one) returns False instead of raising
+        :class:`KeyError`.
+        """
+        return self._service._cancel_job(self)
+
     def add_done_callback(self, fn: Callable[["Job"], None]) -> None:
         """Run ``fn(job)`` once the job reaches a terminal state.
 
@@ -160,12 +172,6 @@ class Job:
     def _fire_callbacks(self, callbacks: list) -> None:
         for fn in callbacks:
             self._run_callback(fn)
-
-    def _run_callback(self, fn: Callable[["Job"], None]) -> None:
-        try:
-            fn(self)
-        except Exception as exc:  # noqa: BLE001 - observers must not break completion
-            event_log().emit("job.callback_error", level="warning", job=self.id, error=repr(exc))
 
     # -- state transitions (service-internal) ----------------------------------
 

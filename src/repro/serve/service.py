@@ -1,12 +1,12 @@
 """The evaluation service: a job queue over the batched simulation scheduler.
 
-:class:`EvaluationService` is the in-process fleet front end.  Clients submit
-jobs (simulations, sampling runs, arbitrary callables) and get
-:class:`~repro.serve.jobs.Job` handles back immediately; a scheduler thread
-drains the queue, *coalesces* simulation jobs that share an accelerator
-configuration into single cross-trace batched passes
-(:func:`~repro.serve.scheduler.run_batched`), and routes work to the right
-pool:
+:class:`EvaluationService` is the in-process fleet front end and an
+:class:`~repro.core.execution.Executor`.  Clients submit job specs (or use
+the per-kind ``submit_*`` helpers) and get :class:`~repro.serve.jobs.Job`
+handles back immediately; a scheduler thread drains the queue, *coalesces*
+simulation jobs that share an accelerator configuration into single
+cross-trace batched passes (:func:`~repro.serve.scheduler.run_batched`), and
+routes work to the right pool:
 
 * **simulation / callable jobs → threads.**  The batched NumPy engine
   releases the GIL for its array work, so a thread pool scales and shares the
@@ -29,10 +29,11 @@ clients via :mod:`repro.serve.http`) share one service:
   key instead of re-simulating, so N clients submitting the same sweep cost
   one simulation per unique key — deterministically, not just when their
   submissions happen to land in one drain.
-* **Cancellation.**  :meth:`EvaluationService.cancel` cancels a job that has
-  not started.  The race against dispatch is resolved by the per-job
-  transition lock: a job cancelled after the scheduler drained it but before
-  a worker claimed it reports ``CANCELLED`` and its work is skipped.
+* **Cancellation.**  :meth:`Job.cancel` (or :meth:`EvaluationService.cancel`
+  by id) cancels a job that has not started.  The race against dispatch is
+  resolved by the per-job transition lock: a job cancelled after the
+  scheduler drained it but before a worker claimed it reports ``CANCELLED``
+  and its work is skipped.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from ..accelerator.energy import EnergyTable
 from ..accelerator.simulator import WorkloadTrace
 from ..core import telemetry
 from ..core.columnar import ensure_report
-from ..core.execution import ensure_picklable
+from ..core.execution import Executor, LocalCallSpec, ensure_picklable
 from ..core.report_cache import CacheKey, DEFAULT_REPORT_CACHE, ReportCache
 from .fleet import WorkerFleet
 from .jobs import Job, JobKind, JobStatus
@@ -154,7 +155,7 @@ class _SweepSink:
         self.aggregate.job.trace.mark(phase, case=self.index, **fields)
 
 
-class EvaluationService:
+class EvaluationService(Executor):
     """Job-queue front end over the cached, batched evaluation pipeline.
 
     Parameters
@@ -188,6 +189,8 @@ class EvaluationService:
     Use as a context manager, or call :meth:`close`; shutdown cancels jobs
     still queued and waits for running ones.
     """
+
+    name = "service"
 
     def __init__(
         self,
@@ -237,8 +240,8 @@ class EvaluationService:
         self.batch_stats = BatchStats()
         # Telemetry: counters/histograms are process-wide (they aggregate
         # across services, like any Prometheus exporter); the queue-depth and
-        # inflight gauges read from THIS service at collection time, so the
-        # last-constructed service owns them (cleared again at close).
+        # inflight gauges read from THIS service at collection time: the most
+        # recently built service still open owns them.
         registry = telemetry.get_registry()
         self._jobs_submitted_metric = registry.counter(
             "repro_service_jobs_submitted_total", "Jobs accepted, by kind.", labels=("kind",)
@@ -283,7 +286,9 @@ class EvaluationService:
     # -- submission -------------------------------------------------------------
 
     def _new_job(self, kind: JobKind, label: str) -> Job:
-        return Job(id=f"job-{next(self._ids):04d}", kind=kind, label=label)
+        job = Job(id=f"job-{next(self._ids):04d}", kind=kind, label=label)
+        job._service = self
+        return job
 
     def _retire_completed_locked(self) -> None:
         """Forget the oldest terminal jobs beyond ``history_limit`` (lock held)."""
@@ -354,8 +359,15 @@ class EvaluationService:
             evaluate_quality, kwargs=spec.worker_kwargs(), label=label or spec.default_label()
         )
 
-    def submit_spec(self, spec: Any, label: str = "") -> Job:
-        """Queue one typed job spec (the HTTP front end's single entry point)."""
+    def submit(self, spec: Any, label: str = "") -> Job:
+        """Queue one job spec and return its job — the executor entry point,
+        and the HTTP front end's.
+
+        Takes the typed wire specs and :class:`LocalCallSpec`, which runs on
+        the thread pool (a string ``fn`` names a wire function).  Invalid
+        grids and unregistered function names raise :class:`ValueError`,
+        anything else :class:`TypeError`, before anything is queued.
+        """
         if isinstance(spec, SimulateJobSpec):
             return self.submit_simulation(
                 spec.config,
@@ -368,15 +380,16 @@ class EvaluationService:
             return self.submit_sweep(spec, label)
         if isinstance(spec, QualityJobSpec):
             return self.submit_quality(spec, label)
-        if isinstance(spec, CallableJobSpec):
+        if isinstance(spec, (CallableJobSpec, LocalCallSpec)):
             fn = spec.resolve()  # raises ValueError for unregistered names
-            submit = self.submit_sampling if spec.pool == "process" else self.submit_callable
+            sampling = isinstance(spec, CallableJobSpec) and spec.pool == "process"
+            submit = self.submit_sampling if sampling else self.submit_callable
             return submit(
                 fn, args=spec.args, kwargs=spec.kwargs, label=label or spec.default_label()
             )
         raise TypeError(
-            f"not a job spec: {type(spec).__name__} (expected one of "
-            "SimulateJobSpec, SweepJobSpec, QualityJobSpec, CallableJobSpec)"
+            f"not a job spec: {type(spec).__name__} (expected SimulateJobSpec, "
+            "SweepJobSpec, QualityJobSpec, CallableJobSpec or LocalCallSpec)"
         )
 
     def submit_sampling(
@@ -414,18 +427,6 @@ class EvaluationService:
         payload = (fn, tuple(args), dict(kwargs or {}))
         job = self._new_job(JobKind.CALLABLE, label or f"call:{getattr(fn, '__name__', fn)}")
         return self._enqueue(job, payload)
-
-    def submit(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Job:
-        """Convenience form of :meth:`submit_callable`."""
-        return self.submit_callable(fn, args=args, kwargs=kwargs)
-
-    def as_executor(self) -> "Any":
-        """This service behind the unified :class:`~repro.core.execution.Executor`
-        protocol (``submit(spec) -> JobHandle``).  The executor borrows the
-        service — closing it leaves the service running."""
-        from ..core.execution import ServiceExecutor
-
-        return ServiceExecutor(service=self)
 
     # -- inspection -------------------------------------------------------------
 
@@ -471,8 +472,10 @@ class EvaluationService:
         the dispatcher safe: a job cancelled after the scheduler drained it
         but before a worker claimed it still cancels cleanly.
         """
+        return self._cancel_job(self.job(job_id))
+
+    def _cancel_job(self, job: Job) -> bool:
         with self._condition:
-            job = self.job(job_id)
             cancelled = job.mark_cancelled("cancelled by client request")
             if cancelled:
                 self._queue = [(j, p) for j, p in self._queue if j is not job]
@@ -480,6 +483,9 @@ class EvaluationService:
         if cancelled:
             self._cancelled_metric.inc()
         return cancelled
+
+    def stats(self) -> dict[str, Any]:
+        return {"executor": self.name, **self.service_stats()}
 
     def service_stats(self) -> dict[str, Any]:
         """Counters for health endpoints: traffic by kind, queue and coalescing."""
@@ -786,13 +792,6 @@ class EvaluationService:
         self._threads.shutdown(wait=True)
         if self._process_pool is not None:
             self._process_pool.shutdown(wait=True)
-        # Release the live gauges only if this service still owns them (a
-        # newer service may have claimed them since).
+        # Unregister the live gauges; an older service still open reclaims them.
         self._queue_gauge.clear_function(self._queue_gauge_fn)
         self._inflight_gauge.clear_function(self._inflight_gauge_fn)
-
-    def __enter__(self) -> "EvaluationService":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()

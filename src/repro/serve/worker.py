@@ -24,10 +24,10 @@ Failure semantics, from the worker's point of view:
   failures do not benefit from a requeue, so the server fails the jobs.
 
 :class:`WorkerPoolExecutor` packages the whole arrangement as one executor
-(``--executor worker-pool``): an owned worker-dispatch service, a loopback
-HTTP server, and N in-process worker runtimes speaking the real protocol
-over real sockets — the same code path as a distributed fleet, minus the
-network between machines.
+(``--executor worker-pool``): a worker-dispatch service that also owns a
+loopback HTTP server and N in-process worker runtimes speaking the real
+protocol over real sockets — the same code path as a distributed fleet,
+minus the network between machines.
 
 ``--chaos-hold-seconds`` is deliberate fault injection for the chaos CI
 stage: the worker claims a task and then *holds* it (heartbeating all the
@@ -39,14 +39,14 @@ from __future__ import annotations
 
 import socket
 import threading
-import time
 from typing import Any
 
 from ..core import codec
-from ..core.execution import ServiceExecutor
 from ..core.report_cache import ReportCache
 from .client import RemoteEvaluationClient, RemoteServiceError
+from .http import start_http_server
 from .scheduler import SimulationRequest, run_batched
+from .service import EvaluationService
 from .specs import SimulateJobSpec
 
 
@@ -332,15 +332,16 @@ def run_worker(
         return 0
 
 
-class WorkerPoolExecutor(ServiceExecutor):
+class WorkerPoolExecutor(EvaluationService):
     """The fleet as a self-contained executor (``--executor worker-pool``).
 
-    Owns a worker-dispatch :class:`~repro.serve.service.EvaluationService`,
-    a loopback HTTP server, and ``num_workers`` in-process
-    :class:`WorkerRuntime` threads that speak the real register / claim /
+    A worker-dispatch :class:`~repro.serve.service.EvaluationService` that
+    also owns a loopback HTTP server and ``num_workers`` in-process
+    :class:`WorkerRuntime` threads, which speak the real register / claim /
     heartbeat / complete protocol over real sockets.  Results flow through
     the shared ``cache`` exactly as with a distributed fleet, so reports are
-    bit-identical to every other executor's.
+    bit-identical to every other executor's.  :meth:`close` stops the
+    workers and the server, then the service.
     """
 
     name = "worker-pool"
@@ -355,14 +356,8 @@ class WorkerPoolExecutor(ServiceExecutor):
     ) -> None:
         if num_workers < 1:
             raise ValueError("num_workers must be >= 1")
-        from .http import start_http_server
-        from .service import EvaluationService
-
-        service = EvaluationService(
-            cache=cache, worker_fleet=True, lease_seconds=lease_seconds
-        )
-        super().__init__(service=service)
-        self._server = start_http_server(service, host="127.0.0.1", port=0)
+        super().__init__(cache=cache, worker_fleet=True, lease_seconds=lease_seconds)
+        self._server = start_http_server(self, host="127.0.0.1", port=0)
         self.workers = [
             WorkerRuntime(
                 self._server.endpoint,
@@ -376,17 +371,10 @@ class WorkerPoolExecutor(ServiceExecutor):
             worker.start()
 
     def stats(self) -> dict[str, Any]:
-        return {
-            "executor": self.name,
-            **self.service.service_stats(),
-            "pool_workers": [worker.summary() for worker in self.workers],
-        }
+        return {**super().stats(), "pool_workers": [worker.summary() for worker in self.workers]}
 
-    def close(self) -> None:
+    def close(self, cancel_queued: bool = False) -> None:
         for worker in self.workers:
-            worker.stop(timeout=self.service.fleet.lease_seconds if self.service.fleet else 5.0)
+            worker.stop(timeout=self.fleet.lease_seconds if self.fleet else 5.0)
         self._server.close()
-        self.service.close()
-        # Give unfinished sockets a moment; nothing depends on this, but it
-        # keeps ResourceWarnings out of test output.
-        time.sleep(0)
+        super().close(cancel_queued)

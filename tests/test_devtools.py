@@ -467,6 +467,16 @@ class TestLockWatch:
         assert woke == [True]
         assert all(v.kind != "lock-order-cycle" for v in watch.violations())
 
+    def test_at_fork_reinit_frees_the_lock_and_the_held_stack(self):
+        """concurrent.futures.thread registers this hook at import; a module
+        first imported after installation must be able to."""
+        watch = LockWatch()
+        lock = watch.wrap_lock("forked")
+        lock.acquire()  # os.register_at_fork's `before` hook
+        lock._at_fork_reinit()  # its `after_in_child` hook
+        assert not lock.locked()
+        assert watch.held_locks() == []
+
     def test_sleep_while_holding_lock_is_flagged(self):
         watch = LockWatch()
         watch.install()

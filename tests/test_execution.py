@@ -1,15 +1,17 @@
 """Tests for the unified execution API: Executor protocol + JobHandle futures.
 
-Covers the acceptance contract of the redesign: `JobHandle.cancel()` /
-`result(timeout=)` semantics on every backend, the executor registry, and
-one sweep driven through `InlineExecutor`, `ServiceExecutor` and
-`RemoteExecutor` yielding bit-identical `SimulationReport`s.
+`InlineExecutor`, `EvaluationService` and `RemoteEvaluationClient` are each
+an `Executor`, and their handles (`CompletedHandle`, `Job`, `RemoteJob`) are
+`JobHandle`s.  Covers the handle contract on every backend —
+`result(timeout=)`, `cancel()`, callbacks, `kind` — run_sweep's executor
+ownership, and one sweep driven through all three backends yielding
+bit-identical `SimulationReport`s.
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
-import time
 
 import pytest
 
@@ -23,12 +25,6 @@ from repro.core.execution import (
     JobFailedError,
     JobStatus,
     LocalCallSpec,
-    PoolExecutor,
-    RemoteExecutor,
-    ServiceExecutor,
-    executor_names,
-    register_executor,
-    resolve_executor,
     spec_kind,
 )
 from repro.core.experiments import SweepSpec, run_sweep
@@ -41,6 +37,7 @@ from repro.serve import (
     register_wire_function,
     start_http_server,
 )
+from repro.serve import service as service_module
 
 
 def make_trace(seed: int = 0, steps: int = 2, layers: int = 2):
@@ -80,26 +77,56 @@ register_wire_function("exec_boom", _boom)
 register_wire_function("exec_block", _blocking_job)
 
 
-@pytest.fixture()
-def remote(tmp_path):
-    """A live HTTP server with its own cache, plus a RemoteExecutor on it."""
-    service = EvaluationService(cache=ReportCache(), max_workers=1)
-    server = start_http_server(service, port=0)
-    executor = RemoteExecutor(endpoint=server.endpoint)
-    try:
-        yield executor, service, server
-    finally:
-        executor.close()
-        server.close()
-        service.close(cancel_queued=True)
-
-
 @pytest.fixture(autouse=True)
 def _reset_block_events():
     _BLOCK_STARTED.clear()
     _BLOCK_RELEASE.clear()
     yield
     _BLOCK_RELEASE.set()  # never leave a worker parked
+
+
+@contextlib.contextmanager
+def open_backend(name: str):
+    """One executor per backend; the queueing ones run one job at a time."""
+    if name == "inline":
+        yield InlineExecutor(cache=ReportCache())
+        return
+    service = EvaluationService(cache=ReportCache(), max_workers=1)
+    server = start_http_server(service, port=0) if name == "remote" else None
+    try:
+        yield service if server is None else RemoteEvaluationClient(server.endpoint)
+    finally:
+        _BLOCK_RELEASE.set()  # a parked job would stall the shutdown below
+        if server is not None:
+            server.close()
+        service.close(cancel_queued=True)
+
+
+@pytest.fixture()
+def client():
+    """A client of a live HTTP server that has its own cache and one worker."""
+    with open_backend("remote") as client:
+        yield client
+
+
+@pytest.fixture(params=["inline", "service", "remote"])
+def executor(request):
+    with open_backend(request.param) as executor:
+        yield executor
+
+
+@pytest.fixture(params=["service", "remote"])
+def queueing(request):
+    """The backends that queue work, so a job can still be waiting or running."""
+    with open_backend(request.param) as executor:
+        yield executor
+
+
+def _park(executor):
+    """Occupy the backend's single worker; returns the running handle."""
+    blocker = executor.submit(LocalCallSpec(fn="exec_block"))
+    assert _BLOCK_STARTED.wait(10)
+    return blocker
 
 
 # -- InlineExecutor ----------------------------------------------------------------
@@ -109,7 +136,7 @@ class TestInlineExecutor:
     def test_submit_returns_completed_handle(self):
         with InlineExecutor() as executor:
             handle = executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 7}))
-        assert handle.done() and handle.ok
+        assert handle.done and handle.ok
         assert handle.status is JobStatus.DONE
         assert handle.result() == 49
         assert handle.result(timeout=0.001) == 49  # timeout is moot when done
@@ -209,106 +236,121 @@ class TestInlineExecutor:
             InlineExecutor().submit(object())
 
 
-# -- PoolExecutor ------------------------------------------------------------------
+# -- the handle contract on every backend ------------------------------------------
 
 
-class TestPoolExecutor:
-    def test_thread_pool_runs_specs(self):
-        with PoolExecutor("thread", max_workers=2) as executor:
-            handles = executor.map(
-                [LocalCallSpec(fn=_square, kwargs={"x": x}) for x in (2, 3, 4)]
-            )
-            assert [h.result(timeout=30) for h in handles] == [4, 9, 16]
+class TestHandleContract:
+    def test_map_runs_specs_in_order(self, executor):
+        handles = executor.map(
+            [LocalCallSpec(fn="exec_square", kwargs={"x": x}) for x in (2, 3, 4)]
+        )
+        assert [h.result(timeout=30) for h in handles] == [4, 9, 16]
 
-    def test_result_timeout_raises_while_queued(self):
-        release = threading.Event()
-        try:
-            with PoolExecutor("thread", max_workers=1) as executor:
-                blocker = executor.submit(LocalCallSpec(fn=release.wait, args=(30,)))
-                with pytest.raises(TimeoutError, match="still running"):
-                    blocker.result(timeout=0.05)
-                release.set()
-                assert blocker.result(timeout=30) is True
-        finally:
-            release.set()
+    def test_result_timeout_raises_while_queued(self, queueing):
+        blocker = _park(queueing)
+        queued = queueing.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 5}))
+        with pytest.raises(TimeoutError, match="still running"):
+            blocker.result(timeout=0.05)
+        with pytest.raises(TimeoutError, match="still running"):
+            queued.result(timeout=0.05)
+        _BLOCK_RELEASE.set()
+        assert blocker.result(timeout=30) == "released"
+        assert queued.result(timeout=30) == 25
 
-    def test_cancel_queued_job_wins_and_result_reports_it(self):
-        release = threading.Event()
-        try:
-            with PoolExecutor("thread", max_workers=1) as executor:
-                executor.submit(LocalCallSpec(fn=release.wait, args=(30,)))
-                queued = executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 5}))
-                assert queued.cancel() is True
-                assert queued.status is JobStatus.CANCELLED and queued.done()
-                with pytest.raises(JobFailedError, match="cancelled"):
-                    queued.result()
-                release.set()
-        finally:
-            release.set()
+    def test_failure_raises_job_failed_error_chained_to_cause(self, executor):
+        handle = executor.submit(LocalCallSpec(fn="exec_boom"))
+        with pytest.raises(JobFailedError, match="kaboom") as excinfo:
+            handle.result(timeout=30)
+        assert handle.status is JobStatus.FAILED and not handle.ok
+        # Local backends chain the original exception; the remote one raises
+        # its error as is, since exception types do not cross the wire.
+        assert handle.error in (excinfo.value.__cause__, excinfo.value)
 
-    def test_cancel_running_job_is_false(self):
-        release = threading.Event()
-        try:
-            with PoolExecutor("thread", max_workers=1) as executor:
-                running = executor.submit(LocalCallSpec(fn=release.wait, args=(30,)))
-                deadline = time.monotonic() + 10
-                while running.status is not JobStatus.RUNNING:
-                    assert time.monotonic() < deadline
-                    time.sleep(0.005)
-                assert running.cancel() is False
-                release.set()
-                assert running.result(timeout=30) is True
-        finally:
-            release.set()
+    def test_cancel_queued_job_wins_and_result_reports_it(self, queueing):
+        _park(queueing)
+        queued = queueing.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 5}))
+        assert queued.cancel() is True
+        assert queued.status is JobStatus.CANCELLED and queued.done
+        with pytest.raises(JobFailedError, match="cancelled"):
+            queued.result(timeout=30)
+        assert queued.cancel() is False  # a second attempt cannot win again
 
-    def test_add_done_callback_fires_on_completion(self):
-        done = threading.Event()
+    def test_cancel_running_job_is_false(self, queueing):
+        running = _park(queueing)
+        assert running.status is JobStatus.RUNNING
+        assert running.cancel() is False
+        _BLOCK_RELEASE.set()
+        assert running.result(timeout=30) == "released"
+        assert running.cancel() is False  # finished work is never cancellable
+
+    def test_add_done_callback_fires_once(self, executor):
+        fired = threading.Event()
         seen = []
-        with PoolExecutor("thread", max_workers=1) as executor:
-            handle = executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 8}))
-            handle.add_done_callback(lambda h: (seen.append(h.result()), done.set()))
-            assert done.wait(10)
-        assert seen == [64]
+        handle = executor.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 8}))
+        handle.add_done_callback(lambda h: (seen.append(h.result()), fired.set()))
+        assert fired.wait(30) and handle.wait(30)
+        late = []
+        handle.add_done_callback(lambda h: late.append(h.status))  # terminal: fires now
+        assert seen == [64] and late == [JobStatus.DONE]
 
-    def test_process_pool_requires_picklable_specs(self):
-        captured = []
-        with PoolExecutor("process", max_workers=1) as executor:
-            with pytest.raises(ValueError, match="picklable"):
-                executor.submit(LocalCallSpec(fn=lambda: captured.append(1)))
+    def test_add_done_callback_swallows_observer_errors(self, executor):
+        fired = threading.Event()
 
-    def test_process_pool_runs_module_level_functions(self):
-        with PoolExecutor("process", max_workers=1) as executor:
-            assert executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 9})).result(60) == 81
+        def observer(handle):
+            raise RuntimeError("observer")
+
+        handle = executor.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 3}))
+        handle.add_done_callback(observer)
+        handle.add_done_callback(lambda h: fired.set())
+        assert fired.wait(30)  # the raising callback stopped nothing
+        assert handle.result(timeout=30) == 9
+
+    def test_same_kind_on_every_backend(self, executor):
+        """A handle's kind is the service's job kind, whichever backend ran it."""
+        trace = make_trace(4)
+        specs = {
+            "simulation": SimulateJobSpec(config=sqdm_config(), trace=trace),
+            "sweep": SweepJobSpec(
+                base=sqdm_config(), grid={"sparsity_threshold": [0.3]}, trace=trace
+            ),
+            "callable": LocalCallSpec(fn="exec_square", kwargs={"x": 2}),
+        }
+        handles = {kind: executor.submit(spec) for kind, spec in specs.items()}
+        for handle in handles.values():
+            handle.wait(60)
+        assert {kind: handle.kind for kind, handle in handles.items()} == {
+            kind: kind for kind in specs
+        }
 
 
-# -- ServiceExecutor ---------------------------------------------------------------
+# -- EvaluationService as an executor ----------------------------------------------
 
 
 class TestServiceExecutor:
+    """The in-process service, submitted to directly as an `Executor`."""
+
     def test_owned_service_lifecycle_and_results(self):
-        with ServiceExecutor(max_workers=2) as executor:
-            handle = executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 12}))
+        with EvaluationService(max_workers=2) as service:
+            handle = service.submit(LocalCallSpec(fn=_square, kwargs={"x": 12}))
             assert handle.result(timeout=30) == 144
-            assert executor.stats()["submitted"] == {"callable": 1}
-        assert executor.service._closed  # owned service shut down with the executor
+            assert service.stats()["executor"] == "service"
+            assert service.stats()["submitted"] == {"callable": 1}
+        assert service._closed  # the context manager shut the service down
 
     def test_borrowed_service_stays_open(self):
         with EvaluationService(max_workers=1) as service:
-            executor = service.as_executor()
-            assert executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 2})).result(30) == 4
-            executor.close()
-            assert not service._closed
-            # still usable after the borrowing executor went away
-            assert service.submit(_square, 3).result(30) == 9
+            assert run_sweep(_square, {"x": [2]}, executor=service).values() == [4]
+            assert not service._closed  # run_sweep never closes a borrowed executor
+            assert service.submit(LocalCallSpec(fn=_square, args=(3,))).result(30) == 9
 
     def test_result_timeout_and_failure_semantics(self):
         release = threading.Event()
         try:
-            with ServiceExecutor(max_workers=1) as executor:
-                blocker = executor.submit(LocalCallSpec(fn=release.wait, args=(30,)))
+            with EvaluationService(max_workers=1) as service:
+                blocker = service.submit(LocalCallSpec(fn=release.wait, args=(30,)))
                 with pytest.raises(TimeoutError, match="still running"):
                     blocker.result(timeout=0.05)
-                failing = executor.submit(LocalCallSpec(fn=_boom))
+                failing = service.submit(LocalCallSpec(fn=_boom))
                 release.set()
                 assert blocker.result(timeout=30) is True
                 with pytest.raises(JobFailedError, match="kaboom"):
@@ -319,23 +361,35 @@ class TestServiceExecutor:
     def test_cancel_queued_job_wins(self):
         release = threading.Event()
         try:
-            with ServiceExecutor(max_workers=1) as executor:
-                executor.submit(LocalCallSpec(fn=release.wait, args=(30,)))
-                queued = executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 5}))
+            with EvaluationService(max_workers=1) as service:
+                service.submit(LocalCallSpec(fn=release.wait, args=(30,)))
+                queued = service.submit(LocalCallSpec(fn=_square, kwargs={"x": 5}))
                 assert queued.cancel() is True
                 assert queued.status is JobStatus.CANCELLED
                 with pytest.raises(JobFailedError, match="cancelled"):
                     queued.result(timeout=30)
                 assert queued.cancel() is False  # second attempt cannot win again
+                # Job.cancel() goes through the service like service.cancel(id).
+                assert service.service_stats()["cancelled"] == 1
                 release.set()
         finally:
             release.set()
 
+    def test_cancel_retired_job_returns_false(self):
+        with EvaluationService(max_workers=1, history_limit=0) as service:
+            retired = service.submit(LocalCallSpec(fn=_square, kwargs={"x": 2}))
+            assert retired.result(timeout=30) == 4
+            service.submit(LocalCallSpec(fn=_square, kwargs={"x": 3})).result(timeout=30)
+            with pytest.raises(KeyError):
+                service.cancel(retired.id)  # gone from the service's history
+            assert retired.cancel() is False
+            assert service.service_stats()["cancelled"] == 0
+
     def test_add_done_callback_through_job(self):
         done = threading.Event()
         seen = []
-        with ServiceExecutor(max_workers=1) as executor:
-            handle = executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 4}))
+        with EvaluationService(max_workers=1) as service:
+            handle = service.submit(LocalCallSpec(fn=_square, kwargs={"x": 4}))
             handle.add_done_callback(lambda h: (seen.append(h.result()), done.set()))
             assert done.wait(10)
             assert seen == [16]
@@ -347,8 +401,8 @@ class TestServiceExecutor:
     def test_simulation_specs_share_the_service_scheduler(self):
         cache = ReportCache()
         trace = make_trace(3)
-        with ServiceExecutor(cache=cache, max_workers=2) as executor:
-            handles = executor.map(
+        with EvaluationService(cache=cache, max_workers=2) as service:
+            handles = service.map(
                 [
                     SimulateJobSpec(config=sqdm_config(), trace=trace),
                     SimulateJobSpec(config=sqdm_config(), trace=trace),
@@ -359,40 +413,34 @@ class TestServiceExecutor:
         assert reports[0].total_cycles == reports[1].total_cycles
 
 
-# -- RemoteExecutor ----------------------------------------------------------------
+# -- RemoteEvaluationClient as an executor -----------------------------------------
 
 
 class TestRemoteExecutor:
-    def test_needs_endpoint_or_client(self):
-        with pytest.raises(ValueError, match="endpoint"):
-            RemoteExecutor()
+    """The remote client, submitted to directly as an `Executor`."""
 
-    def test_submit_and_result(self, remote):
-        executor, _, _ = remote
-        handle = executor.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 11}))
+    def test_submit_and_result(self, client):
+        handle = client.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 11}))
         assert handle.result(timeout=60) == 121
         assert handle.status is JobStatus.DONE and handle.ok
 
-    def test_live_callables_must_be_wire_registered(self, remote):
-        executor, _, _ = remote
+    def test_live_callables_must_be_wire_registered(self, client):
         with pytest.raises(ValueError, match="register_wire_function"):
-            executor.submit(LocalCallSpec(fn=lambda: 1))
-        assert executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 5})).result(60) == 25
+            client.submit(LocalCallSpec(fn=lambda: 1))
+        assert client.submit(LocalCallSpec(fn=_square, kwargs={"x": 5})).result(60) == 25
 
-    def test_result_timeout_raises(self, remote):
-        executor, _, _ = remote
-        blocker = executor.submit(LocalCallSpec(fn="exec_block"))
+    def test_result_timeout_raises(self, client):
+        blocker = client.submit(LocalCallSpec(fn="exec_block"))
         assert _BLOCK_STARTED.wait(10)
         with pytest.raises(TimeoutError, match="still running"):
             blocker.result(timeout=0.05)
         _BLOCK_RELEASE.set()
         assert blocker.result(timeout=60) == "released"
 
-    def test_cancel_queued_job_wins(self, remote):
-        executor, _, _ = remote
-        blocker = executor.submit(LocalCallSpec(fn="exec_block"))
+    def test_cancel_queued_job_wins(self, client):
+        blocker = client.submit(LocalCallSpec(fn="exec_block"))
         assert _BLOCK_STARTED.wait(10)  # the single worker is now parked
-        queued = executor.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 3}))
+        queued = client.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 3}))
         assert queued.cancel() is True
         assert queued.status is JobStatus.CANCELLED
         with pytest.raises(JobFailedError, match="cancelled"):
@@ -401,18 +449,16 @@ class TestRemoteExecutor:
         assert blocker.result(timeout=60) == "released"
         assert blocker.cancel() is False  # already finished
 
-    def test_failure_carries_server_message(self, remote):
-        executor, _, _ = remote
-        handle = executor.submit(LocalCallSpec(fn="exec_boom"))
+    def test_failure_carries_server_message(self, client):
+        handle = client.submit(LocalCallSpec(fn="exec_boom"))
         with pytest.raises(JobFailedError, match="kaboom"):
             handle.result(timeout=60)
         assert handle.status is JobStatus.FAILED
 
-    def test_add_done_callback_via_watcher(self, remote):
-        executor, _, _ = remote
+    def test_add_done_callback_via_watcher(self, client):
         done = threading.Event()
         seen = []
-        handle = executor.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 7}))
+        handle = client.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 7}))
         handle.add_done_callback(lambda h: (seen.append(h.result()), done.set()))
         assert done.wait(30)
         assert seen == [49]
@@ -420,83 +466,61 @@ class TestRemoteExecutor:
         handle.add_done_callback(lambda h: late.append(h.ok))
         assert late == [True]
 
-    def test_capabilities_discovered_from_schemas_endpoint(self, remote):
-        executor, _, _ = remote
-        assert executor.capabilities() == frozenset(
+    def test_capabilities_discovered_from_schemas_endpoint(self, client):
+        assert client.capabilities() == frozenset(
             {"simulate_spec", "sweep_spec", "quality_spec", "callable_spec"}
         )
 
-    def test_client_as_executor_shares_transport(self, remote):
-        _, _, server = remote
-        client = RemoteEvaluationClient(server.endpoint)
-        executor = client.as_executor()
-        assert executor.client is client
-        assert executor.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 2})).result(60) == 4
+    def test_client_as_executor_shares_transport(self, client, monkeypatch):
+        """The client is the executor: its jobs poll through its own transport."""
+        calls = []
+        request = client._request
 
-    def test_borrowed_client_not_closed_with_executor(self, remote, monkeypatch):
-        """Parity with ServiceExecutor: a passed-in client is borrowed, so
-        executor.close() must not tear it down."""
-        _, _, server = remote
-        client = RemoteEvaluationClient(server.endpoint)
+        def recording_request(method, path, *args, **kwargs):
+            calls.append((method, path))
+            return request(method, path, *args, **kwargs)
+
+        monkeypatch.setattr(client, "_request", recording_request)
+        handle = client.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 2}))
+        assert handle.result(60) == 4
+        assert calls[0] == ("POST", "/jobs")
+        assert all(method == "GET" for method, _ in calls[1:]) and len(calls) >= 2
+
+    def test_borrowed_client_not_closed_with_executor(self, client, monkeypatch):
+        """run_sweep borrows a client it is handed and never closes it; the
+        context manager is what closes one."""
         closed = []
         monkeypatch.setattr(client, "close", lambda: closed.append(True))
-        with client.as_executor() as executor:
-            assert executor._owned is False
+        assert run_sweep("exec_square", {"x": [2]}, executor=client).values() == [4]
         assert closed == []  # borrowed: untouched
-        owned = RemoteExecutor(endpoint=server.endpoint)
-        monkeypatch.setattr(owned.client, "close", lambda: closed.append(True))
-        owned.close()
-        assert closed == [True]  # owned: closed with the executor
+        with client:
+            pass
+        assert closed == [True]
 
 
-# -- registry ----------------------------------------------------------------------
-
-
-class TestExecutorRegistry:
-    def test_builtins_registered(self):
-        assert {"inline", "thread", "process", "service", "remote"} <= set(executor_names())
-        assert "serial" not in executor_names()
-
-    def test_unknown_name_rejected_with_alternatives(self):
-        with pytest.raises(ValueError, match="registered executors"):
-            resolve_executor("warp_drive")
-
-    def test_third_party_backend_registers_and_resolves(self):
-        class RecordingExecutor(InlineExecutor):
-            created_with: dict = {}
-
-        def factory(**options):
-            RecordingExecutor.created_with = options
-            return RecordingExecutor(cache=options.get("cache"))
-
-        register_executor("recording", factory)
-        try:
-            with resolve_executor("recording", max_workers=3) as executor:
-                assert isinstance(executor, RecordingExecutor)
-                assert RecordingExecutor.created_with["max_workers"] == 3
-                assert executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 2})).result() == 4
-                # run_sweep takes the resolved instance
-                result = run_sweep(_square, {"x": [2, 3]}, executor=executor)
-            assert result.values() == [4, 9]
-        finally:
-            from repro.core.execution import _EXECUTOR_FACTORIES
-
-            _EXECUTOR_FACTORIES.pop("recording", None)
-
-    def test_spec_kind_names(self):
-        assert spec_kind(LocalCallSpec(fn=_square)) == "local_call"
-        assert spec_kind(SimulateJobSpec(config=sqdm_config(), trace=[])) == "simulate_spec"
-
-
-# -- run_sweep over the new surface ------------------------------------------------
+# -- run_sweep over the executors --------------------------------------------------
 
 
 class TestRunSweepExecutors:
     def test_executor_instance_is_borrowed_not_closed(self):
-        with PoolExecutor("thread", max_workers=2) as executor:
+        with EvaluationService(max_workers=2) as executor:
             first = run_sweep(_square, {"x": [1, 2]}, executor=executor)
             second = run_sweep(_square, {"x": [3]}, executor=executor)
         assert first.values() == [1, 4] and second.values() == [9]
+
+    def test_default_executor_is_an_owned_service_closed_after(self, monkeypatch):
+        built = []
+
+        class RecordingService(EvaluationService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(service_module, "EvaluationService", RecordingService)
+        result = run_sweep(_square, {"x": [1, 2, 3]}, max_workers=3)
+        assert result.values() == [1, 4, 9]
+        assert len(built) == 1 and built[0]._closed
+        assert built[0].stats()["submitted"] == {"callable": 3}
 
     def test_inline_instance_runs_sweep(self):
         result = run_sweep(
@@ -522,11 +546,10 @@ class TestRunSweepExecutors:
         assert ran == [0, 1]  # cases 2 and 3 never executed
 
     def test_non_executor_object_rejected_with_guidance(self):
-        """Passing the old service= style object as executor= must not surface
-        as a bare AttributeError deep inside map()."""
-        with EvaluationService(max_workers=1) as service:
-            with pytest.raises(TypeError, match="as_executor"):
-                run_sweep(_square, {"x": [1]}, executor=service)
+        """A non-executor must not surface as a bare AttributeError deep
+        inside map(); the error names what to pass instead."""
+        with pytest.raises(TypeError, match="EvaluationService"):
+            run_sweep(_square, {"x": [1]}, executor=object())
 
     def test_capture_mode_records_handle_errors(self):
         def flaky(i):
@@ -534,7 +557,7 @@ class TestRunSweepExecutors:
                 raise RuntimeError("nope")
             return i
 
-        with ServiceExecutor(max_workers=2) as executor:
+        with EvaluationService(max_workers=2) as executor:
             result = run_sweep(
                 flaky, {"i": [0, 1, 2]}, executor=executor, on_error="capture"
             )
@@ -546,15 +569,15 @@ class TestRunSweepExecutors:
 
 
 class TestCrossBackendBitIdentity:
-    def test_sweep_bit_identical_across_inline_service_remote(self, remote):
+    def test_sweep_bit_identical_across_inline_service_remote(self, client):
         """Acceptance: the same sweep spec through InlineExecutor,
-        ServiceExecutor and RemoteExecutor yields bit-identical reports.
+        EvaluationService and RemoteEvaluationClient yields bit-identical
+        reports.
 
         Each backend gets an *independent* cache, so all three actually
         simulate; equality is asserted on the encoded wire bytes of every
         report, the strongest identity the schema layer can express.
         """
-        remote_executor, _, _ = remote
         trace = make_trace(9, steps=3)
         spec = SweepJobSpec(
             base=sqdm_config(),
@@ -567,9 +590,9 @@ class TestCrossBackendBitIdentity:
         outcomes = {}
         with InlineExecutor(cache=ReportCache()) as inline:
             outcomes["inline"] = inline.submit(spec).result()
-        with ServiceExecutor(cache=ReportCache(), max_workers=2) as service:
+        with EvaluationService(cache=ReportCache(), max_workers=2) as service:
             outcomes["service"] = service.submit(spec).result(timeout=120)
-        outcomes["remote"] = remote_executor.submit(spec).result(timeout=120)
+        outcomes["remote"] = client.submit(spec).result(timeout=120)
 
         def wire(outcome):
             return [codec.dumps(report) for report in outcome.reports] + [
@@ -595,8 +618,9 @@ class TestCrossBackendBitIdentity:
         )
         trace = pipeline.collect_trace(relu=True)
         default = pipeline.evaluate_hardware(trace=trace)
-        with ServiceExecutor(cache=ReportCache(), max_workers=2) as executor:
-            routed = pipeline.evaluate_hardware(trace=trace, executor=executor)
+        with EvaluationService(cache=ReportCache(), max_workers=2) as service:
+            routed = pipeline.evaluate_hardware(trace=trace, executor=service)
+            assert not service._closed  # borrowed, so left open
         assert routed.sqdm_report.total_cycles == default.sqdm_report.total_cycles
         assert routed.total_speedup == default.total_speedup
 
@@ -606,9 +630,13 @@ class TestCrossBackendBitIdentity:
 
 class TestHandleBasics:
     def test_completed_handle_repr_and_done(self):
-        handle = CompletedHandle("inline-0001", "lbl", "local_call", value=1)
-        assert handle.done() and handle.wait(0) and handle.error is None
+        handle = CompletedHandle("inline-0001", "lbl", "callable", value=1)
+        assert handle.done and handle.wait(0) and handle.error is None
 
     def test_executor_protocol_is_abstract(self):
         with pytest.raises(TypeError):
             Executor()  # submit() is abstract
+
+    def test_spec_kind_names(self):
+        assert spec_kind(LocalCallSpec(fn=_square)) == "local_call"
+        assert spec_kind(SimulateJobSpec(config=sqdm_config(), trace=[])) == "simulate_spec"

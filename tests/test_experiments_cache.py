@@ -13,7 +13,7 @@ from repro.accelerator import (
     random_workload,
     sqdm_config,
 )
-from repro.core.execution import InlineExecutor, PoolExecutor
+from repro.core.execution import InlineExecutor
 from repro.core.experiments import SweepSpec, run_sweep, sweep_table
 from repro.core.report_cache import (
     ReportCache,
@@ -23,6 +23,7 @@ from repro.core.report_cache import (
 )
 from repro.accelerator.energy import EnergyTable
 from repro.serve.scheduler import SimulationRequest, run_batched
+from repro.serve.service import EvaluationService
 
 
 class TestSweepSpec:
@@ -46,7 +47,7 @@ class TestSweepSpec:
 class TestRunSweep:
     @pytest.mark.parametrize(
         "make_executor",
-        [InlineExecutor, lambda: PoolExecutor("thread")],
+        [InlineExecutor, lambda: EvaluationService(max_workers=2)],
         ids=["serial", "thread"],
     )
     def test_results_in_grid_order(self, make_executor):
@@ -65,8 +66,8 @@ class TestRunSweep:
             barrier.wait()  # deadlocks unless 3 workers run concurrently
             return i
 
-        with PoolExecutor("thread", max_workers=3) as executor:
-            result = run_sweep(task, {"i": [0, 1, 2]}, executor=executor)
+        # No executor: the sweep's own service runs the cases on 3 threads.
+        result = run_sweep(task, {"i": [0, 1, 2]}, max_workers=3)
         assert result.values() == [0, 1, 2]
         assert sorted(started) == [0, 1, 2]
 
@@ -90,8 +91,8 @@ class TestRunSweep:
             run_sweep(bad, {"i": [0, 1]}, executor=InlineExecutor())
 
     def test_invalid_executor_rejected(self):
-        for name in ("gpu", "thread"):  # registry names are not executors
-            with pytest.raises(TypeError, match="resolve_executor"):
+        for name in ("gpu", "service"):  # executor names are not executors
+            with pytest.raises(TypeError, match="Executor"):
                 run_sweep(lambda i: i, {"i": [1]}, executor=name)
 
     def test_sweep_table_view(self):

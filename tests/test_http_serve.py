@@ -24,7 +24,6 @@ import pytest
 from repro.accelerator import AcceleratorSimulator, dense_baseline_config, sqdm_config
 from repro.core import codec
 from repro.core.artifacts import ArtifactStore
-from repro.core.execution import RemoteExecutor
 from repro.core.experiments import run_sweep
 from repro.core.report_cache import ReportCache
 from repro.serve import (
@@ -239,7 +238,7 @@ class TestHTTPErrorPaths:
             captured["spec"] = spec
             raise ValueError("captured before submission")
 
-        monkeypatch.setattr(service, "submit_spec", capture)
+        monkeypatch.setattr(service, "submit", capture)
         payload = json.dumps(
             {
                 "spec": {
@@ -257,8 +256,8 @@ class TestHTTPErrorPaths:
     def test_cancelled_job_result_fetch(self, served):
         """``?result=1`` on a cancelled job returns its summary, no result."""
         client, service, _, server = served
-        blockers = [client.submit("wait_forever", 0.4) for _ in range(4)]
-        victim = client.submit("square", 5)
+        blockers = [client.submit_callable("wait_forever", args=(0.4,)) for _ in range(4)]
+        victim = client.submit_callable("square", args=(5,))
         cancelled = victim.cancel()
         client.wait_all([*blockers, victim], timeout=30)
         status, body = _raw_request(server.endpoint, f"/jobs/{victim.id}?result=1")
@@ -274,7 +273,7 @@ class TestHTTPErrorPaths:
 class TestJobListing:
     def test_status_filter_and_limit(self, served):
         client, _, _, _ = served
-        jobs = [client.submit("square", i) for i in range(4)]
+        jobs = [client.submit_callable("square", args=(i,)) for i in range(4)]
         assert client.wait_all(jobs, timeout=30)
         done = client.list_jobs(status="done")
         assert {job.id for job in jobs} <= {job.id for job in done}
@@ -298,7 +297,7 @@ class TestJobListing:
 class TestRemoteJobs:
     def test_named_callable_roundtrip(self, served):
         client, _, _, _ = served
-        job = client.submit("square", 9)
+        job = client.submit_callable("square", args=(9,))
         assert job.result(timeout=30) == 81
         assert job.ok and job.done
         assert client.status(job.id) is JobStatus.DONE
@@ -312,11 +311,11 @@ class TestRemoteJobs:
     def test_unregistered_callable_rejected_client_side(self, served):
         client, _, _, _ = served
         with pytest.raises(ValueError, match="register_wire_function"):
-            client.submit(lambda: 1)  # nothing hits the wire
+            client.submit_callable(lambda: 1)  # nothing hits the wire
 
     def test_failed_job_surfaces_server_error(self, served):
         client, _, _, _ = served
-        job = client.submit("boom")
+        job = client.submit_callable("boom")
         assert job.wait(30)
         assert job.status is JobStatus.FAILED
         with pytest.raises(JobFailedError, match="boom"):
@@ -331,8 +330,8 @@ class TestRemoteJobs:
 
     def test_cancel_pending_job(self, served):
         client, service, _, _ = served
-        blockers = [client.submit("wait_forever", 0.5) for _ in range(4)]
-        victim = client.submit("square", 5)
+        blockers = [client.submit_callable("wait_forever", args=(0.5,)) for _ in range(4)]
+        victim = client.submit_callable("square", args=(5,))
         cancelled = victim.cancel()
         assert client.wait_all([*blockers, victim], timeout=30)
         if cancelled:  # won the race: the job must report cancelled, not run
@@ -577,14 +576,14 @@ class TestRawJSONWire:
 
 class TestRemoteSweeps:
     def test_run_sweep_remote_executor_with_wire_function(self, served):
-        client, _, _, server = served
-        with RemoteExecutor(endpoint=server.endpoint) as executor:
-            result = run_sweep(_module_level_square, {"x": [2, 3, 4]}, executor=executor)
+        _, _, _, server = served
+        with RemoteEvaluationClient(server.endpoint) as client:
+            result = run_sweep(_module_level_square, {"x": [2, 3, 4]}, executor=client)
         assert result.values() == [4, 9, 16]
 
     def test_run_sweep_remote_with_shared_client_and_name(self, served):
         client, _, _, _ = served
-        result = run_sweep("square", {"x": [5, 6]}, executor=client.as_executor())
+        result = run_sweep("square", {"x": [5, 6]}, executor=client)
         assert result.values() == [25, 36]
 
     def test_run_sweep_remote_captures_failures(self, served):
@@ -592,21 +591,17 @@ class TestRemoteSweeps:
         result = run_sweep(
             _remote_flaky,
             {"i": [0, 1, 2]},
-            executor=client.as_executor(),
+            executor=client,
             on_error="capture",
         )
         assert [case.ok for case in result.cases] == [True, False, True]
         assert "nope" in str(result.cases[1].error)
 
-    def test_run_sweep_remote_requires_endpoint(self):
-        with pytest.raises(ValueError, match="endpoint"):
-            RemoteExecutor()
-
     def test_run_sweep_remote_rejects_unregistered_fn(self, served):
         client, _, _, _ = served
         captured = []
         with pytest.raises(ValueError, match="register_wire_function"):
-            run_sweep(lambda i: captured.append(i), {"i": [0]}, executor=client.as_executor())
+            run_sweep(lambda i: captured.append(i), {"i": [0]}, executor=client)
         assert captured == []
 
 

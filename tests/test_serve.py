@@ -19,7 +19,6 @@ from repro.accelerator import (
 from repro.accelerator.backends import resolve_backend_name
 from repro.core.artifacts import ArtifactStore
 from repro.core.columnar import ARRAY_FIELDS, ColumnarReportBatch
-from repro.core.execution import PoolExecutor, ServiceExecutor
 from repro.core.experiments import run_sweep
 from repro.core.report_cache import ReportCache
 from repro.serve import (
@@ -268,7 +267,7 @@ class TestEvaluationService:
 
     def test_callable_jobs_and_status(self):
         with EvaluationService(max_workers=2) as service:
-            job = service.submit(_module_level_square, 7)
+            job = service.submit_callable(_module_level_square, args=(7,))
             assert job.result(timeout=30) == 49
             assert service.status(job.id) is JobStatus.DONE
             assert service.job(job.id).summary()["status"] == "done"
@@ -277,7 +276,7 @@ class TestEvaluationService:
 
     def test_failed_job_reports_error(self):
         with EvaluationService(max_workers=1) as service:
-            job = service.submit(_module_level_boom)
+            job = service.submit_callable(_module_level_boom)
             job.wait(30)
             assert job.status is JobStatus.FAILED
             with pytest.raises(JobFailedError, match="boom"):
@@ -311,20 +310,20 @@ class TestEvaluationService:
         service = EvaluationService(max_workers=1)
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
-            service.submit(_module_level_square, 2)
+            service.submit_callable(_module_level_square, args=(2,))
 
     def test_wait_all(self):
         with EvaluationService(max_workers=2) as service:
-            jobs = [service.submit(_module_level_square, i) for i in range(5)]
+            jobs = [service.submit_callable(_module_level_square, args=(i,)) for i in range(5)]
             assert service.wait_all(jobs, timeout=60)
             assert [job.result_value for job in jobs] == [0, 1, 4, 9, 16]
 
     def test_completed_job_history_is_bounded(self):
         """A long-lived service must not pin every finished job forever."""
         with EvaluationService(max_workers=2, history_limit=3) as service:
-            jobs = [service.submit(_module_level_square, i) for i in range(8)]
+            jobs = [service.submit_callable(_module_level_square, args=(i,)) for i in range(8)]
             assert service.wait_all(jobs, timeout=60)
-            final = service.submit(_module_level_square, 99)  # triggers pruning
+            final = service.submit_callable(_module_level_square, args=(99,))  # triggers pruning
             assert final.result(timeout=30) == 99 * 99
             assert len(service.jobs()) <= 4  # 3 retained terminal + the new one
             # retired jobs lose id-based lookup, but the handles still work
@@ -455,14 +454,12 @@ class TestSweepJobs:
     def test_submit_spec_dispatches_by_type(self):
         register_wire_function("serve-test-double", _module_level_square)
         with EvaluationService(cache=ReportCache(), max_workers=1) as service:
-            job = service.submit_spec(
-                CallableJobSpec(function="serve-test-double", args=(6,))
-            )
+            job = service.submit(CallableJobSpec(function="serve-test-double", args=(6,)))
             assert job.result(timeout=30) == 36
             with pytest.raises(ValueError, match="unknown wire function"):
-                service.submit_spec(CallableJobSpec(function="nope"))
+                service.submit(CallableJobSpec(function="nope"))
             with pytest.raises(TypeError, match="not a job spec"):
-                service.submit_spec({"kind": "dict"})
+                service.submit({"kind": "dict"})
 
 
 def _module_level_wait(event):
@@ -512,8 +509,8 @@ class TestCancellation:
         gate = threading.Event()
         ran: list[int] = []
         with EvaluationService(max_workers=1) as service:
-            blocker = service.submit(_module_level_wait, gate)
-            victims = [service.submit(ran.append, i) for i in range(3)]
+            blocker = service.submit_callable(_module_level_wait, args=(gate,))
+            victims = [service.submit_callable(ran.append, args=(i,)) for i in range(3)]
             cancelled = [service.cancel(job.id) for job in victims]
             gate.set()
             blocker.wait(30)
@@ -523,7 +520,7 @@ class TestCancellation:
 
     def test_cancel_finished_job_returns_false(self):
         with EvaluationService(max_workers=1) as service:
-            job = service.submit(_module_level_square, 3)
+            job = service.submit_callable(_module_level_square, args=(3,))
             assert job.result(timeout=30) == 9
             assert service.cancel(job.id) is False
             assert job.status is JobStatus.DONE
@@ -533,8 +530,8 @@ class TestCancellation:
     def test_cancelled_count_in_service_stats(self):
         gate = threading.Event()
         with EvaluationService(max_workers=1) as service:
-            blocker = service.submit(_module_level_wait, gate)
-            victim = service.submit(_module_level_square, 1)
+            blocker = service.submit_callable(_module_level_wait, args=(gate,))
+            victim = service.submit_callable(_module_level_square, args=(1,))
             assert service.cancel(victim.id)
             stats = service.service_stats()
             gate.set()
@@ -583,9 +580,9 @@ class TestSingleFlight:
 
 class TestServiceExecutorSweeps:
     def test_run_sweep_on_ephemeral_service(self):
-        with ServiceExecutor() as executor:
+        with EvaluationService() as service:
             result = run_sweep(
-                lambda a, b: a * 10 + b, {"a": [1, 2], "b": [3, 4]}, executor=executor
+                lambda a, b: a * 10 + b, {"a": [1, 2], "b": [3, 4]}, executor=service
             )
         assert result.values() == [13, 14, 23, 24]
 
@@ -597,7 +594,7 @@ class TestServiceExecutorSweeps:
 
         with EvaluationService(max_workers=2) as service:
             result = run_sweep(
-                flaky, {"i": [0, 1, 2]}, executor=service.as_executor(), on_error="capture"
+                flaky, {"i": [0, 1, 2]}, executor=service, on_error="capture"
             )
         assert [case.ok for case in result.cases] == [True, False, True]
         assert result.cases[0].value == 0 and result.cases[2].value == 2
@@ -627,20 +624,6 @@ class TestEagerBackendValidation:
     def test_cache_key_validates_backend(self):
         with pytest.raises(ValueError, match="unknown simulation backend"):
             ReportCache.key(sqdm_config(), [], backend="warp_drive")
-
-
-class TestProcessSweepGuard:
-    def test_unpicklable_case_function_fails_fast(self):
-        captured = []  # makes the lambda a closure over a local -> unpicklable
-        with PoolExecutor("process", max_workers=1) as executor:
-            with pytest.raises(ValueError, match="picklable case function"):
-                run_sweep(lambda i: captured.append(i), {"i": [0, 1]}, executor=executor)
-        assert captured == []
-
-    def test_module_level_function_still_works(self):
-        with PoolExecutor("process", max_workers=1) as executor:
-            result = run_sweep(_module_level_square, {"x": [2, 3]}, executor=executor)
-        assert result.values() == [4, 9]
 
 
 # -- CLI -------------------------------------------------------------------------
@@ -705,6 +688,23 @@ class TestCLI:
         with pytest.raises(SystemExit):
             cli_main(["sweep", *cli_scale_args, "--param", "warp_factor=9"])
 
+    @pytest.mark.parametrize(
+        "command, names",
+        [
+            ("sweep", ["inline", "service", "worker-pool", "remote"]),
+            ("evaluate", ["inline", "service", "worker-pool"]),
+        ],
+        ids=["sweep", "evaluate"],
+    )
+    def test_executor_is_a_fixed_choice(self, command, names, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main([command, "--executor", "thread"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'thread'" in err
+        offered = err.split("choose from", 1)[1]
+        assert [n for n in ("inline", "service", "worker-pool", "remote") if n in offered] == names
+
 
 class TestConcurrentServiceTraffic:
     def test_many_clients_submitting_simultaneously(self):
@@ -718,7 +718,7 @@ class TestConcurrentServiceTraffic:
             def client(seed: int) -> None:
                 submitted = [
                     service.submit_simulation(sqdm_config(), traces[seed % 3]),
-                    service.submit(_module_level_square, seed),
+                    service.submit_callable(_module_level_square, args=(seed,)),
                 ]
                 with jobs_lock:
                     jobs.extend(submitted)

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.core.execution import LocalCallSpec
 from repro.core.telemetry import (
     COUNT_BUCKETS,
     EventLog,
@@ -17,9 +18,11 @@ from repro.core.telemetry import (
     Span,
     Trace,
     current_span,
+    get_registry,
     quantile_from_buckets,
     span,
 )
+from repro.serve.service import EvaluationService
 from repro.serve.top import histogram_quantiles, parse_prometheus, sample_total
 
 
@@ -103,6 +106,40 @@ class TestGauges:
         assert g.value() == 2.0
         g.clear_function(new)
         assert g.value() == 0.0
+
+    def test_clear_function_falls_back_to_older_callback(self, registry):
+        g = registry.gauge("t_fallback_owner", "owned")
+        older, newer = (lambda: 3.0), (lambda: 7.0)
+        g.set_function(older)
+        g.set_function(newer)
+        g.clear_function(newer)  # the newer owner closing hands the gauge back
+        assert g.value() == 3.0
+
+    def test_closing_service_leaves_older_service_gauges_live(self, monkeypatch):
+        """A second service built and closed must not blank the first one's
+        queue-depth gauge while the first is still running."""
+        gate = threading.Event()
+        first = EvaluationService(max_workers=1)
+        dispatch = first._dispatch
+
+        def held_dispatch(drained):
+            gate.wait(30)
+            dispatch(drained)
+
+        monkeypatch.setattr(first, "_dispatch", held_dispatch)
+        try:
+            jobs = [first.submit(LocalCallSpec(fn=abs, args=(-1,)))]
+            deadline = time.monotonic() + 10
+            while first.service_stats()["queued"] and time.monotonic() < deadline:
+                time.sleep(0.005)  # the scheduler took the first job and is held
+            jobs += [first.submit(LocalCallSpec(fn=abs, args=(-2,))) for _ in range(2)]
+            EvaluationService(max_workers=1).close()
+            depth = get_registry().get("repro_service_queue_depth")
+            assert depth is not None and depth.value() == 2.0
+        finally:
+            gate.set()
+            first.close()
+        assert [job.result(timeout=30) for job in jobs] == [1, 2, 2]
 
     def test_callback_errors_fall_back_to_stored_value(self, registry):
         g = registry.gauge("t_fallback", "safe")

@@ -15,6 +15,7 @@ import pytest
 
 from repro.accelerator.config import AcceleratorConfig
 from repro.core import codec
+from repro.core.execution import InlineExecutor, JobStatus
 from repro.core.report_cache import ReportCache
 from repro.serve import (
     EvaluationService,
@@ -25,7 +26,6 @@ from repro.serve import (
     start_http_server,
 )
 from repro.serve.fleet import TaskState
-from repro.serve.jobs import JobStatus
 from repro.serve.scheduler import SimulationRequest, run_batched
 from repro.serve.specs import SweepJobSpec
 
@@ -516,10 +516,7 @@ class TestWorkerPoolExecutor:
             grid={"sparsity_threshold": [0.2, 0.5, 0.8]},
             baseline=dataclasses.replace(base, name="pool-parity-dense"),
         )
-        from repro.core.execution import resolve_executor
-
-        inline = resolve_executor("inline", cache=ReportCache())
-        with inline:
+        with InlineExecutor(cache=ReportCache()) as inline:
             reference = inline.submit(spec).result()
         pool = WorkerPoolExecutor(num_workers=2, cache=ReportCache(), poll_seconds=0.2)
         with pool:
@@ -534,13 +531,12 @@ class TestWorkerPoolExecutor:
         assert stats["fleet"]["tasks_completed"] == 4
         assert stats["cache"]["memory"]["misses"] == 4
 
-    def test_registry_factory_builds_worker_pool(self):
-        from repro.core.execution import executor_names, resolve_executor
+    def test_cli_executor_name_builds_worker_pool(self):
+        from repro.serve.cli import _build_executor
 
-        assert "worker-pool" in executor_names()
-        executor = resolve_executor(
-            "worker-pool", cache=ReportCache(), max_workers=1
-        )
-        assert isinstance(executor, WorkerPoolExecutor)
-        assert len(executor.workers) == 1
-        executor.close()
+        with _build_executor("worker-pool", ReportCache(), max_workers=1) as executor:
+            assert isinstance(executor, WorkerPoolExecutor)
+            assert isinstance(executor, EvaluationService)  # the pool is a service
+            assert len(executor.workers) == 1
+            assert executor.stats()["executor"] == "worker-pool"
+        assert executor._closed and all(w._stop.is_set() for w in executor.workers)
