@@ -27,7 +27,7 @@ Quick start::
 
 from . import accelerator, analysis, core, diffusion, nn, quant, workloads
 
-__version__ = "1.0.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "__version__",

@@ -146,7 +146,10 @@ def layer_cost_table(model: EDMUNet) -> list[LayerCost]:
 
 
 def _compute_weight(weight_spec: QuantFormatSpec, act_spec: QuantFormatSpec) -> float:
-    """Relative MAC cost versus FP16: proportional to the wider operand's bits."""
+    """Relative MAC cost versus FP16: proportional to the wider operand's bits.
+
+    The paper's equivalence, 1 FP16 = 2 INT8 = 4 INT4 multiplies.
+    """
     bits = max(weight_spec.element_bits, act_spec.element_bits)
     return bits / 16.0
 
@@ -154,7 +157,12 @@ def _compute_weight(weight_spec: QuantFormatSpec, act_spec: QuantFormatSpec) -> 
 def _memory_weight(
     weight_spec: QuantFormatSpec, act_spec: QuantFormatSpec, weight_elems: float, act_elems: float
 ) -> float:
-    """Stored bits of a layer's weights + activations, including scale overhead."""
+    """Stored bits of a layer's weights + activations, including scale overhead.
+
+    :meth:`QuantFormatSpec.bits_per_value` is the only storage cost.  It
+    charges INT4-VSQ its FP16 vector scales, although the arithmetic stores
+    them as UINT8 codes (README, "Quantization formats").
+    """
     return weight_elems * weight_spec.bits_per_value() + act_elems * act_spec.bits_per_value()
 
 

@@ -25,13 +25,9 @@ from dataclasses import dataclass, field
 from ..nn.layers import Conv2d, Linear, Module
 from ..nn.unet import BLOCK_ATTENTION, BLOCK_CONV, BLOCK_EMBEDDING, BLOCK_SKIP, EDMUNet
 from ..quant.formats import (
+    TABLE1_FORMATS,
     QuantFormatSpec,
-    fp16_spec,
-    fp32_spec,
     int4_fp8_spec,
-    int4_spec,
-    int4_vsq_spec,
-    int8_spec,
     mxint8_spec,
     uint4_fp8_spec,
 )
@@ -226,23 +222,12 @@ def single_block_4bit_policy(
     return policy
 
 
-#: Table I row label -> format-spec factory.
-TABLE1_POLICY_SPECS = {
-    "FP32": fp32_spec,
-    "FP16": fp16_spec,
-    "INT8": int8_spec,
-    "MXINT8": mxint8_spec,
-    "INT4": int4_spec,
-    "INT4-VSQ": int4_vsq_spec,
-}
-
-
 def table1_policy(model: EDMUNet, format_name: str) -> QuantizationPolicy:
     """Uniform policy for one of the Table I format rows."""
     try:
-        spec = TABLE1_POLICY_SPECS[format_name]()
+        spec = TABLE1_FORMATS[format_name]
     except KeyError as exc:
         raise KeyError(
-            f"unknown Table I format {format_name!r}; expected one of {sorted(TABLE1_POLICY_SPECS)}"
+            f"unknown Table I format {format_name!r}; expected one of {sorted(TABLE1_FORMATS)}"
         ) from exc
     return uniform_policy(model, spec, name=format_name)

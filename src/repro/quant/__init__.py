@@ -3,24 +3,17 @@
 Public surface:
 
 * :mod:`repro.quant.formats` -- format descriptors (INT4, UINT4, INT8, MXINT8,
-  INT4-VSQ, INT4+FP8-scale, FP16, FP32).
-* :mod:`repro.quant.uniform` -- uniform symmetric quantization at per-tensor,
-  per-channel and per-vector granularity.
-* :mod:`repro.quant.blockscale` -- MX-style block-scaled formats (MXINT8).
-* :mod:`repro.quant.vsq` -- VS-Quant per-vector scaling and the paper's
-  INT4/UINT4 + FP8-scale formats.
-* :mod:`repro.quant.dispatch` -- apply any format spec to a tensor.
+  INT4-VSQ, INT4+FP8-scale, FP16, FP32); :class:`QuantFormatSpec` is the
+  only description of a format.
+* :mod:`repro.quant.uniform` -- the one quantize/dequantize arithmetic, with
+  per-tensor, per-channel, per-block and per-vector scales.
+* :mod:`repro.quant.fp8` -- FP8/FP16/power-of-two rounding of scale factors.
+* :mod:`repro.quant.dispatch` -- apply any format spec to a weight or an
+  activation.
 * :mod:`repro.quant.metrics` -- quantization error and sparsity metrics.
 """
 
-from .blockscale import (
-    BlockScaleConfig,
-    blockscale_storage_bits,
-    fake_quantize_blockscale,
-    mxint8_fake_quantize,
-    quantize_blockscale,
-)
-from .dispatch import apply_format, quantize_along_channels
+from .dispatch import apply_activation_format, apply_format, apply_weight_format
 from .formats import (
     FP8_E4M3,
     FP8_E5M2,
@@ -56,23 +49,7 @@ from .metrics import (
     sparsity,
     sqnr_db,
 )
-from .uniform import (
-    QuantizedTensor,
-    compute_scale,
-    dequantize,
-    fake_quantize,
-    quantize,
-    used_levels,
-)
-from .vsq import (
-    VSQConfig,
-    fake_quantize_vsq,
-    int4_fp8_config,
-    int4_vsq_config,
-    quantize_vsq,
-    uint4_fp8_config,
-    vsq_storage_bits,
-)
+from .uniform import fake_quantize, quantize, used_levels
 
 __all__ = [
     "FP8_E4M3",
@@ -84,49 +61,35 @@ __all__ = [
     "TABLE1_FORMATS",
     "UINT4",
     "UINT8",
-    "BlockScaleConfig",
     "FloatFormat",
     "IntegerFormat",
     "QuantFormatSpec",
-    "QuantizedTensor",
     "ScaleFormat",
     "ScaleGranularity",
-    "VSQConfig",
+    "apply_activation_format",
     "apply_format",
-    "blockscale_storage_bits",
-    "compute_scale",
+    "apply_weight_format",
     "cosine_similarity",
-    "dequantize",
     "fake_quantize",
-    "fake_quantize_blockscale",
-    "fake_quantize_vsq",
     "fp16_spec",
     "fp32_spec",
     "get_format",
-    "int4_fp8_config",
     "int4_fp8_spec",
     "int4_spec",
-    "int4_vsq_config",
     "int4_vsq_spec",
     "int8_spec",
     "max_abs_error",
     "mse",
-    "mxint8_fake_quantize",
     "mxint8_spec",
     "per_channel_sparsity",
     "quantize",
-    "quantize_along_channels",
-    "quantize_blockscale",
     "quantize_scales",
-    "quantize_vsq",
     "rmse",
     "round_to_fp16",
     "round_to_fp8_e4m3",
     "round_to_fp8_e5m2",
     "sparsity",
     "sqnr_db",
-    "uint4_fp8_config",
     "uint4_fp8_spec",
     "used_levels",
-    "vsq_storage_bits",
 ]

@@ -1,76 +1,33 @@
-"""Format-spec-driven quantization dispatch.
+"""Apply a format spec to a tensor: the entry points the quantized layers call.
 
 The rest of the library (quantized layers, mixed-precision policies,
-sensitivity sweeps) only needs a single entry point: "apply the numerical
-error of format F to tensor X".  This module maps a
-:class:`~repro.quant.formats.QuantFormatSpec` to the right quantization
-implementation.
+sensitivity sweeps) only needs "apply the numerical error of format F to
+tensor X".  FP32 is the identity and FP16 rounds through NumPy's float16;
+every integer format goes through the one arithmetic,
+:func:`repro.quant.uniform.fake_quantize`.  This module only decides which
+axes a weight or an activation shares its scales over.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .blockscale import BlockScaleConfig, fake_quantize_blockscale
-from .formats import QuantFormatSpec, ScaleGranularity
+from .formats import QuantFormatSpec
+from .fp8 import round_to_fp16
 from .uniform import fake_quantize
-from .vsq import VSQConfig, fake_quantize_vsq
 
 
 def apply_format(x: np.ndarray, spec: QuantFormatSpec, channel_axis: int = 0) -> np.ndarray:
     """Return ``x`` carrying the quantization error of ``spec``.
 
-    FP32 is the identity.  FP16 rounds through NumPy's float16.  Integer
-    formats dispatch on scale granularity: per-tensor/per-channel use plain
-    uniform symmetric quantization; per-block uses MX-style power-of-two
-    block scales; per-vector uses VS-Quant-style vector scales stored in the
-    spec's scale format.
+    FP32 is the identity and FP16 rounds through float16.  A per-channel
+    integer format keeps one scale per index of ``channel_axis``; per-block
+    and per-vector formats block the last axis.
     """
     x = np.asarray(x, dtype=np.float64)
     if not spec.is_quantized:
-        if spec.storage_bits >= 32:
-            return x
-        return x.astype(np.float16).astype(np.float64)
-
-    assert spec.element is not None
-    gran = spec.granularity
-    if gran in (ScaleGranularity.PER_TENSOR, ScaleGranularity.PER_CHANNEL):
-        return fake_quantize(x, spec.element, granularity=gran, axis=channel_axis)
-    if gran is ScaleGranularity.PER_BLOCK:
-        config = BlockScaleConfig(
-            element_format=spec.element,
-            block_size=spec.block_size or 32,
-            scale_format=str(spec.scale_format),
-        )
-        return fake_quantize_blockscale(x, config)
-    if gran is ScaleGranularity.PER_VECTOR:
-        config = VSQConfig(
-            element_format=spec.element,
-            vector_size=spec.block_size or 16,
-            scale_format=str(spec.scale_format),
-            two_level=str(spec.scale_format) == "fp16",
-        )
-        return fake_quantize_vsq(x, config)
-    raise ValueError(f"unsupported granularity in spec {spec.name}: {gran}")
-
-
-def quantize_along_channels(x: np.ndarray, spec: QuantFormatSpec, channel_axis: int) -> np.ndarray:
-    """Apply ``spec`` with the reduction vectors laid out along ``channel_axis``.
-
-    Convolution activations are quantized along the input-channel dimension
-    (the reduction axis of the matmul), so fine-grained formats need their
-    vectors to run along that axis.  This helper moves the axis to the end,
-    applies the format, and moves it back.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if not spec.is_quantized or spec.granularity in (
-        ScaleGranularity.PER_TENSOR,
-        ScaleGranularity.PER_CHANNEL,
-    ):
-        return apply_format(x, spec, channel_axis=channel_axis)
-    moved = np.moveaxis(x, channel_axis, -1)
-    out = apply_format(moved, spec, channel_axis=channel_axis)
-    return np.moveaxis(out, -1, channel_axis)
+        return x if spec.storage_bits >= 32 else round_to_fp16(x)
+    return fake_quantize(x, spec, channel_axis)
 
 
 def apply_weight_format(
@@ -81,40 +38,34 @@ def apply_weight_format(
     Coarse-grained formats (the plain INT8/INT4 rows of Table I) use one
     scale per *output channel*, the standard practice for weight
     quantization.  Fine-grained formats (MX / VS-Quant / the paper's
-    INT4+FP8-scale) place their shared-scale vectors along the reduction
+    INT4+FP8-scale) place their shared-scale blocks along the reduction
     dimension, i.e. the flattened (in_channels, kH, kW) axes.
     """
     weight = np.asarray(weight, dtype=np.float64)
-    if not spec.is_quantized:
-        return apply_format(weight, spec)
-    if spec.granularity in (ScaleGranularity.PER_TENSOR, ScaleGranularity.PER_CHANNEL):
-        granularity = spec.granularity
-        if granularity is ScaleGranularity.PER_CHANNEL:
-            return fake_quantize(
-                weight, spec.element, granularity=granularity, axis=out_channel_axis
-            )
-        return fake_quantize(weight, spec.element, granularity=granularity)
-    # Fine-grained: vectors run along the reduction dimension.  Flatten all
-    # non-output-channel axes to the end so blocks span (Cin, kH, kW).
+    if not spec.is_quantized or not spec.granularity.blocked:
+        # Coarse weights: one scale per output channel.
+        return apply_format(weight, spec, channel_axis=out_channel_axis)
     moved = np.moveaxis(weight, out_channel_axis, 0)
-    flat = moved.reshape(moved.shape[0], -1)
-    out = apply_format(flat, spec)
+    out = fake_quantize(moved.reshape(moved.shape[0], -1), spec)
     return np.moveaxis(out.reshape(moved.shape), 0, out_channel_axis)
 
 
 def apply_activation_format(x: np.ndarray, spec: QuantFormatSpec, channel_axis: int) -> np.ndarray:
     """Quantize an activation tensor under ``spec``.
 
-    Coarse-grained integer formats quantize activations with a single
-    per-tensor scale (per-channel activation scales cannot be folded into a
-    standard GEMM, so real deployments use per-tensor scaling — this is what
-    makes the INT8/INT4 rows of Table I degrade so badly in the presence of
-    activation outliers).  Fine-grained formats share scales over short
-    vectors along the reduction (input-channel) dimension.
+    Fine-grained formats share scales over short blocks along the reduction
+    (input-channel) dimension, and their result is contiguous along
+    ``channel_axis``: an NCHW view of channels-last memory for a convolution
+    input.  A coarse result keeps the layout of ``x``.
     """
     x = np.asarray(x, dtype=np.float64)
     if not spec.is_quantized:
         return apply_format(x, spec)
-    if spec.granularity in (ScaleGranularity.PER_TENSOR, ScaleGranularity.PER_CHANNEL):
-        return fake_quantize(x, spec.element, granularity=ScaleGranularity.PER_TENSOR)
-    return quantize_along_channels(x, spec, channel_axis=channel_axis)
+    if not spec.granularity.blocked:
+        # Coarse INT8/INT4 activations use one per-tensor scale: per-channel
+        # activation scales cannot be folded into a standard GEMM, so real
+        # deployments scale per tensor -- which is what makes those Table I
+        # rows degrade so badly in the presence of activation outliers.
+        return fake_quantize(x, spec, channel_axis=None)
+    out = fake_quantize(np.moveaxis(x, channel_axis, -1), spec)
+    return np.moveaxis(out, -1, channel_axis)

@@ -14,9 +14,9 @@ weights and activations of diffusion models (Table I / Table II):
 * ``INT4 + FP8 scale`` -- the paper's own 4-bit format: per-vector scale
   factors stored in FP8 (E4M3) to improve dynamic range (Sec. III-A).
 
-This module defines lightweight descriptors for these formats.  The actual
-quantization arithmetic lives in :mod:`repro.quant.uniform`,
-:mod:`repro.quant.blockscale` and :mod:`repro.quant.vsq`.
+A :class:`QuantFormatSpec` is the only description of a format: the
+arithmetic in :mod:`repro.quant.uniform` and the cost model in
+:mod:`repro.core.costs` both read it.
 """
 
 from __future__ import annotations
@@ -37,6 +37,11 @@ class ScaleGranularity(Enum):
     PER_CHANNEL = "per_channel"
     PER_VECTOR = "per_vector"
     PER_BLOCK = "per_block"
+
+    @property
+    def blocked(self) -> bool:
+        """Whether scales are shared by blocks of ``block_size`` along the last axis."""
+        return self in (ScaleGranularity.PER_BLOCK, ScaleGranularity.PER_VECTOR)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
@@ -163,6 +168,10 @@ class QuantFormatSpec:
     scale_format: ScaleFormat = ScaleFormat.FP32
     storage_bits: float = 32.0
 
+    def __post_init__(self) -> None:
+        if self.granularity.blocked and self.block_size < 1:
+            raise ValueError(f"{self.name}: {self.granularity} needs block_size >= 1")
+
     @property
     def is_quantized(self) -> bool:
         return self.element is not None
@@ -192,15 +201,6 @@ class QuantFormatSpec:
             }[self.scale_format]
             bits += scale_bits / float(self.block_size)
         return bits
-
-    def compute_cost_factor(self) -> float:
-        """Relative multiply cost versus FP16 (Sec. III-A cost model).
-
-        The paper assumes 1 FP16 multiply == 2 INT8 multiplies == 4 INT4
-        multiplies in terms of compute resources, i.e. the cost of a MAC is
-        proportional to the element bit width.
-        """
-        return self.element_bits / 16.0
 
     def __str__(self) -> str:
         return self.name
@@ -293,18 +293,23 @@ TABLE1_FORMATS: dict[str, QuantFormatSpec] = {
 }
 
 
+#: Every named format: the Table I rows plus the paper's FP8-scale formats.
+_NAMED_FORMATS: dict[str, QuantFormatSpec] = {
+    **TABLE1_FORMATS,
+    "INT4-FP8S": int4_fp8_spec(),
+    "UINT4-FP8S": uint4_fp8_spec(),
+}
+
+
 def get_format(name: str) -> QuantFormatSpec:
     """Look up a format spec by its canonical name.
 
     Raises ``KeyError`` with the list of known names when the format is
     unknown, which makes configuration typos easy to diagnose.
     """
-    registry = dict(TABLE1_FORMATS)
-    registry["INT4-FP8S"] = int4_fp8_spec()
-    registry["UINT4-FP8S"] = uint4_fp8_spec()
     try:
-        return registry[name]
+        return _NAMED_FORMATS[name]
     except KeyError as exc:
         raise KeyError(
-            f"unknown quantization format {name!r}; known formats: {sorted(registry)}"
+            f"unknown quantization format {name!r}; known formats: {sorted(_NAMED_FORMATS)}"
         ) from exc

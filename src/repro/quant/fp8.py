@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .formats import FP8_E4M3, FP8_E5M2, FloatFormat
+from .formats import FP8_E4M3, FP8_E5M2, FloatFormat, ScaleFormat
 
 
 def _round_to_float_format(x: np.ndarray, fmt: FloatFormat) -> np.ndarray:
@@ -62,26 +62,20 @@ def round_to_fp16(x: np.ndarray) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).astype(np.float16).astype(np.float64)
 
 
-def quantize_scales(scales: np.ndarray, scale_format: str) -> np.ndarray:
-    """Quantize scale factors to the requested scale storage format.
+def quantize_scales(scales: np.ndarray, scale_format: ScaleFormat) -> np.ndarray:
+    """Round positive scale factors to their storage format.
 
-    Parameters
-    ----------
-    scales:
-        Positive scale factors.
-    scale_format:
-        One of ``"fp32"``, ``"fp16"``, ``"fp8_e4m3"`` or ``"pow2"``.
-        ``"pow2"`` rounds each scale up to the next power of two, matching
-        the shared-exponent behaviour of MX block formats.
+    ``POW2`` rounds each scale up to the next power of two, matching the
+    shared-exponent behaviour of MX block formats; ``FP32`` keeps them.
     """
     scales = np.asarray(scales, dtype=np.float64)
-    if scale_format == "fp32":
+    if scale_format is ScaleFormat.FP32:
         return scales
-    if scale_format == "fp16":
+    if scale_format is ScaleFormat.FP16:
         return np.maximum(round_to_fp16(scales), np.finfo(np.float16).tiny)
-    if scale_format == "fp8_e4m3":
+    if scale_format is ScaleFormat.FP8_E4M3:
         return np.maximum(round_to_fp8_e4m3(scales), FP8_E4M3.min_normal / 8.0)
-    if scale_format == "pow2":
+    if scale_format is ScaleFormat.POW2:
         safe = np.maximum(scales, 1e-30)
         return np.exp2(np.ceil(np.log2(safe)))
     raise ValueError(f"unknown scale format: {scale_format!r}")

@@ -1,194 +1,127 @@
-"""Uniform symmetric quantization primitives.
+"""Uniform symmetric quantization: the one arithmetic behind every scaled format.
 
 Implements the quantization formula from Section II-A of the paper::
 
-    x_hat = round(x / s_x),   s_x = max(|x|) / q_max
+    x_hat = round(x / s) * s,   s = max(|x|) / q_max
 
-with the ``max`` operator taken at per-tensor, per-channel or per-vector
-granularity.  Quantize/dequantize round-trips ("fake quantization") are used
-throughout the reproduction to inject the numerical error of a given data
-format into the NumPy diffusion model, exactly as scaled quantization would
-on real hardware.
+Every integer format of Tables I and II uses it.  The formats differ only in
+where the max is taken and how the scale is stored (Sec. III-A):
+
+* per tensor -- one scale for the whole tensor;
+* per channel -- one scale for every axis but the channel axis;
+* per block / per vector -- one scale per zero-padded block of
+  ``block_size`` elements along the last axis;
+
+and the scale is kept in FP32, rounded to FP8 E4M3, rounded up to a power of
+two, or stored as UINT8 codes (see :func:`_stored_scales`).  Quantize then
+dequantize ("fake quantization") injects the numerical error of a format
+into the NumPy diffusion model, exactly as scaled quantization would on real
+hardware.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .formats import IntegerFormat, ScaleGranularity
+from .formats import IntegerFormat, QuantFormatSpec, ScaleFormat, ScaleGranularity
+from .fp8 import quantize_scales
 
 #: Numerical floor for scale factors, so all-zero tensors quantize to zeros
 #: instead of producing divisions by zero.
 _SCALE_EPS = 1e-12
 
 
-@dataclass
-class QuantizedTensor:
-    """A tensor stored as integer codes plus scale factors.
+def quantize(x: np.ndarray, spec: QuantFormatSpec, channel_axis: int | None = 0) -> np.ndarray:
+    """Integer codes (as float64) of ``x`` under the integer format ``spec``.
 
-    Attributes
-    ----------
-    codes:
-        Integer codes, same shape as the original tensor.
-    scales:
-        Scale factors, broadcastable against ``codes``.
-    fmt:
-        The integer container format of the codes.
-    axis:
-        Channel axis used for per-channel/per-vector scaling, or ``None``
-        for per-tensor scaling.
+    ``channel_axis`` is the axis a per-channel spec keeps one scale for;
+    ``None`` gives a per-channel spec one scale for the whole tensor.
+    Per-block and per-vector specs always block the last axis.
     """
-
-    codes: np.ndarray
-    scales: np.ndarray
-    fmt: IntegerFormat
-    axis: int | None = None
-
-    def dequantize(self) -> np.ndarray:
-        """Reconstruct the floating-point tensor from codes and scales."""
-        return self.codes.astype(np.float64, copy=False) * self.scales
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(self.codes.shape)
-
-    def density(self) -> float:
-        """Fraction of non-zero codes (1.0 - sparsity)."""
-        if self.codes.size == 0:
-            return 0.0
-        return float(np.count_nonzero(self.codes)) / float(self.codes.size)
+    return _scaled_round(x, spec, channel_axis, dequantize=False)
 
 
-def _amax(x: np.ndarray, axis=None, keepdims: bool = False) -> np.ndarray:
-    """Max absolute value with a numerical floor to avoid zero scales."""
-    amax = np.max(np.abs(x), axis=axis, keepdims=keepdims)
-    return np.maximum(amax, _SCALE_EPS)
+def fake_quantize(x: np.ndarray, spec: QuantFormatSpec, channel_axis: int | None = 0) -> np.ndarray:
+    """Quantize then dequantize ``x``: float64 carrying the error of ``spec``.
 
-
-def compute_scale(
-    x: np.ndarray,
-    fmt: IntegerFormat,
-    granularity: ScaleGranularity = ScaleGranularity.PER_TENSOR,
-    axis: int = 0,
-    block_size: int = 16,
-) -> np.ndarray:
-    """Compute symmetric quantization scale factors ``s_x = max(|x|)/q_max``.
-
-    Parameters
-    ----------
-    x:
-        Input tensor.
-    fmt:
-        Target integer format (defines ``q_max``).
-    granularity:
-        Scale granularity.  ``PER_CHANNEL`` reduces over all axes except
-        ``axis``.  ``PER_VECTOR`` splits the last axis into contiguous
-        vectors of ``block_size`` elements and assigns one scale per vector.
-    axis:
-        Channel axis for per-channel scaling.
-    block_size:
-        Vector length for per-vector scaling.
+    Takes the same arguments as :func:`quantize`.  A per-block or per-vector
+    result is C-contiguous; a per-tensor or per-channel one keeps the memory
+    layout of ``x``.
     """
-    qmax = float(fmt.qmax)
-    if granularity is ScaleGranularity.PER_TENSOR:
-        return np.asarray(_amax(x) / qmax)
-    if granularity is ScaleGranularity.PER_CHANNEL:
-        reduce_axes = tuple(i for i in range(x.ndim) if i != axis % x.ndim)
-        return _amax(x, axis=reduce_axes, keepdims=True) / qmax
-    if granularity in (ScaleGranularity.PER_VECTOR, ScaleGranularity.PER_BLOCK):
-        padded, n_blocks = _pad_last_axis(x, block_size)
-        blocked = padded.reshape(*padded.shape[:-1], n_blocks, block_size)
-        scales = _amax(blocked, axis=-1, keepdims=True) / qmax
-        return scales
-    raise ValueError(f"unsupported granularity: {granularity}")
+    return _scaled_round(x, spec, channel_axis, dequantize=True)
 
 
-def _pad_last_axis(x: np.ndarray, block_size: int) -> tuple[np.ndarray, int]:
-    """Pad the last axis of ``x`` with zeros to a multiple of ``block_size``."""
-    if block_size <= 0:
-        raise ValueError("block_size must be positive")
-    length = x.shape[-1]
-    n_blocks = (length + block_size - 1) // block_size
-    padded_len = n_blocks * block_size
-    if padded_len == length:
-        return x, n_blocks
-    pad_width = [(0, 0)] * (x.ndim - 1) + [(0, padded_len - length)]
-    return np.pad(x, pad_width, mode="constant"), n_blocks
-
-
-def quantize(
-    x: np.ndarray,
-    fmt: IntegerFormat,
-    granularity: ScaleGranularity = ScaleGranularity.PER_TENSOR,
-    axis: int = 0,
-    block_size: int = 16,
-) -> QuantizedTensor:
-    """Quantize ``x`` to integer codes under uniform symmetric quantization.
-
-    For unsigned formats the input is clipped at zero first (negative values
-    cannot be represented), which models UINT4 quantization of ReLU outputs.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if not fmt.signed:
-        x = np.maximum(x, 0.0)
-
-    if granularity in (ScaleGranularity.PER_VECTOR, ScaleGranularity.PER_BLOCK):
-        return _quantize_per_vector(x, fmt, block_size)
-
-    scales = compute_scale(x, fmt, granularity, axis=axis, block_size=block_size)
-    codes = np.clip(np.round(x / scales), fmt.qmin, fmt.qmax)
-    return QuantizedTensor(codes=codes, scales=scales, fmt=fmt, axis=axis)
-
-
-def _quantize_per_vector(x: np.ndarray, fmt: IntegerFormat, block_size: int) -> QuantizedTensor:
-    """Per-vector quantization along the last axis (VS-Quant style)."""
-    original_length = x.shape[-1]
-    padded, n_blocks = _pad_last_axis(x, block_size)
-    blocked = padded.reshape(*padded.shape[:-1], n_blocks, block_size)
-    scales = _amax(blocked, axis=-1, keepdims=True) / float(fmt.qmax)
-    codes_blocked = np.clip(np.round(blocked / scales), fmt.qmin, fmt.qmax)
-    codes = codes_blocked.reshape(*padded.shape)[..., :original_length]
-    scales_full = np.broadcast_to(scales, blocked.shape).reshape(*padded.shape)[
-        ..., :original_length
-    ]
-    return QuantizedTensor(codes=codes, scales=np.array(scales_full), fmt=fmt, axis=None)
-
-
-def dequantize(qt: QuantizedTensor) -> np.ndarray:
-    """Convenience wrapper around :meth:`QuantizedTensor.dequantize`."""
-    return qt.dequantize()
-
-
-def fake_quantize(
-    x: np.ndarray,
-    fmt: IntegerFormat,
-    granularity: ScaleGranularity = ScaleGranularity.PER_TENSOR,
-    axis: int = 0,
-    block_size: int = 16,
-) -> np.ndarray:
-    """Quantize then immediately dequantize ``x`` (quantization error injection).
-
-    This is the standard "fake quant" operation used for post-training
-    quantization studies: the returned tensor is floating point but carries
-    exactly the rounding/clipping error of the target format.
-    """
-    qt = quantize(x, fmt, granularity=granularity, axis=axis, block_size=block_size)
-    out = qt.dequantize()
-    return out.reshape(x.shape)
-
-
-def used_levels(
-    x: np.ndarray,
-    fmt: IntegerFormat,
-    granularity: ScaleGranularity = ScaleGranularity.PER_TENSOR,
-) -> int:
-    """Count how many distinct quantization levels of ``fmt`` the data uses.
+def used_levels(x: np.ndarray, fmt: IntegerFormat) -> int:
+    """Count how many distinct levels of ``fmt`` the data uses under one scale.
 
     Reproduces the Fig. 6 analysis: SiLU outputs over x in [-1, 1] occupy
     only 10 of the 16 signed INT4 levels, whereas ReLU outputs occupy all 16
     UINT4 levels.
     """
-    qt = quantize(x, fmt, granularity=granularity)
-    return int(np.unique(qt.codes).size)
+    spec = QuantFormatSpec(name=fmt.name, element=fmt, granularity=ScaleGranularity.PER_TENSOR)
+    return int(np.unique(quantize(x, spec)).size)
+
+
+def _scaled_round(
+    x: np.ndarray, spec: QuantFormatSpec, channel_axis: int | None, dequantize: bool
+) -> np.ndarray:
+    """amax -> / q_max -> scale format -> round -> clip (-> * scale), per scale group."""
+    fmt = spec.element
+    if fmt is None:
+        raise ValueError(f"format {spec.name} has no integer element to quantize to")
+    x = np.asarray(x, dtype=np.float64)
+    if not fmt.signed:
+        x = np.maximum(x, 0.0)  # unsigned codes cannot hold negatives (ReLU outputs)
+
+    blocked = spec.granularity.blocked
+    if blocked:
+        length = x.shape[-1]
+        groups = _zero_padded_blocks(x, spec.block_size)
+        reduce: int | tuple[int, ...] | None = -1
+    elif spec.granularity is ScaleGranularity.PER_CHANNEL and channel_axis is not None:
+        groups = x
+        reduce = tuple(i for i in range(x.ndim) if i != channel_axis % x.ndim)
+    else:
+        groups, reduce = x, None
+    amax = np.max(np.abs(groups), axis=reduce, keepdims=True)
+    scales = _stored_scales(np.maximum(amax, _SCALE_EPS) / fmt.qmax, spec)
+
+    # The quotient is the output buffer.  Downstream sums run in memory order,
+    # so blocked outputs are C-ordered and coarse ones keep the layout of x.
+    out = np.divide(groups, scales, order="C" if blocked else "K")
+    np.round(out, out=out)
+    np.clip(out, fmt.qmin, fmt.qmax, out=out)
+    if dequantize:
+        out *= scales
+    if not blocked:
+        return out
+    out = out.reshape(*x.shape[:-1], -1)[..., :length]
+    # Padding leaves a strided slice; the output is always contiguous.
+    return out if out.flags.c_contiguous else np.ascontiguousarray(out)
+
+
+def _zero_padded_blocks(x: np.ndarray, block_size: int) -> np.ndarray:
+    """``x`` with its last axis zero-padded and split into ``(n_blocks, block_size)``."""
+    length = x.shape[-1]
+    n_blocks = -(-length // block_size)
+    if n_blocks * block_size != length:
+        pad = [(0, 0)] * (x.ndim - 1) + [(0, n_blocks * block_size - length)]
+        x = np.pad(x, pad, mode="constant")
+    return x.reshape(*x.shape[:-1], n_blocks, block_size)
+
+
+def _stored_scales(scales: np.ndarray, spec: QuantFormatSpec) -> np.ndarray:
+    """Raw scales ``max|x| / q_max`` as the spec's scale format stores them."""
+    if spec.granularity is ScaleGranularity.PER_VECTOR:
+        # Two-level VS-Quant scales, normalized by the tensor's largest scale.
+        # INT4-VSQ (an FP16 scale format) stores them as UINT8 codes, as the
+        # VS-Quant hardware does; the paper's FP8 formats round them to E4M3,
+        # which keeps the relative error flat across the dynamic range.
+        outer = np.maximum(np.max(scales), _SCALE_EPS)
+        normalized = scales / outer
+        if spec.scale_format is ScaleFormat.FP16:
+            return np.clip(np.round(normalized * 255.0), 1.0, 255.0) / 255.0 * outer
+        return np.maximum(quantize_scales(normalized, spec.scale_format), _SCALE_EPS) * outer
+    # One level: per-block scales (MXINT8) round up to a power of two; coarse
+    # INT8/INT4 keep FP32 scales.
+    return quantize_scales(scales, spec.scale_format)

@@ -521,8 +521,24 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         if store is None:
             raise _HTTPError(409, "no artifact store configured on this server")
         body = self._read_json()
-        result = store.evict(
-            max_bytes=body.get("max_bytes"),
-            ttl_seconds=body.get("ttl_seconds"),
-        )
+        # Both bounds are checked before the store is touched.
+        max_bytes = _optional_bound(body, "max_bytes", (int,), "integer")
+        ttl_seconds = _optional_bound(body, "ttl_seconds", (int, float), "number")
+        result = store.evict(max_bytes=max_bytes, ttl_seconds=ttl_seconds)
         return 200, result.summary()
+
+
+def _optional_bound(
+    body: dict[str, Any], field: str, types: tuple[type, ...], kind: str
+) -> int | float | None:
+    """``body[field]`` when it is null or a non-negative ``types`` value, else a 400.
+
+    Booleans are ints to Python but never a byte count or a duration, and
+    NaN fails the ``>= 0`` test like a negative value does.
+    """
+    value = body.get(field)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, types) or not value >= 0:
+        raise _HTTPError(400, f"{field} must be null or a non-negative {kind}, got {value!r}")
+    return value

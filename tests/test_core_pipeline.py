@@ -7,7 +7,8 @@ import copy
 import pytest
 
 from repro.core.pipeline import PipelineConfig, SQDMPipeline, _policy_fingerprint
-from repro.core.policy import TABLE1_POLICY_SPECS, mixed_precision_policy, table1_policy
+from repro.core.policy import mixed_precision_policy, table1_policy
+from repro.quant.formats import TABLE1_FORMATS
 from repro.workloads.models import load_workload
 
 
@@ -92,7 +93,7 @@ class TestOneModelCopy:
 
     def test_policy_from_base_equals_policy_from_copy(self, pipeline):
         silu, relu = pipeline.workload.unet, pipeline.relu_unet()
-        builders = [(lambda m, f=f: table1_policy(m, f), silu) for f in TABLE1_POLICY_SPECS]
+        builders = [(lambda m, f=f: table1_policy(m, f), silu) for f in TABLE1_FORMATS]
         builders += [
             (lambda m: mixed_precision_policy(m, relu=False), silu),
             (lambda m: mixed_precision_policy(m, relu=True), relu),

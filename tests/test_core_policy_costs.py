@@ -148,7 +148,9 @@ class TestCosts:
     def test_int4_vsq_saving_close_to_75_percent(self, model):
         summary = cost_summary(model, table1_policy(model, "INT4-VSQ"))
         assert summary.compute_saving == pytest.approx(0.75)
-        assert 0.68 <= summary.memory_saving <= 0.75
+        # 4 element bits + a 16-bit scale per 16 values = 5.0 bits (Table II's
+        # 68.8%), although the arithmetic stores UINT8 per-vector codes.
+        assert summary.memory_saving == pytest.approx(1.0 - 5.0 / 16.0)
 
     def test_mixed_precision_saving_between_half_and_75(self, model):
         summary = cost_summary(model, mixed_precision_policy(model, relu=True))

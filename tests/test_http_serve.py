@@ -115,6 +115,28 @@ class TestEndpoints:
         assert result["removed"] == 4
         assert store.count() == 0
 
+    def test_evict_rejects_malformed_bounds_before_touching_the_store(self, served):
+        _, _, store, server = served
+        store.put("report", ArtifactStore.key_for("kept"), os.urandom(2048))
+        for body in (
+            {"max_bytes": "abc"},
+            {"ttl_seconds": "x"},
+            {"max_bytes": True},
+            {"max_bytes": -1},
+            {"max_bytes": 1.5},
+            {"ttl_seconds": -0.5},
+        ):
+            data = json.dumps(body).encode("utf-8")
+            status, reply = _raw_request(server.endpoint, "/cache/evict", data=data)
+            field = next(iter(body))
+            assert status == 400 and field in reply["error"], (body, status, reply)
+        assert store.count() == 1
+        status, reply = _raw_request(
+            server.endpoint, "/cache/evict", data=b'{"max_bytes": null, "ttl_seconds": 3600.5}'
+        )
+        assert status == 200 and reply["removed"] == 0
+        assert store.count() == 1
+
 
 class TestHTTPErrorPaths:
     def test_unknown_endpoint_is_404(self, served):

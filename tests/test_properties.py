@@ -19,9 +19,22 @@ from repro.accelerator.config import PEConfig
 from repro.accelerator.datapath import DenseDatapath, SparseDatapath
 from repro.accelerator.energy import DEFAULT_ENERGY_TABLE
 from repro.nn import functional as F
-from repro.quant import INT4, INT8, UINT4, ScaleGranularity, fake_quantize, quantize
-from repro.quant.blockscale import fake_quantize_blockscale
-from repro.quant.vsq import fake_quantize_vsq, int4_fp8_config
+from repro.quant import (
+    INT4,
+    INT8,
+    UINT4,
+    QuantFormatSpec,
+    ScaleGranularity,
+    fake_quantize,
+    int4_fp8_spec,
+    mxint8_spec,
+    quantize,
+)
+
+
+def per_tensor(fmt):
+    return QuantFormatSpec(name=fmt.name, element=fmt, granularity=ScaleGranularity.PER_TENSOR)
+
 
 finite_arrays = hnp.arrays(
     dtype=np.float64,
@@ -34,44 +47,42 @@ class TestQuantizationProperties:
     @given(finite_arrays)
     @settings(max_examples=40, deadline=None)
     def test_uniform_quantization_error_bounded(self, x):
-        qt = quantize(x, INT8, granularity=ScaleGranularity.PER_TENSOR)
+        out = fake_quantize(x, per_tensor(INT8))
         step = max(float(np.max(np.abs(x))), 1e-12) / INT8.qmax
-        assert np.all(np.abs(qt.dequantize().reshape(x.shape) - x) <= step / 2 + 1e-9)
+        assert np.all(np.abs(out - x) <= step / 2 + 1e-9)
 
     @given(finite_arrays)
     @settings(max_examples=40, deadline=None)
     def test_codes_always_in_range(self, x):
         for fmt in (INT4, INT8, UINT4):
-            qt = quantize(x, fmt, granularity=ScaleGranularity.PER_TENSOR)
-            assert qt.codes.min() >= fmt.qmin
-            assert qt.codes.max() <= fmt.qmax
+            codes = quantize(x, per_tensor(fmt))
+            assert codes.min() >= fmt.qmin
+            assert codes.max() <= fmt.qmax
 
     @given(finite_arrays)
     @settings(max_examples=30, deadline=None)
     def test_fake_quantize_idempotent(self, x):
-        once = fake_quantize(x, INT8)
-        twice = fake_quantize(once, INT8)
+        once = fake_quantize(x, per_tensor(INT8))
+        twice = fake_quantize(once, per_tensor(INT8))
         assert np.allclose(once, twice, atol=1e-9)
 
     @given(finite_arrays)
     @settings(max_examples=30, deadline=None)
     def test_quantization_preserves_sign(self, x):
-        out = fake_quantize(x, INT8)
+        out = fake_quantize(x, per_tensor(INT8))
         assert np.all(np.sign(out) * np.sign(x) >= 0)
 
     @given(finite_arrays, st.sampled_from([8, 16, 32]))
     @settings(max_examples=30, deadline=None)
     def test_blockscale_shape_preserved(self, x, block_size):
-        from repro.quant.blockscale import BlockScaleConfig
-
-        out = fake_quantize_blockscale(x, BlockScaleConfig(block_size=block_size))
+        out = fake_quantize(x, mxint8_spec(block_size=block_size))
         assert out.shape == x.shape
         assert np.all(np.isfinite(out))
 
     @given(finite_arrays)
     @settings(max_examples=30, deadline=None)
     def test_vsq_error_bounded_per_vector(self, x):
-        out = fake_quantize_vsq(x, int4_fp8_config(vector_size=16))
+        out = fake_quantize(x, int4_fp8_spec(vector_size=16))
         # Error is bounded by one quantization step of the per-vector scale,
         # which itself is bounded by max|x| / qmax (scales only shrink under FP8
         # rounding by at most ~6%).

@@ -88,11 +88,20 @@ class TestQuantFormatSpec:
         spec = formats.mxint8_spec(block_size=32)
         assert spec.bits_per_value() == pytest.approx(8.0 + 8.0 / 32.0)
 
-    def test_compute_cost_factor_matches_paper_equivalence(self):
-        # 1 FP16 = 2 INT8 = 4 INT4 multiplications.
-        assert formats.fp16_spec().compute_cost_factor() == pytest.approx(1.0)
-        assert formats.int8_spec().compute_cost_factor() == pytest.approx(0.5)
-        assert formats.int4_spec().compute_cost_factor() == pytest.approx(0.25)
+    def test_bits_per_value_of_every_named_format(self):
+        # The only storage cost: element bits plus the amortized block scale.
+        # INT4-VSQ is charged its FP16 scales (see README, Quantization formats).
+        expected = {
+            "FP32": 32.0,
+            "FP16": 16.0,
+            "INT8": 8.0,
+            "MXINT8": 8.25,
+            "INT4": 4.0,
+            "INT4-VSQ": 5.0,
+            "INT4-FP8S": 4.5,
+            "UINT4-FP8S": 4.5,
+        }
+        assert {name: formats.get_format(name).bits_per_value() for name in expected} == expected
 
     def test_table1_formats_complete(self):
         assert set(formats.TABLE1_FORMATS) == {"FP32", "FP16", "INT8", "MXINT8", "INT4", "INT4-VSQ"}
@@ -100,6 +109,8 @@ class TestQuantFormatSpec:
     def test_get_format_known(self):
         assert formats.get_format("MXINT8").name == "MXINT8"
         assert formats.get_format("INT4-FP8S").name == "INT4-FP8S"
+        # One registry, built once: Table I rows are the same spec objects.
+        assert formats.get_format("INT4-VSQ") is formats.TABLE1_FORMATS["INT4-VSQ"]
 
     def test_get_format_unknown_raises(self):
         with pytest.raises(KeyError, match="unknown quantization format"):
@@ -144,14 +155,16 @@ class TestFP8Rounding:
 
     def test_quantize_scales_pow2_rounds_up(self):
         scales = np.array([0.3, 1.1, 5.0])
-        pow2 = quantize_scales(scales, "pow2")
+        pow2 = quantize_scales(scales, formats.ScaleFormat.POW2)
         assert np.all(pow2 >= scales)
         assert np.allclose(np.log2(pow2), np.round(np.log2(pow2)))
 
     def test_quantize_scales_fp32_identity(self):
         scales = np.array([0.123, 4.56])
-        assert np.allclose(quantize_scales(scales, "fp32"), scales)
+        assert np.array_equal(quantize_scales(scales, formats.ScaleFormat.FP32), scales)
 
     def test_quantize_scales_unknown_format(self):
-        with pytest.raises(ValueError):
-            quantize_scales(np.array([1.0]), "fp12")
+        # Scale formats are named by ScaleFormat only, never by a string.
+        for name in ("fp12", "pow2"):
+            with pytest.raises(ValueError, match="unknown scale format"):
+                quantize_scales(np.array([1.0]), name)

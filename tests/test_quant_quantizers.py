@@ -1,4 +1,4 @@
-"""Tests for uniform, block-scaled and per-vector quantization and the dispatcher."""
+"""Tests for the one quantizer (every scale granularity) and the format dispatcher."""
 
 from __future__ import annotations
 
@@ -9,84 +9,81 @@ from repro.quant import (
     INT4,
     INT8,
     UINT4,
-    BlockScaleConfig,
+    QuantFormatSpec,
+    ScaleFormat,
     ScaleGranularity,
-    VSQConfig,
     apply_format,
     fake_quantize,
-    fake_quantize_blockscale,
-    fake_quantize_vsq,
     fp16_spec,
     fp32_spec,
-    int4_fp8_config,
     int4_fp8_spec,
     int4_spec,
-    int4_vsq_config,
     int4_vsq_spec,
     int8_spec,
-    mxint8_fake_quantize,
     mxint8_spec,
     quantize,
-    quantize_blockscale,
-    quantize_vsq,
-    uint4_fp8_config,
+    uint4_fp8_spec,
     used_levels,
-    vsq_storage_bits,
 )
 from repro.quant.dispatch import apply_activation_format, apply_weight_format
+
+
+def per_tensor(fmt):
+    """A spec with one scale for the whole tensor."""
+    return QuantFormatSpec(name=fmt.name, element=fmt, granularity=ScaleGranularity.PER_TENSOR)
 
 
 class TestUniformQuantization:
     def test_codes_within_range(self, rng):
         x = rng.normal(size=(16, 16)) * 10
-        qt = quantize(x, INT4)
-        assert qt.codes.min() >= INT4.qmin
-        assert qt.codes.max() <= INT4.qmax
+        codes = quantize(x, per_tensor(INT4))
+        assert codes.min() >= INT4.qmin
+        assert codes.max() <= INT4.qmax
 
     def test_roundtrip_error_bounded_by_half_step(self, rng):
         x = rng.normal(size=(64,))
-        qt = quantize(x, INT8, granularity=ScaleGranularity.PER_TENSOR)
-        err = np.abs(qt.dequantize() - x)
+        err = np.abs(fake_quantize(x, per_tensor(INT8)) - x)
         step = float(np.max(np.abs(x))) / INT8.qmax
         assert np.max(err) <= step / 2 + 1e-12
 
     def test_zero_tensor_quantizes_to_zeros(self):
-        qt = quantize(np.zeros((4, 4)), INT8)
-        assert np.all(qt.codes == 0)
-        assert np.all(qt.dequantize() == 0)
+        assert np.all(quantize(np.zeros((4, 4)), per_tensor(INT8)) == 0)
+        assert np.all(fake_quantize(np.zeros((4, 4)), per_tensor(INT8)) == 0)
 
     def test_unsigned_format_clips_negative(self, rng):
         x = rng.normal(size=(32,))
-        qt = quantize(x, UINT4)
-        assert qt.codes.min() >= 0
-        assert np.all(qt.dequantize() >= 0)
+        assert quantize(x, per_tensor(UINT4)).min() >= 0
+        assert np.all(fake_quantize(x, per_tensor(UINT4)) >= 0)
 
     def test_per_channel_scales_independent(self):
         x = np.stack([np.full(8, 0.01), np.full(8, 100.0)])
-        out = fake_quantize(x, INT4, granularity=ScaleGranularity.PER_CHANNEL, axis=0)
+        out = fake_quantize(x, int4_spec(), channel_axis=0)
         # Per-channel scaling preserves the small channel's values.
         assert np.allclose(out[0], x[0], rtol=0.1)
 
     def test_per_tensor_crushes_small_values_next_to_outliers(self):
         x = np.concatenate([np.full(8, 0.01), [100.0]])
-        out = fake_quantize(x, INT4, granularity=ScaleGranularity.PER_TENSOR)
+        out = fake_quantize(x, per_tensor(INT4))
         # The small values underflow to zero when an outlier sets the scale.
         assert np.allclose(out[:8], 0.0)
+        # A per-channel spec with no channel axis also shares one scale.
+        assert np.array_equal(fake_quantize(x, int4_spec(), channel_axis=None), out)
 
     def test_int8_more_accurate_than_int4(self, rng):
         x = rng.normal(size=(256,))
-        err4 = np.mean((fake_quantize(x, INT4) - x) ** 2)
-        err8 = np.mean((fake_quantize(x, INT8) - x) ** 2)
+        err4 = np.mean((fake_quantize(x, per_tensor(INT4)) - x) ** 2)
+        err8 = np.mean((fake_quantize(x, per_tensor(INT8)) - x) ** 2)
         assert err8 < err4
 
     def test_fake_quantize_preserves_shape(self, rng):
         x = rng.normal(size=(2, 3, 5, 7))
-        assert fake_quantize(x, INT4).shape == x.shape
+        assert fake_quantize(x, per_tensor(INT4)).shape == x.shape
 
     def test_per_vector_padding_handles_non_multiple_lengths(self, rng):
         x = rng.normal(size=(3, 21))
-        out = fake_quantize(x, INT4, granularity=ScaleGranularity.PER_VECTOR, block_size=16)
+        out = fake_quantize(x, int4_fp8_spec(vector_size=16))
         assert out.shape == x.shape
+        assert out.flags.c_contiguous
 
     def test_used_levels_silu_underutilizes_int4(self):
         from repro.nn.functional import silu
@@ -101,28 +98,40 @@ class TestUniformQuantization:
         assert used_levels(relu(x), UINT4) == UINT4.num_levels
 
     def test_density_of_quantized_tensor(self):
-        qt = quantize(np.array([0.0, 0.0, 1.0, -1.0]), INT4)
-        assert qt.density() == pytest.approx(0.5)
+        codes = quantize(np.array([0.0, 0.0, 1.0, -1.0]), per_tensor(INT4))
+        assert np.count_nonzero(codes) / codes.size == pytest.approx(0.5)
 
     def test_invalid_block_size(self):
-        with pytest.raises(ValueError):
-            quantize(np.ones(8), INT4, granularity=ScaleGranularity.PER_VECTOR, block_size=0)
+        for granularity in (ScaleGranularity.PER_BLOCK, ScaleGranularity.PER_VECTOR):
+            with pytest.raises(ValueError, match="block_size >= 1"):
+                QuantFormatSpec("bad", INT4, granularity=granularity, block_size=-16)
+        # Coarse formats have no blocks, so they keep the default of 0.
+        assert int4_spec().block_size == 0
+
+    def test_float_formats_have_no_codes(self, rng):
+        with pytest.raises(ValueError, match="no integer element"):
+            quantize(rng.normal(size=4), fp16_spec())
 
 
 class TestBlockScale:
     def test_mxint8_low_error_on_gaussian(self, rng):
         x = rng.normal(size=(8, 64))
-        out = mxint8_fake_quantize(x)
+        out = fake_quantize(x, mxint8_spec())
         rel = np.linalg.norm(out - x) / np.linalg.norm(x)
         assert rel < 0.02
 
     def test_blockscale_handles_outliers_better_than_per_tensor(self, rng):
         x = rng.normal(size=(4, 128))
         x[0, 0] = 1000.0  # a single outlier
-        block_out = fake_quantize_blockscale(
-            x, BlockScaleConfig(element_format=INT4, block_size=16)
+        int4_blocks = QuantFormatSpec(
+            "INT4-B16",
+            INT4,
+            granularity=ScaleGranularity.PER_BLOCK,
+            block_size=16,
+            scale_format=ScaleFormat.POW2,
         )
-        tensor_out = fake_quantize(x, INT4, granularity=ScaleGranularity.PER_TENSOR)
+        block_out = fake_quantize(x, int4_blocks)
+        tensor_out = fake_quantize(x, per_tensor(INT4))
         # Away from the outlier's block, block scaling preserves the signal that
         # a shared per-tensor scale crushes to zero.
         block_err = np.mean((block_out[1:] - x[1:]) ** 2)
@@ -132,62 +141,59 @@ class TestBlockScale:
 
     def test_scales_are_powers_of_two(self, rng):
         x = rng.normal(size=(2, 64))
-        qt = quantize_blockscale(x)
-        positive = qt.scales[qt.scales > 0]
-        assert np.allclose(np.log2(positive), np.round(np.log2(positive)))
+        codes = quantize(x, mxint8_spec())
+        nonzero = codes != 0
+        scales = fake_quantize(x, mxint8_spec())[nonzero] / codes[nonzero]
+        assert np.all(scales > 0)
+        assert np.array_equal(np.log2(scales), np.round(np.log2(scales)))
 
     def test_codes_within_int8_range(self, rng):
         x = rng.normal(size=(2, 64)) * 50
-        qt = quantize_blockscale(x)
-        assert qt.codes.min() >= INT8.qmin and qt.codes.max() <= INT8.qmax
+        codes = quantize(x, mxint8_spec())
+        assert codes.min() >= INT8.qmin and codes.max() <= INT8.qmax
 
     def test_shape_preserved_with_padding(self, rng):
         x = rng.normal(size=(3, 37))
-        assert fake_quantize_blockscale(x).shape == x.shape
+        assert fake_quantize(x, mxint8_spec()).shape == x.shape
 
     def test_invalid_block_size_rejected(self):
-        with pytest.raises(ValueError):
-            BlockScaleConfig(block_size=0)
+        with pytest.raises(ValueError, match="block_size >= 1"):
+            mxint8_spec(block_size=0)
 
 
 class TestVSQ:
     def test_vsq_beats_per_tensor_int4(self, rng):
         x = rng.standard_t(df=3, size=(8, 64)) * 2
-        vsq_err = np.mean((fake_quantize_vsq(x, int4_vsq_config()) - x) ** 2)
-        coarse = fake_quantize(x, INT4, granularity=ScaleGranularity.PER_TENSOR)
-        coarse_err = np.mean((coarse - x) ** 2)
+        vsq_err = np.mean((fake_quantize(x, int4_vsq_spec()) - x) ** 2)
+        coarse_err = np.mean((fake_quantize(x, per_tensor(INT4)) - x) ** 2)
         assert vsq_err < coarse_err
 
     def test_fp8_scales_beat_uint8_scales_on_wide_dynamic_range(self, rng):
         # Vectors whose magnitudes span several orders of magnitude: the
         # paper's motivation for FP8 scale factors.
-        blocks = [rng.normal(size=16) * (10.0 ** k) for k in range(-4, 1)]
+        blocks = [rng.normal(size=16) * (10.0**k) for k in range(-4, 1)]
         x = np.concatenate(blocks)
-        err_fp8 = np.mean((fake_quantize_vsq(x, int4_fp8_config()) - x) ** 2)
-        err_vsq = np.mean((fake_quantize_vsq(x, int4_vsq_config()) - x) ** 2)
+        err_fp8 = np.mean((fake_quantize(x, int4_fp8_spec()) - x) ** 2)
+        err_vsq = np.mean((fake_quantize(x, int4_vsq_spec()) - x) ** 2)
         assert err_fp8 < err_vsq
 
     def test_uint4_config_clips_negatives(self, rng):
         x = rng.normal(size=(64,))
-        out = fake_quantize_vsq(x, uint4_fp8_config())
+        out = fake_quantize(x, uint4_fp8_spec())
         assert np.all(out >= 0)
 
     def test_codes_within_range(self, rng):
         x = rng.normal(size=(4, 48))
-        qt = quantize_vsq(x, int4_vsq_config())
-        assert qt.codes.min() >= INT4.qmin and qt.codes.max() <= INT4.qmax
-
-    def test_storage_bits(self):
-        assert vsq_storage_bits(int4_fp8_config(vector_size=16)) == pytest.approx(4.5)
-        assert vsq_storage_bits(int4_vsq_config(vector_size=16)) == pytest.approx(4.5)
+        codes = quantize(x, int4_vsq_spec())
+        assert codes.min() >= INT4.qmin and codes.max() <= INT4.qmax
 
     def test_invalid_vector_size(self):
-        with pytest.raises(ValueError):
-            VSQConfig(vector_size=0)
+        with pytest.raises(ValueError, match="block_size >= 1"):
+            int4_vsq_spec(vector_size=0)
 
     def test_shape_preserved_with_padding(self, rng):
         x = rng.normal(size=(5, 23))
-        assert fake_quantize_vsq(x, int4_fp8_config()).shape == x.shape
+        assert fake_quantize(x, int4_fp8_spec()).shape == x.shape
 
 
 class TestDispatch:
