@@ -28,10 +28,12 @@ dropped keep-alive sockets) and HTTP 503 rejections are retried with
 exponential backoff plus *bounded jitter*, so a fleet of clients hitting a
 restarting server spreads its retries instead of hammering it in lockstep;
 a ``Retry-After`` header on a 503 sets the floor of the next delay.  A
-:class:`RemoteJob` polls the server for its status with capped exponential
-backoff and decodes the result envelope exactly once.  Failures carry the
-server-side error *message*; the original exception type does not cross the
-wire.
+:class:`RemoteJob` waits by long-polling: the server holds each
+``GET /jobs/<id>?result=1&wait=<s>`` open until the job ends, the caller's
+deadline passes or :data:`~repro.serve.fleet.MAX_LONG_POLL_SECONDS` elapse,
+and a finished job's result arrives in that same response, decoded exactly
+once.  Failures carry the server-side error *message*; the original
+exception type does not cross the wire.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ _RETRIES = get_registry().counter(
 _BACKOFF_SECONDS = get_registry().counter(
     "repro_client_backoff_seconds_total", "Cumulative time spent sleeping between retries."
 )
+from .fleet import MAX_LONG_POLL_SECONDS
 from .specs import (
     CallableJobSpec,
     QualityJobSpec,
@@ -108,8 +111,8 @@ class RemoteJob(JobHandle):
     The client's :class:`~repro.core.execution.JobHandle`, with the contract
     of the service's :class:`~repro.serve.jobs.Job`.  It holds the job
     summary the server last returned: ``done``, :meth:`wait` and
-    :meth:`result` poll only until that summary is terminal, while reading
-    ``status`` of a job not yet terminal fetches a fresh one.
+    :meth:`result` long-poll only until that summary is terminal, while
+    reading ``status`` of a job not yet terminal fetches a fresh one.
     ``result_value`` and ``error`` are populated once the job reaches a
     terminal state.  Failures carry the server-side error message; the
     original exception type does not cross the wire.
@@ -137,11 +140,16 @@ class RemoteJob(JobHandle):
         """The status in the last summary read (no request)."""
         return JobStatus(self._summary["status"])
 
-    def _refresh(self, with_result: bool = False) -> None:
+    def _refresh(self, wait: float | None = None) -> None:
+        """Re-read the summary; with ``wait``, a long-poll of up to ``wait``
+        seconds whose response also carries a done job's result."""
         path = f"/jobs/{self.id}"
-        if with_result:
-            path += "?result=1"
-        self._summary = self._client._request("GET", path)
+        timeout: float | None = None
+        if wait is not None:
+            path += f"?result=1&wait={wait:.3f}"
+            # The server may hold the request open for the whole wait.
+            timeout = self._client.timeout + wait
+        self._summary = self._client._request("GET", path, timeout=timeout)
         if self.done and not self._result_fetched:
             self._finalize()
 
@@ -174,23 +182,23 @@ class RemoteJob(JobHandle):
     # -- blocking ---------------------------------------------------------------
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Poll until the job completes; False if the timeout expired first."""
+        """Block until the job completes; False if the timeout expired first.
+
+        Each request is a long-poll held for the time left before the
+        deadline, at most :data:`~repro.serve.fleet.MAX_LONG_POLL_SECONDS`,
+        so the response that sees the job finish also brings its result.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
-        interval = self._client.poll_interval
-        while True:
-            if not self.done:
-                self._refresh(with_result=True)
-            if self.done:
-                if not self._result_fetched:
-                    self._finalize()
-                return True
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            sleep_for = interval
+        while not self.done:
+            hold = MAX_LONG_POLL_SECONDS
             if deadline is not None:
-                sleep_for = min(sleep_for, max(0.0, deadline - time.monotonic()))
-            time.sleep(sleep_for)
-            interval = min(interval * 2, self._client.max_poll_interval)
+                hold = min(hold, max(0.0, deadline - time.monotonic()))
+            self._refresh(wait=hold)
+            if not self.done and deadline is not None and time.monotonic() >= deadline:
+                return False
+        if not self._result_fetched:
+            self._finalize()
+        return True
 
     def result(self, timeout: float | None = None) -> Any:
         """The job's result, blocking until completion (parity with ``Job.result``)."""
@@ -214,8 +222,8 @@ class RemoteJob(JobHandle):
     def add_done_callback(self, fn: Callable[[JobHandle], None]) -> None:
         """Run ``fn(job)`` once the job is terminal (immediately if it already is).
 
-        Remote completion is observed by polling: the first callback of a
-        running job starts one daemon watcher thread, which waits for the
+        Remote completion is observed by long-polling: the first callback of
+        a running job starts one daemon watcher thread, which waits for the
         job and then fires every callback registered by then.
         """
         start_watcher = False
@@ -245,7 +253,8 @@ class RemoteEvaluationClient(Executor):
     endpoint:
         Base URL of the server, e.g. ``"http://127.0.0.1:8035"``.
     timeout:
-        Per-request socket timeout in seconds.
+        Per-request socket timeout in seconds.  A long-poll (a job wait or a
+        task claim) adds the time the server may hold the request.
     retries / backoff / max_backoff / jitter:
         Retry budget for transport failures and HTTP 503: attempt ``i``
         sleeps ``min(backoff * 2**i, max_backoff)`` stretched by a random
@@ -253,8 +262,6 @@ class RemoteEvaluationClient(Executor):
         retrying against one recovering server fan out instead of arriving
         in lockstep.  A ``Retry-After`` header on a 503 raises the floor of
         that delay (capped at :data:`RETRY_AFTER_CAP` seconds).
-    poll_interval / max_poll_interval:
-        Result-polling cadence for :meth:`RemoteJob.wait`.
     """
 
     name = "remote"
@@ -267,8 +274,6 @@ class RemoteEvaluationClient(Executor):
         backoff: float = 0.1,
         max_backoff: float = 5.0,
         jitter: float = 0.5,
-        poll_interval: float = 0.05,
-        max_poll_interval: float = 1.0,
     ) -> None:
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
@@ -276,8 +281,6 @@ class RemoteEvaluationClient(Executor):
         self.backoff = backoff
         self.max_backoff = max_backoff
         self.jitter = max(0.0, jitter)
-        self.poll_interval = poll_interval
-        self.max_poll_interval = max_poll_interval
         self._rng = random.Random()
 
     # -- transport --------------------------------------------------------------

@@ -8,9 +8,11 @@ HTTP instead of threads picking them up locally:
   gets an id plus the lease/heartbeat contract.  Re-registering under the
   same name (a restarted worker) retires the previous incarnation and
   requeues whatever it was holding, immediately.
-* **claim** — workers long-poll for tasks (``POST /workers/<id>/claim``).
-  A claimed task moves PENDING → LEASED under a compare-and-swap guarded by
-  the fleet lock, with a deadline ``lease_seconds`` in the future.
+* **claim** — workers long-poll for tasks (``POST /workers/<id>/claim``),
+  held at most :data:`MAX_LONG_POLL_SECONDS`, the cap a client's job wait
+  (``GET /jobs/<id>?wait=``) shares.  A claimed task moves PENDING → LEASED
+  under a compare-and-swap guarded by the fleet lock, with a deadline
+  ``lease_seconds`` in the future.
 * **heartbeat** — renews every lease the worker holds.  A worker that stops
   heartbeating (crashed, SIGKILLed, partitioned) misses its deadline; the
   expiry monitor flips the task LEASED → PENDING, bumps its attempt count
@@ -36,6 +38,7 @@ claim-latency histogram) lands in the process registry and is served from
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -46,8 +49,10 @@ from typing import Any, Callable, Sequence
 from ..core import codec, telemetry
 from .scheduler import SimulationRequest
 
-#: Upper bound on one claim long-poll, regardless of what the worker asks for.
-MAX_CLAIM_WAIT_SECONDS = 30.0
+#: Upper bound on one long-poll, whatever the caller asks for.  Both
+#: long-polls share it: a worker's task claim (``POST /workers/<id>/claim``)
+#: and a client's job wait (``GET /jobs/<id>?wait=``).
+MAX_LONG_POLL_SECONDS = 30.0
 
 #: A worker counts as alive while its last heartbeat is this many leases old.
 ALIVE_LEASE_FACTOR = 2.0
@@ -55,6 +60,19 @@ ALIVE_LEASE_FACTOR = 2.0
 #: Bounds on the per-worker lease length (requested at registration).
 MIN_LEASE_SECONDS = 0.05
 MAX_LEASE_SECONDS = 3600.0
+
+
+def duration_seconds(value: Any, field: str) -> float:
+    """``value`` as seconds; :class:`ValueError` for NaN, booleans and non-numbers.
+
+    Durations arrive from JSON bodies and query strings, and Python's
+    ``json`` accepts ``NaN``.  A ``min(max(x, lo), hi)`` clamp passes NaN
+    through, and a NaN deadline never passes, so NaN is refused here, before
+    any clamp.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+        raise ValueError(f"{field} must be a number of seconds, got {value!r}")
+    return float(value)
 
 
 class TaskState(str, Enum):
@@ -221,7 +239,9 @@ class WorkerFleet:
             raise ValueError("worker name must be non-empty")
         if concurrency < 1:
             raise ValueError("concurrency must be >= 1")
-        lease = self.lease_seconds if lease_seconds is None else float(lease_seconds)
+        lease = self.lease_seconds
+        if lease_seconds is not None:
+            lease = duration_seconds(lease_seconds, "lease_seconds")
         lease = min(max(lease, MIN_LEASE_SECONDS), MAX_LEASE_SECONDS)
         failures: list[FleetTask] = []
         with self._lock:
@@ -318,13 +338,15 @@ class WorkerFleet:
         """Lease up to ``max_tasks`` pending tasks to ``worker_id``.
 
         Blocks up to ``wait_seconds`` (capped at
-        :data:`MAX_CLAIM_WAIT_SECONDS`) when the queue is empty — the HTTP
+        :data:`MAX_LONG_POLL_SECONDS`) when the queue is empty — the HTTP
         long-poll.  Returns wire payloads (typed ``simulate_spec`` envelopes);
-        raises :class:`KeyError` for unknown or retired workers.
+        raises :class:`KeyError` for unknown or retired workers and
+        :class:`ValueError` for a ``wait_seconds`` that is not a number.
         """
         if max_tasks < 1:
             raise ValueError("max_tasks must be >= 1")
-        deadline = time.monotonic() + min(max(wait_seconds, 0.0), MAX_CLAIM_WAIT_SECONDS)
+        wait = duration_seconds(wait_seconds, "wait_seconds")
+        deadline = time.monotonic() + min(max(wait, 0.0), MAX_LONG_POLL_SECONDS)
         with self._lock:
             while True:
                 now = time.monotonic()

@@ -5,7 +5,7 @@
 :class:`http.server.ThreadingHTTPServer`, turning the in-process job queue
 into something remote workers submit to — the shape large acquisition
 systems converge on: a batching scheduler behind a small network protocol,
-with clients submitting jobs and polling results.
+with clients submitting jobs and long-polling for their results.
 
 Endpoints (all JSON):
 
@@ -15,7 +15,9 @@ Method    Path                Meaning
 POST      ``/jobs``           Submit a typed job spec; returns its summary.
 GET       ``/jobs``           List known jobs (``?status=``, ``?limit=``).
 GET       ``/jobs/<id>``      One job's status; ``?result=1`` attaches the
-                              schema-encoded result once the job is done.
+                              schema-encoded result once the job is done;
+                              ``?wait=<s>`` holds the request until the job
+                              ends or ``<s>`` seconds pass (capped at 30).
 DELETE    ``/jobs/<id>``      Cancel a job that has not started.
 GET       ``/schemas``        Wire version + registered schema versions.
 GET       ``/cache/stats``    Report-cache, artifact-store and service stats.
@@ -76,6 +78,7 @@ from urllib.parse import parse_qs, urlparse
 from ..core import codec, telemetry
 from ..core.artifacts import ArtifactStore
 from ..core.execution import JobStatus
+from .fleet import MAX_LONG_POLL_SECONDS, duration_seconds
 from .service import EvaluationService
 from .specs import JOB_SPEC_TYPES, QualityJobSpec
 
@@ -293,9 +296,7 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         elif parts == ["jobs"]:
             self._dispatch(self._get_jobs, parse_qs(parsed.query))
         elif len(parts) == 2 and parts[0] == "jobs":
-            query = parse_qs(parsed.query)
-            with_result = query.get("result", ["0"])[-1] not in ("0", "", "false")
-            self._dispatch(self._get_job, parts[1], with_result)
+            self._dispatch(self._get_job, parts[1], parse_qs(parsed.query))
         elif parts == ["cache", "stats"]:
             self._dispatch(self._get_cache_stats)
         elif parts == ["workers"]:
@@ -373,10 +374,15 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         jobs = self.server.service.jobs(status=status, limit=limit)
         return 200, {"jobs": [job.summary() for job in jobs]}
 
-    def _get_job(self, job_id: str, with_result: bool) -> tuple[int, dict[str, Any]]:
+    def _get_job(self, job_id: str, query: dict[str, list[str]]) -> tuple[int, dict[str, Any]]:
+        with_result = query.get("result", ["0"])[-1] not in ("0", "", "false")
+        wait = _wait_seconds(query)
         job = self.server.service.job(job_id)
+        job.wait(wait)  # the long-poll: blocks on the job's completion event, no lock held
+        # One read of the status decides both fields, so a job finishing
+        # after this summary cannot ship its result under a "running" status.
         payload = job.summary()
-        if with_result and job.ok:
+        if with_result and payload["status"] == JobStatus.DONE.value:
             payload["result"] = codec.encode(job.result_value)
         return 200, payload
 
@@ -455,12 +461,11 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         name = str(body.get("name") or "")
         if not name:
             raise _HTTPError(400, "worker registration needs a non-empty 'name'")
-        lease = body.get("lease_seconds")
         try:
             worker = fleet.register(
                 name,
                 concurrency=int(body.get("concurrency") or 1),
-                lease_seconds=None if lease is None else float(lease),
+                lease_seconds=body.get("lease_seconds"),
             )
         except (TypeError, ValueError) as exc:
             raise _HTTPError(400, f"cannot register worker: {exc}") from None
@@ -476,11 +481,12 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
     def _post_worker_claim(self, worker_id: str) -> tuple[int, dict[str, Any]]:
         fleet = self._fleet()
         body = self._read_json()
+        wait = body.get("wait_seconds")
         try:
             tasks = fleet.claim(
                 worker_id,
                 max_tasks=int(body.get("max_tasks") or 1),
-                wait_seconds=float(body.get("wait_seconds") or 0.0),
+                wait_seconds=0.0 if wait is None else wait,
             )
         except (TypeError, ValueError) as exc:
             raise _HTTPError(400, f"bad claim request: {exc}") from None
@@ -526,6 +532,19 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         ttl_seconds = _optional_bound(body, "ttl_seconds", (int, float), "number")
         result = store.evict(max_bytes=max_bytes, ttl_seconds=ttl_seconds)
         return 200, result.summary()
+
+
+def _wait_seconds(query: dict[str, list[str]]) -> float:
+    """The ``?wait=`` hold in seconds, clamped to ``[0, MAX_LONG_POLL_SECONDS]``;
+    a value that is not a number (NaN included) is a 400 naming the field."""
+    raw = query.get("wait", [None])[-1]
+    if raw is None:
+        return 0.0
+    try:
+        seconds = duration_seconds(float(raw), "wait")
+    except ValueError:
+        raise _HTTPError(400, f"wait must be a number of seconds, got {raw!r}") from None
+    return min(max(seconds, 0.0), MAX_LONG_POLL_SECONDS)
 
 
 def _optional_bound(

@@ -51,6 +51,17 @@ def _module_level_wait_forever(seconds):
 
 register_wire_function("wait_forever", _module_level_wait_forever)
 
+#: Server-side gates: a ``gated`` job runs until its test sets the gate.
+_GATES: dict[str, threading.Event] = {}
+
+
+def _module_level_gated(key):
+    _GATES[key].wait(30)
+    return key
+
+
+register_wire_function("gated", _module_level_gated)
+
 
 @pytest.fixture()
 def served(tmp_path):
@@ -59,7 +70,7 @@ def served(tmp_path):
     cache = ReportCache(store=store)
     service = EvaluationService(cache=cache, max_workers=4)
     server = start_http_server(service, port=0)
-    client = RemoteEvaluationClient(server.endpoint, poll_interval=0.01)
+    client = RemoteEvaluationClient(server.endpoint)
     try:
         yield client, service, store, server
     finally:
@@ -373,6 +384,133 @@ class TestRemoteJobs:
         assert report.total_energy.total_pj == expected.total_energy.total_pj
 
 
+class TestLongPoll:
+    """``GET /jobs/<id>?wait=<s>`` holds the request until the job ends, and
+    the client's waits ride on it: no sleep between polls, and the result
+    arrives in the response that sees the job finish."""
+
+    @pytest.fixture()
+    def gate(self):
+        key = f"gate-{len(_GATES)}"
+        event = _GATES[key] = threading.Event()
+        try:
+            yield key, event
+        finally:
+            event.set()  # never leave a server thread parked on a failed test
+
+    def test_cold_sweep_costs_one_post_and_one_get(self, served, monkeypatch):
+        client, service, _, _ = served
+        calls = []
+        request = client._request
+
+        def recording_request(method, path, *args, **kwargs):
+            calls.append((method, path))
+            return request(method, path, *args, **kwargs)
+
+        monkeypatch.setattr(client, "_request", recording_request)
+        spec = SweepJobSpec(
+            base=sqdm_config(),
+            grid={"sparsity_threshold": [0.2, 0.4]},
+            trace=make_trace(43),
+            baseline=dense_baseline_config(),
+        )
+        job = client.submit_sweep(spec)
+        outcome = job.result(timeout=120)
+        assert len(outcome.reports) == 2
+        assert service.cache.stats.misses == 3  # cold: every design point simulated
+        assert [method for method, _ in calls] == ["POST", "GET"], calls
+        assert calls[1][1].startswith(f"/jobs/{job.id}?result=1&wait=")
+
+    def test_open_get_returns_as_soon_as_the_job_finishes(self, served, gate):
+        client, _, _, server = served
+        key, event = gate
+        job = client.submit_callable("gated", args=(key,))
+        response = {}
+
+        def long_poll():
+            response["reply"] = _raw_request(server.endpoint, f"/jobs/{job.id}?wait=10&result=1")
+            response["at"] = time.monotonic()
+
+        thread = threading.Thread(target=long_poll)
+        thread.start()
+        time.sleep(0.3)
+        assert "reply" not in response, "the GET must be held while the job runs"
+        released = time.monotonic()
+        event.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        status, body = response["reply"]
+        assert status == 200 and body["status"] == "done"
+        assert codec.decode(body["result"]) == key
+        assert response["at"] - released < 0.2
+
+    def test_result_timeout_clips_the_hold(self, served, gate):
+        client, _, _, _ = served
+        key, event = gate
+        job = client.submit_callable("gated", args=(key,))
+        began = time.monotonic()
+        with pytest.raises(TimeoutError):
+            job.result(timeout=0.3)
+        assert time.monotonic() - began < 1.0
+        event.set()
+        assert job.result(timeout=30) == key
+
+    def test_socket_timeout_covers_the_hold(self, served):
+        """With no retries to fall back on, a 0.5-s socket timeout still
+        collects a 1.5-s job: the hold is added to the timeout."""
+        _, _, _, server = served
+        client = RemoteEvaluationClient(server.endpoint, timeout=0.5, retries=1)
+        job = client.submit_callable("wait_forever", args=(1.5,))
+        assert job.result(timeout=30) == "done"
+
+    def test_close_cancel_queued_ends_a_long_poll_at_once(self, served, monkeypatch):
+        client, service, _, _ = served
+        dispatching, release = threading.Event(), threading.Event()
+        dispatch = service._dispatch
+
+        def held_dispatch(drained):
+            dispatching.set()
+            release.wait(30)
+            dispatch(drained)
+
+        monkeypatch.setattr(service, "_dispatch", held_dispatch)
+        client.submit_callable("square", args=(2,))
+        assert dispatching.wait(10)  # the scheduler is held: the next job stays queued
+        victim = client.submit_callable("square", args=(3,))
+        outcome = {}
+
+        def wait_for_victim():
+            try:
+                victim.result(timeout=30)
+            except JobFailedError as exc:
+                outcome["error"] = exc
+            outcome["at"] = time.monotonic()
+
+        waiter = threading.Thread(target=wait_for_victim)
+        waiter.start()
+        time.sleep(0.3)  # the victim's long-poll is open
+        closing = time.monotonic()
+        closer = threading.Thread(target=service.close, kwargs={"cancel_queued": True})
+        closer.start()
+        waiter.join(timeout=10)
+        release.set()
+        closer.join(timeout=30)
+        assert not waiter.is_alive() and not closer.is_alive()
+        assert "cancelled" in str(outcome.get("error")), outcome
+        assert outcome["at"] - closing < 0.5
+
+    def test_wait_parameter_is_validated(self, served):
+        client, _, _, server = served
+        job = client.submit_callable("square", args=(4,))
+        assert job.result(timeout=30) == 16
+        for bad in ("nan", "NaN", "banana"):
+            status, body = _raw_request(server.endpoint, f"/jobs/{job.id}?wait={bad}")
+            assert status == 400 and "wait" in body["error"], (bad, body)
+        # In-range clamping: a negative hold is no hold.
+        status, body = _raw_request(server.endpoint, f"/jobs/{job.id}?wait=-5&result=1")
+        assert status == 200 and body["status"] == "done" and "result" in body
+
+
 class TestServerSideSweeps:
     def test_sweep_spec_planned_and_batched_on_server(self, served):
         """One grid submission -> per-case reports + baseline, all planned
@@ -406,7 +544,7 @@ class TestServerSideSweeps:
         """Acceptance: N clients submitting one grid each cost one simulation
         per unique design point, via single-flight + the shared cache."""
         client_a, service, _, server = served
-        client_b = RemoteEvaluationClient(server.endpoint, poll_interval=0.01)
+        client_b = RemoteEvaluationClient(server.endpoint)
         trace = make_trace(42)
         spec = SweepJobSpec(
             base=sqdm_config(),
@@ -468,7 +606,7 @@ class TestMultiClientCoalescing:
         """Concurrent remote clients submitting the same individual jobs
         coalesce through the scheduler — one simulation per unique key."""
         client_a, service, _, server = served
-        client_b = RemoteEvaluationClient(server.endpoint, poll_interval=0.01)
+        client_b = RemoteEvaluationClient(server.endpoint)
         traces = [make_trace(seed) for seed in range(2)]
         configs = [sqdm_config(), dense_baseline_config()]
         results: dict[str, list] = {}
@@ -508,7 +646,7 @@ class TestMultiClientCoalescing:
             store = ArtifactStore(root)
             service = EvaluationService(cache=ReportCache(store=store), max_workers=2)
             server = start_http_server(service, port=0)
-            client = RemoteEvaluationClient(server.endpoint, poll_interval=0.01)
+            client = RemoteEvaluationClient(server.endpoint)
             try:
                 report = client.submit_simulation(sqdm_config(), trace).result(timeout=120)
                 return report, service.cache.stats
@@ -565,14 +703,9 @@ class TestRawJSONWire:
         status, summary = _raw_request(server.endpoint, "/jobs", data=body)
         assert status == 201 and summary["kind"] == "sweep"
 
-        deadline = time.monotonic() + 60
-        while True:
-            status, doc = _raw_request(server.endpoint, f"/jobs/{summary['id']}?result=1")
-            if doc["status"] in ("done", "failed", "cancelled"):
-                break
-            assert time.monotonic() < deadline, "sweep job never finished"
-            time.sleep(0.02)
-        assert doc["status"] == "done", doc
+        # One long-poll: held until the sweep ends, with the result attached.
+        status, doc = _raw_request(server.endpoint, f"/jobs/{summary['id']}?wait=30&result=1")
+        assert status == 200 and doc["status"] == "done", doc
         result = doc["result"]
         assert result["$schema"] == "sweep_result@2"
         # Cases ride the wire columnar, one single-trace batch per case.

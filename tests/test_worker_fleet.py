@@ -20,12 +20,13 @@ from repro.core.report_cache import ReportCache
 from repro.serve import (
     EvaluationService,
     RemoteEvaluationClient,
+    RemoteServiceError,
     WorkerFleet,
     WorkerPoolExecutor,
     WorkerRuntime,
     start_http_server,
 )
-from repro.serve.fleet import TaskState
+from repro.serve.fleet import MAX_LEASE_SECONDS, MIN_LEASE_SECONDS, TaskState
 from repro.serve.scheduler import SimulationRequest, run_batched
 from repro.serve.specs import SweepJobSpec
 
@@ -165,6 +166,57 @@ class TestLeaseLifecycle:
             assert fleet.claim(worker.id) == []
         finally:
             fleet.close()
+
+
+class TestWireDurations:
+    """Durations from the wire must be numbers: a NaN claim wait spun the
+    handler under the fleet lock, and a NaN lease never expired."""
+
+    def test_fleet_rejects_nan_booleans_and_non_numbers(self):
+        fleet = make_fleet()
+        try:
+            worker = fleet.register("w1")
+            for bad in (float("nan"), True, "5"):
+                with pytest.raises(ValueError, match="lease_seconds"):
+                    fleet.register("w2", lease_seconds=bad)
+            for bad in (True, "5"):
+                with pytest.raises(ValueError, match="wait_seconds"):
+                    fleet.claim(worker.id, wait_seconds=bad)
+            # In-range clamping is unchanged.
+            assert fleet.register("w3", lease_seconds=-1).lease_seconds == MIN_LEASE_SECONDS
+            assert fleet.register("w4", lease_seconds=1e9).lease_seconds == MAX_LEASE_SECONDS
+            assert fleet.claim(worker.id, wait_seconds=-1) == []
+        finally:
+            fleet.close()
+
+    def test_http_nan_durations_are_refused_with_400(self):
+        service = EvaluationService(cache=ReportCache(), worker_fleet=True, lease_seconds=5.0)
+        server = start_http_server(service)
+        client = RemoteEvaluationClient(server.endpoint, retries=1)
+        try:
+            worker_id = client.register_worker("nan-probe")["worker_id"]
+            # A short socket timeout, so a server that spins on the NaN wait
+            # fails this test instead of hanging it.
+            with pytest.raises(RemoteServiceError, match=r"wait_seconds.*HTTP 400"):
+                client._request(
+                    "POST",
+                    f"/workers/{worker_id}/claim",
+                    {"max_tasks": 1, "wait_seconds": float("nan")},
+                    timeout=3.0,
+                )
+            with pytest.raises(RemoteServiceError, match=r"lease_seconds.*HTTP 400"):
+                client._request(
+                    "POST",
+                    "/workers/register",
+                    {"name": "nan-lease", "lease_seconds": float("nan")},
+                    timeout=3.0,
+                )
+            assert [w["name"] for w in client.workers()["workers"]] == ["nan-probe"]
+            assert client.claim_tasks(worker_id, wait_seconds=0.05) == []
+        finally:
+            client.close()
+            server.close()
+            service.close()
 
 
 class TestHeartbeatAndExpiry:
