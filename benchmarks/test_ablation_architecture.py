@@ -1,6 +1,6 @@
 """Ablations on the accelerator design choices (beyond the paper's figures).
 
-Three design decisions called out in DESIGN.md are ablated on the CIFAR-10
+Three design decisions of the SQ-DM accelerator are ablated on the CIFAR-10
 quantized workload trace:
 
 * **Heterogeneity** — 1 DPE + 1 SPE (SQ-DM) vs 2 DPEs (dense baseline) vs

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.costs import layer_cost_table
 from ..nn.unet import BLOCK_ATTENTION, BLOCK_CONV, BLOCK_EMBEDDING, BLOCK_SKIP, EDMUNet
 
 BLOCK_TYPES = (BLOCK_CONV, BLOCK_SKIP, BLOCK_EMBEDDING, BLOCK_ATTENTION)
@@ -42,14 +41,11 @@ def cost_breakdown(model: EDMUNet, workload_name: str = "") -> BreakdownReport:
     input activations), both independent of precision so the shares reflect
     the architecture rather than the quantization scheme.
     """
-    table = layer_cost_table(model)
     macs = {block_type: 0.0 for block_type in BLOCK_TYPES}
     memory = {block_type: 0.0 for block_type in BLOCK_TYPES}
-    for cost in table:
-        macs[cost.block_type] = macs.get(cost.block_type, 0.0) + cost.macs
-        memory[cost.block_type] = memory.get(cost.block_type, 0.0) + (
-            cost.weight_elements + cost.activation_elements
-        )
+    for layer in model.layers():
+        macs[layer.category] += layer.macs
+        memory[layer.category] += layer.weight_elements + layer.activation_elements
     total_macs = sum(macs.values())
     total_memory = sum(memory.values())
     compute_share = {k: (v / total_macs if total_macs else 0.0) for k, v in macs.items()}

@@ -14,16 +14,15 @@ The SQ-DM quantization scheme:
   for well under 10% of compute and memory (Fig. 4).
 
 ``QuantizationPolicy`` assigns a weight/activation format pair to every
-quantizable layer of an :class:`~repro.nn.unet.EDMUNet` and can apply or
-strip those assignments in place.
+layer of :meth:`EDMUNet.layers <repro.nn.unet.EDMUNet.layers>`, keyed by
+layer name, and can apply or strip those assignments in place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..nn.layers import Conv2d, Linear, Module
-from ..nn.unet import BLOCK_ATTENTION, BLOCK_CONV, BLOCK_EMBEDDING, BLOCK_SKIP, EDMUNet
+from ..nn.unet import BLOCK_CONV, EDMUNet
 from ..quant.formats import (
     TABLE1_FORMATS,
     QuantFormatSpec,
@@ -33,13 +32,10 @@ from ..quant.formats import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LayerAssignment:
-    """Format assignment for one quantizable layer."""
+    """Weight and activation formats of one quantizable layer."""
 
-    layer_name: str
-    block_name: str
-    block_type: str
     weight_spec: QuantFormatSpec
     act_spec: QuantFormatSpec
 
@@ -67,7 +63,7 @@ class QuantizationPolicy:
 
     def apply(self, model: EDMUNet) -> None:
         """Attach the weight/activation specs to the model's layers in place."""
-        layer_index = _quantizable_layers(model)
+        layer_index = {layer.name: layer.module for layer in model.layers()}
         for layer_name, assignment in self.assignments.items():
             layer = layer_index.get(layer_name)
             if layer is None:
@@ -79,9 +75,9 @@ class QuantizationPolicy:
 
     def clear(self, model: EDMUNet) -> None:
         """Remove all quantization specs from the model."""
-        for layer in _quantizable_layers(model).values():
-            layer.weight_spec = None
-            layer.act_spec = None
+        for layer in model.layers():
+            layer.module.weight_spec = None
+            layer.module.act_spec = None
 
     def bits_for_layer(self, layer_name: str) -> tuple[int, int]:
         """(weight_bits, act_bits) a layer executes at under this policy."""
@@ -97,37 +93,6 @@ class QuantizationPolicy:
         weight = sum(a.weight_bits for a in self.assignments.values()) / len(self.assignments)
         act = sum(a.act_bits for a in self.assignments.values()) / len(self.assignments)
         return weight, act
-
-
-def _quantizable_layers(model: EDMUNet) -> dict[str, Module]:
-    """All Conv2d/Linear layers keyed by their dotted module names."""
-    return {
-        name: module
-        for name, module in model.named_modules()
-        if isinstance(module, (Conv2d, Linear))
-    }
-
-
-def _classify_layer(model: EDMUNet, layer_name: str) -> tuple[str, str]:
-    """Map a dotted layer name to (block name, block category)."""
-    for info in model.block_infos():
-        if f".{info.name}." in layer_name or layer_name.endswith(f".{info.name}"):
-            tail = layer_name.rsplit(".", 1)[-1]
-            if tail in ("conv0", "conv1"):
-                return info.name, BLOCK_CONV
-            if tail == "skip_conv":
-                return info.name, BLOCK_SKIP
-            if tail == "emb_linear":
-                return info.name, BLOCK_EMBEDDING
-            if tail in ("qkv", "proj"):
-                return info.name, BLOCK_ATTENTION
-            return info.name, BLOCK_CONV
-    tail = layer_name.rsplit(".", 1)[-1]
-    if tail in ("conv_in", "conv_out"):
-        return tail, BLOCK_SKIP
-    if "label_linear" in tail or "emb_linear" in tail:
-        return tail, BLOCK_EMBEDDING
-    return tail, BLOCK_SKIP
 
 
 def sensitive_block_names(model: EDMUNet, num_boundary_blocks: int = 1) -> set[str]:
@@ -150,17 +115,11 @@ def uniform_policy(
     model: EDMUNet, spec: QuantFormatSpec, name: str | None = None
 ) -> QuantizationPolicy:
     """Quantize every layer's weights and activations with one format (Table I rows)."""
-    policy = QuantizationPolicy(name=name or spec.name)
-    for layer_name in _quantizable_layers(model):
-        block_name, block_type = _classify_layer(model, layer_name)
-        policy.assignments[layer_name] = LayerAssignment(
-            layer_name=layer_name,
-            block_name=block_name,
-            block_type=block_type,
-            weight_spec=spec,
-            act_spec=spec,
-        )
-    return policy
+    assignment = LayerAssignment(weight_spec=spec, act_spec=spec)
+    return QuantizationPolicy(
+        name=name or spec.name,
+        assignments={layer.name: assignment for layer in model.layers()},
+    )
 
 
 def mixed_precision_policy(
@@ -177,25 +136,19 @@ def mixed_precision_policy(
     true, signed INT4 otherwise).  Sensitive boundary blocks and all Skip /
     Embedding / Attention layers run at MXINT8.
     """
-    eight_bit = mxint8_spec()
-    weight_4bit = low_precision_block or int4_fp8_spec()
-    act_4bit = uint4_fp8_spec() if relu else int4_fp8_spec()
+    mxint8 = mxint8_spec()
+    eight_bit = LayerAssignment(weight_spec=mxint8, act_spec=mxint8)
+    four_bit = LayerAssignment(
+        weight_spec=low_precision_block or int4_fp8_spec(),
+        act_spec=uint4_fp8_spec() if relu else int4_fp8_spec(),
+    )
     sensitive = sensitive_block_names(model, num_boundary_blocks)
 
     default_name = "Ours (MP+ReLU)" if relu else "Ours (MP-only)"
     policy = QuantizationPolicy(name=name or default_name, requires_relu=relu)
-    for layer_name in _quantizable_layers(model):
-        block_name, block_type = _classify_layer(model, layer_name)
-        use_4bit = block_type == BLOCK_CONV and block_name not in sensitive
-        weight_spec = weight_4bit if use_4bit else eight_bit
-        act_spec = act_4bit if use_4bit else eight_bit
-        policy.assignments[layer_name] = LayerAssignment(
-            layer_name=layer_name,
-            block_name=block_name,
-            block_type=block_type,
-            weight_spec=weight_spec,
-            act_spec=act_spec,
-        )
+    for layer in model.layers():
+        use_4bit = layer.category == BLOCK_CONV and layer.block not in sensitive
+        policy.assignments[layer.name] = four_bit if use_4bit else eight_bit
     return policy
 
 
@@ -205,20 +158,14 @@ def single_block_4bit_policy(
     """Sensitivity-sweep policy (Fig. 3): one block at 4-bit, all others at MXINT8."""
     if block_name not in set(model.block_names()):
         raise KeyError(f"unknown block {block_name!r}; available: {model.block_names()}")
-    eight_bit = mxint8_spec()
-    four_bit = low_precision or int4_fp8_spec()
+    mxint8 = mxint8_spec()
+    four_bit_spec = low_precision or int4_fp8_spec()
+    eight_bit = LayerAssignment(weight_spec=mxint8, act_spec=mxint8)
+    four_bit = LayerAssignment(weight_spec=four_bit_spec, act_spec=four_bit_spec)
     policy = QuantizationPolicy(name=f"4bit@{block_name}")
-    for layer_name in _quantizable_layers(model):
-        owner, block_type = _classify_layer(model, layer_name)
-        use_4bit = owner == block_name and block_type == BLOCK_CONV
-        spec = four_bit if use_4bit else eight_bit
-        policy.assignments[layer_name] = LayerAssignment(
-            layer_name=layer_name,
-            block_name=owner,
-            block_type=block_type,
-            weight_spec=spec,
-            act_spec=spec,
-        )
+    for layer in model.layers():
+        use_4bit = layer.block == block_name and layer.category == BLOCK_CONV
+        policy.assignments[layer.name] = four_bit if use_4bit else eight_bit
     return policy
 
 

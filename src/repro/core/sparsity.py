@@ -114,22 +114,19 @@ def _per_channel_zero_fraction(activation: np.ndarray, zero_tolerance_rel: float
 
 def traced_layers_for_model(model: EDMUNet) -> list[TracedLayer]:
     """The Conv+Act convolutions of a U-Net, i.e. the layers SQ-DM accelerates."""
-    layers = []
-    for info in model.block_infos():
-        height, width = info.spatial
-        for idx, conv in enumerate(info.block.conv_layers()):
-            layers.append(
-                TracedLayer(
-                    name=f"unet.{info.name}.conv{idx}",
-                    block_name=info.name,
-                    in_channels=conv.in_channels,
-                    out_channels=conv.out_channels,
-                    kernel_size=conv.kernel_size,
-                    height=height,
-                    width=width,
-                )
-            )
-    return layers
+    return [
+        TracedLayer(
+            name=layer.name,
+            block_name=layer.block,
+            in_channels=layer.module.in_channels,
+            out_channels=layer.module.out_channels,
+            kernel_size=layer.module.kernel_size,
+            height=layer.spatial[0],
+            width=layer.spatial[1],
+        )
+        for layer in model.layers()
+        if layer.category == BLOCK_CONV
+    ]
 
 
 def collect_sparsity_trace(
@@ -142,26 +139,25 @@ def collect_sparsity_trace(
 ) -> TemporalSparsityTrace:
     """Run a sampling trajectory and record per-channel conv-input sparsity.
 
-    The recorded tensors are the outputs of each block's non-linearities
-    (``act0``/``act1``), which are exactly the inputs of ``conv0``/``conv1``
-    — the operands whose zeros the SPE skips.
+    The recorded tensors are the outputs of the non-linearity feeding each
+    Conv+Act convolution (:attr:`UNetLayer.activation
+    <repro.nn.unet.UNetLayer.activation>`), which are exactly the
+    convolution's inputs — the operands whose zeros the SPE skips.
     """
     model = denoiser.unet
-    layers = traced_layers_for_model(model)
-    trace = TemporalSparsityTrace(layers=layers, zero_tolerance_rel=zero_tolerance_rel)
+    trace = TemporalSparsityTrace(
+        layers=traced_layers_for_model(model), zero_tolerance_rel=zero_tolerance_rel
+    )
+    convs = [layer for layer in model.layers() if layer.category == BLOCK_CONV]
 
     def snapshot(step_index: int, sigma: float, x: np.ndarray) -> None:
         step_record: dict[str, np.ndarray] = {}
-        for info in model.block_infos():
-            block = info.block
-            for idx, act in enumerate((block.act0, block.act1)):
-                name = f"unet.{info.name}.conv{idx}"
-                if act.last_output is None:
-                    step_record[name] = np.zeros(trace.layer(name).in_channels)
-                else:
-                    step_record[name] = _per_channel_zero_fraction(
-                        act.last_output, zero_tolerance_rel
-                    )
+        for layer in convs:
+            output = layer.activation.last_output
+            if output is None:
+                step_record[layer.name] = np.zeros(layer.module.in_channels)
+            else:
+                step_record[layer.name] = _per_channel_zero_fraction(output, zero_tolerance_rel)
         trace.steps.append(step_record)
 
     model.set_recording(True)

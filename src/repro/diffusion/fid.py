@@ -6,7 +6,7 @@ weights are available offline, so this module computes the same Fréchet
 distance on features from a fixed, randomly initialized convolutional feature
 extractor (a standard proxy: random-feature FID preserves the *ordering* of
 models whose outputs differ by injected noise/error, which is what the
-reproduction needs — see DESIGN.md).
+reproduction needs).
 
 The Fréchet distance between two Gaussians N(mu1, C1) and N(mu2, C2) is
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn.layers import Conv2d
-from ..nn.unet import EDMUNet
+from ..nn.unet import BLOCK_CONV, EDMUNet
 
 
 @dataclass
@@ -52,19 +52,18 @@ def _per_channel_stats(activation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _collect_conv_stats(
     model: EDMUNet, batch: CalibrationBatch
-) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Run the model and collect per-channel output stats for every block conv."""
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Run the model; per-channel output stats of every Conv+Act conv, by layer name."""
     model.set_recording(True)
     try:
         model(batch.images, batch.noise_cond, batch.labels)
-        stats: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        for info in model.block_infos():
-            for conv in info.block.conv_layers():
-                if conv.last_output is not None:
-                    stats[id(conv)] = _per_channel_stats(conv.last_output)
+        return {
+            layer.name: _per_channel_stats(layer.module.last_output)
+            for layer in model.layers()
+            if layer.category == BLOCK_CONV and layer.module.last_output is not None
+        }
     finally:
         model.set_recording(False)
-    return stats
 
 
 def _match_conv_to_reference(
@@ -110,51 +109,27 @@ def adapt_to_relu(
 
     relu_model = copy.deepcopy(model)
     relu_model.set_activation("relu")
+    modules = {layer.name: layer.module for layer in relu_model.layers()}
 
-    adjusted = 0
     shifts: list[float] = []
     scales: list[float] = []
     for _ in range(max(num_passes, 1)):
         current_stats = _collect_conv_stats(relu_model, calibration)
-        ref_by_index = _stats_by_position(model, reference_stats)
-        cur_by_index = _stats_by_position(relu_model, current_stats)
-        adjusted = 0
         shifts.clear()
         scales.clear()
-        for key, conv in _convs_by_position(relu_model).items():
-            if key not in ref_by_index or key not in cur_by_index:
+        for name, current in current_stats.items():
+            if name not in reference_stats:
                 continue
-            shift, scale = _match_conv_to_reference(conv, cur_by_index[key], ref_by_index[key])
+            shift, scale = _match_conv_to_reference(modules[name], current, reference_stats[name])
             shifts.append(shift)
             scales.append(scale)
-            adjusted += 1
 
     report = AdaptationReport(
-        adjusted_convs=adjusted,
+        adjusted_convs=len(scales),
         mean_output_shift=float(np.mean(shifts)) if shifts else 0.0,
         mean_scale=float(np.mean(scales)) if scales else 1.0,
     )
     return relu_model, report
-
-
-def _convs_by_position(model: EDMUNet) -> dict[tuple[str, int], Conv2d]:
-    """Index block convolutions by (block name, conv index) for cross-model matching."""
-    mapping: dict[tuple[str, int], Conv2d] = {}
-    for info in model.block_infos():
-        for idx, conv in enumerate(info.block.conv_layers()):
-            mapping[(info.name, idx)] = conv
-    return mapping
-
-
-def _stats_by_position(
-    model: EDMUNet, stats_by_id: dict[int, tuple[np.ndarray, np.ndarray]]
-) -> dict[tuple[str, int], tuple[np.ndarray, np.ndarray]]:
-    """Re-key conv stats from object identity to (block name, conv index)."""
-    out: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-    for key, conv in _convs_by_position(model).items():
-        if id(conv) in stats_by_id:
-            out[key] = stats_by_id[id(conv)]
-    return out
 
 
 def make_calibration_batch(

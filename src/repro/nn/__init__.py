@@ -21,6 +21,7 @@ from .unet import (
     EDMUNet,
     UNetBlock,
     UNetConfig,
+    UNetLayer,
 )
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "Sequential",
     "UNetBlock",
     "UNetConfig",
+    "UNetLayer",
     "Upsample",
     "functional",
 ]

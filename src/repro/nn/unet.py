@@ -14,12 +14,14 @@ blocks fall into the four categories the paper analyses —
 
 Blocks are named ``enc.{res}x{res}_block{i}`` / ``dec.{res}x{res}_block{i}``
 so that block-wise sensitivity sweeps (Fig. 3) can address them exactly as
-the paper does.
+the paper does.  :meth:`EDMUNet.layers` lists every Conv2d/Linear with its
+category and static cost; the stem convolutions ``conv_in``/``conv_out``
+count as Skip and the noise-embedding MLP as Embedding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,6 +85,55 @@ class UNetConfig:
         return [self.img_resolution // (2**level) for level in range(len(self.channel_mult))]
 
 
+@dataclass(frozen=True)
+class UNetLayer:
+    """One Conv2d/Linear of the U-Net: its name, Fig. 2 category and static cost.
+
+    Costs are per network evaluation at batch 1: ``macs`` multiply-accumulates
+    at ``spatial``, the output (height, width) (``(1, 1)`` for a Linear),
+    ``weight_elements`` stored weights and ``activation_elements`` input
+    activations.  ``activation`` is the non-linearity feeding a Conv+Act
+    convolution (``act0`` feeds ``conv0``, ``act1`` feeds ``conv1``): its
+    zeros are the operands the SPE skips.
+    """
+
+    name: str
+    block: str
+    category: str
+    module: Conv2d | Linear
+    spatial: tuple[int, int]
+    macs: float
+    weight_elements: float
+    activation_elements: float
+    activation: Activation | None = None
+
+
+def _layer(
+    prefix: str,
+    block: str,
+    category: str,
+    module: Conv2d | Linear,
+    spatial: tuple[int, int] = (1, 1),
+    activation: Activation | None = None,
+) -> UNetLayer:
+    height, width = spatial
+    if isinstance(module, Conv2d):
+        macs, inputs = module.macs(spatial), module.in_channels * height * width
+    else:
+        macs, inputs = module.macs(1), module.in_features
+    return UNetLayer(
+        name=f"{prefix}.{module.name}",
+        block=block,
+        category=category,
+        module=module,
+        spatial=spatial,
+        macs=float(macs),
+        weight_elements=float(module.weight.size),
+        activation_elements=float(inputs),
+        activation=activation,
+    )
+
+
 class UNetBlock(Module):
     """One residual block: GN → act → conv → (+emb) → GN → act → conv (+skip).
 
@@ -138,54 +189,32 @@ class UNetBlock(Module):
         self.act0.kind = kind
         self.act1.kind = kind
 
-    def conv_layers(self) -> list[Conv2d]:
-        """The Conv+Act convolutions (quantized to 4-bit in the SQ-DM policy)."""
-        return [self.conv0, self.conv1]
-
-    def component_costs(
-        self, spatial: tuple[int, int], batch: int = 1
-    ) -> dict[str, dict[str, float]]:
-        """MAC and parameter/activation element counts by component category."""
-        height, width = spatial
-        costs: dict[str, dict[str, float]] = {}
-        conv_macs = (self.conv0.macs(spatial) + self.conv1.macs(spatial)) * batch
-        conv_params = self.conv0.weight.size + self.conv1.weight.size
-        conv_acts = batch * (self.in_channels + 2 * self.out_channels) * height * width
-        costs[BLOCK_CONV] = {
-            "macs": float(conv_macs),
-            "params": float(conv_params),
-            "acts": float(conv_acts),
-        }
-
-        emb_macs = self.emb_linear.macs(batch)
-        costs[BLOCK_EMBEDDING] = {
-            "macs": float(emb_macs),
-            "params": float(self.emb_linear.weight.size),
-            "acts": float(batch * self.emb_linear.out_features),
-        }
-
+    def layers(self, prefix: str, spatial: tuple[int, int]) -> list[UNetLayer]:
+        """This block's Conv2d/Linear layers, in :meth:`EDMUNet.layers` order."""
+        prefix = f"{prefix}.{self.name}"
+        layers = [
+            _layer(prefix, self.name, BLOCK_CONV, self.conv0, spatial, self.act0),
+            _layer(prefix, self.name, BLOCK_CONV, self.conv1, spatial, self.act1),
+            _layer(prefix, self.name, BLOCK_EMBEDDING, self.emb_linear),
+        ]
         if self.skip_conv is not None:
-            costs[BLOCK_SKIP] = {
-                "macs": float(self.skip_conv.macs(spatial) * batch),
-                "params": float(self.skip_conv.weight.size),
-                "acts": float(batch * self.out_channels * height * width),
-            }
-        else:
-            costs[BLOCK_SKIP] = {
-                "macs": 0.0,
-                "params": 0.0,
-                "acts": float(batch * self.out_channels * height * width),
-            }
-
+            layers.append(_layer(prefix, self.name, BLOCK_SKIP, self.skip_conv, spatial))
         if self.attention is not None:
-            costs[BLOCK_ATTENTION] = {
-                "macs": float(self.attention.macs(spatial) * batch),
-                "params": float(self.attention.qkv.weight.size + self.attention.proj.weight.size),
-                "acts": float(batch * 4 * self.out_channels * height * width),
-            }
-        else:
-            costs[BLOCK_ATTENTION] = {"macs": 0.0, "params": 0.0, "acts": 0.0}
-        return costs
+            attn = self.attention
+            attn_prefix = f"{prefix}.{attn.name}"
+            qkv = _layer(attn_prefix, self.name, BLOCK_ATTENTION, attn.qkv, spatial)
+            tokens = spatial[0] * spatial[1]
+            # qkv carries the two attention matmuls (Q K^T and A V) and counts
+            # the q, k and v maps it produces as its activations.
+            layers.append(
+                replace(
+                    qkv,
+                    macs=qkv.macs + 2.0 * tokens * tokens * attn.channels,
+                    activation_elements=float(3 * attn.channels * tokens),
+                )
+            )
+            layers.append(_layer(attn_prefix, self.name, BLOCK_ATTENTION, attn.proj, spatial))
+        return layers
 
 
 @dataclass
@@ -198,7 +227,10 @@ class BlockInfo:
     stage: str  # "enc" or "dec"
     index: int
     order: int  # position in forward execution order
-    spatial: tuple[int, int] = field(default=(0, 0))
+
+    @property
+    def spatial(self) -> tuple[int, int]:
+        return (self.resolution, self.resolution)
 
 
 class EDMUNet(Module):
@@ -300,13 +332,7 @@ class EDMUNet(Module):
             channels, config.out_channels, kernel_size=3, name="conv_out", rng=rng
         )
 
-        self._annotate_spatial()
-
     # -- structure ----------------------------------------------------------
-
-    def _annotate_spatial(self) -> None:
-        for info in self._block_infos:
-            info.spatial = (info.resolution, info.resolution)
 
     def block_infos(self) -> list[BlockInfo]:
         """All named U-Net blocks in execution order."""
@@ -329,26 +355,28 @@ class EDMUNet(Module):
         for info in self._block_infos:
             info.block.set_activation(kind)
 
-    def embedding_layers(self) -> list[Linear]:
-        """All Embedding-category linear layers in the model."""
-        layers = [self.emb_linear0, self.emb_linear1]
-        if self.label_linear is not None:
-            layers.append(self.label_linear)
-        layers.extend(info.block.emb_linear for info in self._block_infos)
-        return layers
+    def layers(self) -> list[UNetLayer]:
+        """Every Conv2d/Linear once, under the name :meth:`named_modules` gives it.
 
-    def skip_layers(self) -> list[Conv2d]:
-        """All Skip-category 1x1 convolutions (plus the in/out stem convs)."""
-        layers = [self.conv_in, self.conv_out]
-        layers.extend(
-            info.block.skip_conv for info in self._block_infos if info.block.skip_conv is not None
-        )
-        return layers
-
-    def attention_modules(self) -> list[SelfAttention2d]:
-        return [
-            info.block.attention for info in self._block_infos if info.block.attention is not None
+        The one layer inventory: quantization policies, cost summaries, the
+        Fig. 4 breakdown, sparsity traces and the ReLU calibration all read
+        it.  Built from the modules on each call.  Order: per block, in
+        execution order, conv0, conv1, emb_linear, skip_conv, attention.qkv
+        and attention.proj; then conv_in, conv_out, emb_linear0, emb_linear1
+        and label_linear.  Cost sums run in this order.
+        """
+        layers = [
+            layer
+            for info in self._block_infos
+            for layer in info.block.layers(self.name, info.spatial)
         ]
+        res = self.config.img_resolution
+        for conv in (self.conv_in, self.conv_out):
+            layers.append(_layer(self.name, conv.name, BLOCK_SKIP, conv, (res, res)))
+        for linear in (self.emb_linear0, self.emb_linear1, self.label_linear):
+            if linear is not None:
+                layers.append(_layer(self.name, linear.name, BLOCK_EMBEDDING, linear))
+        return layers
 
     # -- execution ----------------------------------------------------------
 
@@ -400,40 +428,3 @@ class EDMUNet(Module):
 
         out = self.conv_out(self.act_out(self.norm_out(h)))
         return self._record(out)
-
-    # -- cost model ---------------------------------------------------------
-
-    def cost_breakdown(self, batch: int = 1) -> dict[str, dict[str, float]]:
-        """Aggregate MAC / parameter / activation counts per block category.
-
-        This backs the Fig. 4 computation and memory breakdown: Conv+Act
-        dominates both because every block contributes two full 3x3
-        convolutions at its resolution.
-        """
-        totals = {
-            cat: {"macs": 0.0, "params": 0.0, "acts": 0.0}
-            for cat in (BLOCK_CONV, BLOCK_SKIP, BLOCK_EMBEDDING, BLOCK_ATTENTION)
-        }
-        for info in self._block_infos:
-            costs = info.block.component_costs(info.spatial, batch=batch)
-            for cat, vals in costs.items():
-                for key, value in vals.items():
-                    totals[cat][key] += value
-
-        # Stem convolutions and the embedding MLP count toward Skip/Embedding.
-        res = self.config.img_resolution
-        totals[BLOCK_SKIP]["macs"] += batch * (
-            self.conv_in.macs((res, res)) + self.conv_out.macs((res, res))
-        )
-        totals[BLOCK_SKIP]["params"] += self.conv_in.weight.size + self.conv_out.weight.size
-        totals[BLOCK_SKIP]["acts"] += (
-            batch * (self.config.model_channels + self.config.out_channels) * res * res
-        )
-        for layer in (self.emb_linear0, self.emb_linear1):
-            totals[BLOCK_EMBEDDING]["macs"] += batch * layer.macs(1)
-            totals[BLOCK_EMBEDDING]["params"] += layer.weight.size
-            totals[BLOCK_EMBEDDING]["acts"] += batch * layer.out_features
-        return totals
-
-    def total_macs(self, batch: int = 1) -> float:
-        return sum(cat["macs"] for cat in self.cost_breakdown(batch=batch).values())

@@ -38,23 +38,25 @@ traffic*, not as one script.  This package provides the service layer:
 ``repro.serve.http``
     :class:`EvaluationHTTPServer` — the stdlib REST front end: remote
     clients POST typed job specs as plain, versioned JSON (no pickles on
-    the wire), poll results, and share the server's single-flight scheduler
-    and artifact store.
+    the wire), long-poll for results (``GET /jobs/<id>?wait=``), and share
+    the server's single-flight scheduler and artifact store.
 ``repro.serve.client``
     :class:`RemoteEvaluationClient` — urllib-based client mirroring the
-    service surface, with jittered retry/backoff and polling job handles.
-
-The service and the client *are* executors of the unified execution API in
-:mod:`repro.core.execution` (re-exported here): pass either one wherever an
-:class:`Executor` is expected, next to :class:`InlineExecutor`.  Their jobs
-(:class:`Job`, :class:`RemoteJob`) are :class:`JobHandle` futures.
+    service surface, with jittered retry/backoff and long-polling job
+    handles: a result arrives in the response that sees its job finish.
 ``repro.serve.top``
     The ``repro top`` dashboard: polls ``GET /metrics`` (Prometheus text)
     and ``GET /jobs`` and renders queue depth, coalescing ratio, cache hit
     rates and p50/p95/p99 job latency.
 ``repro.serve.cli``
     The ``repro`` console script: ``repro sweep``, ``repro evaluate``,
-    ``repro cache``, ``repro serve``, ``repro top``.
+    ``repro serve``, ``repro worker``, ``repro top``, ``repro cache``,
+    ``repro bench`` and ``repro check``.
+
+The service and the client *are* executors of the unified execution API in
+:mod:`repro.core.execution` (re-exported here): pass either one wherever an
+:class:`Executor` is expected, next to :class:`InlineExecutor`.  Their jobs
+(:class:`Job`, :class:`RemoteJob`) are :class:`JobHandle` futures.
 """
 
 from . import workers as _workers  # noqa: F401 - registers the wire functions

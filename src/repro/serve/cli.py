@@ -1,6 +1,6 @@
 """``repro`` — the command-line front end of the evaluation service.
 
-Four subcommands drive the fleet pipeline end to end against a persistent
+Eight subcommands drive the fleet pipeline end to end against a persistent
 artifact directory, so repeated invocations (and concurrent workers pointing
 at the same directory) share sparsity traces, FID statistics and simulation
 reports instead of recomputing them:
@@ -22,6 +22,10 @@ reports instead of recomputing them:
     Run the evaluation service behind its HTTP front end
     (:mod:`repro.serve.http`) until interrupted.  ``--log-level`` turns on
     the structured JSON event log (access records, job lifecycle, spans).
+``repro worker``
+    A pull-based fleet worker (:mod:`repro.serve.worker`): registers with a
+    ``repro serve --dispatch workers`` endpoint, long-polls for simulation
+    tasks under a heartbeat-renewed lease and posts the reports back.
 ``repro top``
     Live terminal dashboard of a running server: polls ``GET /metrics`` and
     ``GET /jobs`` and renders queue depth, coalescing ratio, cache hit rate
@@ -31,6 +35,9 @@ reports instead of recomputing them:
 ``repro bench``
     Measure simulation/sweep/service throughput (:mod:`repro.core.bench`),
     optionally gating against a committed ``BENCH_<n>.json`` baseline.
+``repro check``
+    Run the AST invariant linter (:mod:`repro.devtools.astcheck`) over the
+    tracked sources, optionally with the strict mypy gate (``--typing``).
 
 Every command accepts ``--artifact-dir`` (default: the ``REPRO_ARTIFACT_DIR``
 environment variable) and ``--json`` to write machine-readable results for CI.

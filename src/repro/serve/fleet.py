@@ -566,12 +566,17 @@ class WorkerFleet:
             self._lock.notify_all()
         self._monitor.join()
         for task in outstanding:
-            if self._deliver is not None and task.prepared:
-                self._deliver(
-                    task.live_sinks,
-                    task.live_requests,
-                    error=RuntimeError("worker fleet closed before this task completed"),
-                )
+            if self._deliver is None:
+                continue
+            if task.prepared:
+                sinks, requests = task.live_sinks, task.live_requests
+            else:  # never claimed: fail its queued jobs and release their keys
+                sinks, requests = task.sinks, task.requests
+            self._deliver(
+                sinks,
+                requests,
+                error=RuntimeError("worker fleet closed before this task completed"),
+            )
         self._workers_gauge.clear_function(self._workers_gauge_fn)
         self._queue_gauge.clear_function(self._queue_gauge_fn)
 

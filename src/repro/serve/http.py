@@ -55,7 +55,10 @@ Negotiation and limits: requests with a body must be
 refused with 406, as is an ``X-Repro-Wire-Version`` header naming an
 unsupported protocol version; bodies beyond the server's
 ``max_request_bytes`` are refused with 413 *before* being read, so an
-oversized submission cannot exhaust server memory.
+oversized submission cannot exhaust server memory, and a ``Content-Length``
+that is not a non-negative integer is refused with 400.  Each of these
+refusals closes the connection, since the unread body would otherwise be
+parsed as the next request.
 
 Simulation and sweep jobs submitted by any number of clients coalesce
 through the service's single-flight scheduler and share one artifact store.
@@ -167,12 +170,30 @@ def start_http_server(
 class _EvaluationRequestHandler(BaseHTTPRequestHandler):
     server: EvaluationHTTPServer
     protocol_version = "HTTP/1.1"
+    #: The request's ``Content-Length``, parsed once by :meth:`parse_request`.
+    _body_length = 0
 
     # -- plumbing ---------------------------------------------------------------
 
     def parse_request(self) -> bool:
         self._request_began = time.monotonic()
-        return super().parse_request()
+        self._body_length = 0
+        if not super().parse_request():
+            return False
+        raw = self.headers.get("Content-Length")
+        if raw is None:
+            return True
+        value = raw.strip()
+        if not (value.isascii() and value.isdigit()):
+            # The body's extent is unknown, so the connection cannot carry
+            # another request: answer and close, as for 413/415.
+            self.close_connection = True
+            self._send_json(
+                400, {"error": f"Content-Length must be a non-negative integer, not {raw!r}"}
+            )
+            return False
+        self._body_length = int(value)
+        return True
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002 - stdlib signature
         pass  # replaced by the structured access log in log_request
@@ -196,7 +217,7 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
             path=self.path,
             status=int(status) if status.isdigit() else status,
             duration_s=None if began is None else time.monotonic() - began,
-            request_bytes=int(self.headers.get("Content-Length") or 0),
+            request_bytes=self._body_length,
         )
 
     def _send_json(self, status: int, payload: dict[str, Any]) -> None:
@@ -239,7 +260,7 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
 
     def _read_json(self) -> dict[str, Any]:
         content_type = (self.headers.get("Content-Type") or "").split(";", 1)[0].strip().lower()
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._body_length
         if length > self.server.max_request_bytes:
             # Refused before reading a byte: Content-Length is the guard.
             raise _HTTPError(
@@ -247,7 +268,7 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
                 f"request body of {length} bytes exceeds this server's limit of "
                 f"{self.server.max_request_bytes} bytes",
             )
-        if length <= 0:
+        if length == 0:
             return {}
         if content_type and content_type != "application/json":
             raise _HTTPError(

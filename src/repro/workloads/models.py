@@ -160,7 +160,7 @@ def _calibrate_block(
     block, boundary_weight: float, spec: WorkloadSpec, rng: np.random.Generator
 ) -> None:
     """Apply outlier, sparsity-offset and temporal-shift calibration to one block."""
-    for conv in block.conv_layers():
+    for conv in (block.conv0, block.conv1):
         conv.weight = _inject_weight_outliers(
             conv.weight, spec.outlier_fraction, spec.outlier_magnitude * boundary_weight, rng
         )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.costs import cost_summary, high_precision_cost_fraction, layer_cost_table
+from repro.core.costs import cost_summary, high_precision_cost_fraction
 from repro.core.policy import (
     mixed_precision_policy,
     sensitive_block_names,
@@ -75,8 +75,9 @@ class TestPolicies:
     def test_mixed_precision_conv_blocks_are_4bit(self, model):
         policy = mixed_precision_policy(model, relu=False)
         sensitive = sensitive_block_names(model, 1)
-        for assignment in policy.assignments.values():
-            if assignment.block_type == BLOCK_CONV and assignment.block_name not in sensitive:
+        for layer in model.layers():
+            assignment = policy.assignments[layer.name]
+            if layer.category == BLOCK_CONV and layer.block not in sensitive:
                 assert assignment.weight_bits == 4
             else:
                 assert assignment.weight_bits == 8
@@ -98,8 +99,9 @@ class TestPolicies:
     def test_single_block_policy(self, model):
         target = model.block_names()[2]
         policy = single_block_4bit_policy(model, target)
-        for assignment in policy.assignments.values():
-            if assignment.block_name == target and assignment.block_type == BLOCK_CONV:
+        for layer in model.layers():
+            assignment = policy.assignments[layer.name]
+            if layer.block == target and layer.category == BLOCK_CONV:
                 assert assignment.weight_bits == 4
             else:
                 assert assignment.weight_bits == 8
@@ -128,12 +130,12 @@ class TestPolicies:
 
 
 class TestCosts:
-    def test_layer_cost_table_covers_blocks(self, model):
-        table = layer_cost_table(model)
-        names = {c.layer_name for c in table}
+    def test_layer_inventory_covers_blocks(self, model):
+        layers = model.layers()
+        names = {layer.name for layer in layers}
         assert any("conv0" in n for n in names)
         assert "unet.conv_in" in names and "unet.emb_linear0" in names
-        assert all(c.macs >= 0 for c in table)
+        assert all(layer.macs >= 0 for layer in layers)
 
     def test_fp16_policy_has_zero_saving(self, model):
         summary = cost_summary(model, table1_policy(model, "FP16"))

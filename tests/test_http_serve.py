@@ -9,6 +9,7 @@ unpickling (see ``TestRawJSONWire``, which drives a sweep with nothing but
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import signal
@@ -22,7 +23,7 @@ import urllib.request
 import pytest
 
 from repro.accelerator import AcceleratorSimulator, dense_baseline_config, sqdm_config
-from repro.core import codec
+from repro.core import codec, telemetry
 from repro.core.artifacts import ArtifactStore
 from repro.core.experiments import run_sweep
 from repro.core.report_cache import ReportCache
@@ -260,6 +261,48 @@ class TestHTTPErrorPaths:
         finally:
             server.close()
             service.close(cancel_queued=True)
+
+    @staticmethod
+    def _post_with_content_length(server, value, body=b""):
+        """POST /jobs on a raw keep-alive connection with a hand-written Content-Length."""
+        import http.client
+
+        host, port = server.server_address[:2]
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.putrequest("POST", "/jobs")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", value)
+            connection.endheaders(body)
+            response = connection.getresponse()
+            payload = json.loads(response.read().decode("utf-8"))
+            return response.status, response.getheader("Connection"), payload
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize("value", ["abc", "-1", "1.5", "+2"])
+    def test_malformed_content_length_is_400_and_closes_the_connection(self, served, value):
+        """The body's extent is unknown, so any bytes sent after the headers
+        must not be parsed as the next request on the connection."""
+        _, _, _, server = served
+        status, connection, payload = self._post_with_content_length(server, value, b"{}")
+        assert status == 400
+        assert "Content-Length" in payload["error"] and repr(value) in payload["error"]
+        assert connection == "close"
+
+    def test_malformed_content_length_is_answered_with_access_log_on(self, served, monkeypatch):
+        _, _, _, server = served
+        log = telemetry.event_log()
+        stream = io.StringIO()
+        monkeypatch.setattr(log, "_stream", stream)
+        monkeypatch.setattr(log, "level", log.level)
+        monkeypatch.setattr(log, "_threshold", log._threshold)
+        log.configure(level="info")
+        status, connection, _ = self._post_with_content_length(server, "abc")
+        assert status == 400 and connection == "close"
+        records = [json.loads(line) for line in stream.getvalue().splitlines()]
+        access = [record for record in records if record["event"] == "http.access"]
+        assert access[-1]["status"] == 400 and access[-1]["request_bytes"] == 0
 
     def test_quality_spec_artifact_dir_is_pinned_to_server_store(self, served, monkeypatch):
         """Remote clients cannot aim server-side writes at arbitrary paths:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn.unet import BLOCK_CONV, EDMUNet, UNetConfig
+from repro.nn.unet import BLOCK_CONV, BLOCK_EMBEDDING, BLOCK_SKIP, EDMUNet, UNetConfig
 
 
 class TestUNetConfig:
@@ -62,10 +62,11 @@ class TestUNetStructure:
         assert orders == sorted(orders)
 
     def test_embedding_layers_nonempty(self, tiny_unet):
-        assert len(tiny_unet.embedding_layers()) >= 2 + len(tiny_unet.block_infos())
+        embedding = [layer for layer in tiny_unet.layers() if layer.category == BLOCK_EMBEDDING]
+        assert len(embedding) >= 2 + len(tiny_unet.block_infos())
 
     def test_skip_layers_include_stems(self, tiny_unet):
-        skips = tiny_unet.skip_layers()
+        skips = [layer.module for layer in tiny_unet.layers() if layer.category == BLOCK_SKIP]
         assert tiny_unet.conv_in in skips and tiny_unet.conv_out in skips
 
     def test_parameter_count_positive(self, tiny_unet):
@@ -138,23 +139,25 @@ class TestUNetForward:
 
 class TestUNetCosts:
     def test_cost_breakdown_categories(self, tiny_unet):
-        breakdown = tiny_unet.cost_breakdown()
-        assert set(breakdown) == {"Conv+Act", "Skip", "Embedding", "Attention"}
+        categories = {layer.category for layer in tiny_unet.layers()}
+        assert categories == {"Conv+Act", "Skip", "Embedding", "Attention"}
 
     def test_conv_dominates_compute(self, tiny_unet):
-        breakdown = tiny_unet.cost_breakdown()
-        conv = breakdown[BLOCK_CONV]["macs"]
-        total = sum(cat["macs"] for cat in breakdown.values())
+        layers = tiny_unet.layers()
+        conv = sum(layer.macs for layer in layers if layer.category == BLOCK_CONV)
+        total = sum(layer.macs for layer in layers)
         assert conv / total > 0.5
 
-    def test_total_macs_positive_and_scales_with_batch(self, tiny_unet):
-        single = tiny_unet.total_macs(batch=1)
-        double = tiny_unet.total_macs(batch=2)
-        assert single > 0
-        assert double > single
+    def test_total_macs_positive_and_scale_with_resolution(self):
+        def total_macs(resolution):
+            unet = EDMUNet(UNetConfig(img_resolution=resolution, model_channels=8, seed=0))
+            return sum(layer.macs for layer in unet.layers())
 
-    def test_block_component_costs_keys(self, tiny_unet):
+        assert 0 < total_macs(8) < total_macs(16)
+
+    def test_block_layers_cover_its_convolutions(self, tiny_unet):
         info = tiny_unet.block_infos()[0]
-        costs = info.block.component_costs(info.spatial)
-        assert set(costs) == {"Conv+Act", "Skip", "Embedding", "Attention"}
-        assert costs["Conv+Act"]["macs"] > 0
+        layers = info.block.layers(tiny_unet.name, info.spatial)
+        assert [layer.module for layer in layers[:2]] == [info.block.conv0, info.block.conv1]
+        assert {layer.category for layer in layers} >= {"Conv+Act", "Embedding"}
+        assert all(layer.block == info.name and layer.macs > 0 for layer in layers)

@@ -27,6 +27,7 @@ from repro.serve import (
     EvaluationService,
     JobFailedError,
     JobStatus,
+    QualityJobSpec,
     SimulationRequest,
     SweepJobSpec,
     coalesce_requests,
@@ -35,6 +36,7 @@ from repro.serve import (
 )
 from repro.serve import service as service_module
 from repro.serve.cli import main as cli_main
+from repro.serve.workers import evaluate_quality
 
 
 def make_trace(seed: int, steps: int = 3, layers: int = 2, in_channels: int = 24):
@@ -626,6 +628,44 @@ class TestEagerBackendValidation:
             ReportCache.key(sqdm_config(), [], backend="warp_drive")
 
 
+# -- served quality path ------------------------------------------------------------
+
+#: The ``cli_scale_args`` scale as pipeline overrides.
+QUALITY_OVERRIDES = {
+    "num_fid_samples": 4,
+    "num_reference_samples": 16,
+    "num_sampling_steps": 2,
+    "num_trace_samples": 1,
+    "seed": 0,
+}
+
+
+def test_process_pool_quality_jobs_equal_in_process_evaluation(tmp_path):
+    """A quality spec runs in a process-pool child and returns exactly the
+    numbers the same evaluation gives in this process."""
+    specs = [
+        QualityJobSpec(
+            workload="cifar10",
+            scheme=scheme,
+            resolution=8,
+            pipeline_overrides=QUALITY_OVERRIDES,
+            artifact_dir=str(tmp_path / "served"),
+        )
+        for scheme in ("MXINT8", "MP+ReLU")
+    ]
+    with EvaluationService(process_workers=1) as service:
+        jobs = [service.submit(spec) for spec in specs]
+        served = [job.result(timeout=300) for job in jobs]
+    in_process = [
+        evaluate_quality(
+            spec.workload, spec.scheme, 8, QUALITY_OVERRIDES, str(tmp_path / "in-process")
+        )
+        for spec in specs
+    ]
+    assert served == in_process
+    assert [result["scheme"] for result in served] == ["MXINT8", "Ours (MP+ReLU)"]
+
+
 # -- CLI -------------------------------------------------------------------------
 
 
@@ -670,6 +710,16 @@ class TestCLI:
         payload = json.loads(json_path.read_text())
         assert payload["hardware"]["total_speedup"] > 1.0
         assert payload["quality"] == []
+
+    def test_evaluate_quality_writes_the_in_process_numbers(self, tmp_path, cli_scale_args):
+        json_path = tmp_path / "eval.json"
+        command = ["evaluate", *cli_scale_args, "--quality", "MXINT8", "--json", str(json_path)]
+        assert cli_main(command) == 0
+        payload = json.loads(json_path.read_text())
+        expected = evaluate_quality(
+            "cifar10", "MXINT8", 8, QUALITY_OVERRIDES, str(tmp_path / "in-process")
+        )
+        assert payload["quality"] == [expected]
 
     def test_cache_stats_and_wipe(self, tmp_path, cli_scale_args, capsys):
         assert cli_main(["sweep", *cli_scale_args, "--param", "sparsity_threshold=0.3"]) == 0

@@ -28,7 +28,7 @@ from repro.serve import (
 )
 from repro.serve.fleet import MAX_LEASE_SECONDS, MIN_LEASE_SECONDS, TaskState
 from repro.serve.scheduler import SimulationRequest, run_batched
-from repro.serve.specs import SweepJobSpec
+from repro.serve.specs import SimulateJobSpec, SweepJobSpec
 
 
 class RecordingSink:
@@ -428,6 +428,24 @@ class TestServiceIntegration:
         service.close()
         with pytest.raises(Exception, match="fleet closed"):
             job.result(timeout=10)
+
+    @pytest.mark.parametrize("kind", ["simulation", "sweep"])
+    def test_close_fails_jobs_no_worker_ever_claimed(self, synthetic_trace, kind):
+        service = EvaluationService(worker_fleet=True, lease_seconds=5.0)
+        config = AcceleratorConfig(name=f"close-unclaimed-{kind}")
+        if kind == "simulation":
+            spec = SimulateJobSpec(config=config, trace=synthetic_trace)
+        else:
+            grid = {"sparsity_threshold": [0.2, 0.4]}
+            spec = SweepJobSpec(base=config, grid=grid, trace=synthetic_trace)
+        job = service.submit(spec)
+        # No worker registers: the fleet task is never claimed.
+        service.close()
+        assert job.wait(1)
+        assert job.status is JobStatus.FAILED
+        with pytest.raises(Exception, match="worker fleet closed"):
+            job.result(timeout=1)
+        assert service.service_stats()["inflight_keys"] == 0
 
 
 # -- end-to-end over HTTP -----------------------------------------------------------
