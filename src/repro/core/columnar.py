@@ -265,6 +265,11 @@ class ColumnarReportBatch:
         """Flattened (config, trace, step, layer) rows."""
         return len(self.layer_names)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the batch's arrays (the layer names not counted)."""
+        return sum(getattr(self, name).nbytes for name in ARRAY_FIELDS)
+
     def offsets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(config->trace, trace->step, step->entry) exclusive-cumsum starts.
 

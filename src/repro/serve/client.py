@@ -34,10 +34,19 @@ deadline passes or :data:`~repro.serve.fleet.MAX_LONG_POLL_SECONDS` elapse,
 and a finished job's result arrives in that same response, decoded exactly
 once.  Failures carry the server-side error *message*; the original
 exception type does not cross the wire.
+
+A simulate or sweep spec's trace crosses the wire once per server: the
+client remembers the digests a server named as ``trace_digest`` in the
+``201`` of an inline submission, and later submissions of an equal trace
+carry only ``{"$schema": "trace_ref@1", "digest": ...}``.  A server that no
+longer holds the trace (evicted, or restarted) answers 404 and the client
+resends the trace inline once, so callers keep passing
+``SweepJobSpec(trace=...)`` and never see a reference.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 import threading
@@ -60,6 +69,7 @@ from ..core.execution import (
     LocalCallSpec,
     spec_kind,
 )
+from ..core.report_cache import memoized_fingerprint_trace
 from ..core.telemetry import get_registry
 
 # Client-side transport telemetry, shared by every client in the process.
@@ -77,9 +87,11 @@ _BACKOFF_SECONDS = get_registry().counter(
 from .fleet import MAX_LONG_POLL_SECONDS
 from .specs import (
     CallableJobSpec,
+    DigestLRU,
     QualityJobSpec,
     SimulateJobSpec,
     SweepJobSpec,
+    TraceRef,
     require_wire_name,
 )
 
@@ -103,6 +115,10 @@ def _parse_retry_after(value: str | None) -> float | None:
 
 class RemoteServiceError(RuntimeError):
     """The server rejected a request or could not be reached."""
+
+
+class _UnknownTraceError(RemoteServiceError):
+    """A ``trace_ref`` named a digest the server does not hold (HTTP 404)."""
 
 
 class RemoteJob(JobHandle):
@@ -282,6 +298,9 @@ class RemoteEvaluationClient(Executor):
         self.max_backoff = max_backoff
         self.jitter = max(0.0, jitter)
         self._rng = random.Random()
+        #: Trace digests the server named in the 201 of this client's inline
+        #: submissions: later submissions of those traces send a reference.
+        self._server_traces = DigestLRU()
 
     # -- transport --------------------------------------------------------------
 
@@ -370,17 +389,22 @@ class RemoteEvaluationClient(Executor):
     @staticmethod
     def _http_error(method: str, path: str, exc: urllib.error.HTTPError) -> Exception:
         try:
-            message = json.loads(exc.read().decode("utf-8")).get("error", "")
+            body = json.loads(exc.read().decode("utf-8"))
         # repro: allow[REP009] error body is best-effort; the HTTP code below is the signal
         except Exception:  # noqa: BLE001 - error body is best-effort
-            message = ""
-        message = message or f"HTTP {exc.code}"
+            body = {}
+        if not isinstance(body, dict):
+            body = {}
+        message = body.get("error") or f"HTTP {exc.code}"
         if exc.code == 404 and path.startswith(("/jobs/", "/workers/")):
             # Parity with EvaluationService.job / WorkerFleet lookups; for a
             # worker this is its cue to re-register (server restarted, or a
             # newer incarnation retired it).
             return KeyError(message)
-        return RemoteServiceError(f"{method} {path} failed: {message} (HTTP {exc.code})")
+        error = f"{method} {path} failed: {message} (HTTP {exc.code})"
+        if exc.code == 404 and "trace_digest" in body:
+            return _UnknownTraceError(error)
+        return RemoteServiceError(error)
 
     # -- submission -------------------------------------------------------------
 
@@ -391,7 +415,9 @@ class RemoteEvaluationClient(Executor):
         A :class:`~repro.core.execution.LocalCallSpec` crosses only as the
         ``callable_spec`` of a registered wire function, run on the server's
         thread pool: no code crosses the wire, so an unregistered callable
-        is rejected with the registration recipe.
+        is rejected with the registration recipe.  A simulate or sweep spec
+        whose trace this server already accepted from this client carries a
+        ``trace_ref`` instead of the trace (see the module docstring).
         """
         if isinstance(spec, LocalCallSpec):
             label = label or spec.default_label()
@@ -403,10 +429,23 @@ class RemoteEvaluationClient(Executor):
             )
         else:
             spec_kind(spec)  # rejects non-specs with the uniform TypeError
-        summary = self._request(
-            "POST", "/jobs", {"spec": codec.encode(spec), "label": label or spec.default_label()}
-        )
+        label = label or spec.default_label()
+        if not isinstance(spec, (SimulateJobSpec, SweepJobSpec)):
+            return RemoteJob(self, self._post_job(spec, label))
+        digest = memoized_fingerprint_trace(spec.trace)
+        if self._server_traces.get(digest):
+            try:
+                by_ref = dataclasses.replace(spec, trace=TraceRef(digest))
+                return RemoteJob(self, self._post_job(by_ref, label))
+            except _UnknownTraceError:
+                self._server_traces.discard(digest)  # evicted, or the server restarted
+        summary = self._post_job(spec, label)
+        if summary.get("trace_digest") == digest:
+            self._server_traces.setdefault(digest, True)
         return RemoteJob(self, summary)
+
+    def _post_job(self, spec: Any, label: str) -> dict[str, Any]:
+        return self._request("POST", "/jobs", {"spec": codec.encode(spec), "label": label})
 
     def submit_simulation(
         self,

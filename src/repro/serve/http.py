@@ -12,7 +12,10 @@ Endpoints (all JSON):
 ========  ==================  ==================================================
 Method    Path                Meaning
 ========  ==================  ==================================================
-POST      ``/jobs``           Submit a typed job spec; returns its summary.
+POST      ``/jobs``           Submit a typed job spec; returns its summary,
+                              plus ``trace_digest`` for a spec with a trace.
+                              A ``trace_ref`` naming a digest this server
+                              does not hold is a 404 naming it.
 GET       ``/jobs``           List known jobs (``?status=``, ``?limit=``).
 GET       ``/jobs/<id>``      One job's status; ``?result=1`` attaches the
                               schema-encoded result once the job is done;
@@ -50,6 +53,17 @@ included — can submit work and read results without running this codebase.
 Unknown schema names or versions are rejected with 400 before any work is
 queued; clients can probe compatibility via ``GET /schemas``.
 
+**Traces by content address.**  The server fingerprints every trace it
+decodes (the report cache's own trace key), keeps the last
+:data:`~repro.serve.specs.MAX_STORED_TRACES` in a digest-keyed LRU and
+names the digest as ``trace_digest`` in the ``201``.  A later simulate or
+sweep spec may then carry ``{"$schema": "trace_ref@1", "digest": "<hex>"}``
+as its trace: ``POST /jobs`` swaps in the stored object, so every job on
+one trace shares one decoded trace, or answers 404 with the digest in
+``trace_digest`` when it holds none — evicted, or the server restarted —
+and the client resends the trace inline.  Only digests the server computed
+itself are stored.
+
 Negotiation and limits: requests with a body must be
 ``application/json`` (else 415); an ``Accept`` header that excludes JSON is
 refused with 406, as is an ``X-Repro-Wire-Version`` header naming an
@@ -78,12 +92,21 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
+from ..accelerator.simulator import WorkloadTrace
 from ..core import codec, telemetry
 from ..core.artifacts import ArtifactStore
 from ..core.execution import JobStatus
+from ..core.report_cache import memoized_fingerprint_trace
 from .fleet import MAX_LONG_POLL_SECONDS, duration_seconds
 from .service import EvaluationService
-from .specs import JOB_SPEC_TYPES, QualityJobSpec
+from .specs import (
+    JOB_SPEC_TYPES,
+    DigestLRU,
+    QualityJobSpec,
+    SimulateJobSpec,
+    SweepJobSpec,
+    TraceRef,
+)
 
 #: Upper bound on accepted request bodies (satellite guard against a single
 #: oversized POST exhausting server memory).  Generous enough for real
@@ -98,11 +121,13 @@ _HTTP_REQUESTS = telemetry.get_registry().counter(
 
 
 class _HTTPError(Exception):
-    """Internal: maps a handler failure to an HTTP status + JSON error body."""
+    """Internal: maps a handler failure to an HTTP status + JSON error body
+    (``{"error": message, **fields}``)."""
 
-    def __init__(self, status: int, message: str) -> None:
+    def __init__(self, status: int, message: str, **fields: Any) -> None:
         super().__init__(message)
         self.status = status
+        self.fields = fields
 
 
 class EvaluationHTTPServer(ThreadingHTTPServer):
@@ -124,6 +149,24 @@ class EvaluationHTTPServer(ThreadingHTTPServer):
         self.store = store if store is not None else service.cache.store
         self.max_request_bytes = max_request_bytes
         self._thread: threading.Thread | None = None
+        #: Traces decoded from inline submissions, by digest.
+        self._traces = DigestLRU()
+
+    def resolve_trace(self, trace: "WorkloadTrace | TraceRef") -> tuple[WorkloadTrace, str]:
+        """The stored trace a submission names, and its digest.
+
+        An inline trace is fingerprinted here and stored unless an equal one
+        already is, whose object then stands in for it; a
+        :class:`~repro.serve.specs.TraceRef` must name a stored digest, else
+        :class:`KeyError`.
+        """
+        if isinstance(trace, TraceRef):
+            stored = self._traces.get(trace.digest)
+            if stored is None:
+                raise KeyError(trace.digest)
+            return stored, trace.digest
+        digest = memoized_fingerprint_trace(trace)
+        return self._traces.setdefault(digest, trace), digest
 
     @property
     def endpoint(self) -> str:
@@ -170,6 +213,10 @@ def start_http_server(
 class _EvaluationRequestHandler(BaseHTTPRequestHandler):
     server: EvaluationHTTPServer
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as separate writes: without TCP_NODELAY the
+    # body waits for the client's delayed ACK on every keep-alive request
+    # after the first (~40 ms each).
+    disable_nagle_algorithm = True
     #: The request's ``Content-Length``, parsed once by :meth:`parse_request`.
     _body_length = 0
 
@@ -214,7 +261,8 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         log.emit(
             "http.access",
             method=self.command or "-",
-            path=self.path,
+            # Absent when the stdlib refuses the request line itself (414).
+            path=getattr(self, "path", None),
             status=int(status) if status.isdigit() else status,
             duration_s=None if began is None else time.monotonic() - began,
             request_bytes=self._body_length,
@@ -294,7 +342,7 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
                 # to close the connection after responding — otherwise the
                 # unread body would be parsed as the next request line.
                 self.close_connection = True
-            self._send_json(exc.status, {"error": str(exc)})
+            self._send_json(exc.status, {"error": str(exc), **exc.fields})
         except KeyError as exc:
             self._send_json(404, {"error": str(exc.args[0]) if exc.args else "not found"})
         # repro: allow[REP009] error is returned to the client as the HTTP 500 body
@@ -427,7 +475,20 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
                 400,
                 f"{type(spec).__name__} is not a job spec; submit one of {names}",
             )
-        if isinstance(spec, QualityJobSpec):
+        trace_digest: str | None = None
+        if isinstance(spec, (SimulateJobSpec, SweepJobSpec)):
+            try:
+                trace, trace_digest = self.server.resolve_trace(spec.trace)
+            except KeyError:
+                digest = spec.trace.digest
+                raise _HTTPError(
+                    404,
+                    f"unknown trace digest {digest!r}: this server holds no such "
+                    "trace; resend it inline",
+                    trace_digest=digest,
+                ) from None
+            spec = dataclasses.replace(spec, trace=trace)
+        elif isinstance(spec, QualityJobSpec):
             # Remote clients do not get to name server-side filesystem paths:
             # quality jobs always run against THIS server's artifact store
             # (which is also what makes their FID statistics shareable).
@@ -441,7 +502,10 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
             # e.g. an unregistered wire function or a config the spec's own
             # validation only catches at planning time: the client's error.
             raise _HTTPError(400, f"cannot submit {type(spec).__name__}: {exc}") from None
-        return 201, job.summary()
+        summary = job.summary()
+        if trace_digest is not None:
+            summary["trace_digest"] = trace_digest
+        return 201, summary
 
     def _delete_job(self, job_id: str) -> tuple[int, dict[str, Any]]:
         cancelled = self.server.service.cancel(job_id)

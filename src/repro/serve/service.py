@@ -49,7 +49,7 @@ from ..accelerator.config import AcceleratorConfig
 from ..accelerator.energy import EnergyTable
 from ..accelerator.simulator import WorkloadTrace
 from ..core import telemetry
-from ..core.columnar import ensure_report
+from ..core.columnar import ColumnarReportBatch, ensure_report
 from ..core.execution import Executor, LocalCallSpec, ensure_picklable
 from ..core.report_cache import CacheKey, DEFAULT_REPORT_CACHE, ReportCache
 from .fleet import WorkerFleet
@@ -68,6 +68,21 @@ from .specs import (
     SweepJobResult,
     SweepJobSpec,
 )
+
+#: Result bytes the job history may pin: beyond them the oldest terminal jobs
+#: are forgotten, as beyond ``history_limit`` jobs.  A 17-point sweep of a
+#: paper trace holds 119-156 KiB of columnar results.
+MAX_RETAINED_RESULT_BYTES = 64 * 1024 * 1024
+
+
+def _result_nbytes(value: Any) -> int:
+    """Array bytes a finished job's result pins: its columnar batches (a
+    sweep's cases and baseline); any other result counts 0."""
+    if isinstance(value, SweepJobResult):
+        items = [*value.case_results(), value.baseline_result()]
+    else:
+        items = [value]
+    return sum(item.nbytes for item in items if isinstance(item, ColumnarReportBatch))
 
 
 class _JobSink:
@@ -173,9 +188,10 @@ class EvaluationService(Executor):
     history_limit:
         How many *completed* jobs the service keeps addressable by id.  A
         long-lived service would otherwise pin every result (reports included)
-        forever; beyond the limit the oldest terminal jobs are forgotten.
-        Job handles returned by ``submit_*`` keep working regardless — only
-        id-based lookup of old jobs ages out.
+        forever; beyond the limit — or while the retained results hold more
+        than :data:`MAX_RETAINED_RESULT_BYTES` — the oldest terminal jobs are
+        forgotten.  Job handles returned by ``submit_*`` keep working
+        regardless — only id-based lookup of old jobs ages out.
     worker_fleet:
         ``True`` dispatches simulation work to pull-based remote workers (a
         :class:`~repro.serve.fleet.WorkerFleet` with lease/heartbeat
@@ -212,6 +228,9 @@ class EvaluationService(Executor):
         self._process_workers = process_workers
         self._process_pool: ProcessPoolExecutor | None = None
         self._jobs: dict[str, Job] = {}  #: guarded by _condition
+        #: Result bytes of retained jobs (see ``_result_nbytes``), by job id.
+        self._result_bytes: dict[str, int] = {}  #: guarded by _condition
+        self._retained_bytes = 0  #: guarded by _condition
         self._queue: list[tuple[Job, Any]] = []
         self._condition = threading.Condition()
         self._closed = False
@@ -291,10 +310,16 @@ class EvaluationService(Executor):
         return job
 
     def _retire_completed_locked(self) -> None:
-        """Forget the oldest terminal jobs beyond ``history_limit`` (lock held)."""
+        """Forget the oldest terminal jobs beyond ``history_limit``, and while
+        the retained results pin more than MAX_RETAINED_RESULT_BYTES (lock held)."""
         terminal = [job_id for job_id, job in self._jobs.items() if job.done]
-        for job_id in terminal[: max(0, len(terminal) - self.history_limit)]:
+        excess = len(terminal) - self.history_limit
+        for job_id in terminal:
+            if excess <= 0 and self._retained_bytes <= MAX_RETAINED_RESULT_BYTES:
+                break
             del self._jobs[job_id]
+            self._retained_bytes -= self._result_bytes.pop(job_id, 0)
+            excess -= 1
 
     def _enqueue(self, job: Job, payload: Any) -> Job:
         with self._condition:
@@ -311,7 +336,16 @@ class EvaluationService(Executor):
         return job
 
     def _observe_completion(self, job: Job) -> None:
-        """Feed one finished job's lifecycle timing into the registry."""
+        """Size one finished job's result for the history bound, and feed its
+        lifecycle timing into the registry."""
+        nbytes = _result_nbytes(job.result_value)
+        if nbytes:
+            with self._condition:
+                if self._jobs.get(job.id) is job:  # not retired already
+                    self._result_bytes[job.id] = nbytes
+                    self._retained_bytes += nbytes
+                    if self._retained_bytes > MAX_RETAINED_RESULT_BYTES:
+                        self._retire_completed_locked()
         self._jobs_completed_metric.inc(kind=job.kind.value, status=job.status.value)
         if job.started_at_monotonic is not None:
             self._queue_wait_metric.observe(job.queued_seconds, kind=job.kind.value)
@@ -493,6 +527,7 @@ class EvaluationService(Executor):
             submitted = dict(self._submitted)
             queued = len(self._queue)
             status_counts = Counter(job.status.value for job in self._jobs.values())
+            retained_bytes = self._retained_bytes
             closed = self._closed
         with self._inflight_lock:
             attached = self.coalesced_attached
@@ -501,6 +536,7 @@ class EvaluationService(Executor):
             "submitted": submitted,
             "queued": queued,
             "jobs_by_status": dict(status_counts),
+            "retained_result_bytes": retained_bytes,
             "coalesced_attached": attached,
             "inflight_keys": inflight,
             "cancelled": self.cancelled_count,

@@ -32,12 +32,17 @@ Four spec types cover the service surface:
 All specs (and :class:`SweepJobResult`) carry versioned wire schemas
 registered with :mod:`repro.core.codec`, so they round-trip through plain
 JSON and unknown names/versions are rejected before any work is queued.
+On the wire, the trace of a simulate or sweep spec may be a
+:class:`TraceRef` — the digest of a trace the server already holds — in
+place of the trace itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
@@ -116,15 +121,77 @@ def require_wire_name(fn: Callable[..., Any] | str) -> str:
 
 # -- trace helpers -----------------------------------------------------------------
 
+#: How many decoded traces an HTTP server keeps for ``trace_ref`` submissions,
+#: and how many accepted digests a client remembers (:class:`DigestLRU`).
+MAX_STORED_TRACES = 64
 
-def _encode_trace_field(trace: WorkloadTrace, ctx: Encoder) -> Any:
+
+class DigestLRU:
+    """A thread-safe map keyed by trace digest, holding the
+    :data:`MAX_STORED_TRACES` most recently used entries."""
+
+    def __init__(self) -> None:
+        self._entries: OrderedDict[str, Any] = OrderedDict()  #: guarded by _lock
+        self._lock = threading.Lock()
+
+    def get(self, digest: str) -> Any:
+        """The entry under ``digest`` (now the most recent), or None."""
+        with self._lock:
+            value = self._entries.get(digest)
+            if value is not None:
+                self._entries.move_to_end(digest)
+            return value
+
+    def setdefault(self, digest: str, value: Any) -> Any:
+        """The entry under ``digest``, storing ``value`` first if there is none."""
+        with self._lock:
+            stored = self._entries.setdefault(digest, value)
+            self._entries.move_to_end(digest)
+            if len(self._entries) > MAX_STORED_TRACES:
+                self._entries.popitem(last=False)
+            return stored
+
+    def discard(self, digest: str) -> None:
+        with self._lock:
+            self._entries.pop(digest, None)
+
+
+@dataclass(frozen=True)
+class TraceRef:
+    """A trace named by content: ``{"$schema": "trace_ref@1", "digest": "<hex>"}``.
+
+    ``digest`` is the report cache's trace fingerprint
+    (:func:`~repro.core.report_cache.fingerprint_trace`) of a trace the
+    server has already decoded from an inline submission; the server's
+    ``201`` names it as ``trace_digest``.  Wire-only: the HTTP front end
+    swaps it for the stored trace before the service sees the spec, and
+    answers 404 for a digest it does not hold.
+    """
+
+    digest: str
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.digest, str) or not self.digest:
+            raise ValueError(f"a trace digest is a non-empty string, got {self.digest!r}")
+
+
+def _encode_trace_field(trace: "WorkloadTrace | TraceRef", ctx: Encoder) -> Any:
+    if isinstance(trace, TraceRef):
+        return ctx.encode(trace)
     return ctx.encode(trace, name=WORKLOAD_TRACE_SCHEMA)
 
 
-def _decode_trace_field(value: Any, ctx: Decoder) -> WorkloadTrace:
-    """Accept a ``workload_trace`` envelope or bare nested lists of workloads."""
+def _decode_trace_field(value: Any, ctx: Decoder) -> "WorkloadTrace | TraceRef":
+    """Accept a ``workload_trace`` or ``trace_ref`` envelope, or bare nested
+    lists of workloads."""
     if isinstance(value, Mapping) and codec.SCHEMA_KEY in value:
-        return ctx.decode(value)
+        decoded = ctx.decode(value)
+        if not isinstance(decoded, (list, TraceRef)):
+            raise codec.SchemaError(
+                "a trace must be a workload_trace or trace_ref envelope, "
+                f"got {type(decoded).__name__}"
+            )
+        return decoded
     trace = ctx.value(value)
     if not isinstance(trace, list) or not all(isinstance(step, list) for step in trace):
         raise codec.SchemaError("a trace must be a list of per-step workload lists")
@@ -420,6 +487,7 @@ register_schema("sweep_spec", 1, _encode_sweep, _decode_sweep, type=SweepJobSpec
 
 codec.register_dataclass(QualityJobSpec, "quality_spec")
 codec.register_dataclass(CallableJobSpec, "callable_spec")
+codec.register_dataclass(TraceRef, "trace_ref")
 
 
 def _decode_result_item(value: Any, ctx: Decoder, what: str) -> Any:

@@ -26,6 +26,7 @@ from repro.serve.specs import (
     SimulateJobSpec,
     SweepJobResult,
     SweepJobSpec,
+    TraceRef,
 )
 
 
@@ -164,6 +165,7 @@ def sample_objects() -> dict[str, tuple]:
         "artifact_store_stats": (ArtifactStoreStats(hits=1, misses=2, writes=3), None),
         "eviction_result": (EvictionResult(removed=2, reclaimed_bytes=4096), None),
         "simulate_spec": (SimulateJobSpec(config=sqdm_config(), trace=trace), None),
+        "trace_ref": (TraceRef(digest="0f" * 32), None),
         "quality_spec": (
             QualityJobSpec(workload="cifar10", scheme="MXINT8", pipeline_overrides={"seed": 1}),
             None,

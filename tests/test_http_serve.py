@@ -26,7 +26,7 @@ from repro.accelerator import AcceleratorSimulator, dense_baseline_config, sqdm_
 from repro.core import codec, telemetry
 from repro.core.artifacts import ArtifactStore
 from repro.core.experiments import run_sweep
-from repro.core.report_cache import ReportCache
+from repro.core.report_cache import ReportCache, fingerprint_trace
 from repro.serve import (
     EvaluationService,
     JobFailedError,
@@ -37,6 +37,7 @@ from repro.serve import (
     register_wire_function,
     start_http_server,
 )
+from repro.serve import service as service_module
 from repro.serve.cli import main as cli_main
 
 from test_serve import _module_level_boom, _module_level_square, make_trace
@@ -303,6 +304,51 @@ class TestHTTPErrorPaths:
         records = [json.loads(line) for line in stream.getvalue().splitlines()]
         access = [record for record in records if record["event"] == "http.access"]
         assert access[-1]["status"] == 400 and access[-1]["request_bytes"] == 0
+
+    def test_overlong_request_line_is_a_414_with_access_log_on(self, served, monkeypatch):
+        """The stdlib answers a request line over 65536 bytes before
+        ``parse_request`` sets ``path``; the access log records it pathless."""
+        import socket
+
+        _, _, _, server = served
+        log = telemetry.event_log()
+        stream = io.StringIO()
+        monkeypatch.setattr(log, "_stream", stream)
+        monkeypatch.setattr(log, "level", log.level)
+        monkeypatch.setattr(log, "_threshold", log._threshold)
+        log.configure(level="info")
+        with socket.create_connection(server.server_address[:2], timeout=10) as sock:
+            # Exactly the 65537 bytes the stdlib reads for a request line:
+            # bytes left unread would turn the server's close into a reset.
+            sock.sendall(b"GET /" + b"a" * (65537 - 5))
+            reply = sock.makefile("rb").readline()
+        assert reply.startswith(b"HTTP/1.1 414"), reply
+        records = [json.loads(line) for line in stream.getvalue().splitlines()]
+        access = [record for record in records if record["event"] == "http.access"]
+        assert access[-1]["status"] == 414 and access[-1]["path"] is None
+
+    def test_keep_alive_requests_do_not_wait_for_delayed_acks(self, served):
+        """Headers and body are separate writes: with Nagle on, every request
+        after the first on one connection stalls ~40 ms on the delayed ACK."""
+        import http.client
+
+        _, _, _, server = served
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        elapsed = []
+        try:
+            for _ in range(10):
+                began = time.perf_counter()
+                connection.request("GET", "/schemas")
+                response = connection.getresponse()
+                response.read()
+                elapsed.append(time.perf_counter() - began)
+                assert response.status == 200
+        finally:
+            connection.close()
+        # A stall costs ~40 ms on every reuse; the median of the nine reuses
+        # stays clear of one scheduling hiccup on a busy machine.
+        reuses = sorted(elapsed[1:])
+        assert reuses[len(reuses) // 2] < 0.02, [f"{t * 1e3:.1f} ms" for t in elapsed]
 
     def test_quality_spec_artifact_dir_is_pinned_to_server_store(self, served, monkeypatch):
         """Remote clients cannot aim server-side writes at arbitrary paths:
@@ -642,6 +688,197 @@ class TestServerSideSweeps:
         with pytest.raises(RemoteServiceError, match="backend"):
             client.submit_sweep(spec)
         assert service.jobs() == []
+
+
+def _ref(digest):
+    return {"$schema": "trace_ref@1", "digest": digest}
+
+
+def _sweep_body(trace_doc, **extra):
+    """A hand-written sweep submission whose trace field is ``trace_doc``."""
+    spec = {
+        "$schema": "sweep_spec@1",
+        "base": {"$schema": "accelerator_config@1", "name": "sqdm"},
+        "grid": {"sparsity_threshold": [0.1, 0.3]},
+        "trace": trace_doc,
+    }
+    return json.dumps({"spec": spec, **extra}).encode()
+
+
+class TestTraceRefs:
+    """A trace crosses the wire once per server: later specs on it carry
+    ``trace_ref@1`` with the digest the server named in its ``201``."""
+
+    @staticmethod
+    def _record_requests(client, monkeypatch):
+        calls = []
+        request = client._request
+
+        def recording_request(method, path, payload=None, *args, **kwargs):
+            calls.append((method, path, payload))
+            return request(method, path, payload, *args, **kwargs)
+
+        monkeypatch.setattr(client, "_request", recording_request)
+        return calls
+
+    @staticmethod
+    def _sweep(trace, thresholds=(0.2, 0.4)):
+        return SweepJobSpec(
+            base=sqdm_config(),
+            grid={"sparsity_threshold": list(thresholds)},
+            trace=trace,
+            baseline=dense_baseline_config(),
+        )
+
+    def test_second_sweep_on_a_trace_posts_a_small_reference(self, served, monkeypatch):
+        client, _, _, _ = served
+        calls = self._record_requests(client, monkeypatch)
+        trace = make_trace(43, steps=8, layers=4)
+        inline = client.submit_sweep(self._sweep(trace)).result(timeout=120)
+        by_ref = client.submit_sweep(self._sweep(trace)).result(timeout=120)
+        assert by_ref == inline
+        assert [method for method, _, _ in calls] == ["POST", "GET", "POST", "GET"]
+        first, second = calls[0][2], calls[2][2]
+        assert len(json.dumps(first)) > 4096
+        assert len(json.dumps(second)) < 4096
+        assert second["spec"]["trace"] == _ref(fingerprint_trace(trace))
+
+    def test_fresh_server_answers_404_and_the_client_resends_inline_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A restarted server holds no traces: the reference costs one 404
+        and one inline POST, and the sweep still succeeds."""
+        trace = make_trace(44, steps=4)
+
+        def serve(port):
+            service = EvaluationService(cache=ReportCache(), max_workers=2)
+            return service, start_http_server(service, port=port)
+
+        service, server = serve(0)
+        client = RemoteEvaluationClient(server.endpoint)
+        calls = self._record_requests(client, monkeypatch)
+        try:
+            inline = client.submit_sweep(self._sweep(trace)).result(timeout=120)
+        finally:
+            server.close()
+            service.close()
+        service, server = serve(server.server_address[1])
+        try:
+            del calls[:]
+            after_restart = client.submit_sweep(self._sweep(trace)).result(timeout=120)
+            assert [method for method, _, _ in calls] == ["POST", "POST", "GET"]
+            assert calls[0][2]["spec"]["trace"]["$schema"] == "trace_ref@1"
+            assert calls[1][2]["spec"]["trace"]["$schema"] == "workload_trace@1"
+            assert after_restart == inline
+            # The inline resend registered the trace again.
+            del calls[:]
+            client.submit_sweep(self._sweep(trace, (0.3,))).result(timeout=120)
+            assert calls[0][2]["spec"]["trace"]["$schema"] == "trace_ref@1"
+        finally:
+            server.close()
+            service.close()
+
+    def test_unknown_digest_is_a_404_that_names_it(self, served):
+        _, service, _, server = served
+        digest = "ab" * 32
+        status, payload = _raw_request(server.endpoint, "/jobs", data=_sweep_body(_ref(digest)))
+        assert status == 404
+        assert payload["trace_digest"] == digest and digest in payload["error"]
+        assert service.jobs() == []
+
+    def test_equal_traces_from_two_clients_share_one_stored_object(self, served, monkeypatch):
+        client_a, service, _, server = served
+        client_b = RemoteEvaluationClient(server.endpoint)
+        submitted = []
+        submit = service.submit
+
+        def recording_submit(spec, label=""):
+            submitted.append(spec)
+            return submit(spec, label)
+
+        monkeypatch.setattr(service, "submit", recording_submit)
+        trace_a, trace_b = make_trace(45), make_trace(45)
+        assert trace_a is not trace_b
+        job_a = client_a.submit_sweep(self._sweep(trace_a))
+        job_b = client_b.submit_sweep(self._sweep(trace_b))
+        assert job_a.summary()["trace_digest"] == job_b.summary()["trace_digest"]
+        assert submitted[0].trace is submitted[1].trace
+        assert job_a.result(timeout=120) == job_b.result(timeout=120)
+
+    def test_simulate_spec_by_reference(self, served, monkeypatch):
+        client, _, _, _ = served
+        calls = self._record_requests(client, monkeypatch)
+        trace = make_trace(46)
+        first = client.submit_simulation(sqdm_config(), trace).result(timeout=120)
+        second = client.submit_simulation(sqdm_config(), trace).result(timeout=120)
+        posts = [payload for method, _, payload in calls if method == "POST"]
+        assert posts[0]["spec"]["trace"]["$schema"] == "workload_trace@1"
+        assert posts[1]["spec"]["trace"] == _ref(fingerprint_trace(trace))
+        assert second == first
+        expected = AcceleratorSimulator(sqdm_config()).run_trace(trace)
+        assert second.total_cycles == expected.total_cycles
+
+    def test_server_stores_only_digests_it_computed(self, served):
+        """A client cannot name the digest a trace is stored under: the
+        server fingerprints what it decoded and ignores any offered digest."""
+        client, _, _, server = served
+        chosen = "f" * 64
+        trace = make_trace(47)
+        trace_doc = codec.encode(trace, name="workload_trace")
+        status, summary = _raw_request(
+            server.endpoint, "/jobs", data=_sweep_body(trace_doc, trace_digest=chosen)
+        )
+        assert status == 201
+        assert summary["trace_digest"] == fingerprint_trace(trace) != chosen
+        status, _ = _raw_request(server.endpoint, "/jobs", data=_sweep_body(_ref(chosen)))
+        assert status == 404
+        status, by_ref = _raw_request(
+            server.endpoint, "/jobs", data=_sweep_body(_ref(summary["trace_digest"]))
+        )
+        assert status == 201 and by_ref["trace_digest"] == summary["trace_digest"]
+        assert client.schemas()["schemas"]["trace_ref"] == [1]
+
+    def test_a_non_trace_envelope_is_a_400(self, served):
+        _, _, _, server = served
+        status, payload = _raw_request(
+            server.endpoint,
+            "/jobs",
+            data=_sweep_body({"$schema": "accelerator_config@1", "name": "sqdm"}),
+        )
+        assert status == 400 and "trace_ref" in payload["error"]
+
+
+class TestJobHistoryBytes:
+    def test_old_sweeps_age_out_by_retained_result_bytes(self, served, monkeypatch):
+        """Beyond MAX_RETAINED_RESULT_BYTES of results the oldest finished
+        jobs lose id lookup (404), while their handles keep their results."""
+        _, service, _, server = served
+        trace = make_trace(48)
+
+        def sweep(threshold):
+            spec = SweepJobSpec(
+                base=sqdm_config(), grid={"sparsity_threshold": [threshold]}, trace=trace
+            )
+            job = service.submit(spec)
+            job.result(timeout=120)
+            return job
+
+        jobs = [sweep(0.1)]
+        one = service_module._result_nbytes(jobs[0].result_value)
+        assert one > 0
+        monkeypatch.setattr(service_module, "MAX_RETAINED_RESULT_BYTES", one * 3 // 2)
+        jobs += [sweep(0.2), sweep(0.3)]
+        deadline = time.monotonic() + 10
+        while len(service.jobs()) > 1 and time.monotonic() < deadline:
+            time.sleep(0.01)  # the last completion callback retires the older jobs
+        assert [job.id for job in service.jobs()] == [jobs[2].id]
+        assert service.service_stats()["retained_result_bytes"] == one
+        for job in jobs[:2]:
+            status, _ = _raw_request(server.endpoint, f"/jobs/{job.id}")
+            assert status == 404
+            assert len(job.result().reports) == 1
+        status, summary = _raw_request(server.endpoint, f"/jobs/{jobs[2].id}")
+        assert status == 200 and summary["status"] == "done"
 
 
 class TestMultiClientCoalescing:
