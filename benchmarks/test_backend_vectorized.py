@@ -21,7 +21,7 @@ from repro.core.bench import BenchWorkload, bench_grid
 from repro.core.policy import mixed_precision_policy
 from repro.core.report_cache import ReportCache
 from repro.core.sparsity import trace_to_workloads
-from repro.serve import BatchStats, SimulationRequest, run_batched
+from repro.serve import BatchStats, SimulateJobSpec, run_batched
 
 RTOL = 1e-9
 
@@ -95,7 +95,7 @@ def test_cross_config_sweep_fuses_kernel_calls_and_outruns_per_config(benchmark)
 
     # --- dispatch: the whole grid fuses into (at most) two kernel calls ----
     requests = [
-        SimulationRequest(config, trace) for config in configs for trace in traces
+        SimulateJobSpec(config, trace) for config in configs for trace in traces
     ]
     stats = BatchStats()
     reports = run_once(

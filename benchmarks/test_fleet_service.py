@@ -27,7 +27,8 @@ from repro.accelerator import (
 from repro.analysis.tables import format_table
 from repro.core.artifacts import ArtifactStore
 from repro.core.report_cache import ReportCache
-from repro.serve.scheduler import SimulationRequest, run_batched
+from repro.serve.scheduler import run_batched
+from repro.serve.specs import SimulateJobSpec
 
 #: A healthy margin below the ~1.8-2x measured on CI-class CPUs, but enough
 #: to fail if batching regresses to a hidden per-trace loop.
@@ -94,8 +95,8 @@ def test_batched_sweep_beats_per_trace_loop(benchmark):
 def test_artifact_store_serves_rerun_without_simulation(tmp_path, benchmark):
     traces = fleet_traces(num_traces=8)
     store = ArtifactStore(tmp_path / "artifacts")
-    requests = [SimulationRequest(sqdm_config(), trace) for trace in traces] + [
-        SimulationRequest(dense_baseline_config(), trace) for trace in traces
+    requests = [SimulateJobSpec(sqdm_config(), trace) for trace in traces] + [
+        SimulateJobSpec(dense_baseline_config(), trace) for trace in traces
     ]
 
     cold_cache = ReportCache(store=store)

@@ -35,7 +35,7 @@ from repro.accelerator import (
 )
 from repro.analysis.tables import format_percentage, format_speedup, format_table
 from repro.core.experiments import SweepSpec, run_sweep
-from repro.serve import EvaluationService, SimulationRequest, run_batched
+from repro.serve import EvaluationService, SimulateJobSpec, run_batched
 
 
 def build_trace(mean_sparsity: float, steps: int = 6, layers: int = 8):
@@ -65,9 +65,9 @@ def main() -> None:
     print("== Organization study: dense baseline vs heterogeneous DPE+SPE ==")
     fp16_dense, int4_dense, int4_sqdm = run_batched(
         [
-            SimulationRequest(dense_baseline_config(), fp16_trace),
-            SimulationRequest(dense_baseline_config(), trace),
-            SimulationRequest(sqdm_config(), trace),
+            SimulateJobSpec(dense_baseline_config(), fp16_trace),
+            SimulateJobSpec(dense_baseline_config(), trace),
+            SimulateJobSpec(sqdm_config(), trace),
         ]
     )
     rows = [

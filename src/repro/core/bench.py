@@ -284,12 +284,16 @@ def _time_service(
     cold-cache job per config.  Latency is per-job submitted->finished time
     from the job's monotonic trace, so it includes queueing and coalescing."""
     from ..serve.service import EvaluationService
+    from ..serve.specs import SimulateJobSpec
     from .report_cache import ReportCache
 
     jobs_submitted = len(configs)
     start = time.perf_counter()
     with EvaluationService(cache=ReportCache(max_entries=1024)) as service:
-        jobs = [service.submit_simulation(config, traces[0]) for config in configs]
+        jobs = [
+            service.submit(SimulateJobSpec(config=config, trace=traces[0]))
+            for config in configs
+        ]
         for job in jobs:
             job.result()
         latencies = sorted(

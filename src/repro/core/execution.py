@@ -20,11 +20,18 @@ The shared vocabulary lives here:
 
 :class:`Executor`
     The protocol every backend implements: ``submit(spec, label) ->
-    JobHandle``, ``map(specs)``, ``stats()``, ``capabilities()``,
-    ``close()`` and context-manager lifecycle.  What is submitted are the
-    typed job specs of :mod:`repro.serve.specs` (``simulate_spec`` /
-    ``sweep_spec`` / ``quality_spec`` / ``callable_spec``) plus
-    :class:`LocalCallSpec` for in-process callables that never cross a wire.
+    JobHandle``, ``map(specs)``, ``stats()``, ``close()`` and
+    context-manager lifecycle.  What is submitted are the typed job specs
+    of :mod:`repro.serve.specs` (``simulate_spec`` / ``sweep_spec`` /
+    ``quality_spec`` / ``callable_spec``) plus :class:`LocalCallSpec` for
+    in-process callables that never cross a wire; ``submit`` is the only
+    way in on every backend.
+:class:`JobKind` and :func:`job_kind`
+    The one mapping from a spec to the kind of job it runs as.  Simulate and
+    sweep specs are *planned*: ``spec.plan()`` lists the simulate specs the
+    scheduler runs and ``spec.result(reports)`` builds the job's value from
+    their reports.  Every other spec is a call, ``fn(*args, **kwargs)``, as
+    :func:`resolve_call` resolves it.
 :class:`JobHandle`
     The uniform future every ``submit`` returns — the service's ``Job``, the
     client's ``RemoteJob`` or an inline :class:`CompletedHandle`:
@@ -50,8 +57,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, Ty
 
 from .telemetry import event_log
 
-if TYPE_CHECKING:  # pragma: no cover - typing only; serve imports stay lazy
-    from ..serve.jobs import JobKind
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from .report_cache import ReportCache
 
 
@@ -67,6 +73,26 @@ class JobStatus(str, Enum):
 
 #: States in which a job will never produce further progress.
 TERMINAL_STATUSES = (JobStatus.DONE, JobStatus.FAILED, JobStatus.CANCELLED)
+
+
+class JobKind(str, Enum):
+    """What a job runs as, which every backend reports as its handles' ``kind``.
+
+    ``SIMULATION`` and ``SWEEP`` jobs are planned into simulate specs that
+    the coalescing scheduler batches; ``SAMPLING`` jobs (quality specs and
+    ``pool="process"`` callables: GIL-bound sampling work) run on the
+    service's process pool; ``CALLABLE`` jobs run a resolved function on its
+    thread pool.
+    """
+
+    SIMULATION = "simulation"
+    SWEEP = "sweep"
+    SAMPLING = "sampling"
+    CALLABLE = "callable"
+
+
+#: The kinds whose specs are planned into simulate specs for the scheduler.
+PLANNED_KINDS = (JobKind.SIMULATION, JobKind.SWEEP)
 
 
 class JobFailedError(RuntimeError):
@@ -89,15 +115,6 @@ def ensure_picklable(obj: Any, error_message: str) -> None:
 
 
 # -- specs -------------------------------------------------------------------------
-
-#: Spec kinds that cross the wire (their registered schema names).
-WIRE_SPEC_KINDS = ("simulate_spec", "sweep_spec", "quality_spec", "callable_spec")
-
-#: Kind name of :class:`LocalCallSpec` submissions (local backends only).
-LOCAL_CALL_KIND = "local_call"
-
-#: Everything a fully local backend accepts.
-LOCAL_SPEC_KINDS = frozenset(WIRE_SPEC_KINDS) | {LOCAL_CALL_KIND}
 
 
 @dataclass(frozen=True)
@@ -132,98 +149,40 @@ class LocalCallSpec:
         return self.fn
 
 
-def spec_kind(spec: Any) -> str:
-    """The kind name of one job spec (its wire-schema name, or ``local_call``).
-
-    Raises :class:`TypeError` for anything that is not a job spec.
-    """
-    if isinstance(spec, LocalCallSpec):
-        return LOCAL_CALL_KIND
+def job_kind(spec: Any) -> JobKind:
+    """The kind of job one spec runs as; :class:`TypeError` for anything that
+    is not a job spec."""
     from ..serve.specs import CallableJobSpec, QualityJobSpec, SimulateJobSpec, SweepJobSpec
 
-    for cls, kind in (
-        (SimulateJobSpec, "simulate_spec"),
-        (SweepJobSpec, "sweep_spec"),
-        (QualityJobSpec, "quality_spec"),
-        (CallableJobSpec, "callable_spec"),
+    if isinstance(spec, SimulateJobSpec):
+        return JobKind.SIMULATION
+    if isinstance(spec, SweepJobSpec):
+        return JobKind.SWEEP
+    if isinstance(spec, QualityJobSpec) or (
+        isinstance(spec, CallableJobSpec) and spec.pool == "process"
     ):
-        if isinstance(spec, cls):
-            return kind
+        return JobKind.SAMPLING
+    if isinstance(spec, (CallableJobSpec, LocalCallSpec)):
+        return JobKind.CALLABLE
     raise TypeError(
         f"not a job spec: {type(spec).__name__} (expected SimulateJobSpec, "
         "SweepJobSpec, QualityJobSpec, CallableJobSpec or LocalCallSpec)"
     )
 
 
-def _job_kind(spec: Any, kind: str) -> "JobKind":
-    """The service job kind a spec of ``spec_kind`` ``kind`` runs as, which
-    every backend reports as its handles' ``kind``: quality specs and
-    process-pool callables are sampling jobs, local calls are callables."""
-    from ..serve.jobs import JobKind
+def resolve_call(spec: Any) -> tuple[Callable[..., Any], tuple, dict[str, Any]]:
+    """The ``(fn, args, kwargs)`` a quality, callable or local-call spec runs,
+    inline and on the service's pools alike: a quality spec is
+    :func:`repro.serve.workers.evaluate_quality` of its fields, the others
+    resolve their function (:class:`ValueError` for an unregistered
+    wire-function name)."""
+    from ..serve.specs import QualityJobSpec
 
-    if kind == "simulate_spec":
-        return JobKind.SIMULATION
-    if kind == "sweep_spec":
-        return JobKind.SWEEP
-    if kind == "quality_spec" or (kind == "callable_spec" and spec.pool == "process"):
-        return JobKind.SAMPLING
-    return JobKind.CALLABLE
-
-
-def execute_spec(spec: Any, cache: "ReportCache | None" = None) -> Any:
-    """Execute one job spec synchronously and return its result value.
-
-    This is the single local interpretation of the typed specs; the inline
-    backend runs every spec that is not simulation work through it.
-    ``cache`` backs simulation and sweep specs (the process default when
-    None).
-    """
-    kind = spec_kind(spec)
-    if kind == LOCAL_CALL_KIND:
-        return spec.resolve()(*spec.args, **dict(spec.kwargs))
-    if kind == "simulate_spec":
-        from ..serve.scheduler import run_batched
-
-        return run_batched([_simulate_request(spec)], cache=cache)[0]
-    if kind == "sweep_spec":
-        from ..serve.scheduler import run_batched
-
-        requests = spec.plan()
-        # Keep results columnar: SweepJobResult materializes lazily, so a
-        # sweep that only feeds aggregate queries never builds report objects.
-        reports = run_batched(requests, cache=cache, materialize=False)
-        return _sweep_result(spec, reports)
-    if kind == "quality_spec":
+    if isinstance(spec, QualityJobSpec):
         from ..serve.workers import evaluate_quality
 
-        return evaluate_quality(**spec.worker_kwargs())
-    # callable_spec: a named, registered server-side function.
-    return spec.resolve()(*spec.args, **dict(spec.kwargs))
-
-
-def _simulate_request(spec: Any) -> Any:
-    """The one SimulateJobSpec -> SimulationRequest conversion, shared by the
-    single-spec path (:func:`execute_spec`) and the inline batched path."""
-    from ..serve.scheduler import SimulationRequest
-
-    return SimulationRequest(
-        config=spec.config,
-        trace=spec.trace,
-        energy_table=spec.energy_table,
-        backend=spec.backend,
-    )
-
-
-def _sweep_result(spec: Any, reports: list) -> Any:
-    from ..serve.specs import SweepJobResult
-
-    num_cases = spec.num_cases
-    return SweepJobResult(
-        name=spec.name,
-        params=spec.cases(),
-        reports=reports[:num_cases],
-        baseline=reports[num_cases] if spec.baseline is not None else None,
-    )
+        return evaluate_quality, (), spec.worker_kwargs()
+    return spec.resolve(), tuple(spec.args), dict(spec.kwargs)
 
 
 # -- job handles -------------------------------------------------------------------
@@ -235,7 +194,7 @@ class JobHandle(ABC):
     Implemented by the service's :class:`~repro.serve.jobs.Job`, the remote
     client's :class:`~repro.serve.client.RemoteJob` and the inline
     :class:`CompletedHandle`.  Every handle exposes ``id`` / ``label`` /
-    ``kind`` / ``error`` attributes — ``kind`` is the service's job kind
+    ``kind`` / ``error`` attributes — ``kind`` is the spec's :class:`JobKind`
     (``simulation``, ``sweep``, ``sampling`` or ``callable``) on every
     backend, ``error`` the failure once the job is terminal — the
     :attr:`status` and :attr:`done` properties, and the blocking /
@@ -366,10 +325,6 @@ class Executor(ABC):
         labels += [""] * (len(specs) - len(labels))
         return [self.submit(spec, label) for spec, label in zip(specs, labels)]
 
-    def capabilities(self) -> frozenset[str]:
-        """Spec kinds this backend accepts (wire-schema names + ``local_call``)."""
-        return LOCAL_SPEC_KINDS
-
     def stats(self) -> dict[str, Any]:
         """Backend counters for health endpoints and tests."""
         return {"executor": self.name}
@@ -390,8 +345,8 @@ class InlineExecutor(Executor):
     ``submit`` returns an already-completed handle; exceptions raised by the
     *work* are captured on the handle (submission-time validation errors —
     an invalid sweep grid, an unknown wire function — still raise at
-    ``submit``, matching the queueing backends).  :meth:`map` batches all
-    simulation and sweep specs of one call through a single
+    ``submit``, matching the queueing backends).  :meth:`map` batches the
+    plans of all simulation and sweep specs of one call through a single
     :func:`~repro.serve.scheduler.run_batched` pass, so shared baselines and
     duplicate design points coalesce exactly as they do on the service.
     """
@@ -412,26 +367,20 @@ class InlineExecutor(Executor):
         labels = list(labels or [])
         labels += [""] * (len(specs) - len(labels))
 
-        # Plan phase: expand simulation-shaped specs into requests so one
-        # batched pass covers them all.  plan() failures (invalid grids,
-        # unknown backends) raise here — submission-time, like the service.
-        prepared: list[tuple[Any, str, str, list | None]] = []
+        # Plan phase: a simulation or sweep spec lists its simulate specs, so
+        # one batched pass covers them all; any other spec resolves its call.
+        # Invalid grids, unknown backends and unknown wire-function names
+        # raise here — submission-time, like the service.
+        prepared: list[tuple[Any, str, JobKind, Any]] = []
         requests: list[Any] = []
         for spec, label in zip(specs, labels):
-            kind = spec_kind(spec)
-            if kind == "simulate_spec":
-                spec_requests = [_simulate_request(spec)]
-            elif kind == "sweep_spec":
-                spec_requests = spec.plan()
+            kind = job_kind(spec)
+            if kind in PLANNED_KINDS:
+                work = spec.plan()
+                requests.extend(work)
             else:
-                spec_requests = None
-                # Unknown wire-function names raise here, at submission —
-                # the same contract as the queueing backends.
-                if kind in (LOCAL_CALL_KIND, "callable_spec"):
-                    spec.resolve()
-            prepared.append((spec, label or spec.default_label(), kind, spec_requests))
-            if spec_requests:
-                requests.extend(spec_requests)
+                work = resolve_call(spec)
+            prepared.append((spec, label or spec.default_label(), kind, work))
 
         simulation_error: BaseException | None = None
         reports: list = []
@@ -440,7 +389,7 @@ class InlineExecutor(Executor):
 
             try:
                 # Raw (possibly columnar) entries: sweep results stay lazy,
-                # simulate handles materialize their one report below.
+                # simulate results materialize their one report.
                 reports = run_batched(requests, cache=self.cache, materialize=False)
             # repro: allow[REP009] error is recorded on every affected handle below
             except Exception as exc:  # noqa: BLE001 - recorded per handle below
@@ -448,31 +397,26 @@ class InlineExecutor(Executor):
 
         handles: list[JobHandle] = []
         cursor = 0
-        for spec, label, kind, spec_requests in prepared:
+        for spec, label, kind, work in prepared:
             self._submitted += 1
             job_id = f"inline-{next(self._ids):04d}"
-            if spec_requests is not None:
-                chunk = reports[cursor : cursor + len(spec_requests)]
-                cursor += len(spec_requests)
-                if simulation_error is not None:
-                    value, error = None, simulation_error
-                elif kind == "simulate_spec":
-                    from .columnar import ensure_report
-
-                    value, error = ensure_report(chunk[0]), None
-                else:
-                    value, error = _sweep_result(spec, chunk), None
+            value: Any = None
+            error = simulation_error
+            if kind in PLANNED_KINDS:
+                chunk = reports[cursor : cursor + len(work)]
+                cursor += len(work)
+                if error is None:
+                    value = spec.result(chunk)
             else:
+                fn, args, kwargs = work
                 try:
-                    value, error = execute_spec(spec, cache=self.cache), None
+                    value, error = fn(*args, **kwargs), None
                 # repro: allow[REP009] exception is captured as the handle's error sentinel
                 except Exception as exc:  # noqa: BLE001 - captured on the handle
-                    value, error = None, exc
+                    error = exc
             if error is not None:
                 self._failed += 1
-            handles.append(
-                CompletedHandle(job_id, label, _job_kind(spec, kind), value=value, error=error)
-            )
+            handles.append(CompletedHandle(job_id, label, kind, value=value, error=error))
         return handles
 
     def stats(self) -> dict[str, Any]:

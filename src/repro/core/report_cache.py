@@ -118,12 +118,12 @@ def fingerprint_trace(trace: WorkloadTrace) -> str:
 
 
 #: Identity-keyed memo of trace fingerprints: ``id(trace) -> (trace, digest)``.
-#: Server-planned sweeps build one :class:`SimulationRequest` per grid point,
-#: all sharing the *same* trace object — without the memo each request
-#: re-hashes the identical trace (sha256 over every sparsity array).  Traces
-#: are plain lists (not weakref-able), so the memo holds strong references in
-#: a small LRU; the stored trace doubles as the id-reuse guard (a hit only
-#: counts when the stored object *is* the argument).
+#: Server-planned sweeps build one :class:`~repro.serve.specs.SimulateJobSpec`
+#: per grid point, all sharing the *same* trace object — without the memo
+#: each request re-hashes the identical trace (sha256 over every sparsity
+#: array).  Traces are plain lists (not weakref-able), so the memo holds
+#: strong references in a small LRU; the stored trace doubles as the id-reuse
+#: guard (a hit only counts when the stored object *is* the argument).
 _TRACE_FP_MEMO: OrderedDict[int, tuple[WorkloadTrace, str]] = OrderedDict()
 _TRACE_FP_MEMO_MAX = 64
 _TRACE_FP_MEMO_LOCK = threading.Lock()

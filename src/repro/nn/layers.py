@@ -295,14 +295,6 @@ class SelfAttention2d(Module):
         out = x + self.proj(attn)
         return self._record(out)
 
-    def macs(self, spatial: tuple[int, int]) -> int:
-        """Approximate MAC count: qkv/proj convs plus the two attention matmuls."""
-        height, width = spatial
-        tokens = height * width
-        conv_macs = self.qkv.macs(spatial) + self.proj.macs(spatial)
-        attn_macs = 2 * tokens * tokens * self.channels
-        return int(conv_macs + attn_macs)
-
 
 class Sequential(Module):
     """Run child modules in order."""

@@ -16,13 +16,13 @@ traffic*, not as one script.  This package provides the service layer:
     :class:`EvaluationService` — the job queue itself: a coalescing scheduler
     thread, a thread pool for simulation-bound work (NumPy releases the GIL)
     and a ``ProcessPoolExecutor`` for sampling-bound work (FID generation,
-    which is GIL-limited).  Jobs enter through ``submit(spec)`` or the
-    per-kind ``submit_*`` helpers.
+    which is GIL-limited).  Jobs enter through ``submit(spec)`` only.
 ``repro.serve.specs``
     The typed wire job specs — ``simulate_spec`` / ``quality_spec`` /
     ``sweep_spec`` / ``callable_spec`` — resolved server-side, plus the
     wire-function registry.  Sweeps are *planned on the server*: clients
-    submit one grid, the scheduler expands and coalesces it.
+    submit one grid, the scheduler expands and coalesces it into
+    :class:`SimulateJobSpec` requests, the one simulation request type.
 ``repro.serve.workers``
     Module-level job functions for the process pool, registered as wire
     functions so clients can invoke them by name.
@@ -65,15 +65,16 @@ from ..core.execution import (
     InlineExecutor,
     JobFailedError,
     JobHandle,
+    JobKind,
     JobStatus,
     LocalCallSpec,
 )
 from .client import RemoteEvaluationClient, RemoteJob, RemoteServiceError
 from .fleet import FleetTask, WorkerFleet, WorkerInfo
 from .http import EvaluationHTTPServer, start_http_server
-from .jobs import Job, JobKind
+from .jobs import Job
 from .worker import WorkerPoolExecutor, WorkerRuntime, run_worker
-from .scheduler import BatchStats, SimulationRequest, coalesce_requests, run_batched
+from .scheduler import BatchStats, coalesce_requests, run_batched
 from .service import EvaluationService
 from .specs import (
     CallableJobSpec,
@@ -103,7 +104,6 @@ __all__ = [
     "RemoteJob",
     "RemoteServiceError",
     "SimulateJobSpec",
-    "SimulationRequest",
     "SweepJobResult",
     "SweepJobSpec",
     "WorkerFleet",

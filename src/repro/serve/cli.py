@@ -352,7 +352,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     quality_results: list[dict[str, Any]] = []
     with EvaluationService(cache=cache, process_workers=args.process_workers) as service:
         quality_jobs = [
-            service.submit_quality(
+            service.submit(
                 QualityJobSpec(
                     workload=args.workload,
                     scheme=scheme,

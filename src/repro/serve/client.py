@@ -1,16 +1,15 @@
 """Remote client for the evaluation service's HTTP front end.
 
-:class:`RemoteEvaluationClient` mirrors the submission surface of
+:class:`RemoteEvaluationClient` mirrors the surface of
 :class:`~repro.serve.service.EvaluationService` — the executor entry point
-``submit(spec)``, the per-kind ``submit_simulation`` / ``submit_sweep`` /
-``submit_quality`` / ``submit_callable`` / ``submit_sampling`` helpers, and
-``job`` / ``jobs`` / ``cancel`` / ``wait_all`` — over plain :mod:`urllib`.
+``submit(spec)`` and ``job`` / ``jobs`` / ``cancel`` / ``wait_all`` — over
+plain :mod:`urllib` (``submit_sweep(spec)`` is ``submit`` for a sweep spec).
 Both are :class:`~repro.core.execution.Executor` implementations, so call
 sites switch between the in-process service and a remote server by swapping
 one object:
 
     with RemoteEvaluationClient("http://fleet-server:8035") as client:
-        job = client.submit_simulation(sqdm_config(), trace)
+        job = client.submit(SimulateJobSpec(config=sqdm_config(), trace=trace))
         report = job.result(timeout=300)
 
 Everything crosses the wire as versioned, schema-tagged JSON
@@ -55,19 +54,16 @@ import urllib.error
 import urllib.request
 from typing import Any, Callable, Iterable, Mapping
 
-from ..accelerator.config import AcceleratorConfig
-from ..accelerator.energy import EnergyTable
-from ..accelerator.simulator import WorkloadTrace
 from ..core import codec
 from ..core.execution import (
+    PLANNED_KINDS,
     TERMINAL_STATUSES,
-    WIRE_SPEC_KINDS,
     Executor,
     JobFailedError,
     JobHandle,
     JobStatus,
     LocalCallSpec,
-    spec_kind,
+    job_kind,
 )
 from ..core.report_cache import memoized_fingerprint_trace
 from ..core.telemetry import get_registry
@@ -88,8 +84,6 @@ from .fleet import MAX_LONG_POLL_SECONDS
 from .specs import (
     CallableJobSpec,
     DigestLRU,
-    QualityJobSpec,
-    SimulateJobSpec,
     SweepJobSpec,
     TraceRef,
     require_wire_name,
@@ -419,18 +413,16 @@ class RemoteEvaluationClient(Executor):
         whose trace this server already accepted from this client carries a
         ``trace_ref`` instead of the trace (see the module docstring).
         """
+        kind = job_kind(spec)  # rejects non-specs with the uniform TypeError
+        label = label or spec.default_label()
         if isinstance(spec, LocalCallSpec):
-            label = label or spec.default_label()
             spec = CallableJobSpec(
                 function=require_wire_name(spec.fn),
                 args=spec.args,
                 kwargs=dict(spec.kwargs),
                 pool="thread",
             )
-        else:
-            spec_kind(spec)  # rejects non-specs with the uniform TypeError
-        label = label or spec.default_label()
-        if not isinstance(spec, (SimulateJobSpec, SweepJobSpec)):
+        if kind not in PLANNED_KINDS:
             return RemoteJob(self, self._post_job(spec, label))
         digest = memoized_fingerprint_trace(spec.trace)
         if self._server_traces.get(digest):
@@ -447,76 +439,10 @@ class RemoteEvaluationClient(Executor):
     def _post_job(self, spec: Any, label: str) -> dict[str, Any]:
         return self._request("POST", "/jobs", {"spec": codec.encode(spec), "label": label})
 
-    def submit_simulation(
-        self,
-        config: AcceleratorConfig,
-        trace: WorkloadTrace,
-        energy_table: EnergyTable | None = None,
-        backend: str | None = None,
-        label: str = "",
-    ) -> RemoteJob:
-        """Queue one trace simulation on the server; identical requests from
-        any client coalesce through the server's single-flight scheduler."""
-        spec = SimulateJobSpec(
-            config=config, trace=trace, energy_table=energy_table, backend=backend
-        )
-        return self.submit(spec, label)
-
     def submit_sweep(self, spec: SweepJobSpec, label: str = "") -> RemoteJob:
-        """Submit one grid; the server plans, coalesces and batches the cases.
-
-        The job's result is a :class:`~repro.serve.specs.SweepJobResult`
-        (per-case reports in grid order, plus the baseline report if the
-        spec names one).
-        """
+        """``submit(spec, label)`` for a sweep: the server plans, coalesces
+        and batches its cases into a :class:`~repro.serve.specs.SweepJobResult`."""
         return self.submit(spec, label)
-
-    def submit_quality(self, spec: QualityJobSpec, label: str = "") -> RemoteJob:
-        """Queue one declarative FID evaluation on the server's process pool."""
-        return self.submit(spec, label)
-
-    def submit_callable(
-        self,
-        fn: Callable[..., Any] | str,
-        args: Iterable[Any] = (),
-        kwargs: Mapping[str, Any] | None = None,
-        label: str = "",
-    ) -> RemoteJob:
-        """Queue a *named* server-side function on the server's thread pool.
-
-        ``fn`` is a wire-function name (or a callable registered with
-        :func:`repro.serve.specs.register_wire_function`, resolved to its
-        name client-side); arguments must be plain wire-encodable data.  No
-        code crosses the wire — an unregistered function is rejected.
-        """
-        spec = CallableJobSpec(
-            function=require_wire_name(fn),
-            args=tuple(args),
-            kwargs=dict(kwargs or {}),
-            pool="thread",
-        )
-        return self.submit(spec, label)
-
-    def submit_sampling(
-        self,
-        fn: Callable[..., Any] | str,
-        args: Iterable[Any] = (),
-        kwargs: Mapping[str, Any] | None = None,
-        label: str = "",
-    ) -> RemoteJob:
-        """Queue a named sampling-bound function for the server's process pool."""
-        spec = CallableJobSpec(
-            function=require_wire_name(fn),
-            args=tuple(args),
-            kwargs=dict(kwargs or {}),
-            pool="process",
-        )
-        return self.submit(spec, label)
-
-    def capabilities(self) -> frozenset[str]:
-        """Spec kinds the server accepts, from its ``GET /schemas``."""
-        schemas = self.schemas().get("schemas", {})
-        return frozenset(kind for kind in WIRE_SPEC_KINDS if kind in schemas)
 
     def stats(self) -> dict[str, Any]:
         return {"executor": self.name, **self.health().get("service", {})}

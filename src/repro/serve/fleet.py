@@ -47,7 +47,8 @@ from enum import Enum
 from typing import Any, Callable, Sequence
 
 from ..core import codec, telemetry
-from .scheduler import SimulationRequest
+from .jobs import mark_per_job
+from .specs import SimulateJobSpec
 
 #: Upper bound on one long-poll, whatever the caller asks for.  Both
 #: long-polls share it: a worker's task claim (``POST /workers/<id>/claim``)
@@ -73,6 +74,16 @@ def duration_seconds(value: Any, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
         raise ValueError(f"{field} must be a number of seconds, got {value!r}")
     return float(value)
+
+
+def positive_count(value: Any, field: str) -> int:
+    """``value`` as a count of at least 1; :class:`ValueError` for anything
+    else — booleans, floats (``2.9``, or the infinity JSON's ``1e999``
+    parses to) and strings included, rather than truncating them to an int.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{field} must be an integer >= 1, got {value!r}")
+    return value
 
 
 class TaskState(str, Enum):
@@ -118,7 +129,7 @@ class FleetTask:
 
     id: str
     sinks: list[Any]
-    requests: list[SimulationRequest]
+    requests: list[SimulateJobSpec]
     state: TaskState = TaskState.PENDING
     owner: str | None = None
     attempts: int = 0
@@ -129,7 +140,7 @@ class FleetTask:
     #: and would reject a second claim of an already-RUNNING job).
     prepared: bool = False
     live_sinks: list[Any] = field(default_factory=list)
-    live_requests: list[SimulationRequest] = field(default_factory=list)
+    live_requests: list[SimulateJobSpec] = field(default_factory=list)
     payload: dict[str, Any] | None = None
 
     def wire_payload(self) -> dict[str, Any]:
@@ -161,7 +172,7 @@ class WorkerFleet:
         self,
         lease_seconds: float = 30.0,
         max_attempts: int = 5,
-        prepare: Callable[[list[Any], list[SimulationRequest]], tuple] | None = None,
+        prepare: Callable[[list[Any], list[SimulateJobSpec]], tuple] | None = None,
         deliver: Callable[..., None] | None = None,
     ) -> None:
         if lease_seconds <= 0:
@@ -237,8 +248,7 @@ class WorkerFleet:
         leases to time out)."""
         if not name:
             raise ValueError("worker name must be non-empty")
-        if concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
+        concurrency = positive_count(concurrency, "concurrency")
         lease = self.lease_seconds
         if lease_seconds is not None:
             lease = duration_seconds(lease_seconds, "lease_seconds")
@@ -315,7 +325,7 @@ class WorkerFleet:
 
     # -- dispatch ---------------------------------------------------------------
 
-    def offer(self, sinks: list[Any], requests: list[SimulationRequest]) -> FleetTask:
+    def offer(self, sinks: list[Any], requests: list[SimulateJobSpec]) -> FleetTask:
         """Queue one task (a config partition of a coalesced batch)."""
         if len(sinks) != len(requests):
             raise ValueError("sinks and requests must align")
@@ -341,10 +351,10 @@ class WorkerFleet:
         :data:`MAX_LONG_POLL_SECONDS`) when the queue is empty — the HTTP
         long-poll.  Returns wire payloads (typed ``simulate_spec`` envelopes);
         raises :class:`KeyError` for unknown or retired workers and
-        :class:`ValueError` for a ``wait_seconds`` that is not a number.
+        :class:`ValueError` for a ``max_tasks`` that is not an integer >= 1
+        or a ``wait_seconds`` that is not a number.
         """
-        if max_tasks < 1:
-            raise ValueError("max_tasks must be >= 1")
+        max_tasks = positive_count(max_tasks, "max_tasks")
         wait = duration_seconds(wait_seconds, "wait_seconds")
         deadline = time.monotonic() + min(max(wait, 0.0), MAX_LONG_POLL_SECONDS)
         with self._lock:
@@ -393,14 +403,12 @@ class WorkerFleet:
                     continue
                 task.payload = {
                     "id": task.id,
-                    "specs": [_request_to_spec_payload(r) for r in task.live_requests],
+                    "specs": [codec.encode(request) for request in task.live_requests],
                 }
             task.state = TaskState.LEASED
             task.owner = worker.id
             task.lease_deadline = now + worker.lease_seconds
-            for sink in task.live_sinks:
-                if sink is not None:
-                    sink.trace_mark("leased", worker=worker.id, task=task.id)
+            mark_per_job(task.live_sinks, "leased", worker=worker.id, task=task.id)
             granted.append(task)
         return granted
 
@@ -579,17 +587,3 @@ class WorkerFleet:
             )
         self._workers_gauge.clear_function(self._workers_gauge_fn)
         self._queue_gauge.clear_function(self._queue_gauge_fn)
-
-
-def _request_to_spec_payload(request: SimulationRequest) -> dict[str, Any]:
-    """One request as a typed ``simulate_spec`` envelope (codec-encoded)."""
-    from .specs import SimulateJobSpec
-
-    return codec.encode(
-        SimulateJobSpec(
-            config=request.config,
-            trace=request.trace,
-            energy_table=request.energy_table,
-            backend=request.backend,
-        )
-    )

@@ -99,14 +99,7 @@ from ..core.execution import JobStatus
 from ..core.report_cache import memoized_fingerprint_trace
 from .fleet import MAX_LONG_POLL_SECONDS, duration_seconds
 from .service import EvaluationService
-from .specs import (
-    JOB_SPEC_TYPES,
-    DigestLRU,
-    QualityJobSpec,
-    SimulateJobSpec,
-    SweepJobSpec,
-    TraceRef,
-)
+from .specs import DigestLRU, QualityJobSpec, SimulateJobSpec, SweepJobSpec, TraceRef
 
 #: Upper bound on accepted request bodies (satellite guard against a single
 #: oversized POST exhausting server memory).  Generous enough for real
@@ -469,12 +462,6 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         except codec.SchemaError as exc:
             # Covers unknown schema names/versions and malformed payloads.
             raise _HTTPError(400, str(exc)) from None
-        if not isinstance(spec, JOB_SPEC_TYPES):
-            names = sorted(cls.__name__ for cls in JOB_SPEC_TYPES)
-            raise _HTTPError(
-                400,
-                f"{type(spec).__name__} is not a job spec; submit one of {names}",
-            )
         trace_digest: str | None = None
         if isinstance(spec, (SimulateJobSpec, SweepJobSpec)):
             try:
@@ -499,8 +486,9 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         try:
             job = self.server.service.submit(spec, label=label)
         except (TypeError, ValueError, KeyError) as exc:
-            # e.g. an unregistered wire function or a config the spec's own
-            # validation only catches at planning time: the client's error.
+            # e.g. an envelope that is no job spec, an unregistered wire
+            # function or a config the spec's own validation only catches at
+            # planning time: the client's error.
             raise _HTTPError(400, f"cannot submit {type(spec).__name__}: {exc}") from None
         summary = job.summary()
         if trace_digest is not None:
@@ -549,7 +537,7 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         try:
             worker = fleet.register(
                 name,
-                concurrency=int(body.get("concurrency") or 1),
+                concurrency=body.get("concurrency", 1),
                 lease_seconds=body.get("lease_seconds"),
             )
         except (TypeError, ValueError) as exc:
@@ -570,7 +558,7 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         try:
             tasks = fleet.claim(
                 worker_id,
-                max_tasks=int(body.get("max_tasks") or 1),
+                max_tasks=body.get("max_tasks", 1),
                 wait_seconds=0.0 if wait is None else wait,
             )
         except (TypeError, ValueError) as exc:

@@ -1,12 +1,14 @@
 """Job model of the evaluation service: submit, watch, collect.
 
-A :class:`Job` is one unit of evaluation traffic — a simulation request, a
-sampling run, or an arbitrary callable — owned by an
-:class:`~repro.serve.service.EvaluationService`.  Jobs move through
-``QUEUED -> RUNNING -> DONE | FAILED`` (or ``CANCELLED``, either at service
-shutdown or through :meth:`EvaluationService.cancel`); completion is
-signalled through a :class:`threading.Event`, so any number of client threads
-can block on :meth:`Job.wait` without polling.  ``Job`` is the service's
+A :class:`Job` is one submitted job spec — a simulation, a sweep, a
+sampling run or a callable (its :class:`~repro.core.execution.JobKind`) —
+owned by an :class:`~repro.serve.service.EvaluationService`.  Jobs move
+through ``QUEUED -> RUNNING -> DONE | FAILED`` (or ``CANCELLED``, either at
+service shutdown or through :meth:`EvaluationService.cancel`); a simulation
+or sweep job turns RUNNING when its first planned request is claimed, a
+sampling or callable job when a pool picks it up.  Completion is signalled
+through a :class:`threading.Event`, so any number of client threads can
+block on :meth:`Job.wait` without polling.  ``Job`` is the service's
 :class:`~repro.core.execution.JobHandle`: the same future the inline and
 remote backends return.
 
@@ -21,34 +23,26 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from dataclasses import dataclass, field
-from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from ..core.execution import JobFailedError, JobHandle, JobStatus
+from ..core.execution import JobFailedError, JobHandle, JobKind, JobStatus
 from ..core.telemetry import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .service import EvaluationService
 
-__all__ = ["Job", "JobKind"]
+__all__ = ["Job", "mark_per_job"]
 
 
-class JobKind(str, Enum):
-    """Worker-routing class of a job.
-
-    ``SIMULATION`` jobs are coalesced by accelerator config and dispatched to
-    the thread pool (batched NumPy releases the GIL); ``SWEEP`` jobs are
-    server-planned grids whose expanded cases join the same coalescing
-    machinery; ``SAMPLING`` jobs (FID generation and other Python-bound
-    sampling work) go to the process pool; ``CALLABLE`` jobs run a resolved
-    function on the thread pool.
-    """
-
-    SIMULATION = "simulation"
-    SWEEP = "sweep"
-    SAMPLING = "sampling"
-    CALLABLE = "callable"
+def mark_per_job(sinks: Iterable[Any], phase: str, **fields: Any) -> None:
+    """Mark ``phase`` once on the trace of every job among ``sinks`` (the
+    completion targets of planned requests; None entries are skipped), with
+    the number of that job's requests as ``requests``."""
+    per_job = Counter(sink.trace for sink in sinks if sink is not None)
+    for trace, requests in per_job.items():
+        trace.mark(phase, requests=requests, **fields)
 
 
 @dataclass
@@ -73,8 +67,10 @@ class Job(JobHandle):
     started_at_monotonic: float | None = None
     finished_at_monotonic: float | None = None
     #: Lifecycle trace following this job across threads (``submitted`` ->
-    #: ``attached``/``dispatched`` -> ``finished``); phases are marked by the
-    #: state transitions below and by the owning service.
+    #: ``coalesced``/``attached`` -> ``dispatched`` -> ``kernel`` or
+    #: ``leased`` -> ``finished``); phases are marked by the state
+    #: transitions below and by the owning service, once per job per
+    #: scheduler drain, kernel group or fleet lease (:func:`mark_per_job`).
     trace: Trace = None  # type: ignore[assignment]  # filled by __post_init__
     _completed: threading.Event = field(default_factory=threading.Event, repr=False)
     _transitions: threading.Lock = field(default_factory=threading.Lock, repr=False)

@@ -1,9 +1,10 @@
 """Coalescing scheduler: fuse queued simulation requests into batched passes.
 
-A fleet sweep produces many :class:`SimulationRequest`\\ s — typically a grid
-of accelerator configurations evaluated on a shared trace set, plus repeated
+A fleet sweep plans into many
+:class:`~repro.serve.specs.SimulateJobSpec`\\ s — typically a grid of
+accelerator configurations evaluated on a shared trace set, plus repeated
 FP16/dense baselines.  :func:`run_batched` is the functional core the
-evaluation service and the pipeline both use:
+evaluation service, the fleet workers and the pipeline all use:
 
 1. deduplicate requests by cache key and look each unique key up in the
    two-tier :class:`~repro.core.report_cache.ReportCache`;
@@ -22,32 +23,11 @@ into kernel calls (the service exposes this as ``service_stats()`` ->
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from ..accelerator.config import AcceleratorConfig
-from ..accelerator.energy import EnergyTable
-from ..accelerator.simulator import AcceleratorSimulator, SimulationReport, WorkloadTrace
+from ..accelerator.simulator import AcceleratorSimulator, SimulationReport
 from ..core.columnar import ensure_report
 from ..core.report_cache import DEFAULT_REPORT_CACHE, CacheKey, ReportCache
 from ..core.telemetry import MetricsRegistry, get_registry
-
-
-@dataclass
-class SimulationRequest:
-    """One trace to simulate on one accelerator configuration."""
-
-    config: AcceleratorConfig
-    trace: WorkloadTrace
-    energy_table: EnergyTable | None = None
-    backend: str | None = None
-    #: Cache key, computed once on first use (fingerprinting a big trace is
-    #: not free; the scheduler touches each request's key several times).
-    _key: CacheKey | None = field(default=None, repr=False, compare=False)
-
-    def key(self) -> CacheKey:
-        if self._key is None:
-            self._key = ReportCache.key(self.config, self.trace, self.energy_table, self.backend)
-        return self._key
+from .specs import SimulateJobSpec
 
 
 class BatchStats:
@@ -116,8 +96,8 @@ class BatchStats:
 
 
 def coalesce_requests(
-    requests: list[SimulationRequest],
-) -> list[list[SimulationRequest]]:
+    requests: list[SimulateJobSpec],
+) -> list[list[SimulateJobSpec]]:
     """Group requests that can share one batched simulation pass.
 
     Requests coalesce into a *compatibility group* when their energy-table
@@ -128,7 +108,7 @@ def coalesce_requests(
     (the cache layer deduplicates them before simulation).  Groups come back
     in first-seen order, so dispatch stays deterministic.
     """
-    groups: dict[tuple[str, str], list[SimulationRequest]] = {}
+    groups: dict[tuple[str, str], list[SimulateJobSpec]] = {}
     for request in requests:
         _, energy_fp, _, backend_name = request.key()
         groups.setdefault((energy_fp, backend_name), []).append(request)
@@ -136,17 +116,17 @@ def coalesce_requests(
 
 
 def _config_partitions(
-    group: list[SimulationRequest],
-) -> list[list[SimulationRequest]]:
+    group: list[SimulateJobSpec],
+) -> list[list[SimulateJobSpec]]:
     """Split a compatibility group by config fingerprint, first-seen order."""
-    partitions: dict[str, list[SimulationRequest]] = {}
+    partitions: dict[str, list[SimulateJobSpec]] = {}
     for request in group:
         partitions.setdefault(request.key()[0], []).append(request)
     return list(partitions.values())
 
 
 def run_batched(
-    requests: list[SimulationRequest],
+    requests: list[SimulateJobSpec],
     cache: ReportCache | None = None,
     stats: BatchStats | None = None,
     materialize: bool = True,
@@ -171,7 +151,7 @@ def run_batched(
     cache = DEFAULT_REPORT_CACHE if cache is None else cache
     results: dict[CacheKey, object] = {}
 
-    pending: list[SimulationRequest] = []
+    pending: list[SimulateJobSpec] = []
     seen_pending: set[CacheKey] = set()
     for request in requests:
         key = request.key()

@@ -1,19 +1,21 @@
 """The evaluation service: a job queue over the batched simulation scheduler.
 
 :class:`EvaluationService` is the in-process fleet front end and an
-:class:`~repro.core.execution.Executor`.  Clients submit job specs (or use
-the per-kind ``submit_*`` helpers) and get :class:`~repro.serve.jobs.Job`
-handles back immediately; a scheduler thread drains the queue, *coalesces*
-simulation jobs that share an accelerator configuration into single
-cross-trace batched passes (:func:`~repro.serve.scheduler.run_batched`), and
-routes work to the right pool:
+:class:`~repro.core.execution.Executor`.  Clients submit job specs through
+``submit(spec)`` and get :class:`~repro.serve.jobs.Job` handles back
+immediately; a scheduler thread drains the queue, *coalesces* the planned
+requests of simulation and sweep jobs (``spec.plan()``, simulate specs) that
+share an energy table and backend into single batched passes
+(:func:`~repro.serve.scheduler.run_batched`), and routes work to the right
+pool:
 
-* **simulation / callable jobs → threads.**  The batched NumPy engine
-  releases the GIL for its array work, so a thread pool scales and shares the
-  in-process report cache.
+* **simulation, sweep and callable jobs → threads.**  The batched NumPy
+  engine releases the GIL for its array work, so a thread pool scales and
+  shares the in-process report cache.
 * **sampling jobs → processes.**  FID generation runs the Python-level U-Net
-  sampler and is GIL-bound; those jobs execute module-level functions from
-  :mod:`repro.serve.workers` in a ``ProcessPoolExecutor`` (created lazily on
+  sampler and is GIL-bound; quality specs and ``pool="process"`` callables
+  run registered module-level functions (e.g. from
+  :mod:`repro.serve.workers`) in a ``ProcessPoolExecutor`` (created lazily on
   first use).  Payloads are pickle-checked at submit time so an unpicklable
   job fails fast with an actionable message instead of a pool traceback.
 
@@ -30,10 +32,11 @@ clients via :mod:`repro.serve.http`) share one service:
   one simulation per unique key — deterministically, not just when their
   submissions happen to land in one drain.
 * **Cancellation.**  :meth:`Job.cancel` (or :meth:`EvaluationService.cancel`
-  by id) cancels a job that has not started.  The race against dispatch is
-  resolved by the per-job transition lock: a job cancelled after the
-  scheduler drained it but before a worker claimed it reports ``CANCELLED``
-  and its work is skipped.
+  by id) cancels a job that has not started: a simulation or sweep job
+  starts when a pool thread or a fleet lease claims its first request.  The
+  race against dispatch is resolved by the per-job transition lock: a job
+  cancelled after the scheduler drained it but before a worker claimed it
+  reports ``CANCELLED`` and its work is skipped.
 """
 
 from __future__ import annotations
@@ -43,31 +46,24 @@ import threading
 from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable
 
-from ..accelerator.config import AcceleratorConfig
-from ..accelerator.energy import EnergyTable
-from ..accelerator.simulator import WorkloadTrace
 from ..core import telemetry
-from ..core.columnar import ColumnarReportBatch, ensure_report
-from ..core.execution import Executor, LocalCallSpec, ensure_picklable
+from ..core.columnar import ColumnarReportBatch
+from ..core.execution import (
+    PLANNED_KINDS,
+    Executor,
+    JobKind,
+    JobStatus,
+    ensure_picklable,
+    job_kind,
+    resolve_call,
+)
 from ..core.report_cache import CacheKey, DEFAULT_REPORT_CACHE, ReportCache
 from .fleet import WorkerFleet
-from .jobs import Job, JobKind, JobStatus
-from .scheduler import (
-    BatchStats,
-    SimulationRequest,
-    _config_partitions,
-    coalesce_requests,
-    run_batched,
-)
-from .specs import (
-    CallableJobSpec,
-    QualityJobSpec,
-    SimulateJobSpec,
-    SweepJobResult,
-    SweepJobSpec,
-)
+from .jobs import Job, mark_per_job
+from .scheduler import BatchStats, _config_partitions, coalesce_requests, run_batched
+from .specs import SimulateJobSpec, SweepJobResult
 
 #: Result bytes the job history may pin: beyond them the oldest terminal jobs
 #: are forgotten, as beyond ``history_limit`` jobs.  A 17-point sweep of a
@@ -85,89 +81,60 @@ def _result_nbytes(value: Any) -> int:
     return sum(item.nbytes for item in items if isinstance(item, ColumnarReportBatch))
 
 
-class _JobSink:
-    """Completion adapter: one plain simulation job behind one request."""
+class _PlannedJob:
+    """A simulation or sweep job's planned requests, collected into its result.
 
-    __slots__ = ("job",)
-
-    def __init__(self, job: Job) -> None:
-        self.job = job
-
-    def claim(self) -> bool:
-        return self.job.mark_running()
-
-    def deliver(self, report: Any) -> None:
-        # Batches stay columnar through the scheduler and cache; a plain
-        # simulation job's caller asked for one report, so materialize here
-        # (memoized on the batch — repeat deliveries of the same entry are
-        # dict lookups).
-        self.job.mark_done(ensure_report(report))
-
-    def fail(self, error: BaseException) -> None:
-        self.job.mark_failed(error)
-
-    def trace_mark(self, phase: str, **fields: Any) -> None:
-        self.job.trace.mark(phase, **fields)
-
-
-class _SweepAggregate:
-    """Collects a planned sweep's per-request reports into one result.
-
-    The sweep job completes when every expanded request has delivered —
-    whether its report came from this batch, the cache, or another client's
-    in-flight batch it attached to as a follower.
+    The job turns RUNNING when a pool thread or a fleet lease claims its
+    first request, and DONE once every request has delivered — whether its
+    report came from its own batch, the cache, or another job's in-flight
+    batch it attached to as a follower.
     """
 
-    def __init__(self, job: Job, spec: SweepJobSpec, num_requests: int) -> None:
+    def __init__(self, job: Job, spec: Any, requests: list[SimulateJobSpec]) -> None:
         self.job = job
         self.spec = spec
-        self._reports: list[Any] = [None] * num_requests
-        self._remaining = num_requests
+        self.requests = requests
+        self._reports: list[Any] = [None] * len(requests)
+        self._remaining = len(requests)
         self._lock = threading.Lock()
+
+    def claim(self) -> bool:
+        """Claim one request; False once the job was cancelled or finished,
+        so the request is dead work."""
+        return self.job.mark_running() or self.job.status is JobStatus.RUNNING
 
     def deliver(self, index: int, report: Any) -> None:
         with self._lock:
-            if self._reports[index] is None:
-                self._reports[index] = report
-                self._remaining -= 1
-            finished = self._remaining == 0
-        if finished:
-            num_cases = self.spec.num_cases
-            self.job.mark_done(
-                SweepJobResult(
-                    name=self.spec.name,
-                    params=self.spec.cases(),
-                    reports=self._reports[:num_cases],
-                    baseline=self._reports[num_cases] if self.spec.baseline is not None else None,
-                )
-            )
+            if self._reports[index] is not None:
+                return
+            self._reports[index] = report
+            self._remaining -= 1
+            if self._remaining:
+                return
+        self.job.mark_done(self.spec.result(self._reports))
 
     def fail(self, error: BaseException) -> None:
         self.job.mark_failed(error)  # first failure wins; later marks no-op
 
 
-class _SweepSink:
-    """Completion adapter: one expanded sweep case feeding its aggregate."""
+class _RequestSink:
+    """Completion adapter: one planned request feeding its job."""
 
-    __slots__ = ("aggregate", "index")
+    __slots__ = ("planned", "index", "trace")
 
-    def __init__(self, aggregate: _SweepAggregate, index: int) -> None:
-        self.aggregate = aggregate
+    def __init__(self, planned: _PlannedJob, index: int) -> None:
+        self.planned = planned
         self.index = index
+        self.trace = planned.job.trace
 
     def claim(self) -> bool:
-        # The sweep job is RUNNING as a whole; a case only becomes dead work
-        # once the job reached a terminal state (e.g. another case failed it).
-        return not self.aggregate.job.done
+        return self.planned.claim()
 
     def deliver(self, report: Any) -> None:
-        self.aggregate.deliver(self.index, report)
+        self.planned.deliver(self.index, report)
 
     def fail(self, error: BaseException) -> None:
-        self.aggregate.fail(error)
-
-    def trace_mark(self, phase: str, **fields: Any) -> None:
-        self.aggregate.job.trace.mark(phase, case=self.index, **fields)
+        self.planned.fail(error)
 
 
 class EvaluationService(Executor):
@@ -190,7 +157,7 @@ class EvaluationService(Executor):
         long-lived service would otherwise pin every result (reports included)
         forever; beyond the limit — or while the retained results hold more
         than :data:`MAX_RETAINED_RESULT_BYTES` — the oldest terminal jobs are
-        forgotten.  Job handles returned by ``submit_*`` keep working
+        forgotten.  Job handles returned by ``submit`` keep working
         regardless — only id-based lookup of old jobs ages out.
     worker_fleet:
         ``True`` dispatches simulation work to pull-based remote workers (a
@@ -353,114 +320,35 @@ class EvaluationService(Executor):
         if running is not None:
             self._run_duration_metric.observe(running, kind=job.kind.value)
 
-    def submit_simulation(
-        self,
-        config: AcceleratorConfig,
-        trace: WorkloadTrace,
-        energy_table: EnergyTable | None = None,
-        backend: str | None = None,
-        label: str = "",
-    ) -> Job:
-        """Queue one trace simulation; requests sharing a config get batched."""
-        request = SimulationRequest(
-            config=config, trace=trace, energy_table=energy_table, backend=backend
-        )
-        job = self._new_job(JobKind.SIMULATION, label or f"simulate:{config.name}")
-        return self._enqueue(job, request)
-
-    def submit_sweep(self, spec: SweepJobSpec, label: str = "") -> Job:
-        """Queue one server-planned sweep: the grid is expanded here, every
-        case joins the coalescing/single-flight scheduler, and the job
-        completes with a :class:`~repro.serve.specs.SweepJobResult`.
-
-        Invalid grids (unknown fields, values the config rejects) raise
-        :class:`ValueError` at submission, before anything is queued.
-        """
-        requests = spec.plan()
-        job = self._new_job(JobKind.SWEEP, label or spec.default_label())
-        return self._enqueue(job, (spec, requests))
-
-    def submit_quality(self, spec: QualityJobSpec, label: str = "") -> Job:
-        """Queue one declarative quality (FID) evaluation on the process pool.
-
-        The spec is resolved server-side to
-        :func:`repro.serve.workers.evaluate_quality`; nothing callable is
-        taken from the client.
-        """
-        from .workers import evaluate_quality
-
-        return self.submit_sampling(
-            evaluate_quality, kwargs=spec.worker_kwargs(), label=label or spec.default_label()
-        )
-
     def submit(self, spec: Any, label: str = "") -> Job:
-        """Queue one job spec and return its job — the executor entry point,
-        and the HTTP front end's.
+        """Queue one job spec and return its job — the only way in, for
+        executor callers and the HTTP front end alike.
 
-        Takes the typed wire specs and :class:`LocalCallSpec`, which runs on
-        the thread pool (a string ``fn`` names a wire function).  Invalid
-        grids and unregistered function names raise :class:`ValueError`,
-        anything else :class:`TypeError`, before anything is queued.
+        Simulate and sweep specs are planned here (every planned request
+        joins the coalescing/single-flight scheduler); quality specs and
+        ``pool="process"`` callables go to the process pool, other callables
+        and :class:`~repro.core.execution.LocalCallSpec` to the thread pool.
+        Invalid grids, unknown backends, unregistered function names and
+        unpicklable process-pool payloads raise :class:`ValueError`,
+        anything that is not a job spec :class:`TypeError`, before anything
+        is queued.
         """
-        if isinstance(spec, SimulateJobSpec):
-            return self.submit_simulation(
-                spec.config,
-                spec.trace,
-                energy_table=spec.energy_table,
-                backend=spec.backend,
-                label=label or spec.default_label(),
+        kind = job_kind(spec)
+        if kind in PLANNED_KINDS:
+            requests = spec.plan()
+            job = self._new_job(kind, label or spec.default_label())
+            return self._enqueue(job, _PlannedJob(job, spec, requests))
+        call = resolve_call(spec)
+        if kind is JobKind.SAMPLING:
+            ensure_picklable(
+                call,
+                "sampling jobs execute in worker processes, so the function and its "
+                "arguments must be picklable: register a module-level function (e.g. "
+                "from repro.serve.workers) and pass plain-data arguments, not lambdas, "
+                "bound methods or live model objects",
             )
-        if isinstance(spec, SweepJobSpec):
-            return self.submit_sweep(spec, label)
-        if isinstance(spec, QualityJobSpec):
-            return self.submit_quality(spec, label)
-        if isinstance(spec, (CallableJobSpec, LocalCallSpec)):
-            fn = spec.resolve()  # raises ValueError for unregistered names
-            sampling = isinstance(spec, CallableJobSpec) and spec.pool == "process"
-            submit = self.submit_sampling if sampling else self.submit_callable
-            return submit(
-                fn, args=spec.args, kwargs=spec.kwargs, label=label or spec.default_label()
-            )
-        raise TypeError(
-            f"not a job spec: {type(spec).__name__} (expected SimulateJobSpec, "
-            "SweepJobSpec, QualityJobSpec, CallableJobSpec or LocalCallSpec)"
-        )
-
-    def submit_sampling(
-        self,
-        fn: Callable[..., Any],
-        args: Iterable[Any] = (),
-        kwargs: Mapping[str, Any] | None = None,
-        label: str = "",
-    ) -> Job:
-        """Queue a sampling-bound job for the process pool.
-
-        ``fn`` must be a module-level function and the arguments plain data
-        (see :mod:`repro.serve.workers`); both are verified here so mistakes
-        fail at submission, not deep inside the executor.
-        """
-        payload = (fn, tuple(args), dict(kwargs or {}))
-        ensure_picklable(
-            payload,
-            "sampling jobs execute in worker processes, so the function and its "
-            "arguments must be picklable: pass a module-level function (e.g. from "
-            "repro.serve.workers) and plain-data arguments, not lambdas, bound "
-            "methods or live model objects",
-        )
-        job = self._new_job(JobKind.SAMPLING, label or f"sampling:{getattr(fn, '__name__', fn)}")
-        return self._enqueue(job, payload)
-
-    def submit_callable(
-        self,
-        fn: Callable[..., Any],
-        args: Iterable[Any] = (),
-        kwargs: Mapping[str, Any] | None = None,
-        label: str = "",
-    ) -> Job:
-        """Queue an arbitrary callable on the thread pool."""
-        payload = (fn, tuple(args), dict(kwargs or {}))
-        job = self._new_job(JobKind.CALLABLE, label or f"call:{getattr(fn, '__name__', fn)}")
-        return self._enqueue(job, payload)
+        job = self._new_job(kind, label or spec.default_label())
+        return self._enqueue(job, call)
 
     # -- inspection -------------------------------------------------------------
 
@@ -575,38 +463,41 @@ class EvaluationService(Executor):
                         job.mark_failed(exc)
 
     def _dispatch(self, drained: list[tuple[Job, Any]]) -> None:
-        simulations: list[tuple[Any, SimulationRequest]] = []
+        planned: list[_PlannedJob] = []
         for job, payload in drained:
-            if job.kind is JobKind.SIMULATION:
-                simulations.append((_JobSink(job), payload))
-            elif job.kind is JobKind.SWEEP:
-                simulations.extend(self._expand_sweep(job, payload))
+            if job.kind in PLANNED_KINDS:
+                planned.append(payload)
             elif job.kind is JobKind.SAMPLING:
                 self._dispatch_process_job(job, payload)
             else:
                 self._dispatch_thread_job(job, payload)
-        if not simulations:
+        if not planned:
             return
 
         # Single-flight: requests whose cache key already has a batch in
         # flight (from an earlier drain, e.g. another client submitting the
         # same sweep) attach as followers and are completed with that batch.
         # Everything else becomes a leader and registers its key.  A "sink"
-        # is the completion target of one request — a whole simulation job,
-        # or one expanded case of a sweep job.
-        leaders: list[tuple[Any, SimulationRequest]] = []
+        # is the completion target of one planned request.  The marks go in
+        # under the lock, so no follower can finish its job before they do.
+        leaders: list[tuple[_RequestSink, SimulateJobSpec]] = []
+        attached: list[_RequestSink] = []
         with self._inflight_lock:
-            for sink, request in simulations:
-                followers = self._inflight.get(request.key())
-                if followers is not None:
-                    followers.append(sink)
-                    self.coalesced_attached += 1
-                    self._coalesced_metric.inc()
-                    sink.trace_mark("attached")
-                else:
-                    self._inflight[request.key()] = []
-                    leaders.append((sink, request))
-                    sink.trace_mark("coalesced")
+            for job_plan in planned:
+                for index, request in enumerate(job_plan.requests):
+                    sink = _RequestSink(job_plan, index)
+                    followers = self._inflight.get(request.key())
+                    if followers is not None:
+                        followers.append(sink)
+                        attached.append(sink)
+                    else:
+                        self._inflight[request.key()] = []
+                        leaders.append((sink, request))
+            self.coalesced_attached += len(attached)
+            mark_per_job((sink for sink, _ in leaders), "coalesced")
+            mark_per_job(attached, "attached")
+        if attached:
+            self._coalesced_metric.inc(len(attached))
 
         # Coalesce the leaders drained together: each config/energy/backend
         # group becomes one batched thread-pool task, so groups run in
@@ -619,29 +510,16 @@ class EvaluationService(Executor):
             else:
                 self._threads.submit(self._run_simulation_group, group_sinks, group)
 
-    def _expand_sweep(self, job: Job, payload: Any) -> list[tuple[Any, SimulationRequest]]:
-        """Turn one queued sweep job into per-case sinks for the scheduler.
-
-        The job is claimed here (server-side planning *is* its execution
-        starting), so cancellation remains possible only while it sits in
-        the service queue — the same contract as every other kind.
-        """
-        spec, requests = payload
-        if not job.mark_running():  # cancelled while queued
-            return []
-        aggregate = _SweepAggregate(job, spec, len(requests))
-        return [(_SweepSink(aggregate, index), request) for index, request in enumerate(requests)]
-
     def _claim_group(
-        self, sinks: list[Any], requests: list[SimulationRequest]
-    ) -> tuple[list[Any | None], list[SimulationRequest]]:
+        self, sinks: list[Any], requests: list[SimulateJobSpec]
+    ) -> tuple[list[Any | None], list[SimulateJobSpec]]:
         """Claim each leader sink; a sink whose job was cancelled between
         coalescing and this point is skipped.  Its key stays registered only
         if followers already attached (they still need the result) —
         otherwise it is unregistered so later identical requests simulate
         freshly."""
         live_sinks: list[Any | None] = []
-        live_requests: list[SimulationRequest] = []
+        live_requests: list[SimulateJobSpec] = []
         with self._inflight_lock:
             for sink, request in zip(sinks, requests):
                 if sink.claim():
@@ -655,7 +533,7 @@ class EvaluationService(Executor):
         return live_sinks, live_requests
 
     def _dispatch_fleet_group(
-        self, sinks: list[Any], requests: list[SimulationRequest]
+        self, sinks: list[Any], requests: list[SimulateJobSpec]
     ) -> None:
         """Route one coalesced group to the pull-worker fleet.
 
@@ -666,7 +544,7 @@ class EvaluationService(Executor):
         """
         assert self.fleet is not None
         miss_sinks: dict[int, Any] = {}
-        misses: list[SimulationRequest] = []
+        misses: list[SimulateJobSpec] = []
         for sink, request in zip(sinks, requests):
             cached = self.cache.lookup_key(request.key(), materialize=False)
             if cached is not None:
@@ -681,7 +559,7 @@ class EvaluationService(Executor):
     def _complete_fleet_group(
         self,
         sinks: list[Any | None],
-        requests: list[SimulationRequest],
+        requests: list[SimulateJobSpec],
         reports: list[Any] | None = None,
         error: BaseException | None = None,
     ) -> None:
@@ -702,13 +580,11 @@ class EvaluationService(Executor):
         )
         self._finish_group(sinks, requests, reports=canonical)
 
-    def _run_simulation_group(self, sinks: list[Any], requests: list[SimulationRequest]) -> None:
+    def _run_simulation_group(self, sinks: list[Any], requests: list[SimulateJobSpec]) -> None:
         live_sinks, live_requests = self._claim_group(sinks, requests)
         if not live_requests:
             return
-        for sink in live_sinks:
-            if sink is not None:
-                sink.trace_mark("kernel", batch=len(live_requests))
+        mark_per_job(live_sinks, "kernel", batch=len(live_requests))
         try:
             with telemetry.span("scheduler.batch", requests=len(live_requests)):
                 reports = run_batched(
@@ -722,7 +598,7 @@ class EvaluationService(Executor):
     def _finish_group(
         self,
         sinks: list[Any | None],
-        requests: list[SimulationRequest],
+        requests: list[SimulateJobSpec],
         reports: list[Any] | None = None,
         error: BaseException | None = None,
     ) -> None:

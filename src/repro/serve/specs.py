@@ -9,8 +9,10 @@ states *what* to evaluate, the server resolves *how* entirely on its side.
 Four spec types cover the service surface:
 
 :class:`SimulateJobSpec`
-    One workload trace on one accelerator configuration (the wire form of
-    ``EvaluationService.submit_simulation``).
+    One workload trace on one accelerator configuration — also the
+    scheduler's simulation request: every simulate and sweep job is planned
+    into these (:meth:`SimulateJobSpec.plan`, :meth:`SweepJobSpec.plan`),
+    and fleet tasks carry them to workers.
 :class:`QualityJobSpec`
     One Table I/II quantization scheme FID-evaluated on one workload,
     resolved server-side to :func:`repro.serve.workers.evaluate_quality` on
@@ -44,8 +46,9 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Mapping
+from typing import Any, Callable, Mapping
 
+from ..accelerator.backends import resolve_backend_name
 from ..accelerator.config import AcceleratorConfig
 from ..accelerator.energy import EnergyTable
 from ..accelerator.simulator import SimulationReport, WorkloadTrace
@@ -53,10 +56,8 @@ from ..accelerator.workload import ConvLayerWorkload
 from ..core import codec
 from ..core.codec import Decoder, Encoder, register_schema
 from ..core.columnar import ColumnarReportBatch, ensure_report
+from ..core.report_cache import CacheKey, ReportCache
 from ..core.schemas import WORKLOAD_TRACE_SCHEMA
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .scheduler import SimulationRequest
 
 #: AcceleratorConfig fields a sweep grid may vary (``name`` labels a config,
 #: ``pe`` is a nested dataclass; neither is a sweepable scalar knob).
@@ -219,15 +220,36 @@ def _decode_optional(value: Any, ctx: Decoder, cls: type, what: str) -> Any:
 
 @dataclass(frozen=True)
 class SimulateJobSpec:
-    """One trace on one accelerator configuration."""
+    """One trace on one accelerator configuration: a job spec, and the
+    request the scheduler simulates."""
 
     config: AcceleratorConfig
     trace: WorkloadTrace
     energy_table: EnergyTable | None = None
     backend: str | None = None
+    #: Cache key, computed once on first use (fingerprinting a big trace is
+    #: not free; the scheduler touches each request's key several times).
+    _key: CacheKey | None = field(default=None, init=False, repr=False, compare=False)
 
     def default_label(self) -> str:
         return f"simulate:{self.config.name}"
+
+    def key(self) -> CacheKey:
+        key = self._key
+        if key is None:
+            key = ReportCache.key(self.config, self.trace, self.energy_table, self.backend)
+            object.__setattr__(self, "_key", key)
+        return key
+
+    def plan(self) -> list[SimulateJobSpec]:
+        """The simulate specs this job runs: itself.  An unknown backend name
+        raises :class:`ValueError` here, at submission, as for a sweep."""
+        resolve_backend_name(self.backend)
+        return [self]
+
+    def result(self, reports: list[Any]) -> SimulationReport:
+        """The job's value from its plan's one report."""
+        return ensure_report(reports[0])
 
 
 @dataclass(frozen=True)
@@ -254,8 +276,8 @@ class CallableJobSpec:
     function: str
     args: tuple = ()
     kwargs: dict[str, Any] = field(default_factory=dict)
-    #: ``"thread"`` for simulation-bound work, ``"process"`` for GIL-bound
-    #: sampling work (mirrors submit_callable / submit_sampling).
+    #: ``"thread"`` for simulation-bound work (a ``callable`` job),
+    #: ``"process"`` for GIL-bound sampling work (a ``sampling`` job).
     pool: str = "thread"
 
     def __post_init__(self) -> None:
@@ -320,38 +342,39 @@ class SweepJobSpec:
             for combo in itertools.product(*(self.grid[name] for name in names))
         ]
 
-    def plan(self) -> "list[SimulationRequest]":
-        """Expand the grid into simulation requests (cases first, baseline last).
+    def plan(self) -> list[SimulateJobSpec]:
+        """Expand the grid into simulate specs (cases first, baseline last).
 
         Invalid parameter values surface here as :class:`ValueError` from the
         config's own validation, i.e. at submission time, before anything is
         queued — as does an unknown backend name, which would otherwise only
-        fail once the scheduler fingerprints the requests.
+        fail once the scheduler fingerprints the requests (and fail every
+        job drained with it).
         """
-        from ..accelerator.backends import resolve_backend_name
-        from .scheduler import SimulationRequest
-
         resolve_backend_name(self.backend)
 
-        requests = [
-            SimulationRequest(
-                config=dataclasses.replace(self.base, **params),
+        configs = [dataclasses.replace(self.base, **params) for params in self.cases()]
+        if self.baseline is not None:
+            configs.append(self.baseline)
+        return [
+            SimulateJobSpec(
+                config=config,
                 trace=self.trace,
                 energy_table=self.energy_table,
                 backend=self.backend,
             )
-            for params in self.cases()
+            for config in configs
         ]
-        if self.baseline is not None:
-            requests.append(
-                SimulationRequest(
-                    config=self.baseline,
-                    trace=self.trace,
-                    energy_table=self.energy_table,
-                    backend=self.backend,
-                )
-            )
-        return requests
+
+    def result(self, reports: list[Any]) -> SweepJobResult:
+        """The job's value from its plan's reports, in plan order."""
+        num_cases = self.num_cases
+        return SweepJobResult(
+            name=self.name,
+            params=self.cases(),
+            reports=reports[:num_cases],
+            baseline=reports[num_cases] if self.baseline is not None else None,
+        )
 
 
 class SweepJobResult:
@@ -420,10 +443,6 @@ class SweepJobResult:
             f"SweepJobResult(name={self.name!r}, cases={len(self._case_results)}, "
             f"baseline={self._baseline_result is not None})"
         )
-
-
-#: Spec types the HTTP layer accepts in ``POST /jobs`` envelopes.
-JOB_SPEC_TYPES = (SimulateJobSpec, QualityJobSpec, CallableJobSpec, SweepJobSpec)
 
 
 # -- wire schemas ------------------------------------------------------------------

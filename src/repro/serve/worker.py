@@ -45,7 +45,7 @@ from ..core import codec
 from ..core.report_cache import ReportCache
 from .client import RemoteEvaluationClient, RemoteServiceError
 from .http import start_http_server
-from .scheduler import SimulationRequest, run_batched
+from .scheduler import run_batched
 from .service import EvaluationService
 from .specs import SimulateJobSpec
 
@@ -232,9 +232,12 @@ class WorkerRuntime:
         if self._stop.is_set() and self._abandon:
             return  # simulated crash: never complete, let the lease expire
         try:
-            requests = [
-                _spec_to_request(codec.decode(payload)) for payload in task["specs"]
-            ]
+            requests = [codec.decode(payload) for payload in task["specs"]]
+            for request in requests:
+                if not isinstance(request, SimulateJobSpec):
+                    raise TypeError(
+                        f"fleet tasks carry simulate specs, got {type(request).__name__}"
+                    )
             # Ship raw results: a columnar slice crosses the wire as one
             # columnar_report_batch envelope instead of a report object tree.
             results = run_batched(requests, cache=self._cache, materialize=False)
@@ -284,17 +287,6 @@ class WorkerRuntime:
             "completions_rejected": self.completions_rejected,
             "registrations": self.registrations,
         }
-
-
-def _spec_to_request(spec: Any) -> SimulationRequest:
-    if not isinstance(spec, SimulateJobSpec):
-        raise TypeError(f"fleet tasks carry simulate specs, got {type(spec).__name__}")
-    return SimulationRequest(
-        config=spec.config,
-        trace=spec.trace,
-        energy_table=spec.energy_table,
-        backend=spec.backend,
-    )
 
 
 def run_worker(

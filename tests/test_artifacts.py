@@ -24,7 +24,8 @@ from repro.core.artifacts import (
     default_artifact_store,
 )
 from repro.core.report_cache import ReportCache
-from repro.serve.scheduler import SimulationRequest, run_batched
+from repro.serve.scheduler import run_batched
+from repro.serve.specs import SimulateJobSpec
 
 
 def write_legacy_artifact(store: ArtifactStore, kind: str, key: str, obj) -> None:
@@ -39,7 +40,7 @@ def write_legacy_artifact(store: ArtifactStore, kind: str, key: str, obj) -> Non
 def cached_run(cache: ReportCache, config, trace):
     """One simulation through the cache: the scheduler is the only path to the
     simulator."""
-    return run_batched([SimulationRequest(config, trace)], cache=cache)[0]
+    return run_batched([SimulateJobSpec(config, trace)], cache=cache)[0]
 
 
 @pytest.fixture()
@@ -404,8 +405,8 @@ class TestCrossProcessReuse:
         """Acceptance: a re-run from a fresh process gets >=90% artifact-store
         hits and performs zero simulations."""
         configs = [sqdm_config(sparsity_threshold=t) for t in (0.1, 0.2, 0.3, 0.4, 0.5)]
-        requests = [SimulationRequest(c, small_trace) for c in configs] + [
-            SimulationRequest(dense_baseline_config(), small_trace)
+        requests = [SimulateJobSpec(c, small_trace) for c in configs] + [
+            SimulateJobSpec(dense_baseline_config(), small_trace)
         ]
 
         first_process = ReportCache(store=store)
@@ -424,8 +425,8 @@ class TestCrossProcessReuse:
         AcceleratorSimulator.run = forbidden
         try:
             second_reports = run_batched(
-                [SimulationRequest(c, small_trace) for c in configs]
-                + [SimulationRequest(dense_baseline_config(), small_trace)],
+                [SimulateJobSpec(c, small_trace) for c in configs]
+                + [SimulateJobSpec(dense_baseline_config(), small_trace)],
                 cache=second_process,
             )
         finally:

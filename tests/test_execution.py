@@ -18,14 +18,14 @@ import pytest
 from repro.accelerator import dense_baseline_config, random_workload, sqdm_config
 from repro.core import codec
 from repro.core.execution import (
-    LOCAL_SPEC_KINDS,
     CompletedHandle,
     Executor,
     InlineExecutor,
     JobFailedError,
+    JobKind,
     JobStatus,
     LocalCallSpec,
-    spec_kind,
+    job_kind,
 )
 from repro.core.experiments import SweepSpec, run_sweep
 from repro.core.report_cache import ReportCache
@@ -220,9 +220,6 @@ class TestInlineExecutor:
                         base=sqdm_config(), grid={"warp_factor": [1]}, trace=make_trace()
                     )
                 )
-
-    def test_capabilities_include_local_call(self):
-        assert InlineExecutor().capabilities() == LOCAL_SPEC_KINDS
 
     def test_stats_count_submissions_and_failures(self):
         with InlineExecutor() as executor:
@@ -466,11 +463,6 @@ class TestRemoteExecutor:
         handle.add_done_callback(lambda h: late.append(h.ok))
         assert late == [True]
 
-    def test_capabilities_discovered_from_schemas_endpoint(self, client):
-        assert client.capabilities() == frozenset(
-            {"simulate_spec", "sweep_spec", "quality_spec", "callable_spec"}
-        )
-
     def test_client_as_executor_shares_transport(self, client, monkeypatch):
         """The client is the executor: its jobs poll through its own transport."""
         calls = []
@@ -637,6 +629,8 @@ class TestHandleBasics:
         with pytest.raises(TypeError):
             Executor()  # submit() is abstract
 
-    def test_spec_kind_names(self):
-        assert spec_kind(LocalCallSpec(fn=_square)) == "local_call"
-        assert spec_kind(SimulateJobSpec(config=sqdm_config(), trace=[])) == "simulate_spec"
+    def test_job_kind_names(self):
+        assert job_kind(LocalCallSpec(fn=_square)) is JobKind.CALLABLE
+        assert job_kind(SimulateJobSpec(config=sqdm_config(), trace=[])) is JobKind.SIMULATION
+        with pytest.raises(TypeError, match="not a job spec"):
+            job_kind(sqdm_config())

@@ -22,7 +22,8 @@ from repro.core.report_cache import (
     fingerprint_trace,
 )
 from repro.accelerator.energy import EnergyTable
-from repro.serve.scheduler import SimulationRequest, run_batched
+from repro.serve.scheduler import run_batched
+from repro.serve.specs import SimulateJobSpec
 from repro.serve.service import EvaluationService
 
 
@@ -116,7 +117,7 @@ def small_trace():
 def cached_run(cache: ReportCache, config, trace):
     """One simulation through the cache: the scheduler is the only path to the
     simulator."""
-    return run_batched([SimulationRequest(config, trace)], cache=cache)[0]
+    return run_batched([SimulateJobSpec(config, trace)], cache=cache)[0]
 
 
 class TestReportCache:

@@ -31,8 +31,10 @@ from repro.serve import (
     EvaluationService,
     JobFailedError,
     JobStatus,
+    LocalCallSpec,
     RemoteEvaluationClient,
     RemoteServiceError,
+    SimulateJobSpec,
     SweepJobSpec,
     register_wire_function,
     start_http_server,
@@ -378,8 +380,8 @@ class TestHTTPErrorPaths:
     def test_cancelled_job_result_fetch(self, served):
         """``?result=1`` on a cancelled job returns its summary, no result."""
         client, service, _, server = served
-        blockers = [client.submit_callable("wait_forever", args=(0.4,)) for _ in range(4)]
-        victim = client.submit_callable("square", args=(5,))
+        blockers = [client.submit(LocalCallSpec("wait_forever", args=(0.4,))) for _ in range(4)]
+        victim = client.submit(LocalCallSpec("square", args=(5,)))
         cancelled = victim.cancel()
         client.wait_all([*blockers, victim], timeout=30)
         status, body = _raw_request(server.endpoint, f"/jobs/{victim.id}?result=1")
@@ -395,7 +397,7 @@ class TestHTTPErrorPaths:
 class TestJobListing:
     def test_status_filter_and_limit(self, served):
         client, _, _, _ = served
-        jobs = [client.submit_callable("square", args=(i,)) for i in range(4)]
+        jobs = [client.submit(LocalCallSpec("square", args=(i,))) for i in range(4)]
         assert client.wait_all(jobs, timeout=30)
         done = client.list_jobs(status="done")
         assert {job.id for job in jobs} <= {job.id for job in done}
@@ -419,7 +421,7 @@ class TestJobListing:
 class TestRemoteJobs:
     def test_named_callable_roundtrip(self, served):
         client, _, _, _ = served
-        job = client.submit_callable("square", args=(9,))
+        job = client.submit(LocalCallSpec("square", args=(9,)))
         assert job.result(timeout=30) == 81
         assert job.ok and job.done
         assert client.status(job.id) is JobStatus.DONE
@@ -427,17 +429,17 @@ class TestRemoteJobs:
 
     def test_registered_function_object_resolves_to_name(self, served):
         client, _, _, _ = served
-        job = client.submit_callable(_module_level_square, args=(7,))
+        job = client.submit(LocalCallSpec(_module_level_square, args=(7,)))
         assert job.result(timeout=30) == 49
 
     def test_unregistered_callable_rejected_client_side(self, served):
         client, _, _, _ = served
         with pytest.raises(ValueError, match="register_wire_function"):
-            client.submit_callable(lambda: 1)  # nothing hits the wire
+            client.submit(LocalCallSpec(lambda: 1))  # nothing hits the wire
 
     def test_failed_job_surfaces_server_error(self, served):
         client, _, _, _ = served
-        job = client.submit_callable("boom")
+        job = client.submit(LocalCallSpec("boom"))
         assert job.wait(30)
         assert job.status is JobStatus.FAILED
         with pytest.raises(JobFailedError, match="boom"):
@@ -452,8 +454,8 @@ class TestRemoteJobs:
 
     def test_cancel_pending_job(self, served):
         client, service, _, _ = served
-        blockers = [client.submit_callable("wait_forever", args=(0.5,)) for _ in range(4)]
-        victim = client.submit_callable("square", args=(5,))
+        blockers = [client.submit(LocalCallSpec("wait_forever", args=(0.5,))) for _ in range(4)]
+        victim = client.submit(LocalCallSpec("square", args=(5,)))
         cancelled = victim.cancel()
         assert client.wait_all([*blockers, victim], timeout=30)
         if cancelled:  # won the race: the job must report cancelled, not run
@@ -466,7 +468,7 @@ class TestRemoteJobs:
     def test_simulation_job_matches_local_run(self, served):
         client, _, _, _ = served
         trace = make_trace(21)
-        job = client.submit_simulation(sqdm_config(), trace)
+        job = client.submit(SimulateJobSpec(config=sqdm_config(), trace=trace))
         report = job.result(timeout=120)
         expected = AcceleratorSimulator(sqdm_config()).run_trace(trace)
         assert report.total_cycles == expected.total_cycles
@@ -513,7 +515,7 @@ class TestLongPoll:
     def test_open_get_returns_as_soon_as_the_job_finishes(self, served, gate):
         client, _, _, server = served
         key, event = gate
-        job = client.submit_callable("gated", args=(key,))
+        job = client.submit(LocalCallSpec("gated", args=(key,)))
         response = {}
 
         def long_poll():
@@ -536,7 +538,7 @@ class TestLongPoll:
     def test_result_timeout_clips_the_hold(self, served, gate):
         client, _, _, _ = served
         key, event = gate
-        job = client.submit_callable("gated", args=(key,))
+        job = client.submit(LocalCallSpec("gated", args=(key,)))
         began = time.monotonic()
         with pytest.raises(TimeoutError):
             job.result(timeout=0.3)
@@ -549,7 +551,7 @@ class TestLongPoll:
         collects a 1.5-s job: the hold is added to the timeout."""
         _, _, _, server = served
         client = RemoteEvaluationClient(server.endpoint, timeout=0.5, retries=1)
-        job = client.submit_callable("wait_forever", args=(1.5,))
+        job = client.submit(LocalCallSpec("wait_forever", args=(1.5,)))
         assert job.result(timeout=30) == "done"
 
     def test_close_cancel_queued_ends_a_long_poll_at_once(self, served, monkeypatch):
@@ -563,9 +565,9 @@ class TestLongPoll:
             dispatch(drained)
 
         monkeypatch.setattr(service, "_dispatch", held_dispatch)
-        client.submit_callable("square", args=(2,))
+        client.submit(LocalCallSpec("square", args=(2,)))
         assert dispatching.wait(10)  # the scheduler is held: the next job stays queued
-        victim = client.submit_callable("square", args=(3,))
+        victim = client.submit(LocalCallSpec("square", args=(3,)))
         outcome = {}
 
         def wait_for_victim():
@@ -590,7 +592,7 @@ class TestLongPoll:
 
     def test_wait_parameter_is_validated(self, served):
         client, _, _, server = served
-        job = client.submit_callable("square", args=(4,))
+        job = client.submit(LocalCallSpec("square", args=(4,)))
         assert job.result(timeout=30) == 16
         for bad in ("nan", "NaN", "banana"):
             status, body = _raw_request(server.endpoint, f"/jobs/{job.id}?wait={bad}")
@@ -809,8 +811,12 @@ class TestTraceRefs:
         client, _, _, _ = served
         calls = self._record_requests(client, monkeypatch)
         trace = make_trace(46)
-        first = client.submit_simulation(sqdm_config(), trace).result(timeout=120)
-        second = client.submit_simulation(sqdm_config(), trace).result(timeout=120)
+        first = client.submit(SimulateJobSpec(config=sqdm_config(), trace=trace)).result(
+            timeout=120
+        )
+        second = client.submit(SimulateJobSpec(config=sqdm_config(), trace=trace)).result(
+            timeout=120
+        )
         posts = [payload for method, _, payload in calls if method == "POST"]
         assert posts[0]["spec"]["trace"]["$schema"] == "workload_trace@1"
         assert posts[1]["spec"]["trace"] == _ref(fingerprint_trace(trace))
@@ -893,7 +899,7 @@ class TestMultiClientCoalescing:
 
         def sweep(name: str, client: RemoteEvaluationClient) -> None:
             jobs = [
-                client.submit_simulation(config, trace)
+                client.submit(SimulateJobSpec(config=config, trace=trace))
                 for config in configs
                 for trace in traces
             ]
@@ -928,7 +934,9 @@ class TestMultiClientCoalescing:
             server = start_http_server(service, port=0)
             client = RemoteEvaluationClient(server.endpoint)
             try:
-                report = client.submit_simulation(sqdm_config(), trace).result(timeout=120)
+                report = client.submit(SimulateJobSpec(config=sqdm_config(), trace=trace)).result(
+                    timeout=120
+                )
                 return report, service.cache.stats
             finally:
                 server.close()

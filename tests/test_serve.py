@@ -25,10 +25,12 @@ from repro.serve import (
     BatchStats,
     CallableJobSpec,
     EvaluationService,
+    InlineExecutor,
     JobFailedError,
     JobStatus,
+    LocalCallSpec,
     QualityJobSpec,
-    SimulationRequest,
+    SimulateJobSpec,
     SweepJobSpec,
     coalesce_requests,
     register_wire_function,
@@ -130,10 +132,10 @@ class TestRunBatched:
         trace_a, trace_b = make_trace(1), make_trace(2)
         sqdm, dense = sqdm_config(), dense_baseline_config()
         requests = [
-            SimulationRequest(sqdm, trace_a),
-            SimulationRequest(dense, trace_a),
-            SimulationRequest(sqdm, trace_b),
-            SimulationRequest(dense, trace_b),
+            SimulateJobSpec(sqdm, trace_a),
+            SimulateJobSpec(dense, trace_a),
+            SimulateJobSpec(sqdm, trace_b),
+            SimulateJobSpec(dense, trace_b),
         ]
 
         calls: list[list[int]] = []
@@ -170,7 +172,7 @@ class TestRunBatched:
             return original(self, entries)
 
         monkeypatch.setattr(AcceleratorSimulator, "run", counting)
-        requests = [SimulationRequest(sqdm_config(), make_trace(seed)) for seed in range(3)]
+        requests = [SimulateJobSpec(sqdm_config(), make_trace(seed)) for seed in range(3)]
         stats = BatchStats()
         run_batched(requests, cache=ReportCache(), stats=stats)
         assert calls == [[3]]
@@ -188,7 +190,7 @@ class TestRunBatched:
 
         def batches(backend):
             requests = [
-                SimulationRequest(config, trace, backend=backend)
+                SimulateJobSpec(config, trace, backend=backend)
                 for config in configs
                 for trace in traces
             ]
@@ -206,7 +208,7 @@ class TestRunBatched:
     def test_duplicate_requests_simulated_once(self):
         trace = make_trace(5)
         cache = ReportCache()
-        requests = [SimulationRequest(sqdm_config(), trace) for _ in range(3)]
+        requests = [SimulateJobSpec(sqdm_config(), trace) for _ in range(3)]
         reports = run_batched(requests, cache=cache)
         assert cache.stats.misses == 1
         assert reports[0] is reports[1] is reports[2]
@@ -214,8 +216,8 @@ class TestRunBatched:
     def test_cached_requests_not_resimulated(self):
         trace = make_trace(6)
         cache = ReportCache()
-        first = run_batched([SimulationRequest(sqdm_config(), trace)], cache=cache)
-        second = run_batched([SimulationRequest(sqdm_config(), trace)], cache=cache)
+        first = run_batched([SimulateJobSpec(sqdm_config(), trace)], cache=cache)
+        second = run_batched([SimulateJobSpec(sqdm_config(), trace)], cache=cache)
         assert second[0] is first[0]
         assert cache.stats.hits == 1 and cache.stats.misses == 1
 
@@ -224,10 +226,10 @@ class TestRunBatched:
         trace = make_trace(7)
         groups = coalesce_requests(
             [
-                SimulationRequest(sqdm_config(), trace),
-                SimulationRequest(sqdm_config(), make_trace(8)),
-                SimulationRequest(dense_baseline_config(), trace),
-                SimulationRequest(sqdm_config(), trace, backend="reference"),
+                SimulateJobSpec(sqdm_config(), trace),
+                SimulateJobSpec(sqdm_config(), make_trace(8)),
+                SimulateJobSpec(dense_baseline_config(), trace),
+                SimulateJobSpec(sqdm_config(), trace, backend="reference"),
             ]
         )
         # sqdm x2 + dense coalesce (same table/backend); reference stays apart
@@ -259,7 +261,10 @@ class TestEvaluationService:
         traces = [make_trace(seed) for seed in range(4)]
         cache = ReportCache()
         with EvaluationService(cache=cache, max_workers=2) as service:
-            jobs = [service.submit_simulation(sqdm_config(), trace) for trace in traces]
+            jobs = [
+                service.submit(SimulateJobSpec(config=sqdm_config(), trace=trace))
+                for trace in traces
+            ]
             reports = [job.result(timeout=60) for job in jobs]
         # all four unique traces were simulated, in fewer batched calls
         assert sum(calls) == 4 and len(calls) < 4
@@ -269,7 +274,7 @@ class TestEvaluationService:
 
     def test_callable_jobs_and_status(self):
         with EvaluationService(max_workers=2) as service:
-            job = service.submit_callable(_module_level_square, args=(7,))
+            job = service.submit(LocalCallSpec(_module_level_square, args=(7,)))
             assert job.result(timeout=30) == 49
             assert service.status(job.id) is JobStatus.DONE
             assert service.job(job.id).summary()["status"] == "done"
@@ -278,54 +283,76 @@ class TestEvaluationService:
 
     def test_failed_job_reports_error(self):
         with EvaluationService(max_workers=1) as service:
-            job = service.submit_callable(_module_level_boom)
+            job = service.submit(LocalCallSpec(_module_level_boom))
             job.wait(30)
             assert job.status is JobStatus.FAILED
             with pytest.raises(JobFailedError, match="boom"):
                 job.result()
 
     def test_sampling_job_runs_in_separate_process(self):
+        register_wire_function("serve-test-getpid", os.getpid)
         with EvaluationService(process_workers=1) as service:
-            job = service.submit_sampling(os.getpid)
+            job = service.submit(CallableJobSpec("serve-test-getpid", pool="process"))
             worker_pid = job.result(timeout=120)
         assert worker_pid != os.getpid()
 
     def test_killed_sampling_worker_does_not_break_later_jobs(self):
         """A worker that dies takes the process pool with it; the service
         replaces the pool, so only the killed job fails."""
+        register_wire_function("serve-test-exit", os._exit)
+        register_wire_function("serve-test-getpid", os.getpid)
         with EvaluationService(process_workers=1) as service:
-            killed = service.submit_sampling(os._exit, args=(1,))
+            killed = service.submit(CallableJobSpec("serve-test-exit", args=(1,), pool="process"))
             assert killed.wait(120)
             assert killed.status is JobStatus.FAILED
-            survivor = service.submit_sampling(os.getpid)
+            survivor = service.submit(CallableJobSpec("serve-test-getpid", pool="process"))
             worker_pid = survivor.result(timeout=120)
         assert worker_pid != os.getpid()
 
     def test_unpicklable_sampling_job_fails_fast(self):
+        register_wire_function("serve-test-lambda", lambda: 1)
         with EvaluationService() as service:
             with pytest.raises(ValueError, match="picklable"):
-                service.submit_sampling(lambda: 1)
+                service.submit(CallableJobSpec("serve-test-lambda", pool="process"))
         # nothing was queued, so the failure cannot have come from the pool
         assert service.jobs() == []
+
+    def test_unknown_backend_simulation_rejected_at_submit(self):
+        """A simulate spec naming no known backend is refused at submission,
+        as a sweep spec is; once drained it failed every job of its drain."""
+        spec = SimulateJobSpec(config=sqdm_config(), trace=make_trace(1), backend="warp_drive")
+        with EvaluationService(cache=ReportCache(), max_workers=1) as service:
+            with pytest.raises(ValueError, match="backend"):
+                service.submit(spec)
+            assert service.jobs() == []
+        with pytest.raises(ValueError, match="backend"):
+            InlineExecutor().submit(spec)
 
     def test_submit_after_close_rejected(self):
         service = EvaluationService(max_workers=1)
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
-            service.submit_callable(_module_level_square, args=(2,))
+            service.submit(LocalCallSpec(_module_level_square, args=(2,)))
 
     def test_wait_all(self):
         with EvaluationService(max_workers=2) as service:
-            jobs = [service.submit_callable(_module_level_square, args=(i,)) for i in range(5)]
+            jobs = [
+                service.submit(LocalCallSpec(_module_level_square, args=(i,)))
+                for i in range(5)
+            ]
             assert service.wait_all(jobs, timeout=60)
             assert [job.result_value for job in jobs] == [0, 1, 4, 9, 16]
 
     def test_completed_job_history_is_bounded(self):
         """A long-lived service must not pin every finished job forever."""
         with EvaluationService(max_workers=2, history_limit=3) as service:
-            jobs = [service.submit_callable(_module_level_square, args=(i,)) for i in range(8)]
+            jobs = [
+                service.submit(LocalCallSpec(_module_level_square, args=(i,)))
+                for i in range(8)
+            ]
             assert service.wait_all(jobs, timeout=60)
-            final = service.submit_callable(_module_level_square, args=(99,))  # triggers pruning
+            # triggers pruning
+            final = service.submit(LocalCallSpec(_module_level_square, args=(99,)))
             assert final.result(timeout=30) == 99 * 99
             assert len(service.jobs()) <= 4  # 3 retained terminal + the new one
             # retired jobs lose id-based lookup, but the handles still work
@@ -348,8 +375,8 @@ class TestSweepJobs:
             name="local-grid",
         )
         with EvaluationService(cache=cache, max_workers=2) as service:
-            first = service.submit_sweep(spec).result(timeout=120)
-            second = service.submit_sweep(spec).result(timeout=120)
+            first = service.submit(spec).result(timeout=120)
+            second = service.submit(spec).result(timeout=120)
         assert first.params == [{"sparsity_threshold": 0.1}, {"sparsity_threshold": 0.5}]
         for params, report in zip(first.params, first.reports):
             expected = AcceleratorSimulator(sqdm_config(**params)).run_trace(trace)
@@ -371,7 +398,7 @@ class TestSweepJobs:
             baseline=dense_baseline_config(),
         )
         with EvaluationService(cache=ReportCache(), max_workers=2) as service:
-            assert service.submit_sweep(spec).result(timeout=120) is not None
+            assert service.submit(spec).result(timeout=120) is not None
             scheduler = service.service_stats()["scheduler"]
         assert scheduler == {
             "kernel_calls": 1,
@@ -379,12 +406,33 @@ class TestSweepJobs:
             "traces_simulated": 4,
         }
 
+    def test_sweep_trace_marks_each_phase_once(self):
+        """A sweep's trace records each lifecycle phase once per job, not
+        once per case: a 17-case cold sweep with a baseline ends with the
+        same five marks as a 2-case one."""
+        jobs = []
+        for values in ([0.05 * i for i in range(1, 18)], [0.2, 0.4]):
+            spec = SweepJobSpec(
+                base=sqdm_config(),
+                grid={"sparsity_threshold": values},
+                trace=make_trace(13),
+                baseline=dense_baseline_config(),
+            )
+            with EvaluationService(cache=ReportCache(), max_workers=2) as service:
+                jobs.append(service.submit(spec))
+                jobs[-1].result(timeout=120)
+        wide, narrow = (job.trace.phases() for job in jobs)
+        assert wide == ["submitted", "coalesced", "dispatched", "kernel", "finished"]
+        assert len(narrow) == len(wide)
+        coalesced = dict(jobs[0].trace.marks[1][2])
+        assert coalesced == {"requests": 18}
+
     def test_sweep_without_baseline(self):
         spec = SweepJobSpec(
             base=sqdm_config(), grid={"num_spe": [1, 2]}, trace=make_trace(10)
         )
         with EvaluationService(cache=ReportCache(), max_workers=2) as service:
-            outcome = service.submit_sweep(spec).result(timeout=120)
+            outcome = service.submit(spec).result(timeout=120)
         assert outcome.baseline is None and len(outcome.reports) == 2
 
     def test_invalid_grid_rejected_at_submit(self):
@@ -396,7 +444,7 @@ class TestSweepJobs:
                 base=sqdm_config(), grid={"sparsity_threshold": [1.5]}, trace=make_trace(1)
             )
             with pytest.raises(ValueError, match="sparsity_threshold"):
-                service.submit_sweep(spec)
+                service.submit(spec)
             assert service.jobs() == []
 
     def test_sweep_failure_marks_job_failed(self, monkeypatch):
@@ -408,7 +456,7 @@ class TestSweepJobs:
             base=sqdm_config(), grid={"sparsity_threshold": [0.2]}, trace=make_trace(3)
         )
         with EvaluationService(cache=ReportCache(), max_workers=1) as service:
-            job = service.submit_sweep(spec)
+            job = service.submit(spec)
             assert job.wait(30)
             assert job.status is JobStatus.FAILED
             with pytest.raises(JobFailedError, match="sim exploded"):
@@ -437,9 +485,9 @@ class TestSweepJobs:
         monkeypatch.setattr(AcceleratorSimulator, "run", counting)
 
         with EvaluationService(cache=ReportCache(), max_workers=2) as service:
-            blocker = service.submit_simulation(sqdm_config(), make_trace(1))
+            blocker = service.submit(SimulateJobSpec(config=sqdm_config(), trace=make_trace(1)))
             assert drained.wait(30), "scheduler never drained the queue"
-            sweep_job = service.submit_sweep(
+            sweep_job = service.submit(
                 SweepJobSpec(
                     base=sqdm_config(),
                     grid={"sparsity_threshold": [0.2, 0.4]},
@@ -496,7 +544,7 @@ class TestCancellation:
         monkeypatch.setattr(AcceleratorSimulator, "run", counting)
 
         with EvaluationService(cache=ReportCache(), max_workers=2) as service:
-            job = service.submit_simulation(sqdm_config(), make_trace(1))
+            job = service.submit(SimulateJobSpec(config=sqdm_config(), trace=make_trace(1)))
             assert drained.wait(30), "scheduler never drained the queue"
             assert service.cancel(job.id) is True
             proceed.set()
@@ -506,13 +554,57 @@ class TestCancellation:
                 job.result()
         assert simulated == [], "cancelled job was simulated anyway"
 
+    def test_cancel_drained_sweep_before_any_case_is_claimed(self, monkeypatch):
+        """A sweep stays cancellable after the scheduler drained it, until a
+        pool thread claims its first case: it reports CANCELLED and none of
+        its cases is simulated."""
+        drained, proceed = threading.Event(), threading.Event()
+        original_coalesce = service_module.coalesce_requests
+
+        def gated(requests):
+            groups = original_coalesce(requests)
+            if requests:
+                drained.set()
+                proceed.wait(30)
+            return groups
+
+        monkeypatch.setattr(service_module, "coalesce_requests", gated)
+
+        simulated: list[int] = []
+        original_run = AcceleratorSimulator.run
+
+        def counting(self, entries):
+            simulated.append(sum(len(traces) for _, traces in entries))
+            return original_run(self, entries)
+
+        monkeypatch.setattr(AcceleratorSimulator, "run", counting)
+
+        with EvaluationService(cache=ReportCache(), max_workers=2) as service:
+            job = service.submit(
+                SweepJobSpec(
+                    base=sqdm_config(),
+                    grid={"sparsity_threshold": [0.2, 0.4]},
+                    trace=make_trace(2),
+                    baseline=dense_baseline_config(),
+                )
+            )
+            assert drained.wait(30), "scheduler never drained the queue"
+            assert job.status is JobStatus.QUEUED
+            assert service.cancel(job.id) is True
+            proceed.set()
+            assert job.wait(30)
+            assert job.status is JobStatus.CANCELLED
+            with pytest.raises(JobFailedError, match="cancel"):
+                job.result()
+        assert simulated == [], "cancelled sweep was simulated anyway"
+
     def test_cancelled_callable_never_runs(self):
         """A callable queued behind a busy pool is cancellable until it starts."""
         gate = threading.Event()
         ran: list[int] = []
         with EvaluationService(max_workers=1) as service:
-            blocker = service.submit_callable(_module_level_wait, args=(gate,))
-            victims = [service.submit_callable(ran.append, args=(i,)) for i in range(3)]
+            blocker = service.submit(LocalCallSpec(_module_level_wait, args=(gate,)))
+            victims = [service.submit(LocalCallSpec(ran.append, args=(i,))) for i in range(3)]
             cancelled = [service.cancel(job.id) for job in victims]
             gate.set()
             blocker.wait(30)
@@ -522,7 +614,7 @@ class TestCancellation:
 
     def test_cancel_finished_job_returns_false(self):
         with EvaluationService(max_workers=1) as service:
-            job = service.submit_callable(_module_level_square, args=(3,))
+            job = service.submit(LocalCallSpec(_module_level_square, args=(3,)))
             assert job.result(timeout=30) == 9
             assert service.cancel(job.id) is False
             assert job.status is JobStatus.DONE
@@ -532,8 +624,8 @@ class TestCancellation:
     def test_cancelled_count_in_service_stats(self):
         gate = threading.Event()
         with EvaluationService(max_workers=1) as service:
-            blocker = service.submit_callable(_module_level_wait, args=(gate,))
-            victim = service.submit_callable(_module_level_square, args=(1,))
+            blocker = service.submit(LocalCallSpec(_module_level_wait, args=(gate,)))
+            victim = service.submit(LocalCallSpec(_module_level_square, args=(1,)))
             assert service.cancel(victim.id)
             stats = service.service_stats()
             gate.set()
@@ -560,13 +652,16 @@ class TestSingleFlight:
         trace = make_trace(11)
         cache = ReportCache()
         with EvaluationService(cache=cache, max_workers=4) as service:
-            first = service.submit_simulation(sqdm_config(), trace)
+            first = service.submit(SimulateJobSpec(config=sqdm_config(), trace=trace))
             # Wait until the first job's batch is claimed, then submit
             # duplicates in later drains; they must attach, not re-simulate.
             deadline = time.monotonic() + 30
             while first.status is not JobStatus.RUNNING and time.monotonic() < deadline:
                 time.sleep(0.005)
-            followers = [service.submit_simulation(sqdm_config(), trace) for _ in range(3)]
+            followers = [
+                service.submit(SimulateJobSpec(config=sqdm_config(), trace=trace))
+                for _ in range(3)
+            ]
             while (
                 service.service_stats()["coalesced_attached"] < 3
                 and time.monotonic() < deadline
@@ -767,8 +862,8 @@ class TestConcurrentServiceTraffic:
 
             def client(seed: int) -> None:
                 submitted = [
-                    service.submit_simulation(sqdm_config(), traces[seed % 3]),
-                    service.submit_callable(_module_level_square, args=(seed,)),
+                    service.submit(SimulateJobSpec(config=sqdm_config(), trace=traces[seed % 3])),
+                    service.submit(LocalCallSpec(_module_level_square, args=(seed,))),
                 ]
                 with jobs_lock:
                     jobs.extend(submitted)

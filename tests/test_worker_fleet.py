@@ -17,6 +17,7 @@ from repro.accelerator.config import AcceleratorConfig
 from repro.core import codec
 from repro.core.execution import InlineExecutor, JobStatus
 from repro.core.report_cache import ReportCache
+from repro.core.telemetry import Trace
 from repro.serve import (
     EvaluationService,
     RemoteEvaluationClient,
@@ -27,19 +28,22 @@ from repro.serve import (
     start_http_server,
 )
 from repro.serve.fleet import MAX_LEASE_SECONDS, MIN_LEASE_SECONDS, TaskState
-from repro.serve.scheduler import SimulationRequest, run_batched
+from repro.serve.scheduler import run_batched
 from repro.serve.specs import SimulateJobSpec, SweepJobSpec
+
+from test_http_serve import _raw_request
 
 
 class RecordingSink:
-    """Stands in for a _JobSink: counts claims, records deliveries."""
+    """Stands in for the service's request sink: counts claims, records
+    deliveries, and carries the trace the fleet marks leases on."""
 
     def __init__(self, live: bool = True):
         self.live = live
         self.claims = 0
         self.delivered: list = []
         self.failures: list = []
-        self.marks: list = []
+        self.trace = Trace("recording-sink")
 
     def claim(self) -> bool:
         self.claims += 1
@@ -50,9 +54,6 @@ class RecordingSink:
 
     def fail(self, error) -> None:
         self.failures.append(error)
-
-    def trace_mark(self, phase, **fields) -> None:
-        self.marks.append((phase, fields))
 
 
 class DeliveryLog:
@@ -73,9 +74,9 @@ class DeliveryLog:
 
 @pytest.fixture()
 def request_factory(synthetic_trace):
-    def make(threshold: float) -> SimulationRequest:
+    def make(threshold: float) -> SimulateJobSpec:
         config = AcceleratorConfig(name="fleet-test", sparsity_threshold=threshold)
-        return SimulationRequest(config=config, trace=synthetic_trace)
+        return SimulateJobSpec(config=config, trace=synthetic_trace)
 
     return make
 
@@ -219,6 +220,53 @@ class TestWireDurations:
             service.close()
 
 
+class TestWireCounts:
+    """Counts from the wire must be JSON integers >= 1: ``1e999`` (which JSON
+    reads as infinity) answered 500, and ``true``, ``2.9``, ``"2"`` and ``0``
+    were silently read as 1, 2, 2 and 1."""
+
+    BAD = ("1e999", "true", "2.9", '"2"', "0")
+
+    def test_fleet_rejects_non_integer_counts(self):
+        fleet = make_fleet()
+        try:
+            for bad in (float("inf"), True, 2.9, "2", 0):
+                with pytest.raises(ValueError, match="concurrency"):
+                    fleet.register("w0", concurrency=bad)
+            worker = fleet.register("w1", concurrency=3)
+            assert worker.concurrency == 3
+            for bad in (float("inf"), True, 2.9, "2", 0):
+                with pytest.raises(ValueError, match="max_tasks"):
+                    fleet.claim(worker.id, max_tasks=bad)
+            assert fleet.claim(worker.id, max_tasks=2) == []
+        finally:
+            fleet.close()
+
+    @pytest.mark.parametrize("raw", BAD)
+    def test_http_worker_counts_are_refused_with_400(self, raw):
+        service = EvaluationService(cache=ReportCache(), worker_fleet=True, lease_seconds=5.0)
+        server = start_http_server(service)
+        try:
+            endpoint = server.endpoint
+            body = f'{{"name": "bad-count", "concurrency": {raw}}}'.encode()
+            status, reply = _raw_request(endpoint, "/workers/register", data=body)
+            assert status == 400 and "concurrency" in reply["error"]
+            # An absent count reads as 1.
+            status, reply = _raw_request(endpoint, "/workers/register", data=b'{"name": "plain"}')
+            assert status == 201
+            worker_id = reply["worker_id"]
+            claim = f"/workers/{worker_id}/claim"
+            status, reply = _raw_request(endpoint, claim, data=f'{{"max_tasks": {raw}}}'.encode())
+            assert status == 400 and "max_tasks" in reply["error"]
+            status, reply = _raw_request(endpoint, claim, data=b"{}")
+            assert status == 200 and reply["tasks"] == []
+            workers = _raw_request(endpoint, "/workers")[1]["workers"]
+            assert [(w["name"], w["concurrency"]) for w in workers] == [("plain", 1)]
+        finally:
+            server.close()
+            service.close()
+
+
 class TestHeartbeatAndExpiry:
     def test_heartbeat_renews_lease_under_load(self, request_factory):
         fleet = make_fleet(lease_seconds=0.3)
@@ -349,7 +397,7 @@ class TestReRegistration:
                 message="runtime re-registration",
             )
             config = AcceleratorConfig(name="phoenix-job")
-            job = service.submit_simulation(config, synthetic_trace)
+            job = service.submit(SimulateJobSpec(config=config, trace=synthetic_trace))
             assert job.result(timeout=60) is not None
         finally:
             runtime.stop()
@@ -365,7 +413,7 @@ class TestServiceIntegration:
         service = EvaluationService(worker_fleet=True, lease_seconds=5.0)
         try:
             config = AcceleratorConfig(name="cancel-before")
-            job = service.submit_simulation(config, synthetic_trace)
+            job = service.submit(SimulateJobSpec(config=config, trace=synthetic_trace))
             wait_until(
                 lambda: service.fleet.summary()["queue_depth"] == 1,
                 message="fleet enqueue",
@@ -383,14 +431,14 @@ class TestServiceIntegration:
         service = EvaluationService(worker_fleet=True, lease_seconds=5.0)
         try:
             config = AcceleratorConfig(name="cancel-while")
-            job = service.submit_simulation(config, synthetic_trace)
+            job = service.submit(SimulateJobSpec(config=config, trace=synthetic_trace))
             worker = service.fleet.register("w1")
             (task,) = service.fleet.claim(worker.id, wait_seconds=5.0)
             # Claimed means RUNNING: cancellation is refused, and the
             # worker's completion still lands.
             assert service.cancel(job.id) is False
             report = run_batched(
-                [SimulationRequest(config=config, trace=synthetic_trace)],
+                [SimulateJobSpec(config=config, trace=synthetic_trace)],
                 cache=ReportCache(),
             )[0]
             assert service.fleet.complete(worker.id, task["id"], reports=[report])
@@ -403,8 +451,8 @@ class TestServiceIntegration:
         service = EvaluationService(cache=cache, worker_fleet=True, lease_seconds=5.0)
         try:
             config = AcceleratorConfig(name="cache-landing")
-            request = SimulationRequest(config=config, trace=synthetic_trace)
-            job = service.submit_simulation(config, synthetic_trace)
+            request = SimulateJobSpec(config=config, trace=synthetic_trace)
+            job = service.submit(SimulateJobSpec(config=config, trace=synthetic_trace))
             worker = service.fleet.register("w1")
             (task,) = service.fleet.claim(worker.id, wait_seconds=5.0)
             report = run_batched([request], cache=ReportCache())[0]
@@ -412,7 +460,7 @@ class TestServiceIntegration:
             assert job.result(timeout=10) == report
             # The completion was inserted into the server cache, so an
             # identical submission is served without any fleet task.
-            job2 = service.submit_simulation(config, synthetic_trace)
+            job2 = service.submit(SimulateJobSpec(config=config, trace=synthetic_trace))
             assert job2.result(timeout=10) == report
             assert service.fleet.summary()["queue_depth"] == 0
             assert service.fleet.tasks_completed == 1
@@ -422,7 +470,7 @@ class TestServiceIntegration:
     def test_close_fails_outstanding_fleet_tasks(self, synthetic_trace):
         service = EvaluationService(worker_fleet=True, lease_seconds=5.0)
         config = AcceleratorConfig(name="close-outstanding")
-        job = service.submit_simulation(config, synthetic_trace)
+        job = service.submit(SimulateJobSpec(config=config, trace=synthetic_trace))
         worker = service.fleet.register("w1")
         (task,) = service.fleet.claim(worker.id, wait_seconds=5.0)
         service.close()
@@ -470,7 +518,7 @@ class TestEndToEnd:
         try:
             doomed.start()
             config = AcceleratorConfig(name="chaos-e2e")
-            job = service.submit_simulation(config, synthetic_trace)
+            job = service.submit(SimulateJobSpec(config=config, trace=synthetic_trace))
             wait_until(
                 lambda: service.fleet.summary()["leased"] == 1,
                 message="the doomed worker's claim",
@@ -488,7 +536,7 @@ class TestEndToEnd:
             # Zero lost jobs, and the rescued result is bit-identical to a
             # local single-process run.
             reference = run_batched(
-                [SimulationRequest(config=config, trace=synthetic_trace)],
+                [SimulateJobSpec(config=config, trace=synthetic_trace)],
                 cache=ReportCache(),
             )[0]
             assert report == reference
@@ -519,14 +567,14 @@ class TestEndToEnd:
             assert client.complete_task(worker_id, "task-9999", reports=[]) is False
 
             config = AcceleratorConfig(name="http-protocol")
-            job = client.submit_simulation(config, synthetic_trace)
+            job = client.submit(SimulateJobSpec(config=config, trace=synthetic_trace))
             (task,) = client.claim_tasks(worker_id, wait_seconds=5.0)
             heartbeat = client.worker_heartbeat(worker_id)
             assert task["id"] in heartbeat["tasks"]
             spec = codec.decode(task["specs"][0])
             report = run_batched(
                 [
-                    SimulationRequest(
+                    SimulateJobSpec(
                         config=spec.config,
                         trace=spec.trace,
                         energy_table=spec.energy_table,
