@@ -541,6 +541,22 @@ class ColumnarReportBatch:
         """One standalone single-trace batch per (config, trace) pair."""
         return [self.slice_trace(flat) for flat in range(self.num_traces)]
 
+    @classmethod
+    def concat(cls, batches: "list[ColumnarReportBatch]") -> "ColumnarReportBatch":
+        """The batches end to end, configs in order (arrays copied).
+
+        Every cell keeps its bits, so slicing a trace back out of the result
+        (:meth:`slice_trace`) equals slicing it out of the batch it came from.
+        """
+        return cls(
+            config_names=[name for batch in batches for name in batch.config_names],
+            layer_names=[name for batch in batches for name in batch.layer_names],
+            **{
+                name: np.concatenate([getattr(batch, name) for batch in batches])
+                for name in ARRAY_FIELDS
+            },
+        )
+
     # -- equality (tests, cache round-trips) -----------------------------------
 
     def __eq__(self, other: Any) -> bool:

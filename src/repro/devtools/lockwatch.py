@@ -28,8 +28,9 @@ touching global state.
 The wrappers delegate everything else to the real primitive and implement
 the private ``_release_save``/``_acquire_restore``/``_is_owned`` hooks so a
 wrapped ``RLock`` still works as the backing lock of a
-``threading.Condition``, and ``_at_fork_reinit`` so stdlib modules that
-import after installation can register their locks' at-fork hooks.
+``threading.Condition``, ``_at_fork_reinit`` so stdlib modules that
+import after installation can register their locks' at-fork hooks, and
+``_recursion_count`` so multiprocessing's resource tracker can start.
 """
 
 from __future__ import annotations
@@ -144,6 +145,13 @@ class TrackedLock:
     def _at_fork_reinit(self) -> None:
         self._watch._on_release(self)
         self._inner._at_fork_reinit()
+
+    # -- multiprocessing integration ----------------------------------------
+    # The resource tracker that ``spawn`` and ``forkserver`` pools start
+    # reads its RLock's recursion count to refuse a reentrant start.
+
+    def _recursion_count(self) -> int:
+        return self._inner._recursion_count()
 
 
 class LockWatch:

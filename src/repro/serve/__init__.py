@@ -41,9 +41,10 @@ traffic*, not as one script.  This package provides the service layer:
     the wire), long-poll for results (``GET /jobs/<id>?wait=``), and share
     the server's single-flight scheduler and artifact store.
 ``repro.serve.client``
-    :class:`RemoteEvaluationClient` — urllib-based client mirroring the
-    service surface, with jittered retry/backoff and long-polling job
-    handles: a result arrives in the response that sees its job finish.
+    :class:`RemoteEvaluationClient` — client mirroring the service
+    surface over a pool of kept-alive connections, with jittered
+    retry/backoff and long-polling job handles: a result arrives in the
+    response that sees its job finish, a sweep's as one columnar batch.
 ``repro.serve.top``
     The ``repro top`` dashboard: polls ``GET /metrics`` (Prometheus text)
     and ``GET /jobs`` and renders queue depth, coalescing ratio, cache hit

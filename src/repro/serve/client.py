@@ -3,7 +3,8 @@
 :class:`RemoteEvaluationClient` mirrors the surface of
 :class:`~repro.serve.service.EvaluationService` — the executor entry point
 ``submit(spec)`` and ``job`` / ``jobs`` / ``cancel`` / ``wait_all`` — over
-plain :mod:`urllib` (``submit_sweep(spec)`` is ``submit`` for a sweep spec).
+kept-alive :mod:`http.client` connections (``submit_sweep(spec)`` is
+``submit`` for a sweep spec).
 Both are :class:`~repro.core.execution.Executor` implementations, so call
 sites switch between the in-process service and a remote server by swapping
 one object:
@@ -22,9 +23,17 @@ schema, oversized body, bad spec) as :class:`RemoteServiceError` without
 retrying; unknown job ids become :class:`KeyError`, matching the in-process
 service.
 
-Transient transport failures (connection refused while the server starts,
-dropped keep-alive sockets) and HTTP 503 rejections are retried with
-exponential backoff plus *bounded jitter*, so a fleet of clients hitting a
+Connections live in a small pool owned by the client: a request checks one
+out and returns it after a complete response, so a thread's requests share
+one connection, and :meth:`RemoteEvaluationClient.close` closes the pool.
+A pooled connection the server closed is dropped before reuse, and a
+request that fails on a reused connection before any response byte arrived
+is resent once on a new connection, whatever its method: this server closes
+a kept-alive connection only between requests, so nothing reached a handler.
+
+Other transient transport failures (connection refused while the server
+starts, a connection dropped mid-request) and HTTP 503 rejections are
+retried with exponential backoff plus *bounded jitter*, so a fleet of clients hitting a
 restarting server spreads its retries instead of hammering it in lockstep;
 a ``Retry-After`` header on a 503 sets the floor of the next delay.  A
 :class:`RemoteJob` waits by long-polling: the server holds each
@@ -46,13 +55,15 @@ resends the trace inline once, so callers keep passing
 from __future__ import annotations
 
 import dataclasses
+import http.client
 import json
 import random
+import select
+import socket
 import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Callable, Iterable, Mapping
+from urllib.parse import urlsplit
 
 from ..core import codec
 from ..core.execution import (
@@ -93,6 +104,20 @@ from .specs import (
 #: misconfigured (or hostile) server cannot park clients for hours.
 RETRY_AFTER_CAP = 30.0
 
+#: Idle kept-alive connections a client holds on to; more are closed on return.
+MAX_IDLE_CONNECTIONS = 4
+
+#: How a request fails when the server closed its kept-alive connection
+#: before the request reached it: the send breaks, or the response ends
+#: before its first byte (``http.client.RemoteDisconnected`` is a reset).
+_STALE_CONNECTION_ERRORS = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
+
+_HEADERS = {
+    "Content-Type": "application/json",
+    "Accept": "application/json",
+    "X-Repro-Wire-Version": str(codec.WIRE_VERSION),
+}
+
 
 def _parse_retry_after(value: str | None) -> float | None:
     """Seconds from a ``Retry-After`` header (delta form only), capped."""
@@ -109,6 +134,78 @@ def _parse_retry_after(value: str | None) -> float | None:
 
 class RemoteServiceError(RuntimeError):
     """The server rejected a request or could not be reached."""
+
+
+def _closed_by_peer(sock: socket.socket) -> bool:
+    """Whether an idle kept-alive socket polls readable: between requests
+    that means the server closed it (or sent bytes nobody asked for), so it
+    cannot carry another request."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+class _ConnectionPool:
+    """Kept-alive connections to one server, shared by a client's threads.
+
+    A request checks a connection out and returns it after a complete
+    response.  The pool is not thread-local: ``add_done_callback`` starts
+    one watcher thread per job, and each takes its own connection.
+    """
+
+    def __init__(self, endpoint: str) -> None:
+        parts = urlsplit(endpoint)
+        host = parts.hostname
+        if parts.scheme not in ("http", "https") or not host:
+            raise ValueError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
+        self._https = parts.scheme == "https"
+        self._host = host
+        self._port = parts.port
+        #: Path prefix of the endpoint, prepended to every request path.
+        self.prefix = parts.path
+        self._idle: list[http.client.HTTPConnection] = []  #: guarded by _lock
+        self._closed = False  #: guarded by _lock
+        self._lock = threading.Lock()
+
+    def connect(self, timeout: float) -> http.client.HTTPConnection:
+        """A new connection (it opens its socket on the first request)."""
+        if self._https:
+            return http.client.HTTPSConnection(self._host, self._port, timeout=timeout)
+        return http.client.HTTPConnection(self._host, self._port, timeout=timeout)
+
+    def checkout(self, timeout: float) -> tuple[http.client.HTTPConnection, bool]:
+        """A connection for one request, and whether it carried one before.
+
+        An idle connection the server closed is dropped here, before reuse.
+        """
+        while True:
+            with self._lock:
+                connection = self._idle.pop() if self._idle else None
+            if connection is None:
+                return self.connect(timeout), False
+            sock = connection.sock
+            if sock is None or _closed_by_peer(sock):
+                connection.close()
+                continue
+            connection.timeout = timeout
+            sock.settimeout(timeout)
+            return connection, True
+
+    def checkin(self, connection: http.client.HTTPConnection) -> None:
+        """Keep a connection whose response was read completely for reuse."""
+        with self._lock:
+            if not self._closed and len(self._idle) < MAX_IDLE_CONNECTIONS:
+                self._idle.append(connection)
+                return
+        connection.close()
+
+    def close(self) -> None:
+        """Close the idle connections; later requests use unpooled ones."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
 
 
 class _UnknownTraceError(RemoteServiceError):
@@ -292,9 +389,14 @@ class RemoteEvaluationClient(Executor):
         self.max_backoff = max_backoff
         self.jitter = max(0.0, jitter)
         self._rng = random.Random()
+        self._pool = _ConnectionPool(self.endpoint)
         #: Trace digests the server named in the 201 of this client's inline
         #: submissions: later submissions of those traces send a reference.
         self._server_traces = DigestLRU()
+
+    def close(self) -> None:
+        """Close the client's kept-alive connections."""
+        self._pool.close()
 
     # -- transport --------------------------------------------------------------
 
@@ -306,6 +408,38 @@ class RemoteEvaluationClient(Executor):
             delay = max(delay, retry_after)
         return delay
 
+    def _exchange(
+        self, method: str, path: str, body: bytes | None, timeout: float
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request and its complete response on a pooled connection.
+
+        A request that fails on a reused connection before any response
+        byte arrived is resent once on a new connection, whatever its
+        method: the server closes a kept-alive connection only between
+        requests, so the first send never reached a handler.
+        """
+        connection, reused = self._pool.checkout(timeout)
+        try:
+            while True:
+                try:
+                    connection.request(method, self._pool.prefix + path, body, _HEADERS)
+                    response = connection.getresponse()
+                    break
+                except _STALE_CONNECTION_ERRORS:
+                    if not reused:
+                        raise
+                    connection.close()
+                    connection, reused = self._pool.connect(timeout), False
+            data = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            self._pool.checkin(connection)
+        return response, data
+
     def _request(
         self,
         method: str,
@@ -313,44 +447,14 @@ class RemoteEvaluationClient(Executor):
         payload: dict[str, Any] | None = None,
         timeout: float | None = None,
     ) -> Any:
-        url = f"{self.endpoint}{path}"
         request_timeout = self.timeout if timeout is None else timeout
         body = None if payload is None else json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
         for attempt in range(self.retries):
-            request = urllib.request.Request(
-                url,
-                data=body,
-                method=method,
-                headers={
-                    "Content-Type": "application/json",
-                    "Accept": "application/json",
-                    "X-Repro-Wire-Version": str(codec.WIRE_VERSION),
-                },
-            )
             began = time.monotonic()
             try:
-                with urllib.request.urlopen(request, timeout=request_timeout) as response:
-                    decoded = json.loads(response.read().decode("utf-8"))
-                _REQUEST_SECONDS.observe(
-                    time.monotonic() - began, method=method, outcome="ok"
-                )
-                return decoded
-            except urllib.error.HTTPError as exc:
-                _REQUEST_SECONDS.observe(
-                    time.monotonic() - began, method=method, outcome=f"http_{exc.code}"
-                )
-                # 503 is the one HTTP rejection that happens *before* the
-                # server does any work (overloaded, or a load balancer with
-                # no healthy backend), so even POSTs retry safely.  The
-                # server's Retry-After sets the floor of the jittered delay.
-                if exc.code == 503 and attempt + 1 < self.retries:
-                    last_error = exc
-                    retry_after = _parse_retry_after(exc.headers.get("Retry-After"))
-                    self._sleep_before_retry(self._retry_delay(attempt, retry_after))
-                    continue
-                raise self._http_error(method, path, exc) from None
-            except (urllib.error.URLError, ConnectionError, TimeoutError) as exc:
+                response, data = self._exchange(method, path, body, request_timeout)
+            except (OSError, http.client.HTTPException) as exc:
                 _REQUEST_SECONDS.observe(
                     time.monotonic() - began, method=method, outcome="transport"
                 )
@@ -360,11 +464,28 @@ class RemoteEvaluationClient(Executor):
                 # run the job twice.  Retry POSTs only when the connection was
                 # refused outright (nothing reached the server — e.g. it is
                 # still starting up); reads and cancels always retry.
-                if method == "POST" and not self._connection_refused(exc):
+                if method == "POST" and not isinstance(exc, ConnectionRefusedError):
                     break
                 self._sleep_before_retry(self._retry_delay(attempt))
+                continue
+            if response.status < 400:
+                _REQUEST_SECONDS.observe(time.monotonic() - began, method=method, outcome="ok")
+                return json.loads(data.decode("utf-8"))
+            _REQUEST_SECONDS.observe(
+                time.monotonic() - began, method=method, outcome=f"http_{response.status}"
+            )
+            # 503 is the one HTTP rejection that happens *before* the server
+            # does any work (overloaded, or a load balancer with no healthy
+            # backend), so even POSTs retry safely.  The server's Retry-After
+            # sets the floor of the jittered delay.
+            if response.status == 503 and attempt + 1 < self.retries:
+                retry_after = _parse_retry_after(response.getheader("Retry-After"))
+                self._sleep_before_retry(self._retry_delay(attempt, retry_after))
+                continue
+            raise self._http_error(method, path, response.status, data)
         raise RemoteServiceError(
-            f"cannot reach {url} ({method}, {attempt + 1} attempt(s)): {last_error}"
+            f"cannot reach {self.endpoint}{path} ({method}, {attempt + 1} attempt(s)): "
+            f"{last_error}"
         ) from last_error
 
     @staticmethod
@@ -374,29 +495,22 @@ class RemoteEvaluationClient(Executor):
         time.sleep(delay)
 
     @staticmethod
-    def _connection_refused(exc: Exception) -> bool:
-        if isinstance(exc, ConnectionRefusedError):
-            return True
-        reason = getattr(exc, "reason", None)
-        return isinstance(reason, ConnectionRefusedError)
-
-    @staticmethod
-    def _http_error(method: str, path: str, exc: urllib.error.HTTPError) -> Exception:
+    def _http_error(method: str, path: str, status: int, data: bytes) -> Exception:
         try:
-            body = json.loads(exc.read().decode("utf-8"))
+            body = json.loads(data.decode("utf-8"))
         # repro: allow[REP009] error body is best-effort; the HTTP code below is the signal
         except Exception:  # noqa: BLE001 - error body is best-effort
             body = {}
         if not isinstance(body, dict):
             body = {}
-        message = body.get("error") or f"HTTP {exc.code}"
-        if exc.code == 404 and path.startswith(("/jobs/", "/workers/")):
+        message = body.get("error") or f"HTTP {status}"
+        if status == 404 and path.startswith(("/jobs/", "/workers/")):
             # Parity with EvaluationService.job / WorkerFleet lookups; for a
             # worker this is its cue to re-register (server restarted, or a
             # newer incarnation retired it).
             return KeyError(message)
-        error = f"{method} {path} failed: {message} (HTTP {exc.code})"
-        if exc.code == 404 and "trace_digest" in body:
+        error = f"{method} {path} failed: {message} (HTTP {status})"
+        if status == 404 and "trace_digest" in body:
             return _UnknownTraceError(error)
         return RemoteServiceError(error)
 

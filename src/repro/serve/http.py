@@ -72,7 +72,18 @@ unsupported protocol version; bodies beyond the server's
 oversized submission cannot exhaust server memory, and a ``Content-Length``
 that is not a non-negative integer is refused with 400.  Each of these
 refusals closes the connection, since the unread body would otherwise be
-parsed as the next request.
+parsed as the next request.  Any other answer first reads and discards a
+declared body its handler did not read (a 404, a 409, a heartbeat's
+``{}``), so a kept-alive connection always carries the next request intact.
+
+Connections are kept alive.  :meth:`EvaluationHTTPServer.close` returns at
+once, closes the idle ones and shuts the busy ones for reading only, so an
+in-flight request (a long-poll included) still gets its whole response and
+no client keeps talking to a closed server's handlers.
+
+A finished sweep answers ``GET /jobs/<id>?result=1`` with one
+``sweep_result@3``: its cases and baseline as one
+``columnar_report_batch@1``, concatenated when it is encoded.
 
 Simulation and sweep jobs submitted by any number of clients coalesce
 through the service's single-flight scheduler and share one artifact store.
@@ -86,6 +97,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -106,6 +118,11 @@ from .specs import DigestLRU, QualityJobSpec, SimulateJobSpec, SweepJobSpec, Tra
 #: traces; override per server via ``max_request_bytes``.
 DEFAULT_MAX_REQUEST_BYTES = 64 * 1024 * 1024
 
+#: How often a background server's accept loop checks for shutdown, i.e. the
+#: most :meth:`EvaluationHTTPServer.close` waits for it (the stdlib default
+#: is 0.5 s).  An idle wakeup is one ``poll`` call.
+SHUTDOWN_POLL_SECONDS = 0.05
+
 _HTTP_REQUESTS = telemetry.get_registry().counter(
     "repro_http_requests_total",
     "HTTP requests served, by method and response status.",
@@ -124,7 +141,13 @@ class _HTTPError(Exception):
 
 
 class EvaluationHTTPServer(ThreadingHTTPServer):
-    """Threaded HTTP server bound to one evaluation service (and its store)."""
+    """Threaded HTTP server bound to one evaluation service (and its store).
+
+    Connections are kept alive between requests, and the server tracks each
+    one it accepted as idle (waiting for a request line) or busy (reading,
+    running or answering a request), so :meth:`close` can end them without
+    cutting a response short.
+    """
 
     daemon_threads = True
 
@@ -144,6 +167,10 @@ class EvaluationHTTPServer(ThreadingHTTPServer):
         self._thread: threading.Thread | None = None
         #: Traces decoded from inline submissions, by digest.
         self._traces = DigestLRU()
+        #: Accepted connections, True while one carries a request.
+        self._connections: dict[socket.socket, bool] = {}  #: guarded by _connections_lock
+        self._closing = False  #: guarded by _connections_lock
+        self._connections_lock = threading.Lock()
 
     def resolve_trace(self, trace: "WorkloadTrace | TraceRef") -> tuple[WorkloadTrace, str]:
         """The stored trace a submission names, and its digest.
@@ -170,15 +197,63 @@ class EvaluationHTTPServer(ThreadingHTTPServer):
     def start_background(self) -> "EvaluationHTTPServer":
         """Serve from a daemon thread (tests and embedded use); returns self."""
         self._thread = threading.Thread(
-            target=self.serve_forever, name="repro-serve-http", daemon=True
+            target=self.serve_forever,
+            args=(SHUTDOWN_POLL_SECONDS,),
+            name="repro-serve-http",
+            daemon=True,
         )
         self._thread.start()
         return self
 
+    # -- connection tracking (called from the serving and handler threads) ------
+
+    def process_request(self, request: Any, client_address: Any) -> None:
+        # Registered before its handler thread starts, in the serving thread,
+        # so a connection accepted before close() stopped serving is tracked.
+        with self._connections_lock:
+            self._connections[request] = False
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._connections_lock:
+            self._connections.pop(request, None)
+        super().shutdown_request(request)
+
+    def begin_request(self, connection: socket.socket) -> bool:
+        """Mark a connection busy with the request line just read; False once
+        :meth:`close` began, and the request is then dropped unanswered."""
+        with self._connections_lock:
+            if self._closing:
+                return False
+            self._connections[connection] = True
+            return True
+
+    def end_request(self, connection: socket.socket) -> None:
+        """Mark a connection idle again: its response is written."""
+        with self._connections_lock:
+            if connection in self._connections:
+                self._connections[connection] = False
+
     def close(self) -> None:
-        """Stop serving and release the socket (the service is left running)."""
+        """Stop serving and release the socket (the service is left running).
+
+        Kept-alive connections end here too, so a client cannot keep talking
+        to this server's handlers after it closed: idle ones are shut at
+        once, busy ones only for reading, so an in-flight request (a
+        long-poll included) still gets its whole response before its
+        connection ends.  A request line that arrives after this point is
+        dropped unanswered, which a client may safely resend.
+        """
         self.shutdown()
         self.server_close()
+        with self._connections_lock:
+            self._closing = True
+            connections = list(self._connections.items())
+        for connection, busy in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD if busy else socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its peer
         if self._thread is not None:
             self._thread.join()
             self._thread = None
@@ -212,12 +287,23 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
     #: The request's ``Content-Length``, parsed once by :meth:`parse_request`.
     _body_length = 0
+    #: Bytes of that body still unread (see :meth:`_discard_unread_body`).
+    _body_unread = 0
 
     # -- plumbing ---------------------------------------------------------------
 
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        finally:
+            self.server.end_request(self.connection)
+
     def parse_request(self) -> bool:
         self._request_began = time.monotonic()
-        self._body_length = 0
+        self._body_length = self._body_unread = 0
+        if not self.server.begin_request(self.connection):
+            self.close_connection = True
+            return False
         if not super().parse_request():
             return False
         raw = self.headers.get("Content-Length")
@@ -232,7 +318,7 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
                 400, {"error": f"Content-Length must be a non-negative integer, not {raw!r}"}
             )
             return False
-        self._body_length = int(value)
+        self._body_length = self._body_unread = int(value)
         return True
 
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002 - stdlib signature
@@ -261,8 +347,26 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
             request_bytes=self._body_length,
         )
 
+    def _discard_unread_body(self) -> None:
+        """Keep a kept-alive stream in step before answering: a declared body
+        no handler read (a 404, a 409, a bodiless heartbeat) is read and
+        dropped, up to ``max_request_bytes``; a larger one closes the
+        connection instead, as 406/413/415 do."""
+        if self.close_connection or not self._body_unread:
+            return
+        if self._body_unread > self.server.max_request_bytes:
+            self.close_connection = True
+            return
+        while self._body_unread:
+            chunk = self.rfile.read(min(self._body_unread, 1 << 16))
+            if not chunk:
+                self.close_connection = True
+                return
+            self._body_unread -= len(chunk)
+
     def _send_json(self, status: int, payload: dict[str, Any]) -> None:
         body = json.dumps(payload).encode("utf-8")
+        self._discard_unread_body()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("X-Repro-Wire-Version", str(codec.WIRE_VERSION))
@@ -315,8 +419,10 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
             raise _HTTPError(
                 415, f"request bodies must be application/json, not {content_type!r}"
             )
+        raw = self.rfile.read(length)
+        self._body_unread = 0
         try:
-            parsed = json.loads(self.rfile.read(length).decode("utf-8"))
+            parsed = json.loads(raw.decode("utf-8"))
         except (ValueError, UnicodeDecodeError) as exc:
             raise _HTTPError(400, f"request body is not valid JSON: {exc}") from None
         if not isinstance(parsed, dict):
@@ -395,6 +501,7 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
     def _get_metrics(self) -> None:
         """The telemetry registry in Prometheus text exposition format 0.0.4."""
         body = telemetry.render_prometheus().encode("utf-8")
+        self._discard_unread_body()
         self.send_response(200)
         self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))

@@ -16,8 +16,10 @@ pool:
   sampler and is GIL-bound; quality specs and ``pool="process"`` callables
   run registered module-level functions (e.g. from
   :mod:`repro.serve.workers`) in a ``ProcessPoolExecutor`` (created lazily on
-  first use).  Payloads are pickle-checked at submit time so an unpicklable
-  job fails fast with an actionable message instead of a pool traceback.
+  first use, its workers started with ``spawn``, never ``fork``: see
+  :data:`PROCESS_START_METHOD`).  Payloads are pickle-checked at submit time
+  so an unpicklable job fails fast with an actionable message instead of a
+  pool traceback.
 
 Because submission batches naturally (callers enqueue a sweep's worth of jobs
 before blocking on results), coalescing needs no artificial delay: the
@@ -42,6 +44,7 @@ clients via :mod:`repro.serve.http`) share one service:
 from __future__ import annotations
 
 import itertools
+import multiprocessing
 import threading
 from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
@@ -70,14 +73,18 @@ from .specs import SimulateJobSpec, SweepJobResult
 #: paper trace holds 119-156 KiB of columnar results.
 MAX_RETAINED_RESULT_BYTES = 64 * 1024 * 1024
 
+#: How the sampling pool starts its workers.  Not ``fork``: the scheduler
+#: thread starts the pool while another thread may be inside a multithreaded
+#: OpenBLAS call (``repro evaluate`` runs the hardware evaluation while its
+#: quality jobs start the pool), and OpenBLAS's at-fork handler then stops
+#: the BLAS threads that call waits on, so the caller spins forever.
+PROCESS_START_METHOD = "spawn"
+
 
 def _result_nbytes(value: Any) -> int:
     """Array bytes a finished job's result pins: its columnar batches (a
-    sweep's cases and baseline); any other result counts 0."""
-    if isinstance(value, SweepJobResult):
-        items = [*value.case_results(), value.baseline_result()]
-    else:
-        items = [value]
+    sweep's parts); any other result counts 0."""
+    items = value.parts if isinstance(value, SweepJobResult) else [value]
     return sum(item.nbytes for item in items if isinstance(item, ColumnarReportBatch))
 
 
@@ -480,6 +487,8 @@ class EvaluationService(Executor):
         # Everything else becomes a leader and registers its key.  A "sink"
         # is the completion target of one planned request.  The marks go in
         # under the lock, so no follower can finish its job before they do.
+        # Every key was computed by ``plan()`` at submission, so nothing
+        # here can raise between registering one key and the next.
         leaders: list[tuple[_RequestSink, SimulateJobSpec]] = []
         attached: list[_RequestSink] = []
         with self._inflight_lock:
@@ -676,7 +685,10 @@ class EvaluationService(Executor):
 
     def _processes(self) -> ProcessPoolExecutor:
         if self._process_pool is None:
-            self._process_pool = ProcessPoolExecutor(max_workers=self._process_workers)
+            self._process_pool = ProcessPoolExecutor(
+                max_workers=self._process_workers,
+                mp_context=multiprocessing.get_context(PROCESS_START_METHOD),
+            )
         return self._process_pool
 
     # -- lifecycle --------------------------------------------------------------

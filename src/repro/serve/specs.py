@@ -46,6 +46,7 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Any, Callable, Mapping
 
 from ..accelerator.backends import resolve_backend_name
@@ -206,6 +207,19 @@ def _decode_trace_field(value: Any, ctx: Decoder) -> "WorkloadTrace | TraceRef":
     return trace
 
 
+def _keyed(request: SimulateJobSpec) -> SimulateJobSpec:
+    """``request`` with its cache key computed, so the scheduler only reads
+    it; a trace that cannot be fingerprinted raises :class:`TypeError`."""
+    try:
+        request.key()
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise TypeError(
+            f"cannot fingerprint the trace ({type(exc).__name__}: {exc}); a trace "
+            "is a list of steps, each a list of ConvLayerWorkload"
+        ) from None
+    return request
+
+
 def _decode_optional(value: Any, ctx: Decoder, cls: type, what: str) -> Any:
     if value is None:
         return None
@@ -242,10 +256,16 @@ class SimulateJobSpec:
         return key
 
     def plan(self) -> list[SimulateJobSpec]:
-        """The simulate specs this job runs: itself.  An unknown backend name
-        raises :class:`ValueError` here, at submission, as for a sweep."""
+        """The simulate specs this job runs: itself, its cache key computed.
+
+        Both checks run here, at submission, as for a sweep: an unknown
+        backend name raises :class:`ValueError`, and a trace that cannot be
+        fingerprinted (a step holding something that is not a
+        :class:`~repro.accelerator.workload.ConvLayerWorkload`)
+        :class:`TypeError`.
+        """
         resolve_backend_name(self.backend)
-        return [self]
+        return [_keyed(self)]
 
     def result(self, reports: list[Any]) -> SimulationReport:
         """The job's value from its plan's one report."""
@@ -347,9 +367,10 @@ class SweepJobSpec:
 
         Invalid parameter values surface here as :class:`ValueError` from the
         config's own validation, i.e. at submission time, before anything is
-        queued — as does an unknown backend name, which would otherwise only
-        fail once the scheduler fingerprints the requests (and fail every
-        job drained with it).
+        queued — as does an unknown backend name.  Each spec's cache key is
+        computed here too, so a trace that cannot be fingerprinted raises
+        :class:`TypeError` before anything is queued, instead of failing
+        the scheduler drain it would share with other jobs.
         """
         resolve_backend_name(self.backend)
 
@@ -357,80 +378,120 @@ class SweepJobSpec:
         if self.baseline is not None:
             configs.append(self.baseline)
         return [
-            SimulateJobSpec(
-                config=config,
-                trace=self.trace,
-                energy_table=self.energy_table,
-                backend=self.backend,
+            _keyed(
+                SimulateJobSpec(
+                    config=config,
+                    trace=self.trace,
+                    energy_table=self.energy_table,
+                    backend=self.backend,
+                )
             )
             for config in configs
         ]
 
     def result(self, reports: list[Any]) -> SweepJobResult:
         """The job's value from its plan's reports, in plan order."""
-        num_cases = self.num_cases
         return SweepJobResult(
             name=self.name,
             params=self.cases(),
-            reports=reports[:num_cases],
-            baseline=reports[num_cases] if self.baseline is not None else None,
+            parts=[_one_trace_batch(report) for report in reports],
+            has_baseline=self.baseline is not None,
         )
 
 
-class SweepJobResult:
-    """A planned sweep's outcome: one report per case, plus the baseline.
+def _one_trace_batch(result: Any) -> ColumnarReportBatch:
+    """A planned request's result as a one-trace batch: a cache slice as it
+    is (shared, not copied), an eager report read from an older artifact
+    packed with :meth:`~repro.core.columnar.ColumnarReportBatch.from_reports`."""
+    if isinstance(result, ColumnarReportBatch):
+        return result
+    config = SimpleNamespace(name=result.config_name, clock_ghz=result.clock_ghz)
+    return ColumnarReportBatch.from_reports([(config, [result])])
 
-    Results are held in whatever form the scheduler produced them — eager
-    :class:`SimulationReport` objects or single-trace
-    :class:`~repro.core.columnar.ColumnarReportBatch` slices — and stay
-    columnar until a caller indexes a specific report.  :attr:`reports` /
-    :attr:`baseline` materialize (and memoize) on first access, so
-    sweep-level consumers that only read array aggregates or re-encode the
-    result for the wire never pay the per-report object tax.
+
+class SweepJobResult:
+    """A planned sweep's outcome: one report per case, then the baseline.
+
+    Results stay columnar: ``parts`` is an ordered list of
+    :class:`~repro.core.columnar.ColumnarReportBatch` whose traces, in
+    order, are the cases in grid order and then the baseline (when
+    ``has_baseline``).  On the server the parts are the one-trace slices the
+    report cache holds, shared with it rather than copied; a result decoded
+    from the wire holds the one batch it carried.  :attr:`reports` /
+    :attr:`baseline` materialize every part in one pass on first access
+    (then memoize), so consumers that only read array aggregates or
+    re-encode the result for the wire never pay the per-report object tax.
     """
 
-    __slots__ = ("name", "params", "_case_results", "_baseline_result", "_reports")
+    __slots__ = ("name", "params", "parts", "has_baseline", "_reports", "_baseline")
 
     def __init__(
         self,
         name: str,
         params: list[dict[str, Any]],
-        reports: "list[SimulationReport | ColumnarReportBatch]",
-        baseline: "SimulationReport | ColumnarReportBatch | None" = None,
+        parts: list[ColumnarReportBatch],
+        has_baseline: bool = False,
     ) -> None:
         self.name = name
         self.params = list(params)
-        self._case_results = list(reports)
-        self._baseline_result = baseline
+        self.parts = list(parts)
+        self.has_baseline = has_baseline
+        traces = sum(part.num_traces for part in self.parts)
+        if traces != len(self.params) + has_baseline:
+            raise ValueError(
+                f"{len(self.params)} case(s){' and a baseline' if has_baseline else ''} "
+                f"need as many traces, the parts hold {traces}"
+            )
         self._reports: list[SimulationReport] | None = None
+        self._baseline: SimulationReport | None = None
+
+    def _materialize(self) -> list[SimulationReport]:
+        if self._reports is None:
+            reports = [
+                report
+                for part in self.parts
+                for config_reports in part.report_lists()
+                for report in config_reports
+            ]
+            self._baseline = reports.pop() if self.has_baseline else None
+            self._reports = reports
+        return self._reports
 
     @property
     def reports(self) -> list[SimulationReport]:
         """Materialized per-case reports (built on first access, then cached)."""
-        if self._reports is None:
-            self._reports = [ensure_report(result) for result in self._case_results]
-        return self._reports
+        return self._materialize()
 
     @property
     def baseline(self) -> SimulationReport | None:
         """The materialized baseline report, if the sweep requested one."""
-        if self._baseline_result is None:
+        self._materialize()
+        return self._baseline
+
+    def _one_trace_batches(self) -> list[ColumnarReportBatch]:
+        return [
+            one
+            for part in self.parts
+            for one in ([part] if part.num_traces == 1 else part.slices())
+        ]
+
+    def case_results(self) -> list[ColumnarReportBatch]:
+        """Per-case results as one-trace batches, in grid order."""
+        batches = self._one_trace_batches()
+        return batches[:-1] if self.has_baseline else batches
+
+    def baseline_result(self) -> ColumnarReportBatch | None:
+        """The baseline as a one-trace batch, if the sweep requested one."""
+        if not self.has_baseline:
             return None
-        return ensure_report(self._baseline_result)
-
-    def case_results(self) -> "list[SimulationReport | ColumnarReportBatch]":
-        """Per-case results in stored (possibly columnar) form, for the wire."""
-        return list(self._case_results)
-
-    def baseline_result(self) -> "SimulationReport | ColumnarReportBatch | None":
-        """The baseline result in stored (possibly columnar) form."""
-        return self._baseline_result
+        last = self.parts[-1]
+        return last if last.num_traces == 1 else last.slice_trace(last.num_traces - 1)
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, SweepJobResult):
             return NotImplemented
-        # Compare materialized values: a columnar slice and the eager report
-        # it materializes to are the same result.
+        # Compare materialized values: one batch and the slices it was
+        # concatenated from are the same result.
         return (
             self.name == other.name
             and self.params == other.params
@@ -440,8 +501,8 @@ class SweepJobResult:
 
     def __repr__(self) -> str:
         return (
-            f"SweepJobResult(name={self.name!r}, cases={len(self._case_results)}, "
-            f"baseline={self._baseline_result is not None})"
+            f"SweepJobResult(name={self.name!r}, cases={len(self.params)}, "
+            f"baseline={self.has_baseline})"
         )
 
 
@@ -509,46 +570,39 @@ codec.register_dataclass(CallableJobSpec, "callable_spec")
 codec.register_dataclass(TraceRef, "trace_ref")
 
 
-def _decode_result_item(value: Any, ctx: Decoder, what: str) -> Any:
-    item = ctx.value(value)
-    if isinstance(item, SimulationReport):
-        return item
-    if isinstance(item, ColumnarReportBatch) and item.num_traces == 1:
-        return item
-    raise codec.SchemaError(
-        f"{what} must be simulation_report or single-trace "
-        f"columnar_report_batch envelopes, got {type(item).__name__}"
-    )
-
-
 def _encode_sweep_result(result: SweepJobResult, ctx: Encoder) -> dict:
-    # Results ship in stored form: single-trace columnar batches stay
-    # columnar (one envelope with $ndarray sidecars per case), so encoding a
-    # sweep result materializes nothing.
+    # One columnar batch for the whole sweep, concatenated here rather than
+    # when the job finishes: a retained result keeps sharing its one-trace
+    # parts with the report cache.
+    parts = result.parts
+    batch = parts[0] if len(parts) == 1 else ColumnarReportBatch.concat(parts)
     return {
         "name": result.name,
         "params": ctx.value(result.params),
-        "results": [ctx.value(item) for item in result.case_results()],
-        "baseline": (
-            None if result.baseline_result() is None else ctx.value(result.baseline_result())
-        ),
+        "baseline": result.has_baseline,
+        "batch": ctx.encode(batch),
     }
 
 
 def _decode_sweep_result(doc: Mapping[str, Any], ctx: Decoder) -> SweepJobResult:
-    results = doc.get("results", [])
-    if not isinstance(results, list):
-        raise codec.SchemaError("sweep_result 'results' must be a list")
-    return SweepJobResult(
-        name=ctx.value(doc.get("name")),
-        params=ctx.value(doc.get("params", [])),
-        reports=[_decode_result_item(item, ctx, "'results' items") for item in results],
-        baseline=(
-            None
-            if doc.get("baseline") is None
-            else _decode_result_item(doc["baseline"], ctx, "'baseline'")
-        ),
-    )
+    batch = ctx.value(doc["batch"])
+    if not isinstance(batch, ColumnarReportBatch):
+        raise codec.SchemaError("sweep_result 'batch' must be a columnar_report_batch envelope")
+    params = ctx.value(doc.get("params", []))
+    if not isinstance(params, list):
+        raise codec.SchemaError("sweep_result 'params' must be a list")
+    has_baseline = doc.get("baseline", False)
+    if not isinstance(has_baseline, bool):
+        raise codec.SchemaError("sweep_result 'baseline' must be true or false")
+    try:
+        return SweepJobResult(
+            name=ctx.value(doc.get("name")),
+            params=params,
+            parts=[batch],
+            has_baseline=has_baseline,
+        )
+    except ValueError as exc:
+        raise codec.SchemaError(f"inconsistent sweep_result: {exc}") from None
 
 
-register_schema("sweep_result", 2, _encode_sweep_result, _decode_sweep_result, type=SweepJobResult)
+register_schema("sweep_result", 3, _encode_sweep_result, _decode_sweep_result, type=SweepJobResult)

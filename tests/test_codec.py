@@ -189,10 +189,10 @@ def sample_objects() -> dict[str, tuple]:
             SweepJobResult(
                 name="grid",
                 params=[{"sparsity_threshold": 0.1}, {"sparsity_threshold": 0.3}],
-                # Mixed stored forms: an eager report and a still-columnar
-                # single-trace slice, the two shapes @2 carries on the wire.
-                reports=[report, make_columnar_batch().slice_trace(0)],
-                baseline=report,
+                # One-trace parts, as the server holds them: two cases, then
+                # the baseline; @3 carries them as one concatenated batch.
+                parts=make_columnar_batch().slices(),
+                has_baseline=True,
             ),
             None,
         ),

@@ -477,6 +477,15 @@ class TestLockWatch:
         assert not lock.locked()
         assert watch.held_locks() == []
 
+    def test_rlock_reports_its_recursion_count(self):
+        """multiprocessing's resource tracker (started by ``spawn`` pools)
+        reads it to refuse a reentrant start."""
+        rlock = LockWatch().wrap_rlock("tracker")
+        with rlock:
+            with rlock:
+                assert rlock._recursion_count() == 2
+        assert rlock._recursion_count() == 0
+
     def test_sleep_while_holding_lock_is_flagged(self):
         watch = LockWatch()
         watch.install()

@@ -9,10 +9,13 @@ unpickling (see ``TestRawJSONWire``, which drives a sweep with nothing but
 
 from __future__ import annotations
 
+import hashlib
+import http.client
 import io
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -20,15 +23,18 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
 from repro.accelerator import AcceleratorSimulator, dense_baseline_config, sqdm_config
 from repro.core import codec, telemetry
 from repro.core.artifacts import ArtifactStore
+from repro.core.columnar import ARRAY_FIELDS
 from repro.core.experiments import run_sweep
 from repro.core.report_cache import ReportCache, fingerprint_trace
 from repro.serve import (
     EvaluationService,
+    InlineExecutor,
     JobFailedError,
     JobStatus,
     LocalCallSpec,
@@ -39,6 +45,7 @@ from repro.serve import (
     register_wire_function,
     start_http_server,
 )
+from repro.serve import client as client_module
 from repro.serve import service as service_module
 from repro.serve.cli import main as cli_main
 
@@ -97,6 +104,24 @@ def _raw_request(endpoint, path, data=None, headers=None, method=None):
         return exc.code, json.loads(exc.read().decode("utf-8"))
 
 
+def _digest(batch):
+    """Bitwise fingerprint of a one-trace batch: names, dtypes and every array."""
+    digest = hashlib.sha256(repr((batch.config_names, batch.layer_names)).encode())
+    for name in ARRAY_FIELDS:
+        array = np.ascontiguousarray(getattr(batch, name))
+        digest.update(array.dtype.str.encode())
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def _exchange(connection, method, path, body=None):
+    """One request on a raw ``http.client`` connection: (status, parsed body)."""
+    headers = {} if body is None else {"Content-Type": "application/json"}
+    connection.request(method, path, body, headers)
+    response = connection.getresponse()
+    return response.status, json.loads(response.read().decode("utf-8"))
+
+
 class TestEndpoints:
     def test_healthz(self, served):
         client, _, store, _ = served
@@ -112,7 +137,7 @@ class TestEndpoints:
         assert listing["wire_version"] == 1
         for name in ("simulate_spec", "sweep_spec", "simulation_report"):
             assert listing["schemas"][name] == [1]
-        assert listing["schemas"]["sweep_result"] == [2]
+        assert listing["schemas"]["sweep_result"] == [3]
         assert listing["schemas"]["columnar_report_batch"] == [1]
 
     def test_cache_stats_shape(self, served):
@@ -394,6 +419,168 @@ class TestHTTPErrorPaths:
             assert body["status"] == "done" and "result" in body
 
 
+class TestKeepAlive:
+    """Connections stay open between requests: one per client thread, never
+    left holding an unread body, and resent once when the server closed
+    one while it sat idle."""
+
+    @staticmethod
+    def _count_accepts(server, monkeypatch):
+        accepted = []
+        get_request = server.get_request
+
+        def counting_get_request():
+            connection = get_request()
+            accepted.append(connection[1])
+            return connection
+
+        monkeypatch.setattr(server, "get_request", counting_get_request)
+        return accepted
+
+    @staticmethod
+    def _close_idle_connections(server):
+        """Once every connection is idle (a handler marks it so just after
+        writing its response), shut them server-side and wait until their
+        handlers let go."""
+
+        def wait_for(condition, what):
+            deadline = time.monotonic() + 10
+            while not condition():
+                assert time.monotonic() < deadline, what
+                time.sleep(0.01)
+
+        def tracked():
+            with server._connections_lock:
+                return dict(server._connections)
+
+        wait_for(lambda: not any(tracked().values()), "a connection stayed busy")
+        idle = list(tracked())
+        for conn in idle:
+            conn.shutdown(socket.SHUT_RDWR)
+        wait_for(lambda: not set(idle) & set(tracked()), "the server kept a connection it shut")
+
+    def test_one_client_thread_sends_on_one_connection(self, served, monkeypatch):
+        client, _, _, server = served
+        accepted = self._count_accepts(server, monkeypatch)
+        for _ in range(20):
+            assert client.health()["status"] == "ok"
+        assert len(accepted) == 1, accepted
+
+    def test_threads_sharing_a_client_never_share_a_connection(self, served):
+        """More threads than cores on one client, switching often: each reply
+        names the job its own request asked for, so no two threads ever
+        interleaved on one connection."""
+        client, _, _, _ = served
+        threads_n, rounds = 8, 25
+        errors = []
+
+        def hammer(t):
+            for i in range(rounds):
+                job_id = f"missing-{t}-{i}"
+                try:
+                    client.job(job_id)
+                except KeyError as exc:
+                    if job_id not in str(exc):
+                        errors.append((job_id, str(exc)))
+                else:
+                    errors.append((job_id, "no KeyError"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=hammer, args=(t,)) for t in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+    def test_get_and_post_on_a_connection_closed_while_idle_are_resent_once(
+        self, served, monkeypatch
+    ):
+        client, service, _, server = served
+        accepted = self._count_accepts(server, monkeypatch)
+        assert client.health()["status"] == "ok"
+        # The client cannot see the close before it sends: the request itself
+        # finds the connection dead, before any response byte.
+        monkeypatch.setattr(client_module, "_closed_by_peer", lambda sock: False)
+        self._close_idle_connections(server)
+        assert client.health()["status"] == "ok"
+        assert len(accepted) == 2
+        self._close_idle_connections(server)
+        job = client.submit(LocalCallSpec("square", args=(5,)))
+        assert len(accepted) == 3
+        assert job.result(timeout=30) == 25
+        assert [j.id for j in service.jobs()] == [job.id]  # submitted exactly once
+
+    def test_a_connection_closed_while_idle_is_dropped_before_reuse(self, served, monkeypatch):
+        client, _, _, server = served
+        accepted = self._count_accepts(server, monkeypatch)
+        assert client.health()["status"] == "ok"
+        self._close_idle_connections(server)
+        exchange = client._exchange
+        sent = []
+
+        def recording_exchange(*args, **kwargs):
+            sent.append(args)
+            return exchange(*args, **kwargs)
+
+        monkeypatch.setattr(client, "_exchange", recording_exchange)
+        assert client.health()["status"] == "ok"
+        assert len(accepted) == 2 and len(sent) == 1
+
+    def test_an_unread_body_is_discarded_after_a_404(self, served):
+        _, _, _, server = served
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        try:
+            status, _ = _exchange(connection, "POST", "/nope", b'{"spec": {}}')
+            assert status == 404
+            assert _exchange(connection, "GET", "/healthz")[0] == 200
+        finally:
+            connection.close()
+
+    def test_an_unread_body_is_discarded_after_a_409(self, served):
+        """A pool-dispatch server refuses worker verbs before reading the body."""
+        _, _, _, server = served
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        try:
+            status, body = _exchange(connection, "POST", "/workers/register", b'{"name": "w"}')
+            assert status == 409 and "dispatch workers" in body["error"]
+            assert _exchange(connection, "GET", "/healthz")[0] == 200
+        finally:
+            connection.close()
+
+    def test_two_heartbeats_on_one_connection(self):
+        """A heartbeat never reads its ``{}`` body; the second used to be a 501."""
+        service = EvaluationService(cache=ReportCache(), worker_fleet=True)
+        server = start_http_server(service, port=0)
+        client = RemoteEvaluationClient(server.endpoint)
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        try:
+            worker_id = client.register_worker("beating")["worker_id"]
+            for _ in range(2):
+                status, _ = _exchange(connection, "POST", f"/workers/{worker_id}/heartbeat", b"{}")
+                assert status == 200
+        finally:
+            connection.close()
+            client.close()
+            server.close()
+            service.close()
+
+    def test_close_on_an_idle_server_returns_at_once(self, served):
+        """The accept loop notices shutdown within its short poll (the stdlib's
+        0.5 s made every server teardown wait it out)."""
+        client, _, _, server = served
+        assert client.health()["status"] == "ok"  # one idle kept-alive connection
+        time.sleep(0.1)  # the accept loop is parked in its poll
+        began = time.monotonic()
+        server.close()
+        assert time.monotonic() - began < 0.2
+
+
 class TestJobListing:
     def test_status_filter_and_limit(self, served):
         client, _, _, _ = served
@@ -590,6 +777,28 @@ class TestLongPoll:
         assert "cancelled" in str(outcome.get("error")), outcome
         assert outcome["at"] - closing < 0.5
 
+    def test_server_close_lets_an_open_long_poll_finish(self, served, gate):
+        """close() shuts a busy connection only for reading: the held GET
+        still gets its whole response once the job ends."""
+        client, _, _, server = served
+        key, event = gate
+        job = client.submit(LocalCallSpec("gated", args=(key,)))
+        response = {}
+
+        def long_poll():
+            response["reply"] = _raw_request(server.endpoint, f"/jobs/{job.id}?wait=10&result=1")
+
+        thread = threading.Thread(target=long_poll)
+        thread.start()
+        time.sleep(0.3)  # the GET is held
+        server.close()
+        event.set()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        status, body = response["reply"]
+        assert status == 200 and body["status"] == "done"
+        assert codec.decode(body["result"]) == key
+
     def test_wait_parameter_is_validated(self, served):
         client, _, _, server = served
         job = client.submit(LocalCallSpec("square", args=(4,)))
@@ -630,6 +839,25 @@ class TestServerSideSweeps:
         stats = service.service_stats()
         assert stats["submitted"] == {"sweep": 1}
         assert service.cache.stats.misses == 3
+
+    def test_served_sweep_slices_are_bit_identical_to_inline(self, served):
+        """A served sweep arrives as one batch; the one-trace slices it hands
+        out carry the bits InlineExecutor's cache slices do, cold and warm."""
+        client, _, _, _ = served
+        spec = SweepJobSpec(
+            base=sqdm_config(),
+            grid={"sparsity_threshold": [0.2, 0.4, 0.6]},
+            trace=make_trace(45),
+            baseline=dense_baseline_config(),
+        )
+        inline = InlineExecutor(cache=ReportCache()).submit(spec).result()
+        want = [_digest(case) for case in inline.case_results()]
+        for _ in ("cold", "warm"):
+            result = client.submit_sweep(spec).result(timeout=120)
+            assert len(result.parts) == 1 and result.parts[0].num_traces == 4
+            assert [_digest(case) for case in result.case_results()] == want
+            assert _digest(result.baseline_result()) == _digest(inline.baseline_result())
+            assert result.reports == inline.reports and result.baseline == inline.baseline
 
     def test_concurrent_sweeps_from_two_clients_coalesce(self, served):
         """Acceptance: N clients submitting one grid each cost one simulation
@@ -995,16 +1223,16 @@ class TestRawJSONWire:
         status, doc = _raw_request(server.endpoint, f"/jobs/{summary['id']}?wait=30&result=1")
         assert status == 200 and doc["status"] == "done", doc
         result = doc["result"]
-        assert result["$schema"] == "sweep_result@2"
-        # Cases ride the wire columnar, one single-trace batch per case.
-        assert [case["$schema"] for case in result["results"]] == [
-            "columnar_report_batch@1"
-        ] * 2
-        assert result["baseline"]["$schema"] == "columnar_report_batch@1"
-        for case_doc in [*result["results"], result["baseline"]]:
-            case = codec.decode(case_doc)
-            assert case.num_traces == 1
-            assert float(case.total_cycles[0]) > 0
+        assert result["$schema"] == "sweep_result@3"
+        # The sweep rides the wire as one columnar batch: the two cases in
+        # grid order, then the baseline.
+        assert result["baseline"] is True
+        assert result["params"] == [{"sparsity_threshold": 0.1}, {"sparsity_threshold": 0.3}]
+        assert result["batch"]["$schema"] == "columnar_report_batch@1"
+        batch = codec.decode(result["batch"])
+        assert batch.num_traces == 3
+        assert batch.config_names == ["sqdm", "sqdm", "dense_baseline"]
+        assert all(float(cycles) > 0 for cycles in batch.total_cycles)
 
     def test_http_and_client_modules_are_pickle_free(self):
         """The serve wire modules must not import pickle or base64 at all."""
@@ -1131,91 +1359,105 @@ class TestCLIRemote:
 
 
 class _FakeResponse:
-    """Minimal urlopen context manager answering with a fixed JSON body."""
+    """Minimal ``http.client`` response with a fixed status, headers and body."""
 
-    def __init__(self, payload: bytes = b'{"status": "ok"}'):
+    will_close = True  # never pooled: every scripted attempt gets a new connection
+
+    def __init__(self, status=200, headers=None, payload=b'{"status": "ok"}'):
+        self.status = status
+        self._headers = headers or {}
         self._payload = payload
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
+    def getheader(self, name, default=None):
+        return self._headers.get(name, default)
 
     def read(self):
         return self._payload
+
+
+class _FakeConnection:
+    """An ``http.client`` connection stand-in playing one scripted outcome:
+    an exception raised while sending, or a response."""
+
+    sock = None
+
+    def __init__(self, outcome):
+        self._outcome = outcome
+
+    def request(self, method, url, body=None, headers=None):
+        if isinstance(self._outcome, Exception):
+            raise self._outcome
+
+    def getresponse(self):
+        return self._outcome
+
+    def close(self):
+        pass
 
 
 class TestRetryBackoff:
     """The client's retry schedule must not march a fleet in lockstep: delays
     carry bounded jitter, and a 503's Retry-After sets the delay floor."""
 
-    def _patch_transport(self, monkeypatch, responses):
-        """urlopen pops scripted outcomes; sleeps are recorded, not taken."""
-        import io
-        import urllib.request as urlreq
-        from email.message import Message
-
+    def _patch_transport(self, monkeypatch, client, responses):
+        """New connections play scripted outcomes; sleeps are recorded, not taken."""
         sleeps = []
         calls = {"count": 0}
 
-        def fake_urlopen(request, timeout=None):
+        def fake_connect(timeout):
             calls["count"] += 1
             outcome = responses[min(calls["count"], len(responses)) - 1]
-            if isinstance(outcome, Exception):
-                raise outcome
             if outcome == "ok":
-                return _FakeResponse()
-            # an int (+ optional Retry-After) scripts an HTTPError
+                return _FakeConnection(_FakeResponse())
+            if isinstance(outcome, Exception):
+                return _FakeConnection(outcome)
+            # an int (+ optional Retry-After) scripts an HTTP error response
             code, retry_after = outcome
-            headers = Message()
-            if retry_after is not None:
-                headers["Retry-After"] = str(retry_after)
-            raise urllib.error.HTTPError(
-                request.full_url, code, "busy", headers, io.BytesIO(b'{"error": "overloaded"}')
-            )
+            headers = {} if retry_after is None else {"Retry-After": str(retry_after)}
+            return _FakeConnection(_FakeResponse(code, headers, b'{"error": "overloaded"}'))
 
-        monkeypatch.setattr(urlreq, "urlopen", fake_urlopen)
+        monkeypatch.setattr(client._pool, "connect", fake_connect)
         monkeypatch.setattr(
             "repro.serve.client.time.sleep", lambda seconds: sleeps.append(seconds)
         )
         return sleeps, calls
 
     def test_503_retries_honor_retry_after_floor(self, monkeypatch):
-        sleeps, calls = self._patch_transport(
-            monkeypatch, [(503, "0.4"), (503, "0.4"), "ok"]
-        )
         client = RemoteEvaluationClient("http://fleet", retries=5, backoff=0.01)
+        sleeps, calls = self._patch_transport(
+            monkeypatch, client, [(503, "0.4"), (503, "0.4"), "ok"]
+        )
         assert client.health() == {"status": "ok"}
         assert calls["count"] == 3
         assert len(sleeps) == 2
         assert all(delay >= 0.4 for delay in sleeps), sleeps
 
     def test_503_without_retry_after_uses_jittered_backoff(self, monkeypatch):
-        sleeps, calls = self._patch_transport(monkeypatch, [(503, None), "ok"])
         client = RemoteEvaluationClient(
             "http://fleet", retries=3, backoff=0.1, jitter=0.5, max_backoff=5.0
         )
+        sleeps, calls = self._patch_transport(monkeypatch, client, [(503, None), "ok"])
         assert client.health() == {"status": "ok"}
         assert len(sleeps) == 1
         # attempt 0: base 0.1, stretched into [0.1, 0.15] by bounded jitter
         assert 0.1 <= sleeps[0] <= 0.15 + 1e-9, sleeps
 
     def test_503_exhaustion_surfaces_server_error(self, monkeypatch):
-        self._patch_transport(monkeypatch, [(503, "0.1")] * 4)
         client = RemoteEvaluationClient("http://fleet", retries=3, backoff=0.01)
+        self._patch_transport(monkeypatch, client, [(503, "0.1")] * 4)
         with pytest.raises(RemoteServiceError, match="503"):
             client.health()
 
     def test_post_retries_on_503_but_not_on_dropped_connection(self, monkeypatch):
         # 503 means the server did no work: POSTs retry.
-        sleeps, calls = self._patch_transport(monkeypatch, [(503, "0.2"), "ok"])
         client = RemoteEvaluationClient("http://fleet", retries=4, backoff=0.01)
+        sleeps, calls = self._patch_transport(monkeypatch, client, [(503, "0.2"), "ok"])
         assert client._request("POST", "/jobs", {"spec": {}}) == {"status": "ok"}
         assert calls["count"] == 2
-        # A dropped connection mid-POST may have enqueued the job: no retry.
+        # A connection dropped mid-POST on a fresh connection may have
+        # enqueued the job: no retry.
         sleeps2, calls2 = self._patch_transport(
-            monkeypatch, [urllib.error.URLError(OSError("connection reset"))] * 3
+            monkeypatch, client, [ConnectionResetError("connection reset")] * 3
         )
         with pytest.raises(RemoteServiceError, match="1 attempt"):
             client._request("POST", "/jobs", {"spec": {}})
@@ -1224,15 +1466,16 @@ class TestRetryBackoff:
     def test_transport_retry_delays_are_jittered_and_capped(self, monkeypatch):
         import random
 
-        sleeps, _ = self._patch_transport(
-            monkeypatch, [urllib.error.URLError(ConnectionRefusedError())] * 8
-        )
         client = RemoteEvaluationClient(
             "http://fleet", retries=8, backoff=0.1, jitter=0.5, max_backoff=0.8
+        )
+        sleeps, calls = self._patch_transport(
+            monkeypatch, client, [ConnectionRefusedError()] * 8
         )
         client._rng = random.Random(1234)  # deterministic but non-degenerate jitter
         with pytest.raises(RemoteServiceError, match="8 attempt"):
             client.health()
+        assert calls["count"] == 8  # every attempt met a scripted refusal
         assert len(sleeps) == 8
         for attempt, delay in enumerate(sleeps):
             base = min(0.1 * 2**attempt, 0.8)

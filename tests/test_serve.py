@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -309,6 +311,38 @@ class TestEvaluationService:
             worker_pid = survivor.result(timeout=120)
         assert worker_pid != os.getpid()
 
+    def test_sampling_pool_starts_while_the_caller_multiplies_matrices(self):
+        """``repro evaluate`` runs the hardware evaluation (BLAS GEMMs) while
+        its quality jobs start the process pool from the scheduler thread.  A
+        fork at that moment deadlocked OpenBLAS and left the caller spinning
+        in its GEMM.  A child interpreter runs the race, so a deadlock fails
+        this test at its timeout instead of wedging the test process."""
+        import repro
+
+        script = "\n".join(
+            [
+                "import os",
+                "import numpy as np",
+                "from repro.serve import CallableJobSpec, EvaluationService,"
+                " register_wire_function",
+                "register_wire_function('getpid', os.getpid)",
+                "a = np.random.default_rng(0).normal(size=(300, 300))",
+                "for _ in range(2):",
+                "    with EvaluationService(process_workers=1) as service:",
+                "        job = service.submit(CallableJobSpec('getpid', pool='process'))",
+                "        while not job.done:",
+                "            a @ a",
+                "        assert job.result() != os.getpid()",
+            ]
+        )
+        env = dict(os.environ)
+        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env["PYTHONPATH"] = src_dir + os.pathsep + env.get("PYTHONPATH", "")
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, timeout=60
+        )
+        assert completed.returncode == 0, completed.stderr.decode()
+
     def test_unpicklable_sampling_job_fails_fast(self):
         register_wire_function("serve-test-lambda", lambda: 1)
         with EvaluationService() as service:
@@ -327,6 +361,33 @@ class TestEvaluationService:
             assert service.jobs() == []
         with pytest.raises(ValueError, match="backend"):
             InlineExecutor().submit(spec)
+
+    def test_untraceable_trace_is_refused_at_submit_and_strands_no_key(self):
+        """A trace that cannot be fingerprinted is a TypeError at submission.
+        Sharing a scheduler drain with a good job, it used to fail that job
+        and leave its single-flight key registered, so an identical
+        resubmission stayed queued forever."""
+        good = SimulateJobSpec(config=sqdm_config(), trace=make_trace(7))
+        bad = SimulateJobSpec(config=sqdm_config(), trace=[[object()]])
+        with EvaluationService(cache=ReportCache(), max_workers=2) as service:
+            # Both would land in one drain: the scheduler waits on this lock.
+            with service._condition:
+                job = service.submit(good)
+                with pytest.raises(TypeError, match="fingerprint"):
+                    service.submit(bad)
+            report = job.result(timeout=30)
+            again = service.submit(SimulateJobSpec(config=sqdm_config(), trace=make_trace(7)))
+            assert again.result(timeout=5) == report
+            assert service.service_stats()["inflight_keys"] == 0
+            assert len(service.jobs()) == 2
+            sweep = SweepJobSpec(
+                base=sqdm_config(), grid={"sparsity_threshold": [0.2]}, trace=[[object()]]
+            )
+            with pytest.raises(TypeError, match="fingerprint"):
+                service.submit(sweep)
+            assert len(service.jobs()) == 2
+        with pytest.raises(TypeError, match="fingerprint"):
+            InlineExecutor().submit(bad)
 
     def test_submit_after_close_rejected(self):
         service = EvaluationService(max_workers=1)
@@ -363,6 +424,32 @@ class TestEvaluationService:
 
 class TestSweepJobs:
     """Server-side sweep planning through the in-process service."""
+
+    def test_sweep_result_parts_are_the_cache_slices_and_eager_reports_are_packed(self):
+        trace = make_trace(12)
+        cache = ReportCache()
+        spec = SweepJobSpec(
+            base=sqdm_config(),
+            grid={"sparsity_threshold": [0.2, 0.6]},
+            trace=trace,
+            baseline=dense_baseline_config(),
+        )
+        with EvaluationService(cache=cache, max_workers=2) as service:
+            result = service.submit(spec).result(timeout=60)
+        # The retained result shares its one-trace parts with the report cache.
+        assert len(result.parts) == 3
+        for part, request in zip(result.parts, spec.plan()):
+            assert part is cache.lookup_key(request.key(), materialize=False)
+        assert result.case_results() == result.parts[:2]
+        assert result.baseline_result() is result.parts[2]
+        # An eager report (as read from an older artifact) is packed into a
+        # one-trace batch that materializes the same report.
+        eager = run_batched(spec.plan(), cache=ReportCache())
+        packed = spec.result(eager)
+        assert all(part.num_traces == 1 for part in packed.parts)
+        assert packed.reports == eager[:2] and packed.baseline == eager[2]
+        assert packed == result
+
 
     def test_submit_sweep_plans_batches_and_caches(self):
         trace = make_trace(9)
