@@ -23,6 +23,7 @@ and returns a :class:`~repro.core.columnar.ColumnarReportBatch`.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -92,7 +93,12 @@ class SimulationReport:
     config_name: str
     total_cycles: float
     total_energy: EnergyBreakdown
-    step_results: list[StepResult] = field(default_factory=list)
+    #: A list, except on a report materialized from a
+    #: :class:`~repro.core.columnar.ColumnarReportBatch`: there it is a
+    #: sequence that builds its steps and layers from the batch's columns on
+    #: first read and then behaves as that list (``==``, ``repr``, pickling,
+    #: the codec).  Readers of the totals above never pay for it.
+    step_results: Sequence[StepResult] = field(default_factory=list)
     clock_ghz: float = 1.0
     #: Temporal-sparsity-detector activity attributed to *this* run; it
     #: survives caching and stays correct when the report came out of a

@@ -17,8 +17,9 @@ landed.  Three measurements cover the stack:
     ratio is ``cross_config_speedup``.
 ``report_assembly_entries_per_sec``
     Materialization throughput: entries per second turned from columnar
-    arrays into ``SimulationReport`` object trees (a fresh batch per repeat,
-    so memoization cannot flatter the number).
+    arrays into whole ``SimulationReport`` object trees, every step and
+    layer read (a fresh batch per repeat, so memoization cannot flatter the
+    number).
 ``sweep_peak_alloc_mb``
     tracemalloc peak of one columnar sweep at the bench shape — the
     allocation footprint of keeping results columnar.  Measured outside the
@@ -247,9 +248,12 @@ def _time_assembly(
 ) -> float:
     """Best-of-N wall-clock of materializing every report from a columnar batch.
 
-    Each repeat materializes a *fresh* batch (built outside the timed
-    region): ``ColumnarReportBatch`` memoizes per-trace reports, so re-timing
-    one batch would measure dictionary lookups, not assembly.
+    Times whole object graphs: ``report_lists()`` builds report headers
+    only, so the timed region also reads every report's ``step_results``
+    and every step's ``layer_results``.  Each repeat materializes a *fresh*
+    batch (built outside the timed region): ``ColumnarReportBatch`` memoizes
+    per-trace reports, so re-timing one batch would measure dictionary
+    lookups, not assembly.
     """
     entries = [(config, traces) for config in configs]
     simulator = AcceleratorSimulator(configs[0], backend="vectorized")
@@ -257,7 +261,10 @@ def _time_assembly(
     for _ in range(max(1, repeats)):
         batch = simulator.run(entries)
         start = time.perf_counter()
-        batch.report_lists()
+        for reports in batch.report_lists():
+            for report in reports:
+                for step in report.step_results:
+                    step.layer_results
         best = min(best, time.perf_counter() - start)
     return best
 

@@ -294,6 +294,8 @@ class Encoder:
         _ensure_builtin_schemas()
         if type(value) in _BY_TYPE:
             return self.encode(value)
+        if isinstance(value, Sequence):  # e.g. a report's lazily built step list
+            return [self.value(item) for item in value]
         raise SchemaError(
             f"value of type {type(value).__name__} is not wire-encodable; "
             "register a schema for it or pass plain data"

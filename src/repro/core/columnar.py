@@ -24,9 +24,13 @@ Lazy materialization
     bitwise identical to the eagerly assembled report, because both read
     the very same float64 cells (the per-step/per-trace totals are stored
     exactly as ``_segment_sums`` produced them, preserving the reference
-    loop's sequential association).  Materialized reports are memoized on
-    the batch, so the object tax is paid at most once per (config, trace)
-    no matter how many cache hits or sweep indexings follow.
+    loop's sequential association).  It is built in two stages: the
+    header (config name, totals, clock, detector activity) when the report
+    is materialized, and its steps and layers from the batch's columns the
+    first time ``step_results`` is read, so a reader of totals alone never
+    pays for them.  Materialized reports are memoized on the batch, so the
+    object tax is paid at most once per (config, trace) no matter how many
+    cache hits or sweep indexings follow.
 
 Sweep-level queries
     :attr:`total_cycles` / :attr:`total_energy_pj` /
@@ -40,6 +44,8 @@ instead of thousands of nested JSON objects.
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -48,7 +54,7 @@ import numpy as np
 from .telemetry import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..accelerator.simulator import SimulationReport
+    from ..accelerator.simulator import SimulationReport, StepResult
 
 #: The 7 EnergyBreakdown components, in the dataclass's positional order —
 #: column order of every ``*_totals`` / ``layer_energy`` array below.
@@ -65,13 +71,12 @@ ENERGY_COMPONENTS = (
 #: Columns of ``step_totals`` / ``trace_totals``: cycles, then the 7 energies.
 TOTALS_WIDTH = 1 + len(ENERGY_COMPONENTS)
 
-# How many reports were actually materialized from columnar batches — the
-# observable cost of leaving the columnar world (each increment is one full
-# object-graph construction).  Sweeps that only read array aggregates keep
-# this flat.
+# How many report headers were materialized from columnar batches (a
+# report's steps and layers are built later, on first read).  Sweeps that
+# only read array aggregates keep this flat.
 _MATERIALIZED = get_registry().counter(
     "repro_reports_materialized_total",
-    "SimulationReports lazily materialized from columnar result batches.",
+    "SimulationReport headers lazily materialized from columnar result batches.",
 )
 
 
@@ -103,6 +108,117 @@ def _as_1d(array: np.ndarray, dtype: type, name: str, length: int) -> np.ndarray
     if array.ndim != 1 or array.shape[0] != length:
         raise ValueError(f"{name} must have shape ({length},), got {array.shape}")
     return array
+
+
+def _build_steps(columns: tuple, flat: int) -> "list[StepResult]":
+    """The step and layer results of flat trace ``flat``, from its batch's columns.
+
+    ``columns`` is the tuple :meth:`ColumnarReportBatch._build_headers`
+    packs.  Bulk-converts the trace's slice to Python scalars once, then
+    builds positionally: the same construction, and so the same bit
+    patterns, as the eager assembly loop this module replaced.  Layer row
+    layout: cycles, total/executed MACs, dense/sparse channel counts,
+    dense/sparse cycles, then the 7 EnergyBreakdown components.
+    """
+    _, LayerExecutionResult, EnergyBreakdown, _, StepResult = _result_types()
+    (
+        layer_names,
+        layer_cycles,
+        total_macs,
+        executed_macs,
+        dense_channels,
+        sparse_channels,
+        dense_cycles,
+        sparse_cycles,
+        layer_energy,
+        step_totals,
+        trace_step_starts,
+        step_entry_starts,
+    ) = columns
+    s0, s1 = int(trace_step_starts[flat]), int(trace_step_starts[flat + 1])
+    e0, e1 = int(step_entry_starts[s0]), int(step_entry_starts[s1])
+    per_layer = zip(
+        layer_cycles[e0:e1].tolist(),
+        total_macs[e0:e1].tolist(),
+        executed_macs[e0:e1].tolist(),
+        dense_channels[e0:e1].tolist(),
+        sparse_channels[e0:e1].tolist(),
+        dense_cycles[e0:e1].tolist(),
+        sparse_cycles[e0:e1].tolist(),
+        *layer_energy[e0:e1].T.tolist(),
+    )
+    layer_results = [
+        LayerExecutionResult(
+            name, row[0], EnergyBreakdown(*row[7:]), row[1], row[2],
+            row[3], row[4], [], row[5], row[6],
+        )
+        for name, row in zip(layer_names[e0:e1], per_layer)
+    ]
+    starts = (step_entry_starts[s0 : s1 + 1] - e0).tolist()
+    return [
+        StepResult(
+            time_step,
+            row[0],
+            EnergyBreakdown(*row[1:]),
+            layer_results[starts[time_step] : starts[time_step + 1]],
+        )
+        for time_step, row in enumerate(step_totals[s0:s1].tolist())
+    ]
+
+
+#: Held only to publish a built step list (two assignments), never while
+#: building one.
+_PUBLISH_LOCK = threading.Lock()
+
+
+class _LazySteps(Sequence):
+    """A materialized report's ``step_results``, built on first read.
+
+    It stands in for the list :func:`_build_steps` returns and behaves as
+    that list: length, indexing and slicing, iteration, truth, ``==``
+    against a list in either direction, ``repr``, and copying and pickling
+    (both give the plain list).  It holds its batch's columns, not the
+    batch, and drops them once built.  Threads that read it for the first
+    time together may each build the list, but all of them get the one
+    published first.
+    """
+
+    __slots__ = ("_columns", "_flat", "_steps")
+
+    def __init__(self, columns: tuple, flat: int) -> None:
+        self._columns: tuple | None = columns
+        self._flat = flat
+        self._steps: "list[StepResult] | None" = None
+
+    def _list(self) -> "list[StepResult]":
+        if self._steps is None:
+            columns = self._columns
+            # None only when another thread published between the two reads.
+            built = None if columns is None else _build_steps(columns, self._flat)
+            with _PUBLISH_LOCK:
+                if self._steps is None:
+                    self._steps, self._columns = built, None
+        return self._steps
+
+    def __len__(self) -> int:
+        return len(self._list())
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._list()[index]
+
+    def __iter__(self) -> Iterator["StepResult"]:
+        return iter(self._list())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, _LazySteps):
+            other = other._list()
+        return self._list() == other if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self._list())
+
+    def __reduce__(self) -> tuple:
+        return (list, (self._list(),))
 
 
 @dataclass(eq=False, slots=True)
@@ -339,7 +455,7 @@ class ColumnarReportBatch:
     # -- lazy materialization --------------------------------------------------
 
     def report(self, config: int, trace: int) -> "SimulationReport":
-        """The full report of one (config, trace) pair, built on demand.
+        """The report of one (config, trace) pair, built on demand.
 
         Bitwise identical to the eagerly assembled report: every scalar is
         converted from the same float64 cell the eager loop read, and the
@@ -350,156 +466,83 @@ class ColumnarReportBatch:
         return self.report_at(self.trace_index(config, trace))
 
     def report_at(self, flat: int) -> "SimulationReport":
-        """Like :meth:`report`, addressed by flat trace index."""
+        """Like :meth:`report`, addressed by flat trace index.
+
+        Only the report's header is built here: config name, totals, clock
+        and detector activity.  Its ``step_results`` stay columnar until
+        first read (see :func:`_build_steps`).
+        """
         if not 0 <= flat < self.num_traces:
             raise IndexError(f"flat trace index {flat} out of range [0, {self.num_traces})")
         report = self._reports.get(flat)
         if report is None:
-            report = self._reports.setdefault(flat, self._materialize(flat))
+            self._build_headers([flat])
+            report = self._reports[flat]
         return report
 
-    def _materialize(self, flat: int) -> "SimulationReport":
-        DetectorStats, LayerExecutionResult, EnergyBreakdown, SimulationReport, StepResult = (
-            _result_types()
-        )
-
-        _MATERIALIZED.inc()
-        config = self._config_of(flat)
-        _, trace_step_starts, step_entry_starts = self.offsets()
-        s0, s1 = int(trace_step_starts[flat]), int(trace_step_starts[flat + 1])
-        e0, e1 = int(step_entry_starts[s0]), int(step_entry_starts[s1])
-
-        # Bulk-convert the trace's slice to Python scalars once, then build
-        # positionally — the same construction (and therefore the same bit
-        # patterns) as the eager assembly loop this module replaced.  Row
-        # layout: cycles, total/executed MACs, dense/sparse channel counts,
-        # dense/sparse cycles, then the 7 EnergyBreakdown components.
-        names = self.layer_names[e0:e1]
-        energy = self.layer_energy[e0:e1]
-        per_layer = list(
-            zip(
-                self.layer_cycles[e0:e1].tolist(),
-                self.total_macs[e0:e1].tolist(),
-                self.executed_macs[e0:e1].tolist(),
-                self.dense_channels[e0:e1].tolist(),
-                self.sparse_channels[e0:e1].tolist(),
-                self.dense_cycles[e0:e1].tolist(),
-                self.sparse_cycles[e0:e1].tolist(),
-                *[energy[:, column].tolist() for column in range(energy.shape[1])],
-            )
-        )
-        layer_results = [
-            LayerExecutionResult(
-                names[i], row[0], EnergyBreakdown(*row[7:]), row[1], row[2],
-                row[3], row[4], [], row[5], row[6],
-            )
-            for i, row in enumerate(per_layer)
-        ]
-        starts = (step_entry_starts[s0 : s1 + 1] - e0).tolist()
-        step_results = [
-            StepResult(
-                time_step,
-                row[0],
-                EnergyBreakdown(*row[1:]),
-                layer_results[starts[time_step] : starts[time_step + 1]],
-            )
-            for time_step, row in enumerate(self.step_totals[s0:s1].tolist())
-        ]
-        totals_row = self.trace_totals[flat].tolist()
-        return SimulationReport(
-            config_name=self.config_names[config],
-            total_cycles=totals_row[0],
-            total_energy=EnergyBreakdown(*totals_row[1:]),
-            step_results=step_results,
-            clock_ghz=float(self.clock_ghz[config]),
-            detector_stats=DetectorStats(
-                int(self.detector_updates[flat]), int(self.detector_channels[flat])
-            ),
-        )
-
-    def _materialize_all(self) -> None:
-        """Bulk-build every unmemoized report in one pass over the batch.
-
-        Same construction (and the same bit patterns) as per-trace
-        :meth:`_materialize`, but each column crosses the NumPy/Python
-        boundary once for the whole batch instead of once per trace — on
-        many-trace sweeps the per-slice ``tolist`` overhead dominates.
-        """
-        DetectorStats, LayerExecutionResult, EnergyBreakdown, SimulationReport, StepResult = (
-            _result_types()
-        )
-        _, trace_step_starts, step_entry_starts = self.offsets()
-        energy = self.layer_energy
-        names = self.layer_names
-        per_layer = zip(
-            self.layer_cycles.tolist(),
-            self.total_macs.tolist(),
-            self.executed_macs.tolist(),
-            self.dense_channels.tolist(),
-            self.sparse_channels.tolist(),
-            self.dense_cycles.tolist(),
-            self.sparse_cycles.tolist(),
-            *[energy[:, column].tolist() for column in range(energy.shape[1])],
-        )
-        layer_results = [
-            LayerExecutionResult(
-                names[i], row[0], EnergyBreakdown(*row[7:]), row[1], row[2],
-                row[3], row[4], [], row[5], row[6],
-            )
-            for i, row in enumerate(per_layer)
-        ]
-        step_rows = self.step_totals.tolist()
-        trace_rows = self.trace_totals.tolist()
-        entry_starts = step_entry_starts.tolist()
-        step_starts = trace_step_starts.tolist()
-        clocks = self.clock_ghz.tolist()
-        updates = self.detector_updates.tolist()
-        channels = self.detector_channels.tolist()
-        built = 0
-        flat = 0
-        for config, count in enumerate(self.traces_per_config.tolist()):
-            config_name = self.config_names[config]
-            clock = clocks[config]
-            for _ in range(count):
-                if flat not in self._reports:
-                    s0, s1 = step_starts[flat], step_starts[flat + 1]
-                    step_results = [
-                        StepResult(
-                            time_step,
-                            row[0],
-                            EnergyBreakdown(*row[1:]),
-                            layer_results[
-                                entry_starts[s0 + time_step] : entry_starts[s0 + time_step + 1]
-                            ],
-                        )
-                        for time_step, row in enumerate(step_rows[s0:s1])
-                    ]
-                    totals_row = trace_rows[flat]
-                    self._reports.setdefault(
-                        flat,
-                        SimulationReport(
-                            config_name=config_name,
-                            total_cycles=totals_row[0],
-                            total_energy=EnergyBreakdown(*totals_row[1:]),
-                            step_results=step_results,
-                            clock_ghz=clock,
-                            detector_stats=DetectorStats(updates[flat], channels[flat]),
-                        ),
-                    )
-                    built += 1
-                flat += 1
-        if built:
-            _MATERIALIZED.inc(built)
-
     def report_lists(self) -> "list[list[SimulationReport]]":
-        """Materialize every report, grouped per config (kernel-entry order)."""
-        config_starts = self.offsets()[0]
-        if len(self._reports) < self.num_traces:
-            self._materialize_all()
+        """Every report, grouped per config (kernel-entry order).
+
+        Builds the headers of the reports not yet memoized in one bulk pass;
+        steps and layers stay columnar until a report's ``step_results`` is
+        read.
+        """
+        config_starts = self.offsets()[0].tolist()
+        reports = self._reports
+        if len(reports) < self.num_traces:
+            self._build_headers([flat for flat in range(self.num_traces) if flat not in reports])
         return [
-            [self.report_at(flat) for flat in range(config_starts[c], config_starts[c + 1])]
+            [reports[flat] for flat in range(config_starts[c], config_starts[c + 1])]
             for c in range(self.num_configs)
         ]
+
+    def _build_headers(self, flats: list[int]) -> None:
+        """Memoize a report header for each flat trace index in ``flats``.
+
+        Each needed row crosses the NumPy/Python boundary once for all of
+        ``flats``.  ``setdefault`` keeps the first header a racing thread
+        published, so every caller shares one report object.
+        """
+        DetectorStats, _, EnergyBreakdown, SimulationReport, _ = _result_types()
+        config_starts, trace_step_starts, step_entry_starts = self.offsets()
+        # The steps hold the batch's columns, never the batch: the batch
+        # memoizes its reports, and a report that held the batch would make
+        # a cycle only the garbage collector could free.
+        columns = (
+            self.layer_names,
+            self.layer_cycles,
+            self.total_macs,
+            self.executed_macs,
+            self.dense_channels,
+            self.sparse_channels,
+            self.dense_cycles,
+            self.sparse_cycles,
+            self.layer_energy,
+            self.step_totals,
+            trace_step_starts,
+            step_entry_starts,
+        )
+        configs = (np.searchsorted(config_starts, flats, side="right") - 1).tolist()
+        clocks = self.clock_ghz.tolist()
+        for flat, config, totals, updates, channels in zip(
+            flats,
+            configs,
+            self.trace_totals[flats].tolist(),
+            self.detector_updates[flats].tolist(),
+            self.detector_channels[flats].tolist(),
+        ):
+            self._reports.setdefault(
+                flat,
+                SimulationReport(
+                    config_name=self.config_names[config],
+                    total_cycles=totals[0],
+                    total_energy=EnergyBreakdown(*totals[1:]),
+                    step_results=_LazySteps(columns, flat),
+                    clock_ghz=clocks[config],
+                    detector_stats=DetectorStats(updates, channels),
+                ),
+            )
+        _MATERIALIZED.inc(len(flats))
 
     # -- slicing ---------------------------------------------------------------
 

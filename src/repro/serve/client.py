@@ -446,11 +446,17 @@ class RemoteEvaluationClient(Executor):
         path: str,
         payload: dict[str, Any] | None = None,
         timeout: float | None = None,
+        *,
+        retry: bool = True,
     ) -> Any:
+        """One API call, retried under the client's rules unless ``retry`` is
+        False: then it makes exactly one attempt, for callers that retry on
+        their own schedule and must stop when told to."""
         request_timeout = self.timeout if timeout is None else timeout
         body = None if payload is None else json.dumps(payload).encode("utf-8")
         last_error: Exception | None = None
-        for attempt in range(self.retries):
+        attempts = self.retries if retry else 1
+        for attempt in range(attempts):
             began = time.monotonic()
             try:
                 response, data = self._exchange(method, path, body, request_timeout)
@@ -464,7 +470,9 @@ class RemoteEvaluationClient(Executor):
                 # run the job twice.  Retry POSTs only when the connection was
                 # refused outright (nothing reached the server — e.g. it is
                 # still starting up); reads and cancels always retry.
-                if method == "POST" and not isinstance(exc, ConnectionRefusedError):
+                if not retry or (
+                    method == "POST" and not isinstance(exc, ConnectionRefusedError)
+                ):
                     break
                 self._sleep_before_retry(self._retry_delay(attempt))
                 continue
@@ -478,7 +486,7 @@ class RemoteEvaluationClient(Executor):
             # does any work (overloaded, or a load balancer with no healthy
             # backend), so even POSTs retry safely.  The server's Retry-After
             # sets the floor of the jittered delay.
-            if response.status == 503 and attempt + 1 < self.retries:
+            if response.status == 503 and attempt + 1 < attempts:
                 retry_after = _parse_retry_after(response.getheader("Retry-After"))
                 self._sleep_before_retry(self._retry_delay(attempt, retry_after))
                 continue
@@ -650,19 +658,27 @@ class RemoteEvaluationClient(Executor):
     def claim_tasks(
         self, worker_id: str, max_tasks: int = 1, wait_seconds: float = 0.0
     ) -> list[dict[str, Any]]:
-        """Long-poll for up to ``max_tasks`` leased task payloads."""
+        """Long-poll for up to ``max_tasks`` leased task payloads.
+
+        One attempt, without the client's retries: the worker's pull loop
+        retries a failed claim itself and stops waiting when the worker is
+        told to stop, so a draining worker whose server is gone exits at
+        once instead of after the client's backoff.
+        """
         payload = self._request(
             "POST",
             f"/workers/{worker_id}/claim",
             {"max_tasks": max_tasks, "wait_seconds": wait_seconds},
             # The server may hold the request open for the whole long-poll.
             timeout=self.timeout + wait_seconds,
+            retry=False,
         )
         return list(payload["tasks"])
 
     def worker_heartbeat(self, worker_id: str) -> dict[str, Any]:
-        """Renew every lease this worker holds."""
-        return self._request("POST", f"/workers/{worker_id}/heartbeat", {})
+        """Renew every lease this worker holds (one attempt: the worker's
+        heartbeat loop retries on its own schedule)."""
+        return self._request("POST", f"/workers/{worker_id}/heartbeat", {}, retry=False)
 
     def complete_task(
         self,

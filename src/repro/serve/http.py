@@ -96,6 +96,7 @@ re-simulation — which is exactly what the CI smoke stage asserts.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import json
 import socket
 import threading
@@ -128,6 +129,13 @@ _HTTP_REQUESTS = telemetry.get_registry().counter(
     "HTTP requests served, by method and response status.",
     labels=("method", "status"),
 )
+
+# Read at scrape time.  A gc.callbacks hook that took the registry lock would
+# deadlock when a collection starts in a thread already holding that lock.
+telemetry.get_registry().gauge(
+    "repro_gc_full_collections",
+    "Full (generation 2) garbage collections run by this interpreter.",
+).set_function(lambda: gc.get_stats()[2]["collections"])
 
 
 class _HTTPError(Exception):

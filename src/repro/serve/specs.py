@@ -418,9 +418,12 @@ class SweepJobResult:
     ``has_baseline``).  On the server the parts are the one-trace slices the
     report cache holds, shared with it rather than copied; a result decoded
     from the wire holds the one batch it carried.  :attr:`reports` /
-    :attr:`baseline` materialize every part in one pass on first access
-    (then memoize), so consumers that only read array aggregates or
-    re-encode the result for the wire never pay the per-report object tax.
+    :attr:`baseline` materialize every part's report headers in one pass
+    on first access (then memoize); a report builds its steps and layers
+    from the batch's columns only when its ``step_results`` is read.  So a
+    consumer that reads totals (``repro sweep``) builds no step or layer,
+    and one that only reads array aggregates or re-encodes the result for
+    the wire builds no report at all.
     """
 
     __slots__ = ("name", "params", "parts", "has_baseline", "_reports", "_baseline")
@@ -459,7 +462,8 @@ class SweepJobResult:
 
     @property
     def reports(self) -> list[SimulationReport]:
-        """Materialized per-case reports (built on first access, then cached)."""
+        """Materialized per-case reports (headers built on first access, then
+        cached; steps and layers on first read of ``step_results``)."""
         return self._materialize()
 
     @property

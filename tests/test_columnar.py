@@ -10,6 +10,12 @@ survive the codec, the artifact store and the report cache unchanged.
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -19,7 +25,7 @@ from repro.accelerator.config import AcceleratorConfig
 from repro.accelerator.controller import LayerExecutionResult
 from repro.accelerator.energy import EnergyBreakdown
 from repro.accelerator.pe import ChannelGroupResult
-from repro.accelerator.simulator import StepResult
+from repro.accelerator.simulator import SimulationReport, StepResult
 from repro.accelerator.workload import ConvLayerWorkload
 from repro.core import codec
 from repro.core.artifacts import ArtifactStore
@@ -276,6 +282,145 @@ class TestRoundTrips:
         assert batch.num_traces > 1
         with pytest.raises(TypeError):
             cache.insert_key(("a", "b", "c", "d"), batch)
+
+
+def _read_every_layer(reports) -> int:
+    return sum(len(step.layer_results) for report in reports for step in report.step_results)
+
+
+class TestLazySteps:
+    """A materialized report's steps and layers stay columnar until its
+    ``step_results`` is first read, and then behave as the eager list."""
+
+    def test_totals_readers_build_no_steps_or_layers(self):
+        """Counted over the collector's tracked objects, with it disabled: the
+        headers of a 17-point sweep are a few dozen objects, its steps and
+        layers thousands."""
+        trace = random_trace(np.random.default_rng(20), steps=8, layers=30)
+        thresholds = np.linspace(0.05, 0.85, 17)
+        batch = vectorized.run_config_traces_columnar(
+            [(sqdm_config(sparsity_threshold=float(t)), [trace]) for t in thresholds]
+        )
+
+        def built() -> int:
+            return sum(
+                isinstance(obj, (StepResult, LayerExecutionResult)) for obj in gc.get_objects()
+            )
+
+        gc.collect()
+        gc.disable()
+        try:
+            objects, steps_and_layers = len(gc.get_objects()), built()
+            reports = [report for reports in batch.report_lists() for report in reports]
+            totals = [(r.total_cycles, r.total_energy.total_pj, r.total_time_ms) for r in reports]
+            headers = len(gc.get_objects()) - objects
+            assert built() == steps_and_layers
+            assert _read_every_layer(reports) == batch.num_entries == 17 * 8 * 30
+            assert built() - steps_and_layers == batch.num_steps + batch.num_entries
+            graphs = len(gc.get_objects()) - objects - headers
+        finally:
+            gc.enable()
+        assert 0 < 20 * headers < graphs
+        assert [cycles for cycles, _, _ in totals] == batch.total_cycles.tolist()
+
+    def test_materialized_reports_make_no_reference_cycle(self):
+        """The batch memoizes its reports; steps that held the batch, built
+        or not, would make a cycle only the collector frees."""
+        batch = vectorized.run_config_traces_columnar(random_grid(21))
+        gc.collect()
+        gc.disable()
+        try:
+            reports = [report for reports in batch.report_lists() for report in reports]
+            assert _read_every_layer(reports[::2]) > 0  # the others stay unbuilt
+            ours = {id(batch), *(id(report) for report in reports)}
+            del batch, reports
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            gc.collect()
+            leaked = [
+                obj
+                for obj in gc.garbage
+                if isinstance(obj, (ColumnarReportBatch, SimulationReport)) and id(obj) in ours
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []
+
+    @staticmethod
+    def _reference_pair():
+        """(fresh lazy report, eager report) via ReferenceBackend.run."""
+        rng = np.random.default_rng(22)
+        config = sqdm_config()
+        trace = random_trace(rng, steps=3, layers=2)
+        batch = ReferenceBackend(config).run([(config, [trace])])
+        eager = ReferenceBackend(config).run_trace(trace)
+        for step in eager.step_results:
+            for layer in step.layer_results:
+                layer.pe_results = []
+        return (lambda: batch.slice_trace(0).report_at(0)), eager
+
+    @staticmethod
+    def _from_reports_pair():
+        """(fresh lazy report, eager report) via ColumnarReportBatch.from_reports."""
+        config = sqdm_config(sparsity_threshold=0.3)
+        trace = random_trace(np.random.default_rng(23), steps=3, layers=3)
+        eager = codec.loads(codec.dumps(solo_report(config, trace)))
+        return (lambda: ColumnarReportBatch.from_reports([(config, [eager])]).report_at(0)), eager
+
+    @pytest.mark.parametrize("source", ["reference", "from_reports"])
+    def test_lazy_steps_behave_as_the_eager_list(self, source):
+        fresh, eager = getattr(self, f"_{source}_pair")()
+        assert type(eager.step_results) is list and len(eager.step_results) == 3
+        assert type(fresh().step_results) is not list
+        # Each check reads a report whose steps are not built yet.
+        assert fresh() == eager
+        assert eager == fresh()
+        assert fresh().step_results == eager.step_results
+        assert eager.step_results == fresh().step_results
+        assert not fresh().step_results != eager.step_results
+        assert repr(fresh()) == repr(eager)
+        assert codec.dumps(fresh()) == codec.dumps(eager)
+        assert len(fresh().step_results) == 3 and fresh().step_results
+        assert fresh().step_results[-1] == eager.step_results[-1]
+        assert fresh().step_results[1:] == eager.step_results[1:]
+        lazy = fresh()
+        assert list(lazy.step_results) == list(lazy.step_results) == eager.step_results
+        assert lazy.step_results.index(eager.step_results[1]) == 1
+        for copied in (copy.deepcopy(fresh()), pickle.loads(pickle.dumps(fresh()))):
+            assert type(copied.step_results) is list
+            assert copied == eager and codec.dumps(copied) == codec.dumps(eager)
+        assert copy.copy(fresh().step_results) == eager.step_results
+        empty = vectorized.run_config_traces_columnar([(sqdm_config(), [[]])]).report_at(0)
+        assert not empty.step_results and empty.step_results == [] and len(empty.step_results) == 0
+
+    def test_concurrent_first_reads_share_one_list(self):
+        batch = vectorized.run_config_traces_columnar(random_grid(24))
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for flat in range(batch.num_traces):
+                report = batch.slice_trace(flat).report_at(0)
+                barrier = threading.Barrier(8)
+                seen: list = [None] * 8
+
+                def read(index: int, report=report, barrier=barrier, seen=seen) -> None:
+                    barrier.wait(timeout=10)
+                    seen[index] = tuple(report.step_results)
+
+                threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                assert not any(thread.is_alive() for thread in threads)
+                first = seen[0]
+                assert first is not None and len(first) == int(batch.trace_steps[flat])
+                for steps in seen[1:]:
+                    assert steps is not None
+                    assert all(a is b for a, b in zip(steps, first)) and len(steps) == len(first)
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestHotPathHygiene:

@@ -859,6 +859,24 @@ class TestServerSideSweeps:
             assert _digest(result.baseline_result()) == _digest(inline.baseline_result())
             assert result.reports == inline.reports and result.baseline == inline.baseline
 
+    def test_served_sweep_reports_encode_as_inline_ones(self, served):
+        """Reports read from a served sweep build their steps and layers from
+        the decoded batch on first read, with every layer's bits intact."""
+        client, _, _, _ = served
+        spec = SweepJobSpec(
+            base=sqdm_config(),
+            grid={"sparsity_threshold": [0.2, 0.5]},
+            trace=make_trace(46),
+            baseline=dense_baseline_config(),
+        )
+        inline = InlineExecutor(cache=ReportCache()).submit(spec).result()
+        result = client.submit_sweep(spec).result(timeout=120)
+        assert [codec.dumps(report) for report in result.reports] == [
+            codec.dumps(report) for report in inline.reports
+        ]
+        assert codec.dumps(result.baseline) == codec.dumps(inline.baseline)
+        assert sum(len(step.layer_results) for step in result.baseline.step_results) > 0
+
     def test_concurrent_sweeps_from_two_clients_coalesce(self, served):
         """Acceptance: N clients submitting one grid each cost one simulation
         per unique design point, via single-flight + the shared cache."""
@@ -1484,6 +1502,31 @@ class TestRetryBackoff:
         ratios = {round(delay / min(0.1 * 2**i, 0.8), 6) for i, delay in enumerate(sleeps)}
         assert len(ratios) > 1, ratios
 
+    def test_claims_and_heartbeats_make_one_attempt(self, monkeypatch):
+        """A worker's own loops retry claims and heartbeats, and stop when the
+        worker is told to: the client adds no retries or backoff of its own."""
+        client = RemoteEvaluationClient("http://fleet", retries=5, backoff=0.01)
+        sleeps, calls = self._patch_transport(
+            monkeypatch, client, [ConnectionRefusedError()] * 5
+        )
+        with pytest.raises(RemoteServiceError, match="1 attempt"):
+            client.claim_tasks("w1", wait_seconds=0.5)
+        assert calls["count"] == 1 and sleeps == []
+        with pytest.raises(RemoteServiceError, match="1 attempt"):
+            client.worker_heartbeat("w1")
+        assert calls["count"] == 2 and sleeps == []
+        # A 503 is not retried either.
+        sleeps, calls = self._patch_transport(monkeypatch, client, [(503, "0.1"), "ok"])
+        with pytest.raises(RemoteServiceError, match="503"):
+            client.worker_heartbeat("w1")
+        assert calls["count"] == 1 and sleeps == []
+        # Every other request keeps the client's retries: a refused GET retries.
+        sleeps, calls = self._patch_transport(
+            monkeypatch, client, [ConnectionRefusedError(), "ok"]
+        )
+        assert client.health() == {"status": "ok"}
+        assert calls["count"] == 2 and len(sleeps) == 1
+
     def test_retry_after_parse_rules(self):
         from repro.serve.client import RETRY_AFTER_CAP, _parse_retry_after
 
@@ -1541,6 +1584,24 @@ class TestMetricsAndTop:
         # histograms expose the full bucket/sum/count series
         assert 'repro_service_job_duration_seconds_bucket{kind="sweep",le="+Inf"}' in text
         assert "repro_service_job_duration_seconds_sum" in text
+
+    def test_metrics_count_full_garbage_collections(self, served):
+        """The interpreter's full collections, read at scrape time, so a
+        collection storm shows in the server's own output."""
+        import gc
+
+        from repro.serve.top import parse_prometheus, sample_total
+
+        _, _, _, server = served
+
+        def full_collections():
+            text = _fetch_metrics(server.endpoint)[2]
+            assert "# TYPE repro_gc_full_collections gauge" in text
+            return sample_total(parse_prometheus(text), "repro_gc_full_collections")
+
+        before = full_collections()
+        gc.collect()
+        assert full_collections() > before
 
     def test_metrics_bypasses_json_content_negotiation(self, served):
         """Prometheus scrapers send text Accept headers; /metrics must not 406."""
