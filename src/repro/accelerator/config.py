@@ -78,10 +78,6 @@ class AcceleratorConfig:
     def total_pes(self) -> int:
         return self.num_dpe + self.num_spe
 
-    @property
-    def cycle_time_ns(self) -> float:
-        return 1.0 / self.clock_ghz
-
     def with_update_period(self, period: int) -> "AcceleratorConfig":
         """Copy of this config with a different sparsity update period."""
         return AcceleratorConfig(

@@ -39,11 +39,6 @@ class DatapathResult:
     macs_executed: float
     macs_skipped: float
 
-    @property
-    def effective_utilization(self) -> float:
-        total = self.macs_executed + self.macs_skipped
-        return self.macs_executed / total if total > 0 else 0.0
-
 
 class DenseDatapath:
     """MAERI-like vector MAC datapath processing dense channel groups."""

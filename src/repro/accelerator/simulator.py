@@ -146,9 +146,9 @@ class AcceleratorSimulator:
         Simulation engine used by :meth:`run` — a registered backend name
         (``"vectorized"``, the default, or ``"reference"``) or an
         already-constructed :class:`SimulationBackend` instance.  The
-        unit-level entry points :meth:`run_layer` / :meth:`run_step` always
-        execute on the stateful reference controller, which remains exposed
-        as :attr:`controller` for per-PE and traffic introspection.
+        unit-level entry point :meth:`run_step` always executes on the
+        stateful reference controller, which remains exposed as
+        :attr:`controller` for per-PE and traffic introspection.
 
     Both the controller and the backend are constructed lazily: sweeps on
     the vectorized backend never pay for the controller's PE/NoC object
@@ -181,11 +181,11 @@ class AcceleratorSimulator:
     def controller(self) -> AcceleratorController:
         """The stateful reference controller (created on first use).
 
-        Only :meth:`run_layer` / :meth:`run_step` (and runs of this
-        simulator's own configuration on the ``reference`` backend) drive
-        this object; after a run on the vectorized backend its
-        detector/traffic counters stay at their initial values — read the
-        report's ``detector_stats`` for backend-agnostic detector activity.
+        Only :meth:`run_step` (and runs of this simulator's own
+        configuration on the ``reference`` backend) drive this object; after
+        a run on the vectorized backend its detector/traffic counters stay
+        at their initial values — read the report's ``detector_stats`` for
+        backend-agnostic detector activity.
         """
         if self._controller is None:
             self._controller = AcceleratorController(self.config, self.energy_table)
@@ -216,10 +216,6 @@ class AcceleratorSimulator:
     @property
     def backend_name(self) -> str:
         return self.backend.name
-
-    def run_layer(self, workload: ConvLayerWorkload, time_step: int = 0) -> LayerExecutionResult:
-        """Execute a single layer workload (unit-level entry point)."""
-        return self.controller.execute_layer(workload, time_step)
 
     def run_step(self, workloads: list[ConvLayerWorkload], time_step: int = 0) -> StepResult:
         """Execute all layers of one time step back to back (reference engine)."""

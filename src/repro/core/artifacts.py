@@ -393,15 +393,6 @@ class ArtifactStore:
     def contains(self, kind: str, key: str) -> bool:
         return self.path_for(kind, key).exists()
 
-    def delete(self, kind: str, key: str) -> bool:
-        path = self.path_for(kind, key)
-        self._remove_stamp(path)
-        try:
-            path.unlink()
-            return True
-        except OSError:
-            return False
-
     # -- last-use metadata ------------------------------------------------------
 
     @staticmethod

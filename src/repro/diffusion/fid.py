@@ -128,11 +128,6 @@ class FIDEvaluator:
         self._reference = stats
         return self._reference
 
-    @property
-    def reference_statistics(self) -> FeatureStatistics | None:
-        """The cached reference statistics, if :meth:`set_reference` has run."""
-        return self._reference
-
     def fid(self, generated_images: np.ndarray) -> float:
         """Proxy FID of generated images against the cached reference set.
 

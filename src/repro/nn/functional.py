@@ -11,6 +11,14 @@ downstream keep whatever memory order they are given.  That order is part of
 the numerical contract: reductions such as :func:`group_norm` sum in memory
 order, so a C-contiguous copy of the same conv output moves FIDs (the pinned
 cifar10 INT4 FID from 23883.24 to 21600.96).
+
+NumPy sums a group of a C-contiguous input as one pairwise sum over the
+group's contiguous run.  On channels-last memory a group is a run of 2-12
+channels per pixel, so NumPy sums it one pixel per inner-loop call: each
+pixel's channels by the pairwise rule (:func:`_pairwise_sum`), then a
+running sum over the pixels in row-major order, starting from ``0.0``.
+:func:`group_norm` makes exactly these additions, in this order, as
+whole-array adds over every pixel at once.
 """
 
 from __future__ import annotations
@@ -25,16 +33,20 @@ import numpy as np
 # ---------------------------------------------------------------------------
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic sigmoid.
+    """Numerically stable logistic sigmoid: ``exp(min(x, 0)) / (1 + exp(-|x|))``.
 
-    With ``e = exp(-|x|)`` this is ``1 / (1 + e)`` for ``x >= 0`` and
-    ``e / (1 + e)`` otherwise, so ``exp`` never overflows.
+    That is ``1 / (1 + e)`` for ``x >= 0`` and ``e / (1 + e)`` otherwise,
+    with ``e = exp(-|x|)``, so ``exp`` never overflows; for ``x < 0`` both
+    exponentials see the same argument and round alike.
     """
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    out /= e
+    denominator = np.abs(x)
+    np.negative(denominator, out=denominator)
+    np.exp(denominator, out=denominator)
+    denominator += 1.0
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
+    out /= denominator
     return out
 
 
@@ -204,23 +216,47 @@ def group_norm(
     """Group normalization over NCHW input.
 
     Channels are partitioned into ``num_groups`` groups and normalized to
-    zero mean / unit variance within each (batch, group) slice.
+    zero mean / unit variance within each (batch, group) slice.  The mean
+    and variance are NumPy's sums over the group axes, in NumPy's order for
+    the input's layout (module docstring); a channels-last input gets the
+    same sums from :func:`_group_sums`.
     """
     x = np.asarray(x, dtype=np.float64)
     batch, channels, height, width = x.shape
     if channels % num_groups != 0:
         raise ValueError(f"{channels} channels not divisible into {num_groups} groups")
-    grouped = x.reshape(batch, num_groups, channels // num_groups, height, width)
-    count = (channels // num_groups) * height * width
-    # The two passes ``np.var`` makes internally: the mean, then the squared
-    # deviations from it.  The deviations are kept and normalized in place.
-    mean = grouped.sum(axis=(2, 3, 4), keepdims=True)
-    mean /= count
-    centered = grouped - mean
-    var = np.square(centered).sum(axis=(2, 3, 4), keepdims=True)
-    var /= count
-    var += eps
-    centered /= np.sqrt(var)
+    per_group = channels // num_groups
+    count = per_group * height * width
+    pixels_last = x.transpose(0, 2, 3, 1)
+    if num_groups > 1 and pixels_last.flags.c_contiguous and not x.flags.c_contiguous:
+        # A channels-last conv output.  (With one group, an image is one
+        # contiguous run, which ``np.sum`` adds in one pairwise call.)  Mean
+        # and scale are repeated along the full channel axis, so each
+        # broadcast pass loops over whole pixels.
+        by_pixel = pixels_last.reshape(batch, height * width, num_groups, per_group)
+        mean = _group_sums(by_pixel)
+        mean /= count
+        centered = by_pixel - _per_channel(mean, per_group)
+        var = _group_sums(np.square(centered))
+        var /= count
+        var += eps
+        centered /= _per_channel(np.sqrt(var), per_group)
+        # The (batch, group, channel, row, column) view the other branch
+        # reshapes, so the reshape below gives size-1 axes the same strides.
+        centered = centered.reshape(batch, height, width, num_groups, per_group)
+        centered = centered.transpose(0, 3, 4, 1, 2)
+    else:
+        grouped = x.reshape(batch, num_groups, per_group, height, width)
+        # The two passes ``np.var`` makes internally: the mean, then the
+        # squared deviations from it.  The deviations are kept and
+        # normalized in place.
+        mean = grouped.sum(axis=(2, 3, 4), keepdims=True)
+        mean /= count
+        centered = grouped - mean
+        var = np.square(centered).sum(axis=(2, 3, 4), keepdims=True)
+        var /= count
+        var += eps
+        centered /= np.sqrt(var)
     out = centered.reshape(batch, channels, height, width)
     if gamma is not None:
         # A new array, not ``out *=``: on a one-image channels-last input the
@@ -230,6 +266,57 @@ def group_norm(
     if beta is not None:
         out += np.asarray(beta, dtype=np.float64).reshape(1, -1, 1, 1)
     return out
+
+
+def _group_sums(by_pixel: np.ndarray) -> np.ndarray:
+    """``(batch, groups)`` sums of a C-ordered ``(batch, pixels, groups, per_group)`` array.
+
+    NumPy's additions for channels-last group axes, in NumPy's order (module
+    docstring).  The running sum reduces the leading axis of a pixel-major
+    copy of the per-pixel sums: its inner loop runs along every (batch,
+    group), so it adds one pixel at a time.
+    """
+    partial = _pairwise_sum(by_pixel)
+    return np.ascontiguousarray(partial.transpose(1, 0, 2)).sum(axis=0)
+
+
+def _pairwise_sum(y: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(y, axis=-1)`` bit for bit, as whole-array adds.
+
+    NumPy's rule for one contiguous run of ``n`` values: under 8 a running
+    sum; up to 128, eight running accumulators over strides of 8, combined as
+    ``((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))``, then the rest one
+    by one; above 128, the two halves (the first a multiple of 8) summed
+    apart and added.  The reduction starts from ``0.0``, so ``-0.0`` sums
+    to ``0.0``.
+    """
+    n = y.shape[-1]
+    if n < 8:
+        total = y[..., 0] + 0.0
+        for i in range(1, n):
+            total += y[..., i]
+        return total
+    if n > 128:
+        half = n // 2
+        half -= half % 8
+        return _pairwise_sum(y[..., :half]) + _pairwise_sum(y[..., half:])
+    rounds = n - n % 8
+    acc = y[..., :8]
+    for i in range(8, rounds, 8):
+        acc = acc + y[..., i : i + 8]
+    acc = acc[..., 0::2] + acc[..., 1::2]
+    acc = acc[..., 0::2] + acc[..., 1::2]
+    total = acc[..., 0] + acc[..., 1]
+    for i in range(rounds, n):
+        total += y[..., i]
+    total += 0.0
+    return total
+
+
+def _per_channel(per_group: np.ndarray, group_size: int) -> np.ndarray:
+    """``(batch, groups)`` values repeated per channel, shaped to broadcast over pixels."""
+    batch, groups = per_group.shape
+    return np.repeat(per_group, group_size, axis=1).reshape(batch, 1, groups, group_size)
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,20 @@ where the max is taken and how the scale is stored (Sec. III-A):
 
 * per tensor -- one scale for the whole tensor;
 * per channel -- one scale for every axis but the channel axis;
-* per block / per vector -- one scale per zero-padded block of
-  ``block_size`` elements along the last axis;
+* per block / per vector -- one scale per block of ``block_size``
+  elements along the last axis;
 
 and the scale is kept in FP32, rounded to FP8 E4M3, rounded up to a power of
 two, or stored as UINT8 codes (see :func:`_stored_scales`).  Quantize then
 dequantize ("fake quantization") injects the numerical error of a format
 into the NumPy diffusion model, exactly as scaled quantization would on real
 hardware.
+
+A last axis that ``block_size`` does not divide ends in a short block.  Its
+scale is the one a zero-padded block would get (padding zeros never raise
+``max|x|``), but no padded copy is made: the block maxima fold whole-tensor
+``np.maximum`` calls (:func:`_block_amax`), and the unpadded tensor is
+divided by a per-element copy of its block scales.
 """
 
 from __future__ import annotations
@@ -70,44 +76,71 @@ def _scaled_round(
     if fmt is None:
         raise ValueError(f"format {spec.name} has no integer element to quantize to")
     x = np.asarray(x, dtype=np.float64)
+    blocked = spec.granularity.blocked
+    if blocked:
+        # Downstream sums run in memory order, so blocked outputs are
+        # C-ordered (and coarse ones keep the layout of x): the arithmetic
+        # below runs on C-ordered memory and every result inherits it.
+        x = np.ascontiguousarray(x)
     if not fmt.signed:
         x = np.maximum(x, 0.0)  # unsigned codes cannot hold negatives (ReLU outputs)
 
-    blocked = spec.granularity.blocked
     if blocked:
-        length = x.shape[-1]
-        groups = _zero_padded_blocks(x, spec.block_size)
-        reduce: int | tuple[int, ...] | None = -1
+        amax = _block_amax(np.abs(x), spec.block_size)
     elif spec.granularity is ScaleGranularity.PER_CHANNEL and channel_axis is not None:
-        groups = x
         reduce = tuple(i for i in range(x.ndim) if i != channel_axis % x.ndim)
+        amax = np.max(np.abs(x), axis=reduce, keepdims=True)
     else:
-        groups, reduce = x, None
-    amax = np.max(np.abs(groups), axis=reduce, keepdims=True)
+        amax = np.max(np.abs(x), keepdims=True)
     scales = _stored_scales(np.maximum(amax, _SCALE_EPS) / fmt.qmax, spec)
+    if blocked:
+        # One scale per element, so each pass below is one loop over x.
+        widths = np.full(scales.shape[-1], spec.block_size)
+        widths[-1] = x.shape[-1] - spec.block_size * (widths.size - 1)
+        scales = np.repeat(scales, widths, axis=-1)
 
-    # The quotient is the output buffer.  Downstream sums run in memory order,
-    # so blocked outputs are C-ordered and coarse ones keep the layout of x.
-    out = np.divide(groups, scales, order="C" if blocked else "K")
+    out = np.divide(x, scales)  # the quotient is the output buffer
     np.round(out, out=out)
     np.clip(out, fmt.qmin, fmt.qmax, out=out)
     if dequantize:
         out *= scales
-    if not blocked:
-        return out
-    out = out.reshape(*x.shape[:-1], -1)[..., :length]
-    # Padding leaves a strided slice; the output is always contiguous.
-    return out if out.flags.c_contiguous else np.ascontiguousarray(out)
+    return out
 
 
-def _zero_padded_blocks(x: np.ndarray, block_size: int) -> np.ndarray:
-    """``x`` with its last axis zero-padded and split into ``(n_blocks, block_size)``."""
-    length = x.shape[-1]
-    n_blocks = -(-length // block_size)
-    if n_blocks * block_size != length:
-        pad = [(0, 0)] * (x.ndim - 1) + [(0, n_blocks * block_size - length)]
-        x = np.pad(x, pad, mode="constant")
-    return x.reshape(*x.shape[:-1], n_blocks, block_size)
+def _block_amax(magnitude: np.ndarray, block_size: int) -> np.ndarray:
+    """Largest value of each ``block_size`` block along the last axis.
+
+    ``magnitude`` is C-ordered and not negative, so a short last block has
+    the max of a zero-padded one.  While the block width and the last
+    block's width are both even, ``np.maximum`` folds neighbouring pairs
+    over the whole tensor; each element left in a block then folds in as
+    one strided slice.  Max is exact in any order: the bits are those of
+    ``np.max`` over each block, in a few whole-array calls instead of one
+    inner loop per block.
+    """
+    lead, length = magnitude.shape[:-1], magnitude.shape[-1]
+    full_blocks = length // block_size
+    width, tail = block_size, length % block_size
+    while width % 2 == 0 and tail % 2 == 0:
+        magnitude = np.maximum(magnitude[..., 0::2], magnitude[..., 1::2])
+        width //= 2
+        tail //= 2
+    if width == 1 and tail == 0:
+        return magnitude
+    amax = np.empty((*lead, full_blocks + (tail > 0)))
+    if full_blocks:
+        body = magnitude[..., : full_blocks * width].reshape(*lead, full_blocks, width)
+        _fold_max(body, amax[..., :full_blocks])
+    if tail:
+        _fold_max(magnitude[..., full_blocks * width :], amax[..., full_blocks])
+    return amax
+
+
+def _fold_max(blocks: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = blocks.max(axis=-1)``, one ``np.maximum`` per slice of the last axis."""
+    np.copyto(out, blocks[..., 0])
+    for k in range(1, blocks.shape[-1]):
+        np.maximum(out, blocks[..., k], out=out)
 
 
 def _stored_scales(scales: np.ndarray, spec: QuantFormatSpec) -> np.ndarray:

@@ -469,8 +469,10 @@ class RemoteEvaluationClient(Executor):
                 # was lost may already be enqueued, so blindly retrying would
                 # run the job twice.  Retry POSTs only when the connection was
                 # refused outright (nothing reached the server — e.g. it is
-                # still starting up); reads and cancels always retry.
-                if not retry or (
+                # still starting up); reads and cancels always retry.  The
+                # last attempt fails at once: a backoff only ever precedes
+                # another attempt.
+                if attempt + 1 == attempts or (
                     method == "POST" and not isinstance(exc, ConnectionRefusedError)
                 ):
                     break

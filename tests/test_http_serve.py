@@ -1494,13 +1494,33 @@ class TestRetryBackoff:
         with pytest.raises(RemoteServiceError, match="8 attempt"):
             client.health()
         assert calls["count"] == 8  # every attempt met a scripted refusal
-        assert len(sleeps) == 8
+        assert len(sleeps) == 7  # one backoff between each two attempts
         for attempt, delay in enumerate(sleeps):
             base = min(0.1 * 2**attempt, 0.8)
             assert base - 1e-9 <= delay <= base * 1.5 + 1e-9, (attempt, delay)
         # jitter actually varies the schedule (no lockstep)
         ratios = {round(delay / min(0.1 * 2**i, 0.8), 6) for i, delay in enumerate(sleeps)}
         assert len(ratios) > 1, ratios
+
+    def test_the_last_refused_attempt_raises_without_sleeping(self, monkeypatch):
+        """A dead server is reported when the last attempt fails: backoff
+        sleeps only between attempts, and the retry counter counts only the
+        attempts that follow one."""
+        for retries in (1, 3):
+            client = RemoteEvaluationClient("http://fleet", retries=retries, backoff=0.1)
+            _, calls = self._patch_transport(
+                monkeypatch, client, [ConnectionRefusedError()] * retries
+            )
+            slept_after = []
+            monkeypatch.setattr(
+                "repro.serve.client.time.sleep", lambda _: slept_after.append(calls["count"])
+            )
+            counted = client_module._RETRIES.total()
+            with pytest.raises(RemoteServiceError, match=f"{retries} attempt"):
+                client.health()
+            assert calls["count"] == retries
+            assert slept_after == list(range(1, retries))
+            assert client_module._RETRIES.total() - counted == retries - 1
 
     def test_claims_and_heartbeats_make_one_attempt(self, monkeypatch):
         """A worker's own loops retry claims and heartbeats, and stop when the

@@ -267,31 +267,79 @@ def _assert_same_bits_and_strides(new, ref, case=""):
 
 
 @pytest.fixture(scope="module")
-def workload_conv_calls():
-    """One ``conv2d`` call per geometry the paper workloads and the FID extractor run.
+def workload_calls():
+    """One ``conv2d`` and one ``group_norm`` input per geometry the paper workloads run.
 
-    U-Net forwards at the batch sizes the pipeline uses (one trace sample,
-    the two-image ReLU calibration batch, eight FID samples) and feature
-    extraction in chunks of 64 and 8.  Keyed by (input shape, weight shape,
-    stride, padding, has bias).
+    U-Net forwards of all four workloads at the batch sizes the pipeline
+    uses (one trace sample, the two-image ReLU calibration batch, eight FID
+    samples) and feature extraction in chunks of 64 and 8.  Convolutions are
+    keyed by (input shape, weight shape, stride, padding, has bias), group
+    norms by (input shape, groups).
     """
-    calls = {}
-    conv2d = F.conv2d
+    conv_calls, norm_calls = {}, {}
+    conv2d, group_norm = F.conv2d, F.group_norm
 
-    def record(x, weight, bias=None, stride=1, padding=0):
+    def record_conv(x, weight, bias=None, stride=1, padding=0):
         key = (x.shape, weight.shape, stride, padding, bias is not None)
-        calls.setdefault(key, (np.array(x), weight, bias, stride, padding))
+        conv_calls.setdefault(key, (np.array(x), weight, bias, stride, padding))
         return conv2d(x, weight, bias, stride=stride, padding=padding)
+
+    def record_norm(x, num_groups, gamma=None, beta=None, eps=1e-5):
+        norm_calls.setdefault((x.shape, num_groups), np.array(x))
+        return group_norm(x, num_groups, gamma, beta, eps)
 
     rng = np.random.default_rng(0)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(F, "conv2d", record)
+        patch.setattr(F, "conv2d", record_conv)
+        patch.setattr(F, "group_norm", record_norm)
         for spec in WORKLOAD_SPECS.values():
             unet = build_unet(spec, resolution=16)
             for batch in (1, 2, 8):
                 unet(rng.normal(size=(batch, 3, 16, 16)), rng.normal(size=batch))
         RandomFeatureExtractor().extract(rng.normal(size=(72, 3, 16, 16)))
-    return calls
+    return conv_calls, norm_calls
+
+
+@pytest.fixture(scope="module")
+def workload_conv_calls(workload_calls):
+    return workload_calls[0]
+
+
+@pytest.fixture(scope="module")
+def workload_group_norm_calls(workload_calls):
+    return workload_calls[1]
+
+
+def _wide_range_rows(n, rows=64):
+    """``rows`` rows of ``n`` values from 1e-300 to 1e300, ±0.0, ±inf and NaN.
+
+    Each row's magnitudes span four decades at a random exponent, and signs
+    are random, so the order of the additions shows in the low bits of the
+    row sums.  Rows 0-8 are the special values: mixed, all ``-0.0``, ``±0.0``,
+    one ``inf`` and one ``NaN``.
+    """
+    rng = np.random.default_rng(n)
+    exponent = rng.uniform(-300.0, 296.0, size=(rows, 1)) + rng.uniform(0.0, 4.0, size=(rows, n))
+    y = np.copysign(10.0**exponent, rng.normal(size=(rows, n)))
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    y[:5] = rng.choice(special, size=(5, n))
+    y[5] = -0.0
+    y[6] = rng.choice([0.0, -0.0], size=n)
+    y[7, rng.integers(n)] = np.inf
+    y[8, rng.integers(n)] = np.nan
+    sprinkled = rng.random((rows, n)) < 0.02
+    sprinkled[:9] = False
+    y[sprinkled] = rng.choice(special, size=sprinkled.sum())
+    return y
+
+
+def _same_sums(a, b):
+    """Bit-equal, except that any NaN equals any NaN: a NaN's sign bit follows
+    the operand order the compiler picked, which NumPy does not define."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and np.array_equal(
+        a[~nan].view(np.uint64), b[~nan].view(np.uint64)
+    )
 
 
 class TestBitExactKernels:
@@ -328,8 +376,49 @@ class TestBitExactKernels:
             new = F.group_norm(x, groups, gamma, beta)
             _assert_same_bits_and_strides(new, _reference_group_norm(x, groups, gamma, beta))
 
+    def test_group_norm_matches_reference_on_every_workload_geometry(
+        self, rng, workload_group_norm_calls
+    ):
+        inputs = workload_group_norm_calls
+        assert {shape[0] for shape, _ in inputs} == {1, 2, 8}
+        # Groups of 2 to 7 channels sum as a running sum, 8 to 12 through
+        # NumPy's eight accumulators.
+        assert {shape[1] // groups for shape, groups in inputs} == {2, 3, 4, 6, 8, 9, 12}
+        for (shape, groups), x in inputs.items():
+            channels = shape[1]
+            affine = (rng.lognormal(size=channels), rng.normal(size=channels))
+            layouts = {"C": np.ascontiguousarray(x), "channels-last": _channels_last(x)}
+            for layout, x_in in layouts.items():
+                for gamma, beta in ((None, None), affine):
+                    new = F.group_norm(x_in, groups, gamma, beta)
+                    ref = _reference_group_norm(x_in, groups, gamma, beta)
+                    case = f"{shape} in {groups} groups, {layout}, affine={gamma is not None}"
+                    _assert_same_bits_and_strides(new, ref, case)
+
+    def test_pairwise_sum_is_numpys_reduction(self):
+        # Up to 256 values: runs longer than 128 split into two halves.
+        with np.errstate(invalid="ignore", over="ignore"):
+            for n in range(1, 257):
+                y = _wide_range_rows(n)
+                assert _same_sums(F._pairwise_sum(y), np.add.reduce(y, axis=-1)), n
+
+    def test_a_running_sum_fails_the_pairwise_oracle(self):
+        """The rows above tell NumPy's eight accumulators from one running sum."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            for n in range(8, 129):
+                y = _wide_range_rows(n)
+                running = y[:, 0] + 0.0
+                for i in range(1, n):
+                    running += y[:, i]
+                assert not _same_sums(running, np.add.reduce(y, axis=-1)), n
+
     def test_sigmoid_and_silu_match_masked_reference(self, rng):
-        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 36.7, -745.2])
+        tiny = np.finfo(np.float64).smallest_subnormal
+        special = np.array(
+            [0.0, -0.0, np.inf, -np.inf, np.nan, 800.0, -800.0, 36.7, -745.2]
+            + [tiny, -tiny, 1e-310, -1e-310, 2.2e-308, -2.2e-308]
+            + [709.0, -709.0, 745.0, -745.0, 709.78, -709.78, 745.13, -745.13]
+        )
         flat = np.concatenate([special, rng.normal(scale=4.0, size=8 * 16 * 4 * 4 - special.size)])
         with np.errstate(invalid="ignore"):
             for x in (special, _channels_last(flat.reshape(8, 16, 4, 4))):

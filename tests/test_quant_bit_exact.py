@@ -162,8 +162,19 @@ def _heavy_tailed(rng, shape):
 NAMED_FORMATS = ["FP32", "FP16", "INT8", "MXINT8", "INT4", "INT4-VSQ", "INT4-FP8S", "UINT4-FP8S"]
 
 #: NCHW activations: 40 channels pad blocks of 32 and of 16, 7 channels pad
-#: blocks of 16, and two shapes are a batch of one.
-ACTIVATION_SHAPES = [(2, 64, 4, 4), (1, 40, 3, 3), (2, 7, 5, 5), (1, 64, 1, 1)]
+#: blocks of 16, and two shapes are a batch of one.  The U-Net's conv inputs
+#: of 3, 16, 24 and 72 channels at 8x16x16 have blocks of 32 wider than the
+#: row (3, 16, 24) and blocks of 16 with a half-block tail (24, 72).
+ACTIVATION_SHAPES = [
+    (2, 64, 4, 4),
+    (1, 40, 3, 3),
+    (2, 7, 5, 5),
+    (1, 64, 1, 1),
+    (8, 3, 16, 16),
+    (8, 16, 16, 16),
+    (8, 24, 16, 16),
+    (8, 72, 16, 16),
+]
 #: Linear-layer activations: (tokens, features).
 LINEAR_SHAPES = [(3, 40), (1, 7), (4, 64)]
 #: Conv and linear weights; 10x7x3x3 flattens to 63, not a block multiple.
