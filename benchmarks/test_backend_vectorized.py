@@ -18,6 +18,7 @@ from conftest import alternating_min_runtimes, run_once
 from repro.accelerator import AcceleratorSimulator, ReferenceBackend, random_workload, sqdm_config
 from repro.analysis.tables import format_table
 from repro.core.bench import BenchWorkload, bench_grid
+from repro.core.columnar import ensure_report
 from repro.core.policy import mixed_precision_policy
 from repro.core.report_cache import ReportCache
 from repro.core.sparsity import trace_to_workloads
@@ -106,7 +107,7 @@ def test_cross_config_sweep_fuses_kernel_calls_and_outruns_per_config(benchmark)
     assert stats.configs_simulated == 16 and stats.traces_simulated == 128
 
     # --- equivalence: every (config, trace) report matches the reference ---
-    for request, report in zip(requests, reports):
+    for request, report in zip(requests, map(ensure_report, reports)):
         ref = AcceleratorSimulator(request.config, backend="reference").run_trace(request.trace)
         assert report.total_cycles == pytest.approx(ref.total_cycles, rel=RTOL)
         assert report.executed_macs == pytest.approx(ref.executed_macs, rel=RTOL)

@@ -26,6 +26,7 @@ from repro.accelerator import (
 )
 from repro.analysis.tables import format_table
 from repro.core.artifacts import ArtifactStore
+from repro.core.columnar import ensure_report
 from repro.core.report_cache import ReportCache
 from repro.serve.scheduler import run_batched
 from repro.serve.specs import SimulateJobSpec
@@ -113,7 +114,7 @@ def test_artifact_store_serves_rerun_without_simulation(tmp_path, benchmark):
 
     assert warm_cache.stats.misses == 0
     assert warm_cache.stats.hit_rate >= 0.9
-    for cold, warm in zip(cold_reports, warm_reports):
+    for cold, warm in zip(map(ensure_report, cold_reports), map(ensure_report, warm_reports)):
         assert warm.total_cycles == cold.total_cycles
         assert warm.total_energy.total_pj == cold.total_energy.total_pj
 

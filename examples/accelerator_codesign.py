@@ -14,8 +14,9 @@ same sweeps would run inline (:class:`~repro.core.execution.InlineExecutor`)
 or on a remote endpoint (:class:`~repro.serve.RemoteEvaluationClient`) by
 swapping that one object.  The organization study
 goes through the batching scheduler (:func:`repro.serve.run_batched`), which
-coalesces the two dense-baseline traces into one cross-trace batched pass
-and caches every report.
+coalesces the two dense-baseline traces into one cross-trace batched pass,
+caches every result as a one-trace columnar batch and hands those back;
+:func:`~repro.core.columnar.ensure_report` turns each into its report.
 
 Usage::
 
@@ -34,6 +35,7 @@ from repro.accelerator import (
     sqdm_config,
 )
 from repro.analysis.tables import format_percentage, format_speedup, format_table
+from repro.core.columnar import ensure_report
 from repro.core.experiments import SweepSpec, run_sweep
 from repro.serve import EvaluationService, SimulateJobSpec, run_batched
 
@@ -63,12 +65,15 @@ def main() -> None:
     fp16_trace = retime_trace_precision(trace, 16, 16)
 
     print("== Organization study: dense baseline vs heterogeneous DPE+SPE ==")
-    fp16_dense, int4_dense, int4_sqdm = run_batched(
-        [
-            SimulateJobSpec(dense_baseline_config(), fp16_trace),
-            SimulateJobSpec(dense_baseline_config(), trace),
-            SimulateJobSpec(sqdm_config(), trace),
-        ]
+    fp16_dense, int4_dense, int4_sqdm = map(
+        ensure_report,
+        run_batched(
+            [
+                SimulateJobSpec(dense_baseline_config(), fp16_trace),
+                SimulateJobSpec(dense_baseline_config(), trace),
+                SimulateJobSpec(sqdm_config(), trace),
+            ]
+        ),
     )
     rows = [
         ["FP16, dense 2xDPE (baseline)", fp16_dense.total_time_ms, format_speedup(1.0), "-"],

@@ -27,7 +27,7 @@ from .memory import (
     WeightMapping,
     compress_channel,
 )
-from .noc import GLOBAL_BUFFER_NODE, InterconnectNetwork, TransferResult
+from .noc import InterconnectNetwork, TransferResult
 from .pe import ChannelGroupResult, ProcessingElement
 from .simulator import (
     AcceleratorSimulator,
@@ -45,7 +45,6 @@ from .workload import ConvLayerWorkload, conv_workload_from_layer, random_worklo
 __all__ = [
     "DEFAULT_BACKEND",
     "DEFAULT_ENERGY_TABLE",
-    "GLOBAL_BUFFER_NODE",
     "AcceleratorConfig",
     "AcceleratorController",
     "AcceleratorSimulator",

@@ -75,7 +75,3 @@ class SparsityAwareAddressGenerator:
     def sparse_plan(self, classification: ChannelClassification) -> FetchPlan:
         """Fetch plan for the sparse channel group (processed by the SPE)."""
         return self._plan_for_channels(classification.sparse_channels)
-
-    def full_plan(self) -> FetchPlan:
-        """Fetch plan covering every channel in natural order (dense baseline)."""
-        return self._plan_for_channels(np.arange(self.activation_mapping.channels))

@@ -1,10 +1,9 @@
 """Vectorized simulation backend: whole-trace evaluation as batched array ops.
 
 The reference backend pays one Python-level ``execute_layer`` call — dozens
-of small NumPy operations, ``EnergyBreakdown`` additions and a networkx
-shortest-path query per PE — for every layer of every time step.  On the
-paper's evaluation traces that per-layer dispatch dominates the entire
-benchmark suite's runtime.
+of small NumPy operations and ``EnergyBreakdown`` additions — for every
+layer of every time step.  On the paper's evaluation traces that per-layer
+dispatch dominates the entire benchmark suite's runtime.
 
 This engine removes it.  A :class:`~repro.accelerator.simulator.WorkloadTrace`
 is flattened into ``(num_entries,)`` scalar arrays (one entry per layer per
@@ -55,9 +54,7 @@ Intentional difference: per-PE :class:`ChannelGroupResult` lists are omitted
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 
 import numpy as np
 
@@ -65,7 +62,7 @@ from ...core.columnar import ColumnarReportBatch
 from ...core.telemetry import COUNT_BUCKETS, get_registry
 from ..config import AcceleratorConfig
 from ..energy import DEFAULT_ENERGY_TABLE, EnergyTable
-from ..noc import InterconnectNetwork
+from ..noc import pe_hops
 from ..workload import ConvLayerWorkload
 
 # Kernel telemetry: how long each batched NumPy pass takes and how it was
@@ -169,39 +166,6 @@ def _front_compact(values: np.ndarray, mask: np.ndarray, counts: np.ndarray) -> 
     packed = np.zeros(values.shape, dtype=values.dtype)
     packed[np.arange(values.shape[1]) < counts[:, None]] = values[mask]
     return packed
-
-
-#: Hop-count memo keyed by PE-array shape: the chain-of-routers topology (and
-#: hence every GLB->PE hop count) is fully determined by (num_dpe, num_spe),
-#: so sweeps over other knobs skip the networkx graph build entirely.  LRU
-#: with a small cap so adversarial many-shape sweeps can't grow it without
-#: bound; the lock only guards the OrderedDict bookkeeping — the networkx
-#: build runs outside it, and a racing double-compute stores equal values.
-_HOPS_CACHE: "OrderedDict[tuple[int, int], np.ndarray]" = OrderedDict()
-_HOPS_CACHE_MAX = 32
-_HOPS_CACHE_LOCK = threading.Lock()
-
-
-def _config_hops(config: AcceleratorConfig, energy_table: EnergyTable) -> np.ndarray:
-    """Hop counts per PE in controller dispatch order (DPEs then SPEs)."""
-    shape = (config.num_dpe, config.num_spe)
-    with _HOPS_CACHE_LOCK:
-        cached = _HOPS_CACHE.get(shape)
-        if cached is not None:
-            _HOPS_CACHE.move_to_end(shape)
-            return cached
-    noc = InterconnectNetwork(config, energy_table)
-    pe_order = [f"dpe{i}" for i in range(config.num_dpe)] + [
-        f"spe{i}" for i in range(config.num_spe)
-    ]
-    hops = np.array([noc.hops_to(name) for name in pe_order], dtype=np.float64)
-    hops.setflags(write=False)
-    with _HOPS_CACHE_LOCK:
-        cached = _HOPS_CACHE.setdefault(shape, hops)
-        _HOPS_CACHE.move_to_end(shape)
-        while len(_HOPS_CACHE) > _HOPS_CACHE_MAX:
-            _HOPS_CACHE.popitem(last=False)
-    return cached
 
 
 def _segment_sums(rows: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -384,7 +348,7 @@ def _run_config_traces_impl(
     # config's real PE count (where the padded traffic is zero anyway).
     hops_c = np.zeros((len(configs), max_dpe + max_spe), dtype=np.float64)
     for config_idx, config in enumerate(configs):
-        hops = _config_hops(config, table)
+        hops = pe_hops(np.arange(config.num_dpe + config.num_spe))
         hops_c[config_idx, : config.num_dpe] = hops[: config.num_dpe]
         hops_c[config_idx, max_dpe : max_dpe + config.num_spe] = hops[config.num_dpe :]
 

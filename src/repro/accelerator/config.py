@@ -74,42 +74,6 @@ class AcceleratorConfig:
         if self.sparsity_update_period < 1:
             raise ValueError("sparsity_update_period must be >= 1")
 
-    @property
-    def total_pes(self) -> int:
-        return self.num_dpe + self.num_spe
-
-    def with_update_period(self, period: int) -> "AcceleratorConfig":
-        """Copy of this config with a different sparsity update period."""
-        return AcceleratorConfig(
-            name=self.name,
-            num_dpe=self.num_dpe,
-            num_spe=self.num_spe,
-            pe=self.pe,
-            clock_ghz=self.clock_ghz,
-            technology_nm=self.technology_nm,
-            global_buffer_kib=self.global_buffer_kib,
-            dram_bandwidth_gbps=self.dram_bandwidth_gbps,
-            noc_bandwidth_bytes_per_cycle=self.noc_bandwidth_bytes_per_cycle,
-            sparsity_threshold=self.sparsity_threshold,
-            sparsity_update_period=period,
-        )
-
-    def with_threshold(self, threshold: float) -> "AcceleratorConfig":
-        """Copy of this config with a different dense/sparse channel threshold."""
-        return AcceleratorConfig(
-            name=self.name,
-            num_dpe=self.num_dpe,
-            num_spe=self.num_spe,
-            pe=self.pe,
-            clock_ghz=self.clock_ghz,
-            technology_nm=self.technology_nm,
-            global_buffer_kib=self.global_buffer_kib,
-            dram_bandwidth_gbps=self.dram_bandwidth_gbps,
-            noc_bandwidth_bytes_per_cycle=self.noc_bandwidth_bytes_per_cycle,
-            sparsity_threshold=threshold,
-            sparsity_update_period=self.sparsity_update_period,
-        )
-
 
 def sqdm_config(**overrides) -> AcceleratorConfig:
     """The paper's heterogeneous configuration: 1 DPE + 1 SPE, 128 multipliers each."""

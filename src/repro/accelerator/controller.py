@@ -39,12 +39,6 @@ class LayerExecutionResult:
     sparse_cycles: float = 0.0
 
     @property
-    def skipped_fraction(self) -> float:
-        if self.total_macs == 0:
-            return 0.0
-        return 1.0 - self.executed_macs / self.total_macs
-
-    @property
     def load_imbalance(self) -> float:
         """Relative idle time of the less-loaded PE class (0 = perfectly balanced)."""
         longest = max(self.dense_cycles, self.sparse_cycles)

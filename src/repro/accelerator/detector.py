@@ -144,7 +144,3 @@ class TemporalSparsityDetector:
             sparsity=np.asarray(channel_sparsity, dtype=np.float64),
             threshold=self.threshold,
         )
-
-    def classification_for(self, layer_name: str) -> ChannelClassification | None:
-        """The most recent classification for a layer, if any."""
-        return self._classifications.get(layer_name)

@@ -170,7 +170,3 @@ class GlobalBuffer:
     def reset(self) -> None:
         self.bytes_read = 0.0
         self.bytes_written = 0.0
-
-    @property
-    def total_traffic_bytes(self) -> float:
-        return self.bytes_read + self.bytes_written

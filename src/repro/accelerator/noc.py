@@ -1,10 +1,11 @@
 """Interconnection network between the global buffer and the PEs (Fig. 9).
 
-The accelerator connects the global buffer to the D/S PE array through
-configurable routers.  For the small PE counts the paper evaluates (one DPE
-plus one SPE, or two DPEs for the baseline) a simple chain/star topology is
-sufficient; the model is built on :mod:`networkx` so larger scaled-out
-configurations can be explored, and charges per-hop energy and a
+The accelerator connects the global buffer to the D/S PE array through a
+chain of configurable routers, one per PE: the global buffer feeds router 0,
+each router feeds the next, and PE *i* (DPEs first, then SPEs, the order the
+controller dispatches them in) hangs off router *i*.  The only quantity the
+model takes from that topology is the hop count, which is therefore a closed
+form (:func:`pe_hops`); the network charges per-hop energy and a
 bandwidth-limited transfer latency.
 """
 
@@ -12,12 +13,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .config import AcceleratorConfig
 from .energy import EnergyTable
 
-GLOBAL_BUFFER_NODE = "glb"
+
+def pe_hops(pe_index):
+    """Router hops between the global buffer and PE ``pe_index``: *i* + 2.
+
+    One hop from the global buffer to router 0, *i* hops along the router
+    chain to router *i*, and one hop from that router to its PE.  Takes an
+    integer or an integer array of PE indices.
+    """
+    return pe_index + 2
 
 
 @dataclass(slots=True)
@@ -36,58 +43,18 @@ class InterconnectNetwork:
     def __init__(self, config: AcceleratorConfig, energy_table: EnergyTable):
         self.config = config
         self.energy_table = energy_table
-        self.graph = self._build_topology(config)
-
-    @staticmethod
-    def _build_topology(config: AcceleratorConfig) -> nx.Graph:
-        """Star-of-routers topology: GLB -> router column -> PEs.
-
-        Each PE hangs off its own router; routers form a chain attached to
-        the global buffer, mirroring the row of configurable routers (R) in
-        Fig. 9.
-        """
-        graph = nx.Graph()
-        graph.add_node(GLOBAL_BUFFER_NODE, kind="buffer")
-        previous = GLOBAL_BUFFER_NODE
         pe_names = [f"dpe{i}" for i in range(config.num_dpe)] + [
             f"spe{i}" for i in range(config.num_spe)
         ]
-        for index, pe_name in enumerate(pe_names):
-            router = f"router{index}"
-            graph.add_node(router, kind="router")
-            graph.add_edge(previous, router)
-            graph.add_node(pe_name, kind="pe")
-            graph.add_edge(router, pe_name)
-            previous = router
-        return graph
-
-    def pe_nodes(self) -> list[str]:
-        return [n for n, data in self.graph.nodes(data=True) if data.get("kind") == "pe"]
-
-    def hops_to(self, pe_name: str) -> int:
-        """Number of router hops between the global buffer and a PE."""
-        if pe_name not in self.graph:
-            raise KeyError(f"unknown PE {pe_name!r}; available: {self.pe_nodes()}")
-        return nx.shortest_path_length(self.graph, GLOBAL_BUFFER_NODE, pe_name)
+        self._pe_index = {name: index for index, name in enumerate(pe_names)}
 
     def transfer(self, pe_name: str, num_bytes: float) -> TransferResult:
         """Move ``num_bytes`` between the global buffer and ``pe_name``."""
         if num_bytes < 0:
             raise ValueError("cannot transfer a negative number of bytes")
-        hops = self.hops_to(pe_name)
+        if pe_name not in self._pe_index:
+            raise KeyError(f"unknown PE {pe_name!r}; available: {list(self._pe_index)}")
+        hops = pe_hops(self._pe_index[pe_name])
         cycles = num_bytes / self.config.noc_bandwidth_bytes_per_cycle
         energy = num_bytes * hops * self.energy_table.noc_pj_per_byte_hop
         return TransferResult(cycles=cycles, energy_pj=energy, hops=hops, bytes_moved=num_bytes)
-
-    def broadcast(self, num_bytes: float) -> TransferResult:
-        """Broadcast the same data (e.g. shared weights) to every PE."""
-        results = [self.transfer(pe, num_bytes) for pe in self.pe_nodes()]
-        total_energy = sum(r.energy_pj for r in results)
-        max_cycles = max((r.cycles for r in results), default=0.0)
-        max_hops = max((r.hops for r in results), default=0)
-        return TransferResult(
-            cycles=max_cycles,
-            energy_pj=total_energy,
-            hops=max_hops,
-            bytes_moved=num_bytes * len(results),
-        )

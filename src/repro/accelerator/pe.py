@@ -117,14 +117,3 @@ class ProcessingElement:
         """Charge the PPU's temporal sparsity detector for scanning the output channels."""
         detector_energy = workload.out_channels * self.energy_table.detector_pj_per_channel
         return result.energy + EnergyBreakdown(detector_pj=detector_energy)
-
-    def buffer_fits(self, workload: ConvLayerWorkload, channels: np.ndarray) -> bool:
-        """Check whether the channel group's working set fits in the PE buffers."""
-        channels = np.asarray(channels, dtype=np.int64)
-        mask = np.zeros(workload.in_channels, dtype=bool)
-        mask[channels] = True
-        input_bytes = workload.input_bytes(dense_only=self.mode == "dense", channel_mask=mask)
-        weight_bytes = workload.weight_bytes() * (channels.size / max(workload.in_channels, 1))
-        fits_input = input_bytes <= self.config.input_buffer_kib * 1024
-        fits_weight = weight_bytes <= self.config.weight_buffer_kib * 1024
-        return fits_input and fits_weight

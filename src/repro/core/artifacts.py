@@ -390,9 +390,6 @@ class ArtifactStore:
         except Exception:  # noqa: BLE001 - any undecodable payload is corruption
             return None, "corrupt"
 
-    def contains(self, kind: str, key: str) -> bool:
-        return self.path_for(kind, key).exists()
-
     # -- last-use metadata ------------------------------------------------------
 
     @staticmethod

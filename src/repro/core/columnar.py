@@ -639,9 +639,9 @@ ARRAY_FIELDS = (
 def ensure_report(result: Any) -> Any:
     """Materialize a single-trace columnar batch; pass reports through.
 
-    The one seam where lazily held results become objects: job sinks, sweep
-    views and cache lookups all funnel through here, and the batch's memo
-    guarantees the construction happens at most once per (config, trace).
+    The one seam where a cache entry becomes a report object (a simulate
+    job's result is one); the batch's memo guarantees the construction
+    happens at most once per (config, trace).
     """
     if isinstance(result, ColumnarReportBatch):
         if result.num_traces != 1:

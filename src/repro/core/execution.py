@@ -388,9 +388,9 @@ class InlineExecutor(Executor):
             from ..serve.scheduler import run_batched
 
             try:
-                # Raw (possibly columnar) entries: sweep results stay lazy,
-                # simulate results materialize their one report.
-                reports = run_batched(requests, cache=self.cache, materialize=False)
+                # Sweep results stay columnar; simulate results materialize
+                # their one report.
+                reports = run_batched(requests, cache=self.cache)
             # repro: allow[REP009] error is recorded on every affected handle below
             except Exception as exc:  # noqa: BLE001 - recorded per handle below
                 simulation_error = exc

@@ -86,14 +86,6 @@ class QuantizationPolicy:
             return 16, 16
         return assignment.weight_bits, assignment.act_bits
 
-    def average_bits(self) -> tuple[float, float]:
-        """Unweighted average (weight, activation) bits across assigned layers."""
-        if not self.assignments:
-            return 16.0, 16.0
-        weight = sum(a.weight_bits for a in self.assignments.values()) / len(self.assignments)
-        act = sum(a.act_bits for a in self.assignments.values()) / len(self.assignments)
-        return weight, act
-
 
 def sensitive_block_names(model: EDMUNet, num_boundary_blocks: int = 1) -> set[str]:
     """Blocks kept at 8-bit: the first and last ``num_boundary_blocks`` blocks.

@@ -13,8 +13,11 @@ tiers:
    second process re-running the same sweep — another worker, a CI job, a
    fresh CLI invocation — loads reports from disk instead of re-simulating.
 
-Reports returned from the cache are shared objects: treat them as read-only,
-as all existing analysis code already does.  The cache never simulates:
+Every entry is a single-trace
+:class:`~repro.core.columnar.ColumnarReportBatch` (one cache key is one
+trace), in memory and on disk alike; a reader that wants the report object
+calls :func:`~repro.core.columnar.ensure_report` on it.  Entries are shared
+objects: treat them as read-only.  The cache never simulates:
 :func:`~repro.serve.scheduler.run_batched` is the one path from a cache miss
 to the simulator.
 """
@@ -30,9 +33,9 @@ import numpy as np
 
 from ..accelerator.config import AcceleratorConfig
 from ..accelerator.energy import DEFAULT_ENERGY_TABLE, EnergyTable
-from ..accelerator.simulator import SimulationReport, WorkloadTrace
+from ..accelerator.simulator import WorkloadTrace
 from .artifacts import ArtifactStore, default_artifact_store
-from .columnar import ColumnarReportBatch, ensure_report
+from .columnar import ColumnarReportBatch
 from .telemetry import get_registry
 
 # Process-wide tier counters (flat, not labeled, so the CI reconcile step and
@@ -150,6 +153,14 @@ def memoized_fingerprint_trace(trace: WorkloadTrace) -> str:
     return digest
 
 
+def is_cache_entry(obj: object) -> bool:
+    """Whether ``obj`` can be a report-cache entry: a single-trace
+    :class:`~repro.core.columnar.ColumnarReportBatch`, the form every
+    simulation path produces.  A persisted artifact that is anything else
+    reads as a miss."""
+    return isinstance(obj, ColumnarReportBatch) and obj.num_traces == 1
+
+
 def artifact_key_for(key: CacheKey) -> str:
     """Content-address of one cache key in the persistent artifact store."""
     return ArtifactStore.key_for(*key)
@@ -178,7 +189,7 @@ class CacheStats:
 
 
 class ReportCache:
-    """Two-tier LRU cache of simulation reports keyed by input fingerprints.
+    """Two-tier LRU cache of single-trace report batches keyed by input fingerprints.
 
     Parameters
     ----------
@@ -200,9 +211,7 @@ class ReportCache:
         self.max_entries = max_entries
         self.stats = CacheStats()
         self._store_spec = store
-        self._entries: "OrderedDict[CacheKey, SimulationReport | ColumnarReportBatch]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[CacheKey, ColumnarReportBatch]" = OrderedDict()
         self._lock = threading.Lock()
 
     def __len__(self) -> int:
@@ -240,74 +249,56 @@ class ReportCache:
 
     # -- tier plumbing ---------------------------------------------------------
 
-    @staticmethod
-    def _acceptable(obj: object) -> bool:
-        """Is a decoded artifact a valid cache entry?  Reports always; columnar
-        batches only in single-trace form (one cache key is one trace)."""
-        if isinstance(obj, SimulationReport):
-            return True
-        return isinstance(obj, ColumnarReportBatch) and obj.num_traces == 1
-
-    def lookup_key(self, key: CacheKey, *, materialize: bool = True):
+    def lookup_key(self, key: CacheKey) -> ColumnarReportBatch | None:
         """Two-tier lookup by precomputed key; None (and a counted miss) if absent.
 
-        A disk hit is promoted into the in-memory tier so subsequent lookups
-        in this process stay off the filesystem.  Entries are stored in
-        whatever form they were computed — eager ``SimulationReport`` or
-        single-trace ``ColumnarReportBatch``.  With ``materialize=True`` (the
-        default) a columnar hit is returned as its materialized report (the
-        batch memoizes it, so the object tax is paid once per key no matter
-        how many lookups follow); ``materialize=False`` returns the raw entry
-        for callers that keep results columnar, e.g. sweep aggregation and
-        the worker wire.
+        Returns the single-trace batch stored under ``key``.  A disk hit is
+        promoted into the in-memory tier so subsequent lookups in this
+        process stay off the filesystem; an artifact that is not a
+        single-trace batch is a miss, which the next :meth:`insert_key`
+        overwrites.
         """
-        hit = None
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 _MEMORY_HITS.inc()
-                hit = cached
-        if hit is None:
-            store = self.store
-            if store is not None:
-                report = store.get(REPORT_ARTIFACT_KIND, artifact_key_for(key))
-                if self._acceptable(report):
-                    with self._lock:
-                        self.stats.disk_hits += 1
-                        _DISK_HITS.inc()
-                        hit = self._insert_memory(key, report)
-        if hit is not None:
-            return ensure_report(hit) if materialize else hit
+                return cached
+        store = self.store
+        if store is not None:
+            batch = store.get(REPORT_ARTIFACT_KIND, artifact_key_for(key))
+            if is_cache_entry(batch):
+                with self._lock:
+                    self.stats.disk_hits += 1
+                    _DISK_HITS.inc()
+                    return self._insert_memory(key, batch)
         with self._lock:
             self.stats.misses += 1
             _MISSES.inc()
         return None
 
-    def insert_key(self, key: CacheKey, report):
-        """Insert a computed result into both tiers; first writer wins in memory.
+    def insert_key(self, key: CacheKey, batch: ColumnarReportBatch) -> ColumnarReportBatch:
+        """Insert a single-trace batch into both tiers; first writer wins in memory.
 
-        ``report`` may be an eager ``SimulationReport`` or a single-trace
-        ``ColumnarReportBatch``; the stored (and returned) entry keeps that
-        form.
+        The artifact is written even when a file is already there: a key
+        reaches :meth:`insert_key` only after a lookup missed, so that file
+        is one the lookup could not use.
         """
-        if not self._acceptable(report):
+        if not is_cache_entry(batch):
             raise TypeError(
-                "cache entries must be SimulationReport or single-trace "
-                f"ColumnarReportBatch, got {type(report).__name__}"
+                "cache entries must be single-trace ColumnarReportBatch, "
+                f"got {type(batch).__name__}"
             )
         store = self.store
         if store is not None:
-            artifact_key = artifact_key_for(key)
-            if not store.contains(REPORT_ARTIFACT_KIND, artifact_key):
-                store.put(REPORT_ARTIFACT_KIND, artifact_key, report)
+            store.put(REPORT_ARTIFACT_KIND, artifact_key_for(key), batch)
         with self._lock:
-            return self._insert_memory(key, report)
+            return self._insert_memory(key, batch)
 
-    def _insert_memory(self, key: CacheKey, report):
+    def _insert_memory(self, key: CacheKey, batch: ColumnarReportBatch) -> ColumnarReportBatch:
         """Insert under the held lock, evicting LRU entries beyond capacity."""
-        self._entries.setdefault(key, report)
+        self._entries.setdefault(key, batch)
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)

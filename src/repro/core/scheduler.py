@@ -20,7 +20,7 @@ by real model traces or by synthetic ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,7 +71,7 @@ def analyze_threshold(
 
     points = []
     for threshold in thresholds:
-        config = base_config.with_threshold(float(threshold))
+        config = replace(base_config, sparsity_threshold=float(threshold))
         report = AcceleratorSimulator(config).run_trace(trace)
         sparse_fractions = []
         sparse_sparsities = []
@@ -124,7 +124,7 @@ def analyze_update_period(
 
     points = []
     for period in periods:
-        config = base_config.with_update_period(int(period))
+        config = replace(base_config, sparsity_update_period=int(period))
         report = AcceleratorSimulator(config).run_trace(trace)
         points.append(
             UpdatePeriodPoint(

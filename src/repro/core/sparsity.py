@@ -75,14 +75,6 @@ class TemporalSparsityTrace:
         values = [float(np.mean(s)) for step in self.steps for s in step.values()]
         return float(np.mean(values)) if values else 0.0
 
-    def per_layer_average(self) -> dict[str, float]:
-        """Average sparsity per layer across time steps."""
-        result: dict[str, float] = {}
-        for layer in self.layers:
-            values = [float(np.mean(step[layer.name])) for step in self.steps]
-            result[layer.name] = float(np.mean(values)) if values else 0.0
-        return result
-
     def channel_switch_rate(self, layer_name: str, threshold: float = 0.30) -> float:
         """Fraction of channels whose dense/sparse classification changes per step.
 

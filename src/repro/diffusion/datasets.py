@@ -151,11 +151,6 @@ class SyntheticImageDataset:
         rng = np.random.default_rng(seed)
         return self.prior.sample(num_samples, rng)
 
-    def reference_labels(self, num_samples: int, seed: int = 0) -> np.ndarray:
-        """One-hot class labels matched to ``reference_samples`` draws."""
-        rng = np.random.default_rng(seed)
-        return self.prior.sample_labels(num_samples, rng)
-
 
 def load_dataset(
     name: str, paper_resolution: bool = False, resolution: int | None = None

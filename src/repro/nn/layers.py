@@ -77,10 +77,6 @@ class Module:
                     params[f"{mod_name}.{key}"] = value
         return params
 
-    def parameter_count(self) -> int:
-        """Total number of scalar parameters in this module tree."""
-        return int(sum(p.size for p in self.parameters().values()))
-
     # -- instrumentation ----------------------------------------------------
 
     def set_recording(self, enabled: bool) -> None:

@@ -47,6 +47,7 @@ from enum import Enum
 from typing import Any, Callable, Sequence
 
 from ..core import codec, telemetry
+from ..core.report_cache import is_cache_entry
 from .jobs import mark_per_job
 from .specs import SimulateJobSpec
 
@@ -443,7 +444,9 @@ class WorkerFleet:
         by ``worker_id``.  A completion after expiry/requeue (or a duplicate)
         returns False and delivers nothing — the retry owns the result now.
         Simulation ``error`` strings fail the underlying jobs immediately;
-        deterministic failures do not benefit from a requeue.
+        deterministic failures do not benefit from a requeue.  A result that
+        is not one report-cache entry per request raises :class:`ValueError`
+        before anything changes, so the worker keeps its lease.
         """
         with self._lock:
             self._worker_locked(worker_id)  # unknown workers may not complete
@@ -456,12 +459,19 @@ class WorkerFleet:
                 self.completions_rejected += 1
                 task = None  # the rejected-metric inc happens outside the lock
             else:
-                if error is None and (reports is None or len(reports) != len(task.live_requests)):
-                    raise ValueError(
-                        f"task {task_id} completion carries "
-                        f"{0 if reports is None else len(reports)} "
-                        f"reports for {len(task.live_requests)} requests"
-                    )
+                if error is None:
+                    if reports is None or len(reports) != len(task.live_requests):
+                        raise ValueError(
+                            f"task {task_id} completion carries "
+                            f"{0 if reports is None else len(reports)} "
+                            f"reports for {len(task.live_requests)} requests"
+                        )
+                    for report in reports:
+                        if not is_cache_entry(report):
+                            raise ValueError(
+                                f"task {task_id} completion carries "
+                                f"{type(report).__name__}, not a single-trace report batch"
+                            )
                 task.state = TaskState.DONE
                 del self._tasks[task.id]
                 worker = self._workers.get(worker_id)

@@ -23,8 +23,8 @@ into kernel calls (the service exposes this as ``service_stats()`` ->
 
 from __future__ import annotations
 
-from ..accelerator.simulator import AcceleratorSimulator, SimulationReport
-from ..core.columnar import ensure_report
+from ..accelerator.simulator import AcceleratorSimulator
+from ..core.columnar import ColumnarReportBatch
 from ..core.report_cache import DEFAULT_REPORT_CACHE, CacheKey, ReportCache
 from ..core.telemetry import MetricsRegistry, get_registry
 from .specs import SimulateJobSpec
@@ -129,27 +129,21 @@ def run_batched(
     requests: list[SimulateJobSpec],
     cache: ReportCache | None = None,
     stats: BatchStats | None = None,
-    materialize: bool = True,
-) -> list[SimulationReport]:
+) -> list[ColumnarReportBatch]:
     """Serve simulation requests through the cache, batching the misses.
 
-    Returns one result per request, in request order.  Every unique key costs
-    at most one cache lookup and (on a miss) exactly one simulated trace;
-    misses sharing an energy table and backend run as a single
-    :meth:`AcceleratorSimulator.run` call over their (config x trace) grid.
-
-    The call returns one :class:`~repro.core.columnar.ColumnarReportBatch`
-    for the whole group, which is sliced (pure array copies, no objects)
-    into per-key single-trace batches for the cache.  With
-    ``materialize=True`` (the default) every returned result is a
-    :class:`SimulationReport`; ``materialize=False`` returns raw cache
-    entries — single-trace batches, or reports read from older artifacts —
-    for callers that keep sweep results columnar until someone indexes a
-    specific report.
+    Returns one single-trace :class:`~repro.core.columnar.ColumnarReportBatch`
+    per request, in request order: the cache's own entry, shared rather than
+    copied (:func:`~repro.core.columnar.ensure_report` turns one into its
+    report).  Every unique key costs at most one cache lookup and (on a
+    miss) exactly one simulated trace; misses sharing an energy table and
+    backend run as a single :meth:`AcceleratorSimulator.run` call over
+    their (config x trace) grid, whose batch is sliced (pure array copies,
+    no objects) into the per-key entries.
     """
     # Explicit None check: an empty ReportCache is falsy (it has __len__).
     cache = DEFAULT_REPORT_CACHE if cache is None else cache
-    results: dict[CacheKey, object] = {}
+    results: dict[CacheKey, ColumnarReportBatch] = {}
 
     pending: list[SimulateJobSpec] = []
     seen_pending: set[CacheKey] = set()
@@ -157,7 +151,7 @@ def run_batched(
         key = request.key()
         if key in results or key in seen_pending:
             continue
-        cached = cache.lookup_key(key, materialize=False)
+        cached = cache.lookup_key(key)
         if cached is not None:
             results[key] = cached
         else:
@@ -181,6 +175,4 @@ def run_batched(
         for flat, request in enumerate(ordered):
             results[request.key()] = cache.insert_key(request.key(), batch.slice_trace(flat))
 
-    if materialize:
-        return [ensure_report(results[request.key()]) for request in requests]
     return [results[request.key()] for request in requests]

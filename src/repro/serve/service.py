@@ -555,7 +555,7 @@ class EvaluationService(Executor):
         miss_sinks: dict[int, Any] = {}
         misses: list[SimulateJobSpec] = []
         for sink, request in zip(sinks, requests):
-            cached = self.cache.lookup_key(request.key(), materialize=False)
+            cached = self.cache.lookup_key(request.key())
             if cached is not None:
                 live = sink.claim()
                 self._finish_group([sink if live else None], [request], reports=[cached])
@@ -596,9 +596,7 @@ class EvaluationService(Executor):
         mark_per_job(live_sinks, "kernel", batch=len(live_requests))
         try:
             with telemetry.span("scheduler.batch", requests=len(live_requests)):
-                reports = run_batched(
-                    live_requests, cache=self.cache, stats=self.batch_stats, materialize=False
-                )
+                reports = run_batched(live_requests, cache=self.cache, stats=self.batch_stats)
         except Exception as exc:  # noqa: BLE001 - a bad group fails its own jobs only
             self._finish_group(live_sinks, live_requests, error=exc)
             return

@@ -46,7 +46,6 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Any, Callable, Mapping
 
 from ..accelerator.backends import resolve_backend_name
@@ -394,19 +393,9 @@ class SweepJobSpec:
         return SweepJobResult(
             name=self.name,
             params=self.cases(),
-            parts=[_one_trace_batch(report) for report in reports],
+            parts=reports,
             has_baseline=self.baseline is not None,
         )
-
-
-def _one_trace_batch(result: Any) -> ColumnarReportBatch:
-    """A planned request's result as a one-trace batch: a cache slice as it
-    is (shared, not copied), an eager report read from an older artifact
-    packed with :meth:`~repro.core.columnar.ColumnarReportBatch.from_reports`."""
-    if isinstance(result, ColumnarReportBatch):
-        return result
-    config = SimpleNamespace(name=result.config_name, clock_ghz=result.clock_ghz)
-    return ColumnarReportBatch.from_reports([(config, [result])])
 
 
 class SweepJobResult:

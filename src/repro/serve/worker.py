@@ -238,9 +238,9 @@ class WorkerRuntime:
                     raise TypeError(
                         f"fleet tasks carry simulate specs, got {type(request).__name__}"
                     )
-            # Ship raw results: a columnar slice crosses the wire as one
-            # columnar_report_batch envelope instead of a report object tree.
-            results = run_batched(requests, cache=self._cache, materialize=False)
+            # A columnar slice crosses the wire as one columnar_report_batch
+            # envelope instead of a report object tree.
+            results = run_batched(requests, cache=self._cache)
             encoded = [codec.encode(result) for result in results]
         except Exception as exc:  # noqa: BLE001 - reported to the server, not fatal here
             self.tasks_failed += 1

@@ -123,11 +123,6 @@ class Workload:
     def image_shape(self) -> tuple[int, int, int]:
         return self.dataset.image_shape
 
-    def rebuild_denoiser(self) -> EDMDenoiser:
-        """Re-wrap the (possibly replaced) U-Net in a fresh hybrid denoiser."""
-        self.denoiser = EDMDenoiser(self.unet, prior=self.dataset.prior)
-        return self.denoiser
-
 
 def _block_boundary_weight(order: int, total: int, strength: float) -> float:
     """Outlier-strength multiplier per block: large at both ends, ~1 in the middle.

@@ -45,15 +45,6 @@ class TestConfig:
         assert cfg.sparsity_threshold == pytest.approx(0.30)
         assert cfg.sparsity_update_period == 1
 
-    def test_total_pes(self):
-        assert sqdm_config().total_pes == 2
-
-    def test_with_threshold_and_period_copies(self):
-        cfg = sqdm_config()
-        assert cfg.with_threshold(0.5).sparsity_threshold == 0.5
-        assert cfg.with_update_period(4).sparsity_update_period == 4
-        assert cfg.sparsity_threshold == 0.30  # original unchanged
-
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
             AcceleratorConfig(num_dpe=0, num_spe=0)
@@ -165,10 +156,10 @@ class TestMemoryMapping:
         buffer = GlobalBuffer(capacity_kib=1)
         buffer.read(100.0)
         buffer.write(50.0)
-        assert buffer.total_traffic_bytes == 150.0
+        assert (buffer.bytes_read, buffer.bytes_written) == (100.0, 50.0)
         assert buffer.fits(1024) and not buffer.fits(2048)
         buffer.reset()
-        assert buffer.total_traffic_bytes == 0.0
+        assert (buffer.bytes_read, buffer.bytes_written) == (0.0, 0.0)
         with pytest.raises(ValueError):
             buffer.read(-1)
 
@@ -231,7 +222,9 @@ class TestDetector:
         detector.observe("layer", 0, np.array([0.5]))
         detector.reset()
         assert detector.updates_performed == 0
-        assert detector.classification_for("layer") is None
+        # The reset detector holds no classification, so even the step it
+        # last classified at refreshes.
+        assert detector.should_update("layer", 0)
 
     def test_detector_invalid_params(self):
         with pytest.raises(ValueError):
@@ -321,22 +314,18 @@ class TestAddressGenAndNoC:
         assert dense_plan.is_contiguous_per_channel()
         assert sparse_plan.activation_elements() == sparse_plan.num_channels * 16
 
-    def test_full_plan_covers_everything(self):
-        gen = SparsityAwareAddressGenerator(ActivationMapping(4, 2, 2), WeightMapping(3, 4, 1, 1))
-        plan = gen.full_plan()
-        assert plan.num_channels == 4
-        assert plan.weight_elements() == 3 * 4
-
     def test_mismatched_mappings_rejected(self):
         with pytest.raises(ValueError):
             SparsityAwareAddressGenerator(ActivationMapping(4, 2, 2), WeightMapping(3, 5, 1, 1))
 
     def test_noc_topology_and_hops(self):
         noc = InterconnectNetwork(sqdm_config(), DEFAULT_ENERGY_TABLE)
-        assert set(noc.pe_nodes()) == {"dpe0", "spe0"}
-        assert noc.hops_to("dpe0") >= 1
+        assert noc.transfer("dpe0", 64).hops == 2
+        assert noc.transfer("spe0", 64).hops == 3
         with pytest.raises(KeyError):
-            noc.hops_to("gpu0")
+            noc.transfer("gpu0", 64)
+        with pytest.raises(KeyError):
+            noc.transfer("spe1", 64)  # one SPE only
 
     def test_noc_transfer_scales_with_bytes(self):
         noc = InterconnectNetwork(sqdm_config(), DEFAULT_ENERGY_TABLE)
@@ -346,11 +335,6 @@ class TestAddressGenAndNoC:
         assert large.energy_pj > small.energy_pj
         with pytest.raises(ValueError):
             noc.transfer("dpe0", -5)
-
-    def test_noc_broadcast(self):
-        noc = InterconnectNetwork(sqdm_config(), DEFAULT_ENERGY_TABLE)
-        result = noc.broadcast(128)
-        assert result.bytes_moved == 256
 
 
 class TestProcessingElement:
@@ -385,10 +369,3 @@ class TestProcessingElement:
         pe = ProcessingElement("dpe0", "dense", PEConfig(), DEFAULT_ENERGY_TABLE)
         result = pe.process_channel_group(workload, np.arange(8))
         assert result.energy.detector_pj > 0
-
-    def test_buffer_fits_check(self):
-        small = random_workload(in_channels=8, out_channels=8, spatial=4, seed=6)
-        huge = random_workload(in_channels=512, out_channels=512, spatial=64, seed=7)
-        pe = ProcessingElement("dpe0", "dense", PEConfig(), DEFAULT_ENERGY_TABLE)
-        assert pe.buffer_fits(small, np.arange(8))
-        assert not pe.buffer_fits(huge, np.arange(512))

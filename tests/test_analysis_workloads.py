@@ -62,10 +62,6 @@ class TestWorkloads:
         middle = outlier_strength(infos[len(infos) // 2].block)
         assert first > middle
 
-    def test_rebuild_denoiser(self, cifar_workload):
-        new = cifar_workload.rebuild_denoiser()
-        assert new is cifar_workload.denoiser
-
     def test_models_are_deterministic(self):
         a = load_workload("cifar10", resolution=8).unet.parameters()
         b = load_workload("cifar10", resolution=8).unet.parameters()

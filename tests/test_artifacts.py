@@ -23,6 +23,7 @@ from repro.core.artifacts import (
     artifact_store_at,
     default_artifact_store,
 )
+from repro.core.columnar import ensure_report
 from repro.core.report_cache import ReportCache
 from repro.serve.scheduler import run_batched
 from repro.serve.specs import SimulateJobSpec
@@ -40,7 +41,7 @@ def write_legacy_artifact(store: ArtifactStore, kind: str, key: str, obj) -> Non
 def cached_run(cache: ReportCache, config, trace):
     """One simulation through the cache: the scheduler is the only path to the
     simulator."""
-    return run_batched([SimulateJobSpec(config, trace)], cache=cache)[0]
+    return ensure_report(run_batched([SimulateJobSpec(config, trace)], cache=cache)[0])
 
 
 @pytest.fixture()
@@ -198,8 +199,8 @@ class TestMetadataLRU:
 
         per_artifact = store.total_bytes() // 2
         store.evict(max_bytes=per_artifact + per_artifact // 2)
-        assert not store.contains("report", old_key)
-        assert store.contains("report", new_key)
+        assert not store.path_for("report", old_key).exists()
+        assert store.path_for("report", new_key).exists()
 
     def test_get_refreshes_metadata_stamp(self, store):
         key = ArtifactStore.key_for("refreshed")
@@ -253,8 +254,8 @@ class TestEviction:
         assert store.total_bytes() <= cap
         assert result.remaining_bytes == store.total_bytes()
         # the oldest artifacts went first; the newest are still here
-        assert not store.contains("report", keys[0])
-        assert store.contains("report", keys[-1])
+        assert not store.path_for("report", keys[0]).exists()
+        assert store.path_for("report", keys[-1]).exists()
         assert store.stats.evicted == result.removed
         assert store.stats.evicted_bytes == result.reclaimed_bytes
 
@@ -264,8 +265,8 @@ class TestEviction:
         assert store.get("report", keys[0]) is not None  # touch the oldest
         per_artifact = store.total_bytes() // 4
         store.evict(max_bytes=2 * per_artifact + per_artifact // 2)
-        assert store.contains("report", keys[0]), "touched artifact was evicted"
-        assert not store.contains("report", keys[1])
+        assert store.path_for("report", keys[0]).exists(), "touched artifact was evicted"
+        assert not store.path_for("report", keys[1]).exists()
 
     def test_ttl_expires_stale_artifacts(self, tmp_path):
         store = ArtifactStore(tmp_path / "s", ttl_seconds=60)
@@ -274,9 +275,9 @@ class TestEviction:
         store.put("report", fresh_key, b"fresh")
         result = store.evict()
         assert result.removed == 3
-        assert store.contains("report", fresh_key)
+        assert store.path_for("report", fresh_key).exists()
         for key in keys:
-            assert not store.contains("report", key)
+            assert not store.path_for("report", key).exists()
         assert store.stats.evicted >= 3
 
     def test_put_triggers_ttl_eviction_after_throttle_window(self, tmp_path):
@@ -287,8 +288,8 @@ class TestEviction:
         time.sleep(0.2)  # > ttl and > the ttl/4 throttle window
         new_key = ArtifactStore.key_for("new")
         store.put("report", new_key, b"new")
-        assert not store.contains("report", old_key)
-        assert store.contains("report", new_key)
+        assert not store.path_for("report", old_key).exists()
+        assert store.path_for("report", new_key).exists()
 
     def test_put_auto_evicts_to_size_cap(self, tmp_path):
         cap = 16 * 1024
@@ -435,6 +436,8 @@ class TestCrossProcessReuse:
         stats = second_process.stats
         assert stats.misses == 0
         assert (stats.disk_hits + stats.hits) / stats.requests >= 0.9
-        for before, after in zip(first_reports, second_reports):
+        for before, after in zip(
+            map(ensure_report, first_reports), map(ensure_report, second_reports)
+        ):
             assert after.total_cycles == before.total_cycles
             assert after.total_energy.total_pj == before.total_energy.total_pj

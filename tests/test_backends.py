@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,8 @@ from repro.accelerator import (
     sqdm_config,
 )
 from repro.accelerator.backends.vectorized import _front_compact, _segment_sums
+from repro.accelerator.energy import DEFAULT_ENERGY_TABLE
+from repro.accelerator.noc import InterconnectNetwork, pe_hops
 
 RTOL = 1e-9
 
@@ -84,6 +88,61 @@ def assert_reports_equivalent(ref, vec, rtol=RTOL):
             assert vec_layer.executed_macs == pytest.approx(ref_layer.executed_macs, rel=rtol)
             assert vec_layer.dense_cycles == pytest.approx(ref_layer.dense_cycles, rel=rtol)
             assert vec_layer.sparse_cycles == pytest.approx(ref_layer.sparse_cycles, rel=rtol)
+
+
+def chain_of_routers_hops(num_dpe: int, num_spe: int) -> dict[str, int]:
+    """GLB-to-PE hop counts by breadth-first search over Fig. 9's topology.
+
+    The global buffer feeds a chain of routers, one per PE; PE *i* (DPEs
+    first, then SPEs) hangs off router *i*.
+    """
+    pes = [f"dpe{i}" for i in range(num_dpe)] + [f"spe{i}" for i in range(num_spe)]
+    neighbours: dict[str, list[str]] = {"glb": []}
+    previous = "glb"
+    for index, pe in enumerate(pes):
+        router = f"router{index}"
+        neighbours[previous].append(router)
+        neighbours[router] = [previous, pe]
+        neighbours[pe] = [router]
+        previous = router
+    distance = {"glb": 0}
+    frontier = deque(["glb"])
+    while frontier:
+        node = frontier.popleft()
+        for neighbour in neighbours[node]:
+            if neighbour not in distance:
+                distance[neighbour] = distance[node] + 1
+                frontier.append(neighbour)
+    return {pe: distance[pe] for pe in pes}
+
+
+class TestNoCHopOracle:
+    """The closed-form hop count against a search over the router graph."""
+
+    SHAPES = [(d, s) for d in range(9) for s in range(7) if d + s > 0]
+
+    @pytest.mark.parametrize("num_dpe,num_spe", SHAPES)
+    def test_closed_form_matches_breadth_first_search(self, num_dpe, num_spe):
+        expected = chain_of_routers_hops(num_dpe, num_spe)
+        config = AcceleratorConfig(name="hops", num_dpe=num_dpe, num_spe=num_spe)
+        noc = InterconnectNetwork(config, DEFAULT_ENERGY_TABLE)
+        assert {pe: noc.transfer(pe, 1.0).hops for pe in expected} == expected
+        np.testing.assert_array_equal(
+            pe_hops(np.arange(num_dpe + num_spe)), list(expected.values())
+        )
+
+    def test_reference_and_vectorized_noc_energy_agree_on_a_wide_array(self):
+        config = AcceleratorConfig(name="d3s4", num_dpe=3, num_spe=4)
+        trace = random_trace(np.random.default_rng(34), steps=3, layers=5)
+        ref = AcceleratorSimulator(config, backend="reference").run_trace(trace)
+        vec = AcceleratorSimulator(config, backend="vectorized").run_trace(trace)
+        assert ref.total_energy.noc_pj > 0
+        assert vec.total_energy.noc_pj == pytest.approx(ref.total_energy.noc_pj, rel=RTOL)
+        for ref_step, vec_step in zip(ref.step_results, vec.step_results, strict=True):
+            for ref_layer, vec_layer in zip(
+                ref_step.layer_results, vec_step.layer_results, strict=True
+            ):
+                assert vec_layer.energy.noc_pj == pytest.approx(ref_layer.energy.noc_pj, rel=RTOL)
 
 
 class TestBackendRegistry:

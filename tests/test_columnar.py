@@ -30,7 +30,7 @@ from repro.accelerator.workload import ConvLayerWorkload
 from repro.core import codec
 from repro.core.artifacts import ArtifactStore
 from repro.core.columnar import ColumnarReportBatch, ensure_report
-from repro.core.report_cache import ReportCache
+from repro.core.report_cache import REPORT_ARTIFACT_KIND, ReportCache, artifact_key_for
 
 
 def random_trace(rng: np.random.Generator, steps: int, layers: int, channels: int = 12):
@@ -267,14 +267,32 @@ class TestRoundTrips:
         trace = uniform_trace(0.5, steps=1, layers=1)
         batch = vectorized.run_config_traces_columnar([(config, [trace])])
         key = ReportCache.key(config, trace, None, "vectorized")
-        cache.insert_key(key, batch.slice_trace(0))
-        raw = cache.lookup_key(key, materialize=False)
-        assert isinstance(raw, ColumnarReportBatch)
-        assert cache.lookup_key(key) == batch.report_at(0)
+        entry = cache.insert_key(key, batch.slice_trace(0))
+        assert cache.lookup_key(key) is entry
+        assert entry.report_at(0) == batch.report_at(0)
         # The disk tier serves (and re-promotes) the columnar entry too.
         warm = ReportCache(max_entries=8, store=store)
-        assert warm.lookup_key(key) == batch.report_at(0)
-        assert isinstance(warm.lookup_key(key, materialize=False), ColumnarReportBatch)
+        from_disk = warm.lookup_key(key)
+        assert isinstance(from_disk, ColumnarReportBatch) and from_disk == entry
+        assert warm.lookup_key(key) is from_disk
+
+    @pytest.mark.parametrize("stale", ["eager report", "multi-trace batch"])
+    def test_an_artifact_that_is_no_cache_entry_is_a_miss_the_next_insert_replaces(
+        self, tmp_path, stale
+    ):
+        store = ArtifactStore(tmp_path)
+        config = sqdm_config()
+        trace = uniform_trace(0.5, steps=1, layers=1)
+        key = ReportCache.key(config, trace, None, "vectorized")
+        batch = vectorized.run_config_traces_columnar([(config, [trace, trace])])
+        planted = batch.report_at(0) if stale == "eager report" else batch
+        store.put(REPORT_ARTIFACT_KIND, artifact_key_for(key), planted)
+        cache = ReportCache(max_entries=8, store=store)
+        assert cache.lookup_key(key) is None and cache.stats.misses == 1
+        cache.insert_key(key, batch.slice_trace(0))
+        warm = ReportCache(max_entries=8, store=store)
+        assert warm.lookup_key(key) == batch.slice_trace(0)
+        assert warm.stats.disk_hits == 1
 
     def test_report_cache_rejects_multi_trace_batches(self):
         cache = ReportCache(max_entries=4)
@@ -424,22 +442,6 @@ class TestLazySteps:
 
 
 class TestHotPathHygiene:
-    def test_hops_cache_is_bounded(self):
-        vectorized._HOPS_CACHE.clear()
-        from repro.accelerator.energy import EnergyTable
-
-        table = EnergyTable()
-        shapes = [(d, s) for d in range(1, 9) for s in range(1, 7)]
-        assert len(shapes) > vectorized._HOPS_CACHE_MAX
-        for num_dpe, num_spe in shapes:
-            config = AcceleratorConfig(
-                name=f"d{num_dpe}s{num_spe}", num_dpe=num_dpe, num_spe=num_spe
-            )
-            vectorized._config_hops(config, table)
-        assert len(vectorized._HOPS_CACHE) <= vectorized._HOPS_CACHE_MAX
-        # Most-recent shapes survive (LRU evicts from the front).
-        assert shapes[-1] in vectorized._HOPS_CACHE
-
     @pytest.mark.parametrize(
         "cls", [EnergyBreakdown, ChannelGroupResult, LayerExecutionResult, StepResult]
     )

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.accelerator.config import AcceleratorConfig, PEConfig
+from repro.accelerator.simulator import AcceleratorSimulator
 from repro.accelerator.workload import random_workload
+from repro.core import scheduler
 from repro.core.policy import mixed_precision_policy
 from repro.core.scheduler import (
     analyze_threshold,
@@ -63,10 +68,6 @@ class TestSparsityTrace:
     def test_relu_model_average_sparsity_in_paper_range(self, trace):
         # Paper: ~65% average activation sparsity for the ReLU-based model.
         assert 0.45 < trace.average_sparsity() < 0.9
-
-    def test_per_layer_average_keys(self, trace):
-        per_layer = trace.per_layer_average()
-        assert set(per_layer) == set(trace.layer_names())
 
     def test_channels_differ_in_sparsity(self, trace):
         # Per-channel sparsity must have spread (some dense, some sparse channels).
@@ -159,6 +160,39 @@ class TestSchedulerAnalyses:
     def test_update_period_counts_updates(self, synthetic_hw_trace):
         points = analyze_update_period(synthetic_hw_trace, periods=[1, 4])
         assert points[0].updates_performed > points[1].updates_performed
+
+    def test_sweeps_change_only_their_knob(self, synthetic_hw_trace, monkeypatch):
+        """Every other field of the base config reaches the simulator."""
+        base = AcceleratorConfig(
+            name="custom",
+            num_dpe=2,
+            num_spe=3,
+            pe=PEConfig(multipliers=64),
+            clock_ghz=2.0,
+            technology_nm=16,
+            global_buffer_kib=64,
+            dram_bandwidth_gbps=32.0,
+            noc_bandwidth_bytes_per_cycle=32,
+            sparsity_threshold=0.4,
+            sparsity_update_period=2,
+        )
+        simulated: list[AcceleratorConfig] = []
+
+        class RecordingSimulator(AcceleratorSimulator):
+            def __init__(self, config, *args, **kwargs):
+                simulated.append(config)
+                super().__init__(config, *args, **kwargs)
+
+        monkeypatch.setattr(scheduler, "AcceleratorSimulator", RecordingSimulator)
+        analyze_threshold(synthetic_hw_trace, thresholds=[0.1, 0.9], base_config=base)
+        analyze_update_period(synthetic_hw_trace, periods=[1, 4], base_config=base)
+        swept = [config for config in simulated if config.name == "custom"]
+        assert swept == [
+            dataclasses.replace(base, sparsity_threshold=0.1),
+            dataclasses.replace(base, sparsity_threshold=0.9),
+            dataclasses.replace(base, sparsity_update_period=1),
+            dataclasses.replace(base, sparsity_update_period=4),
+        ]
 
     def test_detection_overhead_negligible(self, synthetic_hw_trace):
         # The paper hides detection behind compute because its cost is negligible.

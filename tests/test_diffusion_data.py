@@ -41,7 +41,7 @@ class TestDatasets:
 
     def test_labels_match_class_count(self):
         ds = load_dataset("imagenet", resolution=8)
-        labels = ds.reference_labels(6)
+        labels = ds.prior.sample_labels(6, np.random.default_rng(0))
         assert labels.shape == (6, ds.num_classes)
 
     def test_sigma_data_reasonable(self):

@@ -13,6 +13,7 @@ from repro.accelerator import (
     random_workload,
     sqdm_config,
 )
+from repro.core.columnar import ensure_report
 from repro.core.execution import InlineExecutor
 from repro.core.experiments import SweepSpec, run_sweep, sweep_table
 from repro.core.report_cache import (
@@ -117,7 +118,7 @@ def small_trace():
 def cached_run(cache: ReportCache, config, trace):
     """One simulation through the cache: the scheduler is the only path to the
     simulator."""
-    return run_batched([SimulateJobSpec(config, trace)], cache=cache)[0]
+    return ensure_report(run_batched([SimulateJobSpec(config, trace)], cache=cache)[0])
 
 
 class TestReportCache:

@@ -70,7 +70,7 @@ class TestUNetStructure:
         assert tiny_unet.conv_in in skips and tiny_unet.conv_out in skips
 
     def test_parameter_count_positive(self, tiny_unet):
-        assert tiny_unet.parameter_count() > 1000
+        assert sum(p.size for p in tiny_unet.parameters().values()) > 1000
 
 
 class TestUNetForward:

@@ -20,7 +20,7 @@ from repro.accelerator import (
 )
 from repro.accelerator.backends import resolve_backend_name
 from repro.core.artifacts import ArtifactStore
-from repro.core.columnar import ARRAY_FIELDS, ColumnarReportBatch
+from repro.core.columnar import ARRAY_FIELDS, ColumnarReportBatch, ensure_report
 from repro.core.experiments import run_sweep
 from repro.core.report_cache import ReportCache
 from repro.serve import (
@@ -150,7 +150,8 @@ class TestRunBatched:
         monkeypatch.setattr(AcceleratorSimulator, "run", counting)
         cache = ReportCache()
         stats = BatchStats()
-        reports = run_batched(requests, cache=cache, stats=stats)
+        batches = run_batched(requests, cache=cache, stats=stats)
+        reports = [ensure_report(batch) for batch in batches]
 
         # sqdm + dense share an energy table and backend, so the whole
         # request stream fuses into ONE cross-config kernel call.
@@ -196,7 +197,7 @@ class TestRunBatched:
                 for config in configs
                 for trace in traces
             ]
-            return run_batched(requests, cache=ReportCache(), materialize=False)
+            return run_batched(requests, cache=ReportCache())
 
         for ref, vec in zip(batches("reference"), batches("vectorized"), strict=True):
             assert isinstance(ref, ColumnarReportBatch) and ref.num_traces == 1
@@ -425,7 +426,7 @@ class TestEvaluationService:
 class TestSweepJobs:
     """Server-side sweep planning through the in-process service."""
 
-    def test_sweep_result_parts_are_the_cache_slices_and_eager_reports_are_packed(self):
+    def test_sweep_result_parts_are_the_cache_slices(self):
         trace = make_trace(12)
         cache = ReportCache()
         spec = SweepJobSpec(
@@ -439,16 +440,9 @@ class TestSweepJobs:
         # The retained result shares its one-trace parts with the report cache.
         assert len(result.parts) == 3
         for part, request in zip(result.parts, spec.plan()):
-            assert part is cache.lookup_key(request.key(), materialize=False)
+            assert part is cache.lookup_key(request.key())
         assert result.case_results() == result.parts[:2]
         assert result.baseline_result() is result.parts[2]
-        # An eager report (as read from an older artifact) is packed into a
-        # one-trace batch that materializes the same report.
-        eager = run_batched(spec.plan(), cache=ReportCache())
-        packed = spec.result(eager)
-        assert all(part.num_traces == 1 for part in packed.parts)
-        assert packed.reports == eager[:2] and packed.baseline == eager[2]
-        assert packed == result
 
 
     def test_submit_sweep_plans_batches_and_caches(self):

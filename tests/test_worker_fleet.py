@@ -13,8 +13,10 @@ import time
 
 import pytest
 
+from repro.accelerator.backends import vectorized
 from repro.accelerator.config import AcceleratorConfig
 from repro.core import codec
+from repro.core.columnar import ColumnarReportBatch, ensure_report
 from repro.core.execution import InlineExecutor, JobStatus
 from repro.core.report_cache import ReportCache
 from repro.core.telemetry import Trace
@@ -81,6 +83,12 @@ def request_factory(synthetic_trace):
     return make
 
 
+def tagged_result(tag: str) -> ColumnarReportBatch:
+    """A valid completion for one request: a one-trace report batch, told
+    apart from others by its config name."""
+    return vectorized.run_config_traces_columnar([(AcceleratorConfig(name=tag), [[]])])
+
+
 def make_fleet(**kwargs) -> WorkerFleet:
     kwargs.setdefault("lease_seconds", 0.3)
     return WorkerFleet(**kwargs)
@@ -115,8 +123,9 @@ class TestLeaseLifecycle:
             # round-trips; attempting to decode proves the wire contract.
             spec = codec.decode(payload["specs"][0])
             assert spec.config.sparsity_threshold == 0.5
-            assert fleet.complete(worker.id, payload["id"], reports=["r0"])
-            assert log.completions == [([sink], [request], ["r0"])]
+            result = tagged_result("r0")
+            assert fleet.complete(worker.id, payload["id"], reports=[result])
+            assert log.completions == [([sink], [request], [result])]
             assert fleet.tasks_completed == 1
             assert sink.claims == 1
         finally:
@@ -282,7 +291,7 @@ class TestHeartbeatAndExpiry:
                 assert task["id"] in renewed["tasks"]
                 assert fleet.expire_now() == 0
             assert fleet.leases_expired == 0
-            assert fleet.complete(worker.id, task["id"], reports=["late-but-leased"])
+            assert fleet.complete(worker.id, task["id"], reports=[tagged_result("late")])
         finally:
             fleet.close()
 
@@ -306,11 +315,12 @@ class TestHeartbeatAndExpiry:
             assert retry["id"] == task["id"]
             assert retry["attempts"] == 1
             assert sink.claims == 1
-            assert fleet.complete(worker.id, retry["id"], reports=["second-try"])
+            second_try = tagged_result("second-try")
+            assert fleet.complete(worker.id, retry["id"], reports=[second_try])
             assert len(log.completions) == 1
             delivered_sinks, _, delivered_reports = log.completions[0]
             assert delivered_sinks == [sink]
-            assert delivered_reports == ["second-try"]
+            assert delivered_reports == [second_try]
         finally:
             fleet.close()
 
@@ -327,13 +337,14 @@ class TestHeartbeatAndExpiry:
             assert retry["id"] == task["id"]
             # The zombie wakes up and posts its result: rejected, the retry
             # owns the task now.  Exactly one delivery ever happens.
-            assert not fleet.complete(zombie.id, task["id"], reports=["zombie"])
+            assert not fleet.complete(zombie.id, task["id"], reports=[tagged_result("zombie")])
             assert fleet.completions_rejected == 1
-            assert fleet.complete(healthy.id, retry["id"], reports=["healthy"])
+            healthy_result = tagged_result("healthy")
+            assert fleet.complete(healthy.id, retry["id"], reports=[healthy_result])
             assert len(log.completions) == 1
-            assert log.completions[0][2] == ["healthy"]
+            assert log.completions[0][2] == [healthy_result]
             # Double completion of a finished task is likewise rejected.
-            assert not fleet.complete(healthy.id, retry["id"], reports=["again"])
+            assert not fleet.complete(healthy.id, retry["id"], reports=[tagged_result("again")])
         finally:
             fleet.close()
 
@@ -372,7 +383,7 @@ class TestReRegistration:
             (requeued,) = fleet.claim(second.id, wait_seconds=1.0)
             assert requeued["id"] == task["id"]
             assert fleet.tasks_requeued == 1
-            assert fleet.complete(second.id, requeued["id"], reports=["after-restart"])
+            assert fleet.complete(second.id, requeued["id"], reports=[tagged_result("restart")])
             summary = fleet.summary()
             by_name = {w["id"]: w for w in summary["workers"]}
             assert by_name[first.id]["retired"] is True
@@ -437,12 +448,12 @@ class TestServiceIntegration:
             # Claimed means RUNNING: cancellation is refused, and the
             # worker's completion still lands.
             assert service.cancel(job.id) is False
-            report = run_batched(
+            batch = run_batched(
                 [SimulateJobSpec(config=config, trace=synthetic_trace)],
                 cache=ReportCache(),
             )[0]
-            assert service.fleet.complete(worker.id, task["id"], reports=[report])
-            assert job.result(timeout=10) == report
+            assert service.fleet.complete(worker.id, task["id"], reports=[batch])
+            assert job.result(timeout=10) == ensure_report(batch)
         finally:
             service.close()
 
@@ -455,8 +466,9 @@ class TestServiceIntegration:
             job = service.submit(SimulateJobSpec(config=config, trace=synthetic_trace))
             worker = service.fleet.register("w1")
             (task,) = service.fleet.claim(worker.id, wait_seconds=5.0)
-            report = run_batched([request], cache=ReportCache())[0]
-            assert service.fleet.complete(worker.id, task["id"], reports=[report])
+            batch = run_batched([request], cache=ReportCache())[0]
+            report = ensure_report(batch)
+            assert service.fleet.complete(worker.id, task["id"], reports=[batch])
             assert job.result(timeout=10) == report
             # The completion was inserted into the server cache, so an
             # identical submission is served without any fleet task.
@@ -539,7 +551,7 @@ class TestEndToEnd:
                 [SimulateJobSpec(config=config, trace=synthetic_trace)],
                 cache=ReportCache(),
             )[0]
-            assert report == reference
+            assert report == ensure_report(reference)
         finally:
             if rescuer is not None:
                 rescuer.stop()
@@ -572,7 +584,7 @@ class TestEndToEnd:
             heartbeat = client.worker_heartbeat(worker_id)
             assert task["id"] in heartbeat["tasks"]
             spec = codec.decode(task["specs"][0])
-            report = run_batched(
+            batch = run_batched(
                 [
                     SimulateJobSpec(
                         config=spec.config,
@@ -583,8 +595,8 @@ class TestEndToEnd:
                 ],
                 cache=ReportCache(),
             )[0]
-            assert client.complete_task(worker_id, task["id"], [codec.encode(report)])
-            assert job.result(timeout=30) == report
+            assert client.complete_task(worker_id, task["id"], [codec.encode(batch)])
+            assert job.result(timeout=30) == ensure_report(batch)
 
             listing = client.workers()
             assert listing["workers_alive"] >= 1
@@ -600,6 +612,37 @@ class TestEndToEnd:
             ):
                 assert name in samples, f"missing {name} in /metrics"
             assert sample_total(samples, "repro_fleet_workers_alive") >= 1
+        finally:
+            client.close()
+            server.close()
+            service.close()
+
+    def test_a_completion_that_is_no_report_batch_is_refused_and_keeps_the_lease(
+        self, synthetic_trace
+    ):
+        """A result the report cache cannot hold is a 400 before the task is
+        marked done, so neither the job nor its single-flight key wedges."""
+        service = EvaluationService(cache=ReportCache(), worker_fleet=True, lease_seconds=5.0)
+        server = start_http_server(service)
+        client = RemoteEvaluationClient(server.endpoint)
+        try:
+            worker_id = client.register_worker("confused")["worker_id"]
+            config = AcceleratorConfig(name="wrong-envelope")
+            job = client.submit(SimulateJobSpec(config=config, trace=synthetic_trace))
+            (task,) = client.claim_tasks(worker_id, wait_seconds=5.0)
+            with pytest.raises(RemoteServiceError, match="HTTP 400"):
+                client.complete_task(worker_id, task["id"], [codec.encode(config)])
+            assert task["id"] in client.worker_heartbeat(worker_id)["tasks"]
+            # An identical job attaches to the same key; the worker's real
+            # result then finishes both.
+            twin = client.submit(SimulateJobSpec(config=config, trace=synthetic_trace))
+            batch = run_batched(
+                [SimulateJobSpec(config=config, trace=synthetic_trace)], cache=ReportCache()
+            )[0]
+            assert client.complete_task(worker_id, task["id"], [codec.encode(batch)])
+            assert job.result(timeout=30) == ensure_report(batch)
+            assert twin.result(timeout=30) == ensure_report(batch)
+            assert service.service_stats()["inflight_keys"] == 0
         finally:
             client.close()
             server.close()
