@@ -38,11 +38,13 @@ Robustness contract:
   without bound.  Evicting an entry is always safe: the caches treat the
   missing artifact as a miss and recompute.
 
-**Payload format** (version 2): artifacts are stored as schema-tagged JSON
-documents (:mod:`repro.core.codec`), with NumPy arrays and bytes split out
-into binary sidecar buffers after the JSON header — no base64 bloat, no
-pickles on disk.  Only types with a registered wire schema (plus plain JSON
-values, bytes and arrays) can be stored.  Any other file format — the
+**Payload format** (version 2): after the magic and the checksum, a file
+holds one frame (:func:`repro.core.codec.pack_frame`): a schema-tagged JSON
+header, then the NumPy arrays and bytes it references as raw sidecar
+buffers, so no base64 bloat and no pickles on disk.  The HTTP server sends
+a finished job's result in the same frame layout.  Only types with a
+registered wire schema (plus plain JSON values, bytes and arrays) can be
+stored.  Any other file format — the
 pickled version 1 included — has an unrecognised magic, so it is
 quarantined and recomputed like any foreign file.  A version-2 file whose
 schema *version* this process does not know is a miss but not corruption:
@@ -57,7 +59,6 @@ store; see :func:`default_artifact_store`.  ``REPRO_ARTIFACT_MAX_BYTES`` and
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import tempfile
 import threading
@@ -91,7 +92,6 @@ _WRITES = get_registry().counter("repro_artifact_writes_total", "Artifacts persi
 #: misparsing them.
 _MAGIC = b"RPRO-ART2\n"
 _DIGEST_BYTES = 32
-_HEADER_LEN_BYTES = 8
 _SUFFIX = ".art"
 _STAMP_SUFFIX = ".art.used"
 
@@ -225,45 +225,6 @@ class ArtifactStore:
 
     # -- read / write ---------------------------------------------------------
 
-    @staticmethod
-    def _encode_payload(obj: Any) -> bytes:
-        """Serialize one artifact: JSON header + concatenated binary sidecars.
-
-        Layout: an 8-byte little-endian header length, the UTF-8 JSON header
-        ``{"doc": <schema envelope>, "buffers": [len, ...]}``, then the raw
-        sidecar buffers back to back.  Raises
-        :class:`~repro.core.codec.SchemaError` for objects without a
-        registered wire schema — the store never falls back to pickling.
-        """
-        buffers: list[bytes] = []
-        doc = codec.encode(obj, arrays=buffers)
-        header = json.dumps(
-            {"doc": doc, "buffers": [len(buffer) for buffer in buffers]},
-            sort_keys=True,
-        ).encode("utf-8")
-        return b"".join(
-            [len(header).to_bytes(_HEADER_LEN_BYTES, "little"), header, *buffers]
-        )
-
-    @staticmethod
-    def _decode_payload(payload: bytes) -> Any:
-        """Inverse of :meth:`_encode_payload` (raises on any malformation)."""
-        if len(payload) < _HEADER_LEN_BYTES:
-            raise ValueError("artifact payload shorter than its header length field")
-        header_len = int.from_bytes(payload[:_HEADER_LEN_BYTES], "little")
-        header_end = _HEADER_LEN_BYTES + header_len
-        if header_end > len(payload):
-            raise ValueError("artifact header length exceeds payload")
-        header = json.loads(payload[_HEADER_LEN_BYTES:header_end].decode("utf-8"))
-        buffers: list[bytes] = []
-        offset = header_end
-        for length in header["buffers"]:
-            buffers.append(payload[offset : offset + int(length)])
-            offset += int(length)
-        if offset != len(payload):
-            raise ValueError("artifact sidecar buffers do not span the payload")
-        return codec.decode(header["doc"], buffers=buffers)
-
     def put(self, kind: str, key: str, obj: Any) -> Path:
         """Atomically persist one artifact; concurrent writers are safe.
 
@@ -275,7 +236,8 @@ class ArtifactStore:
         began = time.monotonic()
         path = self.path_for(kind, key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = self._encode_payload(obj)
+        buffers: list[bytes] = []
+        payload = codec.pack_frame(codec.encode(obj, arrays=buffers), buffers)
         blob = _MAGIC + hashlib.sha256(payload).digest() + payload
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{key[:8]}-", suffix=".tmp")
         try:
@@ -384,7 +346,8 @@ class ArtifactStore:
         if hashlib.sha256(payload).digest() != digest:
             return None, "corrupt"
         try:
-            return self._decode_payload(payload), "ok"
+            doc, buffers = codec.unpack_frame(payload)
+            return codec.decode(doc, buffers=buffers), "ok"
         except codec.UnknownSchemaError:
             return None, "unknown-schema"
         except Exception:  # noqa: BLE001 - any undecodable payload is corruption

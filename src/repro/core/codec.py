@@ -41,13 +41,20 @@ Three reserved markers cover the rest:
   JSON-safe strings (non-string keys, or keys starting with ``"$"``).
 
 **Binary sidecars.**  Base64 inflates arrays by a third, which matters for
-artifacts holding megabytes of sparsity data.  :func:`encode` therefore
-accepts an ``arrays`` list: when given, array/bytes payloads are appended to
-it as raw buffers and the JSON carries ``{"$ndarray": {..., "buffer": i}}``
-references instead.  :func:`decode` takes the same buffers back.  The
-artifact store uses this to write one JSON header plus concatenated binary
-sidecars per file; the HTTP layer leaves arrays inline so the wire stays
-pure JSON.
+artifacts holding megabytes of sparsity data and for sweep results holding
+hundreds of kilobytes of columns.  :func:`encode` therefore accepts an
+``arrays`` list: when given, array/bytes payloads are appended to it as raw
+buffers and the JSON carries ``{"$ndarray": {..., "buffer": i}}``
+references instead.  :func:`decode` takes the same buffers back.
+
+**Frames.**  :func:`pack_frame` joins one JSON document and its sidecar
+buffers into one binary frame: an 8-byte little-endian header length, the
+UTF-8 JSON header ``{"doc": <doc>, "buffers": [len, ...]}``, then the raw
+buffers back to back.  :func:`unpack_frame` is its only reader.  Artifact
+files carry one frame each, and the HTTP server answers a result long-poll
+with one (media type :data:`FRAME_MEDIA_TYPE`) when the client's
+``Accept`` names it.  Every other HTTP body stays plain JSON with arrays
+inline as base64, so curl and any other JSON client read every endpoint.
 
 Round-trip equality is part of the contract: for every registered schema,
 ``encode(decode(encode(x))) == encode(x)`` (see :func:`roundtrip_equal` and
@@ -74,6 +81,12 @@ DICT_KEY = "$dict"
 #: by the HTTP layer for content negotiation.  Individual schemas carry
 #: their own versions on top of this.
 WIRE_VERSION = 1
+
+#: Media type of a :func:`pack_frame` body on the HTTP wire.
+FRAME_MEDIA_TYPE = "application/vnd.repro.frame"
+
+#: Bytes of a frame's leading header-length field (little-endian).
+_FRAME_LENGTH_BYTES = 8
 
 #: Schema name used for bare JSON-native payloads (dicts, lists, scalars,
 #: bytes and arrays) that have no dataclass of their own.
@@ -482,6 +495,62 @@ def encode_value(value: Any, arrays: list[bytes] | None = None) -> Any:
 def decode_value(doc: Any, buffers: Sequence[bytes] | None = None) -> Any:
     """Inverse of :func:`encode_value`."""
     return Decoder(buffers=buffers).value(doc)
+
+
+def pack_frame(doc: Any, buffers: Sequence[bytes]) -> bytes:
+    """One JSON document and its sidecar ``buffers`` as one binary frame.
+
+    Layout: an 8-byte little-endian header length, the UTF-8 JSON header
+    ``{"doc": doc, "buffers": [len, ...]}`` (keys sorted), then the buffers
+    back to back.  ``doc`` is typically an envelope from :func:`encode`
+    called with ``arrays=buffers``, or a plain document holding one.
+    """
+    header = json.dumps(
+        {"doc": doc, "buffers": [len(buffer) for buffer in buffers]}, sort_keys=True
+    ).encode("utf-8")
+    return b"".join([len(header).to_bytes(_FRAME_LENGTH_BYTES, "little"), header, *buffers])
+
+
+def unpack_frame(frame: bytes) -> tuple[Any, list[bytes]]:
+    """Inverse of :func:`pack_frame`: the document and its buffers.
+
+    A frame shorter than its length field, whose header length overruns it,
+    whose header is not the JSON object :func:`pack_frame` writes, or whose
+    buffers do not span the rest of it exactly raises :class:`SchemaError`
+    naming the fault.
+    """
+    size = len(frame)
+    if size < _FRAME_LENGTH_BYTES:
+        raise SchemaError(
+            f"frame of {size} bytes is shorter than its {_FRAME_LENGTH_BYTES}-byte length field"
+        )
+    header_len = int.from_bytes(frame[:_FRAME_LENGTH_BYTES], "little")
+    header_end = _FRAME_LENGTH_BYTES + header_len
+    if header_end > size:
+        raise SchemaError(f"frame header length {header_len} overruns the {size}-byte frame")
+    try:
+        header = json.loads(frame[_FRAME_LENGTH_BYTES:header_end].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError alike
+        raise SchemaError(f"frame header is not UTF-8 JSON: {exc}") from None
+    lengths = header.get("buffers") if isinstance(header, dict) else None
+    if not (
+        isinstance(lengths, list)
+        and "doc" in header
+        and all(type(length) is int and length >= 0 for length in lengths)
+    ):
+        raise SchemaError(
+            'frame header must be {"doc": ..., "buffers": [non-negative byte lengths]}'
+        )
+    if header_end + sum(lengths) != size:
+        raise SchemaError(
+            f"frame buffers declare {sum(lengths)} bytes but {size - header_end} follow the header"
+        )
+    buffers: list[bytes] = []
+    offset = header_end
+    for length in lengths:
+        buffers.append(frame[offset : offset + length])
+        offset += length
+    return header["doc"], buffers
 
 
 def dumps(obj: Any, name: str | None = None) -> str:

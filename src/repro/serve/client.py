@@ -14,8 +14,10 @@ one object:
         report = job.result(timeout=300)
 
 Everything crosses the wire as versioned, schema-tagged JSON
-(:mod:`repro.core.codec` envelopes) — never pickles.  Callable jobs name
-functions from the server's wire-function registry
+(:mod:`repro.core.codec` envelopes) — never pickles.  A job's result comes
+back in one binary frame (:func:`~repro.core.codec.unpack_frame`): the
+summary as JSON, the result's arrays as raw sidecar buffers after it.
+Callable jobs name functions from the server's wire-function registry
 (:func:`repro.serve.specs.register_wire_function`); sweeps are submitted as
 one grid spec and planned server-side.  The client advertises its wire
 version on every request and surfaces the server's 4xx rejections (unknown
@@ -117,6 +119,8 @@ _HEADERS = {
     "Accept": "application/json",
     "X-Repro-Wire-Version": str(codec.WIRE_VERSION),
 }
+#: For a request that takes a result frame (errors still come back as JSON).
+_FRAME_HEADERS = {**_HEADERS, "Accept": f"{codec.FRAME_MEDIA_TYPE}, application/json"}
 
 
 def _parse_retry_after(value: str | None) -> float | None:
@@ -256,15 +260,21 @@ class RemoteJob(JobHandle):
             path += f"?result=1&wait={wait:.3f}"
             # The server may hold the request open for the whole wait.
             timeout = self._client.timeout + wait
-        self._summary = self._client._request("GET", path, timeout=timeout)
+        buffers: list[bytes] = []
+        self._summary = self._client._request("GET", path, timeout=timeout, buffers=buffers)
         if self.done and not self._result_fetched:
-            self._finalize()
+            self._finalize(buffers)
 
-    def _finalize(self) -> None:
+    def _finalize(self, buffers: list[bytes] | None = None) -> None:
+        """Decode a done job's result (``buffers``: the sidecars of the frame
+        that carried the summary) or record a failed job's error."""
         if self._last_status() is JobStatus.DONE:
             if "result" not in self._summary:
-                self._summary = self._client._request("GET", f"/jobs/{self.id}?result=1")
-            self.result_value = codec.decode(self._summary["result"])
+                buffers = []
+                self._summary = self._client._request(
+                    "GET", f"/jobs/{self.id}?result=1", buffers=buffers
+                )
+            self.result_value = codec.decode(self._summary["result"], buffers=buffers)
         else:
             self.error = JobFailedError(
                 f"job {self.id} ({self.label or self.kind}) {self._last_status().value}: "
@@ -409,7 +419,12 @@ class RemoteEvaluationClient(Executor):
         return delay
 
     def _exchange(
-        self, method: str, path: str, body: bytes | None, timeout: float
+        self,
+        method: str,
+        path: str,
+        body: bytes | None,
+        timeout: float,
+        headers: Mapping[str, str] = _HEADERS,
     ) -> tuple[http.client.HTTPResponse, bytes]:
         """One request and its complete response on a pooled connection.
 
@@ -422,7 +437,7 @@ class RemoteEvaluationClient(Executor):
         try:
             while True:
                 try:
-                    connection.request(method, self._pool.prefix + path, body, _HEADERS)
+                    connection.request(method, self._pool.prefix + path, body, headers)
                     response = connection.getresponse()
                     break
                 except _STALE_CONNECTION_ERRORS:
@@ -448,18 +463,25 @@ class RemoteEvaluationClient(Executor):
         timeout: float | None = None,
         *,
         retry: bool = True,
+        buffers: list[bytes] | None = None,
     ) -> Any:
         """One API call, retried under the client's rules unless ``retry`` is
         False: then it makes exactly one attempt, for callers that retry on
-        their own schedule and must stop when told to."""
+        their own schedule and must stop when told to.
+
+        With a ``buffers`` list the request also accepts a binary frame
+        (:func:`~repro.core.codec.unpack_frame`): its document is returned
+        like a JSON body, and its sidecar buffers land in ``buffers``.
+        """
         request_timeout = self.timeout if timeout is None else timeout
         body = None if payload is None else json.dumps(payload).encode("utf-8")
+        headers = _HEADERS if buffers is None else _FRAME_HEADERS
         last_error: Exception | None = None
         attempts = self.retries if retry else 1
         for attempt in range(attempts):
             began = time.monotonic()
             try:
-                response, data = self._exchange(method, path, body, request_timeout)
+                response, data = self._exchange(method, path, body, request_timeout, headers)
             except (OSError, http.client.HTTPException) as exc:
                 _REQUEST_SECONDS.observe(
                     time.monotonic() - began, method=method, outcome="transport"
@@ -480,7 +502,12 @@ class RemoteEvaluationClient(Executor):
                 continue
             if response.status < 400:
                 _REQUEST_SECONDS.observe(time.monotonic() - began, method=method, outcome="ok")
-                return json.loads(data.decode("utf-8"))
+                content_type = response.getheader("Content-Type") or ""
+                if buffers is None or content_type != codec.FRAME_MEDIA_TYPE:
+                    return json.loads(data.decode("utf-8"))
+                doc, frame_buffers = codec.unpack_frame(data)
+                buffers.extend(frame_buffers)
+                return doc
             _REQUEST_SECONDS.observe(
                 time.monotonic() - began, method=method, outcome=f"http_{response.status}"
             )

@@ -7,7 +7,7 @@ into something remote workers submit to — the shape large acquisition
 systems converge on: a batching scheduler behind a small network protocol,
 with clients submitting jobs and long-polling for their results.
 
-Endpoints (all JSON):
+Endpoints (JSON, but for the result frame below and ``/metrics``):
 
 ========  ==================  ==================================================
 Method    Path                Meaning
@@ -37,8 +37,8 @@ enable ``REPRO_LOG=info`` (or ``repro serve --log-level info``) to get one
 JSON line per request (method, path, status, duration, request bytes); by
 default the server stays quiet.
 
-**Everything on the wire is plain, versioned JSON** — no pickles, in either
-direction.  A job submission is a typed spec envelope
+**Everything on the wire is versioned, schema-tagged JSON** — no pickles, in
+either direction.  A job submission is a typed spec envelope
 (:mod:`repro.serve.specs`)::
 
     {"spec": {"$schema": "sweep_spec@1",
@@ -84,6 +84,17 @@ no client keeps talking to a closed server's handlers.
 A finished sweep answers ``GET /jobs/<id>?result=1`` with one
 ``sweep_result@3``: its cases and baseline as one
 ``columnar_report_batch@1``, concatenated when it is encoded.
+
+**Result frames.**  When the ``Accept`` of a ``?result=1`` request names
+:data:`~repro.core.codec.FRAME_MEDIA_TYPE` (``application/vnd.repro.frame``)
+besides JSON, the 200 is one binary frame in the artifact files' layout
+(:func:`~repro.core.codec.pack_frame`): an 8-byte little-endian header
+length, the JSON header ``{"doc": <the job summary>, "buffers": [len, ...]}``
+whose result envelope references its arrays as ``{"$ndarray": {...,
+"buffer": i}}``, then the raw buffers.  That saves base64's third and the
+JSON text of every array.  :class:`~repro.serve.client.RemoteEvaluationClient`
+asks for it; curl's ``*/*``, every other endpoint and every error answer
+JSON, with arrays inline as base64.
 
 Simulation and sweep jobs submitted by any number of clients coalesce
 through the service's single-flight scheduler and share one artifact store.
@@ -373,16 +384,25 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
             self._body_unread -= len(chunk)
 
     def _send_json(self, status: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send_body(status, json.dumps(payload).encode("utf-8"), "application/json")
+
+    def _send_body(self, status: int, body: bytes, content_type: str) -> None:
         self._discard_unread_body()
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("X-Repro-Wire-Version", str(codec.WIRE_VERSION))
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _accepted_media_types(self) -> set[str]:
+        """The media types ``Accept`` names (parameters dropped); absent is ``*/*``."""
+        accept = self.headers.get("Accept")
+        if accept is None:
+            return {"*/*"}
+        return {part.split(";", 1)[0].strip().lower() for part in accept.split(",")}
 
     def _negotiate(self) -> None:
         """Refuse clients this server cannot talk to, before any work happens.
@@ -394,15 +414,9 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
           stable across wire versions, so a mismatch is an error, not a
           guess.
         """
-        accept = self.headers.get("Accept")
-        if accept is not None:
-            media_types = {
-                part.split(";", 1)[0].strip().lower() for part in accept.split(",")
-            }
-            if media_types and not media_types & {"application/json", "application/*", "*/*"}:
-                raise _HTTPError(
-                    406, f"this server only produces application/json, not {accept!r}"
-                )
+        if not self._accepted_media_types() & {"application/json", "application/*", "*/*"}:
+            accept = self.headers.get("Accept")
+            raise _HTTPError(406, f"this server only produces application/json, not {accept!r}")
         wire_version = self.headers.get("X-Repro-Wire-Version")
         if wire_version is not None and wire_version.strip() != str(codec.WIRE_VERSION):
             raise _HTTPError(
@@ -441,7 +455,10 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         try:
             self._negotiate()
             status, payload = handler(*args)
-            self._send_json(status, payload)
+            if isinstance(payload, bytes):
+                self._send_body(status, payload, codec.FRAME_MEDIA_TYPE)
+            else:
+                self._send_json(status, payload)
         except _HTTPError as exc:
             if exc.status in (406, 413, 415):
                 # These refusals happen before the request body is read, so
@@ -509,14 +526,7 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
     def _get_metrics(self) -> None:
         """The telemetry registry in Prometheus text exposition format 0.0.4."""
         body = telemetry.render_prometheus().encode("utf-8")
-        self._discard_unread_body()
-        self.send_response(200)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_body(200, body, "text/plain; version=0.0.4; charset=utf-8")
 
     def _get_healthz(self) -> tuple[int, dict[str, Any]]:
         return 200, {
@@ -551,7 +561,9 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         jobs = self.server.service.jobs(status=status, limit=limit)
         return 200, {"jobs": [job.summary() for job in jobs]}
 
-    def _get_job(self, job_id: str, query: dict[str, list[str]]) -> tuple[int, dict[str, Any]]:
+    def _get_job(
+        self, job_id: str, query: dict[str, list[str]]
+    ) -> tuple[int, dict[str, Any] | bytes]:
         with_result = query.get("result", ["0"])[-1] not in ("0", "", "false")
         wait = _wait_seconds(query)
         job = self.server.service.job(job_id)
@@ -559,9 +571,15 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         # One read of the status decides both fields, so a job finishing
         # after this summary cannot ship its result under a "running" status.
         payload = job.summary()
+        # A client that names the frame gets the result's arrays as raw
+        # sidecars; everyone else gets them inline as base64.
+        framed = with_result and codec.FRAME_MEDIA_TYPE in self._accepted_media_types()
+        buffers: list[bytes] | None = [] if framed else None
         if with_result and payload["status"] == JobStatus.DONE.value:
-            payload["result"] = codec.encode(job.result_value)
-        return 200, payload
+            payload["result"] = codec.encode(job.result_value, arrays=buffers)
+        if buffers is None:
+            return 200, payload
+        return 200, codec.pack_frame(payload, buffers)
 
     def _post_job(self) -> tuple[int, dict[str, Any]]:
         body = self._read_json()

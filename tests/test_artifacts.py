@@ -159,6 +159,33 @@ class TestTypedFormatAndLegacy:
         # the array's 24 raw bytes ride as a sidecar, not inline base64
         assert np.arange(3.0).tobytes() in blob
 
+    def test_file_bytes_are_pinned(self, store):
+        """One small object's file, byte for byte: magic, payload checksum,
+        header length, sorted JSON header, then the int32 array and the bytes
+        value as raw sidecars.  Any change to the frame layout shows here."""
+        key = ArtifactStore.key_for("pinned")
+        obj = {"cycles": np.arange(3, dtype="<i4"), "name": "sqdm", "raw": b"\x00\xff"}
+        store.put("report", key, obj)
+        header = (
+            b'{"buffers": [12, 2], "doc": {"$schema": "value@1", "value": '
+            b'{"cycles": {"$ndarray": {"buffer": 0, "dtype": "<i4", "shape": [3]}}, '
+            b'"name": "sqdm", "raw": {"$bytes": {"buffer": 1}}}}}'
+        )
+        payload = (
+            len(header).to_bytes(8, "little")
+            + header
+            + b"\x00\x00\x00\x00\x01\x00\x00\x00\x02\x00\x00\x00"
+            + b"\x00\xff"
+        )
+        assert hashlib.sha256(payload).hexdigest() == (
+            "7842853965dea38f95ea59025832a00ca20405aa02a176ce0e5afc70ef26e9ab"
+        )
+        path = store.path_for("report", key)
+        assert path.read_bytes() == b"RPRO-ART2\n" + hashlib.sha256(payload).digest() + payload
+        loaded = store.get("report", key)
+        assert loaded["cycles"].tobytes() == obj["cycles"].tobytes()
+        assert (loaded["name"], loaded["raw"]) == ("sqdm", b"\x00\xff")
+
     def test_put_rejects_schema_less_objects(self, store):
         class NotWireSafe:
             pass

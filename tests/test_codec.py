@@ -387,6 +387,18 @@ class TestValueEncoding:
         with pytest.raises(codec.SchemaError, match="out of range"):
             codec.decode(envelope, buffers=[])
 
+    def test_a_frame_round_trips_a_document_and_its_buffers(self):
+        buffers: list[bytes] = []
+        doc = {"status": "done", "result": codec.encode(np.arange(6.0), arrays=buffers)}
+        frame = codec.pack_frame(doc, buffers + [b""])
+        header_len = int.from_bytes(frame[:8], "little")
+        assert json.loads(frame[8 : 8 + header_len]) == {"buffers": [48, 0], "doc": doc}
+        assert frame.endswith(np.arange(6.0).tobytes())
+        unpacked, unpacked_buffers = codec.unpack_frame(frame)
+        assert unpacked == doc and unpacked_buffers == buffers + [b""]
+        result = codec.decode(unpacked["result"], buffers=unpacked_buffers)
+        assert result.tobytes() == np.arange(6.0).tobytes()
+
     def test_corrupt_base64_rejected(self):
         with pytest.raises(codec.SchemaError, match="base64"):
             codec.decode_value({"$bytes": "!!! not base64 !!!"})

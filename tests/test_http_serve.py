@@ -1263,6 +1263,166 @@ class TestRawJSONWire:
             assert "import base64" not in source, module.__name__
 
 
+_FRAME_ACCEPT = f"{codec.FRAME_MEDIA_TYPE}, application/json"
+
+
+def _get(endpoint, path, accept):
+    """One GET on a fresh ``http.client`` connection: (status, Content-Type, body)."""
+    connection = http.client.HTTPConnection(endpoint.split("//", 1)[1], timeout=30)
+    try:
+        connection.request("GET", path, headers={"Accept": accept})
+        response = connection.getresponse()
+        return response.status, response.getheader("Content-Type"), response.read()
+    finally:
+        connection.close()
+
+
+def _frame_bytes(lengths, tail=b"", result=None):
+    """A hand-built frame of a done job whose header declares buffers of
+    ``lengths`` bytes, followed by ``tail``."""
+    doc = {"id": "job-1", "status": "done"}
+    if result is not None:
+        doc["result"] = result
+    text = json.dumps({"doc": doc, "buffers": lengths}).encode()
+    return len(text).to_bytes(8, "little") + text + tail
+
+
+#: A result whose array names sidecar buffer 1, in a frame that carries one.
+_SECOND_BUFFER_RESULT = {
+    "$schema": "value@1",
+    "value": {"$ndarray": {"dtype": "<f8", "shape": [2], "buffer": 1}},
+}
+
+
+class TestResultFrames:
+    """A result long-poll whose Accept names the frame gets one binary frame;
+    every other answer stays JSON, and a broken frame is an error, never a
+    result."""
+
+    def _finished_sweep(self, client, seed=47):
+        spec = SweepJobSpec(
+            base=sqdm_config(),
+            grid={"sparsity_threshold": [0.2, 0.5]},
+            trace=make_trace(seed),
+            baseline=dense_baseline_config(),
+        )
+        job = client.submit_sweep(spec)
+        return job, job.result(timeout=120)
+
+    def test_the_frame_and_curls_json_decode_to_the_same_sweep(self, served, monkeypatch):
+        client, _, _, server = served
+        content_types = []
+        exchange = client._exchange
+
+        def recording_exchange(*args, **kwargs):
+            response, data = exchange(*args, **kwargs)
+            content_types.append(response.getheader("Content-Type"))
+            return response, data
+
+        monkeypatch.setattr(client, "_exchange", recording_exchange)
+        job, framed = self._finished_sweep(client)
+        assert content_types[-1] == codec.FRAME_MEDIA_TYPE
+
+        status, content_type, body = _get(server.endpoint, f"/jobs/{job.id}?result=1", "*/*")
+        assert (status, content_type) == (200, "application/json")
+        doc = json.loads(body)
+        assert doc["result"]["batch"]["trace_totals"]["$ndarray"]["data"]  # base64 inline
+        inline = codec.decode(doc.pop("result"))
+        assert job.summary() == doc
+        assert [_digest(case) for case in framed.case_results()] == [
+            _digest(case) for case in inline.case_results()
+        ]
+        assert _digest(framed.baseline_result()) == _digest(inline.baseline_result())
+        assert (framed.name, framed.params) == (inline.name, inline.params)
+
+    def test_the_frame_carries_the_artifact_layout(self, served):
+        client, _, _, server = served
+        job, _ = self._finished_sweep(client, seed=48)
+        status, content_type, body = _get(
+            server.endpoint, f"/jobs/{job.id}?result=1", _FRAME_ACCEPT
+        )
+        assert (status, content_type) == (200, codec.FRAME_MEDIA_TYPE)
+        header_len = int.from_bytes(body[:8], "little")
+        header = json.loads(body[8 : 8 + header_len])
+        assert sorted(header) == ["buffers", "doc"]
+        assert len(body) == 8 + header_len + sum(header["buffers"])
+        doc, buffers = codec.unpack_frame(body)
+        assert doc["status"] == "done" and doc["id"] == job.id
+        totals = doc["result"]["batch"]["trace_totals"]["$ndarray"]
+        assert "data" not in totals and isinstance(totals["buffer"], int)
+        json_doc = json.loads(_get(server.endpoint, f"/jobs/{job.id}?result=1", "*/*")[2])
+        raw = np.frombuffer(buffers[totals["buffer"]], dtype=totals["dtype"])
+        inline = codec.decode_value(json_doc["result"]["batch"]["trace_totals"])
+        assert raw.tobytes() == inline.tobytes()
+        assert len(body) < len(json.dumps(json_doc))
+
+    @pytest.mark.parametrize(
+        "accept, query",
+        [
+            ("*/*", "?result=1"),
+            ("application/json", "?result=1"),
+            (_FRAME_ACCEPT, ""),
+            (_FRAME_ACCEPT, "?result=0"),
+        ],
+    )
+    def test_json_unless_a_result_long_poll_names_the_frame(self, served, accept, query):
+        client, _, _, server = served
+        job = client.submit(LocalCallSpec(fn="square", kwargs={"x": 6}))
+        assert job.result(timeout=30) == 36
+        status, content_type, body = _get(server.endpoint, f"/jobs/{job.id}{query}", accept)
+        assert (status, content_type) == (200, "application/json")
+        assert json.loads(body)["status"] == "done"
+
+    def test_errors_stay_json_when_the_frame_is_accepted(self, served):
+        _, _, _, server = served
+        for path in ("/jobs/job-9999?result=1", "/jobs/job-9999?result=1&wait=nan"):
+            status, content_type, body = _get(server.endpoint, path, _FRAME_ACCEPT)
+            assert status in (400, 404) and content_type == "application/json", path
+            assert "error" in json.loads(body)
+
+    def test_a_frame_only_accept_is_refused_since_errors_are_json(self, served):
+        client, _, _, server = served
+        job = client.submit(LocalCallSpec(fn="square", kwargs={"x": 2}))
+        job.result(timeout=30)
+        status, content_type, body = _get(
+            server.endpoint, f"/jobs/{job.id}?result=1", codec.FRAME_MEDIA_TYPE
+        )
+        assert (status, content_type) == (406, "application/json")
+
+    @pytest.mark.parametrize(
+        "body, fault",
+        [
+            (b"\x07\x00", "shorter than its 8-byte length field"),
+            ((10**6).to_bytes(8, "little") + b"{}", "header length 1000000 overruns"),
+            (_frame_bytes([16], b"x" * 10), "buffers declare 16 bytes but 10 follow"),
+            (_frame_bytes([], b"extra"), "buffers declare 0 bytes but 5 follow"),
+            (_frame_bytes([-4]), "non-negative byte lengths"),
+            (b"\x03\x00\x00\x00\x00\x00\x00\x00{x}", "not UTF-8 JSON"),
+            (
+                _frame_bytes([16], b"\x00" * 16, result=_SECOND_BUFFER_RESULT),
+                r"binary buffer 1 out of range \(1 sidecar buffer",
+            ),
+        ],
+        ids=[
+            "short",
+            "header-overruns",
+            "buffers-overrun",
+            "trailing-bytes",
+            "negative-length",
+            "header-not-json",
+            "missing-buffer",
+        ],
+    )
+    def test_a_broken_frame_raises_naming_the_fault(self, monkeypatch, body, fault):
+        client = RemoteEvaluationClient("http://fleet", retries=1)
+        response = _FakeResponse(200, {"Content-Type": codec.FRAME_MEDIA_TYPE}, body)
+        monkeypatch.setattr(client._pool, "connect", lambda timeout: _FakeConnection(response))
+        job = client_module.RemoteJob(client, {"id": "job-1", "status": "running"})
+        with pytest.raises((RemoteServiceError, codec.SchemaError), match=fault):
+            job.result(timeout=5)
+        assert job.result_value is None
+
+
 class TestRemoteSweeps:
     def test_run_sweep_remote_executor_with_wire_function(self, served):
         _, _, _, server = served

@@ -29,7 +29,7 @@ from repro.serve import (
     WorkerRuntime,
     start_http_server,
 )
-from repro.serve.fleet import MAX_LEASE_SECONDS, MIN_LEASE_SECONDS, TaskState
+from repro.serve.fleet import MAX_LEASE_SECONDS, MIN_LEASE_SECONDS
 from repro.serve.scheduler import run_batched
 from repro.serve.specs import SimulateJobSpec, SweepJobSpec
 
