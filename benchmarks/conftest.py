@@ -14,12 +14,12 @@ from collections.abc import Callable
 
 import pytest
 
-from repro.core.experiments import SweepSpec, run_sweep
 from repro.core.pipeline import PipelineConfig, SQDMPipeline
 from repro.core.sparsity import TemporalSparsityTrace
 from repro.workloads.models import workload_names
 
-#: Evaluation scale used by every benchmark (documented in EXPERIMENTS.md).
+#: Evaluation scale used by every benchmark (README.md, "Running tests and
+#: benchmarks", states it).
 BENCH_CONFIG = PipelineConfig(
     num_fid_samples=8,
     num_reference_samples=256,
@@ -62,18 +62,8 @@ class BenchmarkContext:
         return self._hardware[workload]
 
     def hardware_evaluations(self) -> list[object]:
-        """Hardware evaluations for every workload, fanned out in parallel.
-
-        Distinct workloads use disjoint pipelines/traces, so the per-workload
-        evaluations run concurrently through the declarative sweep runner and
-        land in the same per-workload cache :meth:`hardware` uses.
-        """
-        missing = [w for w in self.workloads() if w not in self._hardware]
-        if missing:
-            run_sweep(
-                lambda workload: self.hardware(workload),
-                SweepSpec(name="fig12-hardware", grid={"workload": missing}),
-            )
+        """Hardware evaluations for every workload, in workload order, from
+        the per-workload cache :meth:`hardware` fills."""
         return [self.hardware(w) for w in self.workloads()]
 
     def workloads(self) -> list[str]:

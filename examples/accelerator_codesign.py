@@ -6,17 +6,15 @@ dense-vs-heterogeneous organizations and the effect of workload sparsity.
 This is the workflow a hardware architect would use to scale the design "to
 meet specific latency and power requirements" (Sec. IV-D).
 
-Design-point evaluations are independent, so the sparsity and PE-scaling
-studies fan out through the declarative sweep runner
-(:func:`repro.core.experiments.run_sweep`) over one shared
-:class:`~repro.serve.EvaluationService` opened as a context manager — the
-same sweeps would run inline (:class:`~repro.core.execution.InlineExecutor`)
-or on a remote endpoint (:class:`~repro.serve.RemoteEvaluationClient`) by
-swapping that one object.  The organization study
-goes through the batching scheduler (:func:`repro.serve.run_batched`), which
-coalesces the two dense-baseline traces into one cross-trace batched pass,
-caches every result as a one-trace columnar batch and hands those back;
-:func:`~repro.core.columnar.ensure_report` turns each into its report.
+Each study is one list of :class:`~repro.serve.SimulateJobSpec` design
+points sent through the batching scheduler (:func:`repro.serve.run_batched`),
+which coalesces the points sharing an energy table and backend into one
+batched pass over their (config x trace) grid, caches every result as a
+one-trace columnar batch and hands those back in request order;
+:func:`~repro.core.columnar.ensure_report` turns each into its report.  The
+PE-scaling study varies ``pe``, a nested config rather than a sweepable
+scalar knob, so it lists its configs instead of sending a
+:class:`~repro.serve.SweepJobSpec` grid.
 
 Usage::
 
@@ -27,7 +25,6 @@ from __future__ import annotations
 
 from repro.accelerator import (
     AcceleratorConfig,
-    AcceleratorSimulator,
     PEConfig,
     dense_baseline_config,
     random_workload,
@@ -36,8 +33,7 @@ from repro.accelerator import (
 )
 from repro.analysis.tables import format_percentage, format_speedup, format_table
 from repro.core.columnar import ensure_report
-from repro.core.experiments import SweepSpec, run_sweep
-from repro.serve import EvaluationService, SimulateJobSpec, run_batched
+from repro.serve import SimulateJobSpec, run_batched
 
 
 def build_trace(mean_sparsity: float, steps: int = 6, layers: int = 8):
@@ -96,49 +92,36 @@ def main() -> None:
     )
 
     print("\n== Sensitivity to workload sparsity ==")
-
-    def sparsity_point(mean_sparsity: float) -> list[str]:
-        t = build_trace(mean_sparsity=mean_sparsity, steps=3)
-        dense = AcceleratorSimulator(dense_baseline_config()).run_trace(t)
-        hetero = AcceleratorSimulator(sqdm_config()).run_trace(t)
-        return [
+    sparsities = [0.3, 0.5, 0.65, 0.8]
+    traces = [build_trace(mean_sparsity=mean_sparsity, steps=3) for mean_sparsity in sparsities]
+    requests = [
+        SimulateJobSpec(config, t)
+        for t in traces
+        for config in (dense_baseline_config(), sqdm_config())
+    ]
+    reports = [ensure_report(entry) for entry in run_batched(requests)]
+    rows = [
+        [
             format_percentage(mean_sparsity),
             format_speedup(dense.total_cycles / hetero.total_cycles),
             format_percentage(1 - hetero.total_energy.total_pj / dense.total_energy.total_pj),
         ]
+        for mean_sparsity, dense, hetero in zip(sparsities, reports[0::2], reports[1::2])
+    ]
+    print(format_table(["Avg activation sparsity", "Speed-up vs dense", "Energy saving"], rows))
 
-    # One evaluation service, context-managed, serves both studies below; its
-    # thread pool fans the design points out.
-    with EvaluationService() as service:
-        sweep = run_sweep(
-            sparsity_point,
-            SweepSpec(name="sparsity-sensitivity", grid={"mean_sparsity": [0.3, 0.5, 0.65, 0.8]}),
-            executor=service,
-        )
-        print(
-            format_table(
-                ["Avg activation sparsity", "Speed-up vs dense", "Energy saving"], sweep.values()
-            )
-        )
-
-        print("\n== Scaling the PE array ==")
-
-        def scaling_point(multipliers: int) -> list:
-            config = AcceleratorConfig(
-                name=f"sqdm-{multipliers}",
-                num_dpe=1,
-                num_spe=1,
-                pe=PEConfig(multipliers=multipliers),
-            )
-            report = AcceleratorSimulator(config).run_trace(trace)
-            return [multipliers, report.total_time_ms, f"{report.total_energy.total_uj:.1f}"]
-
-        sweep = run_sweep(
-            scaling_point,
-            SweepSpec(name="pe-scaling", grid={"multipliers": [64, 128, 256, 512]}),
-            executor=service,
-        )
-        print(format_table(["Multipliers per PE", "Latency (ms)", "Energy (uJ)"], sweep.values()))
+    print("\n== Scaling the PE array ==")
+    multipliers = [64, 128, 256, 512]
+    configs = [
+        AcceleratorConfig(name=f"sqdm-{m}", num_dpe=1, num_spe=1, pe=PEConfig(multipliers=m))
+        for m in multipliers
+    ]
+    entries = run_batched([SimulateJobSpec(config, trace) for config in configs])
+    rows = [
+        [m, report.total_time_ms, f"{report.total_energy.total_uj:.1f}"]
+        for m, report in zip(multipliers, map(ensure_report, entries))
+    ]
+    print(format_table(["Multipliers per PE", "Latency (ms)", "Energy (uJ)"], rows))
     print(
         "\n(The architecture 'is scalable to meet specific latency and power requirements'"
         " — Sec. IV-D.)"

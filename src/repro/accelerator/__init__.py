@@ -2,7 +2,6 @@
 
 from .address_gen import FetchPlan, SparsityAwareAddressGenerator
 from .backends import (
-    DEFAULT_BACKEND,
     DetectorStats,
     ReferenceBackend,
     SimulationBackend,
@@ -43,7 +42,6 @@ from .simulator import (
 from .workload import ConvLayerWorkload, conv_workload_from_layer, random_workload
 
 __all__ = [
-    "DEFAULT_BACKEND",
     "DEFAULT_ENERGY_TABLE",
     "AcceleratorConfig",
     "AcceleratorController",

@@ -33,11 +33,6 @@ _BACKENDS = {
 #: Environment variable overriding the process-default backend.
 BACKEND_ENV_VAR = "REPRO_SIM_BACKEND"
 
-#: Backend used when no explicit choice is made (import-time snapshot; prefer
-#: :func:`resolve_backend_name`, which re-reads the environment and validates).
-DEFAULT_BACKEND = os.environ.get(BACKEND_ENV_VAR, VectorizedBackend.name)
-
-
 def available_backends() -> list[str]:
     """Names of the registered simulation backends."""
     return sorted(_BACKENDS)
@@ -81,7 +76,6 @@ def get_backend(
 
 __all__ = [
     "BACKEND_ENV_VAR",
-    "DEFAULT_BACKEND",
     "DetectorStats",
     "ReferenceBackend",
     "SimulationBackend",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.experiments import SweepSpec, run_sweep
 from ..core.pipeline import SQDMPipeline
 from ..core.policy import single_block_4bit_policy
 
@@ -47,42 +46,27 @@ class SensitivityReport:
         return any(b.order in boundary for b in top)
 
 
-def block_sensitivity_sweep(
-    pipeline: SQDMPipeline, *, max_workers: int | None = None
-) -> SensitivityReport:
+def block_sensitivity_sweep(pipeline: SQDMPipeline) -> SensitivityReport:
     """Run the Fig. 3 sweep: for each block, 4-bit that block only and measure FID.
 
-    The per-block evaluations are independent, so they fan out through the
-    declarative sweep runner, on the thread pool (``max_workers`` threads)
-    of an evaluation service it owns for the sweep; they stay on threads
-    because the evaluation closes over the live pipeline and model, which
-    cannot cross process boundaries.  Each grid point deep-copies its own
-    model; the shared FID reference statistics are materialized up front so
-    workers only read them.
+    Blocks are evaluated one after another in :meth:`block_infos` order;
+    each evaluation deep-copies its own model and reads the FID reference
+    statistics that the MXINT8 reference evaluation materializes first.
     """
     model = pipeline.workload.unet
-    infos = model.block_infos()
-
-    # Reference: every block at MXINT8.  Also warms the cached FID evaluator
-    # before the fan-out below.
-    reference = pipeline.evaluate_format("MXINT8")
-
-    def evaluate_block(block_name: str) -> BlockSensitivity:
-        policy = single_block_4bit_policy(model, block_name)
+    reference = pipeline.evaluate_format("MXINT8")  # every block at MXINT8
+    blocks = []
+    for info in model.block_infos():
+        policy = single_block_4bit_policy(model, info.name)
         evaluation = pipeline.evaluate_policy(policy, scheme_name=policy.name)
-        info = next(i for i in infos if i.name == block_name)
-        return BlockSensitivity(
-            block_name=block_name,
-            order=info.order,
-            fid=evaluation.fid,
-            fid_delta=evaluation.fid - reference.fid,
+        blocks.append(
+            BlockSensitivity(
+                block_name=info.name,
+                order=info.order,
+                fid=evaluation.fid,
+                fid_delta=evaluation.fid - reference.fid,
+            )
         )
-
-    sweep = run_sweep(
-        evaluate_block,
-        SweepSpec(name="fig3-block-sensitivity", grid={"block_name": [i.name for i in infos]}),
-        max_workers=max_workers,
-    )
     return SensitivityReport(
-        workload=pipeline.workload.name, reference_fid=reference.fid, blocks=sweep.values()
+        workload=pipeline.workload.name, reference_fid=reference.fid, blocks=blocks
     )

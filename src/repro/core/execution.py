@@ -23,15 +23,14 @@ The shared vocabulary lives here:
     JobHandle``, ``map(specs)``, ``stats()``, ``close()`` and
     context-manager lifecycle.  What is submitted are the typed job specs
     of :mod:`repro.serve.specs` (``simulate_spec`` / ``sweep_spec`` /
-    ``quality_spec`` / ``callable_spec``) plus :class:`LocalCallSpec` for
-    in-process callables that never cross a wire; ``submit`` is the only
-    way in on every backend.
+    ``quality_spec``), plain data that crosses a wire as it is: no job
+    carries code.  ``submit`` is the only way in on every backend.
 :class:`JobKind` and :func:`job_kind`
     The one mapping from a spec to the kind of job it runs as.  Simulate and
     sweep specs are *planned*: ``spec.plan()`` lists the simulate specs the
     scheduler runs and ``spec.result(reports)`` builds the job's value from
-    their reports.  Every other spec is a call, ``fn(*args, **kwargs)``, as
-    :func:`resolve_call` resolves it.
+    their reports.  A quality spec is a sampling job:
+    :func:`repro.serve.workers.evaluate_quality` of its fields.
 :class:`JobHandle`
     The uniform future every ``submit`` returns — the service's ``Job``, the
     client's ``RemoteJob`` or an inline :class:`CompletedHandle`:
@@ -42,8 +41,7 @@ The shared vocabulary lives here:
     cancelled, on every backend.
 
 Everything serve-related is imported lazily: the core package stays
-importable (and :class:`InlineExecutor` usable on plain callables) without
-pulling the service stack in at import time.
+importable without pulling the service stack in at import time.
 """
 
 from __future__ import annotations
@@ -51,9 +49,8 @@ from __future__ import annotations
 import itertools
 import pickle  # repro: allow[REP001] picklability *guard* only — nothing is ever deserialized
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence, TypeVar
 
 from .telemetry import event_log
 
@@ -79,16 +76,13 @@ class JobKind(str, Enum):
     """What a job runs as, which every backend reports as its handles' ``kind``.
 
     ``SIMULATION`` and ``SWEEP`` jobs are planned into simulate specs that
-    the coalescing scheduler batches; ``SAMPLING`` jobs (quality specs and
-    ``pool="process"`` callables: GIL-bound sampling work) run on the
-    service's process pool; ``CALLABLE`` jobs run a resolved function on its
-    thread pool.
+    the coalescing scheduler batches; ``SAMPLING`` jobs (quality specs:
+    GIL-bound sampling work) run on the service's process pool.
     """
 
     SIMULATION = "simulation"
     SWEEP = "sweep"
     SAMPLING = "sampling"
-    CALLABLE = "callable"
 
 
 #: The kinds whose specs are planned into simulate specs for the scheduler.
@@ -106,7 +100,7 @@ def ensure_picklable(obj: Any, error_message: str) -> None:
     locally-defined functions or closures over live models that fails deep
     inside the pool with a bare ``PicklingError`` traceback.  Checking at the
     submission boundary turns it into an actionable error before any worker
-    spawns — the evaluation service's sampling jobs route through this guard.
+    spawns — the evaluation service's quality specs route through this guard.
     """
     try:
         pickle.dumps(obj)
@@ -114,75 +108,21 @@ def ensure_picklable(obj: Any, error_message: str) -> None:
         raise ValueError(f"{error_message} ({exc})") from exc
 
 
-# -- specs -------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LocalCallSpec:
-    """An in-process callable with its arguments — the local-only job spec.
-
-    ``fn`` may also be a wire-function *name* (a string), in which case every
-    backend — the remote client included — resolves it through the
-    wire-function registry of :mod:`repro.serve.specs`.  A live callable is
-    accepted by the local backends as-is; the remote client accepts it only
-    when it is wire-registered, since code never crosses the wire.
-    """
-
-    fn: Callable[..., Any] | str
-    args: tuple = ()
-    kwargs: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "args", tuple(self.args))
-        object.__setattr__(self, "kwargs", dict(self.kwargs))
-
-    def default_label(self) -> str:
-        return f"call:{getattr(self.fn, '__name__', self.fn)}"
-
-    def resolve(self) -> Callable[..., Any]:
-        """The callable to run: ``fn`` itself, or the wire function it names
-        (:class:`ValueError` for an unregistered name)."""
-        if isinstance(self.fn, str):
-            from ..serve.specs import resolve_wire_function
-
-            return resolve_wire_function(self.fn)
-        return self.fn
-
-
 def job_kind(spec: Any) -> JobKind:
     """The kind of job one spec runs as; :class:`TypeError` for anything that
     is not a job spec."""
-    from ..serve.specs import CallableJobSpec, QualityJobSpec, SimulateJobSpec, SweepJobSpec
+    from ..serve.specs import QualityJobSpec, SimulateJobSpec, SweepJobSpec
 
     if isinstance(spec, SimulateJobSpec):
         return JobKind.SIMULATION
     if isinstance(spec, SweepJobSpec):
         return JobKind.SWEEP
-    if isinstance(spec, QualityJobSpec) or (
-        isinstance(spec, CallableJobSpec) and spec.pool == "process"
-    ):
+    if isinstance(spec, QualityJobSpec):
         return JobKind.SAMPLING
-    if isinstance(spec, (CallableJobSpec, LocalCallSpec)):
-        return JobKind.CALLABLE
     raise TypeError(
         f"not a job spec: {type(spec).__name__} (expected SimulateJobSpec, "
-        "SweepJobSpec, QualityJobSpec, CallableJobSpec or LocalCallSpec)"
+        "SweepJobSpec or QualityJobSpec)"
     )
-
-
-def resolve_call(spec: Any) -> tuple[Callable[..., Any], tuple, dict[str, Any]]:
-    """The ``(fn, args, kwargs)`` a quality, callable or local-call spec runs,
-    inline and on the service's pools alike: a quality spec is
-    :func:`repro.serve.workers.evaluate_quality` of its fields, the others
-    resolve their function (:class:`ValueError` for an unregistered
-    wire-function name)."""
-    from ..serve.specs import QualityJobSpec
-
-    if isinstance(spec, QualityJobSpec):
-        from ..serve.workers import evaluate_quality
-
-        return evaluate_quality, (), spec.worker_kwargs()
-    return spec.resolve(), tuple(spec.args), dict(spec.kwargs)
 
 
 # -- job handles -------------------------------------------------------------------
@@ -195,10 +135,9 @@ class JobHandle(ABC):
     client's :class:`~repro.serve.client.RemoteJob` and the inline
     :class:`CompletedHandle`.  Every handle exposes ``id`` / ``label`` /
     ``kind`` / ``error`` attributes — ``kind`` is the spec's :class:`JobKind`
-    (``simulation``, ``sweep``, ``sampling`` or ``callable``) on every
-    backend, ``error`` the failure once the job is terminal — the
-    :attr:`status` and :attr:`done` properties, and the blocking /
-    completion API below:
+    (``simulation``, ``sweep`` or ``sampling``) on every backend, ``error``
+    the failure once the job is terminal — the :attr:`status` and
+    :attr:`done` properties, and the blocking / completion API below:
 
     * :meth:`result` raises :class:`TimeoutError` when ``timeout`` expires
       first, and :class:`JobFailedError` — chained to the underlying
@@ -303,12 +242,11 @@ _ExecutorT = TypeVar("_ExecutorT", bound="Executor")
 class Executor(ABC):
     """One submission surface over heterogeneous execution backends.
 
-    Implementations accept the typed job specs (plus :class:`LocalCallSpec`
-    where code stays in-process) and return :class:`JobHandle` futures.  Use
-    as a context manager — ``close()`` releases whatever the executor owns
-    (pools, servers); handles returned earlier stay readable.  Whoever
-    builds an executor closes it: code handed one (``run_sweep``,
-    ``evaluate_hardware``) leaves it open.
+    Implementations accept the typed job specs and return :class:`JobHandle`
+    futures.  Use as a context manager — ``close()`` releases whatever the
+    executor owns (pools, servers); handles returned earlier stay readable.
+    Whoever builds an executor closes it: code handed one
+    (``evaluate_hardware``) leaves it open.
     """
 
     #: Short backend name, used in ``stats()`` and error messages.
@@ -344,8 +282,8 @@ class InlineExecutor(Executor):
 
     ``submit`` returns an already-completed handle; exceptions raised by the
     *work* are captured on the handle (submission-time validation errors —
-    an invalid sweep grid, an unknown wire function — still raise at
-    ``submit``, matching the queueing backends).  :meth:`map` batches the
+    an invalid sweep grid, an unknown backend — still raise at ``submit``,
+    matching the queueing backends).  :meth:`map` batches the
     plans of all simulation and sweep specs of one call through a single
     :func:`~repro.serve.scheduler.run_batched` pass, so shared baselines and
     duplicate design points coalesce exactly as they do on the service.
@@ -368,19 +306,15 @@ class InlineExecutor(Executor):
         labels += [""] * (len(specs) - len(labels))
 
         # Plan phase: a simulation or sweep spec lists its simulate specs, so
-        # one batched pass covers them all; any other spec resolves its call.
-        # Invalid grids, unknown backends and unknown wire-function names
-        # raise here — submission-time, like the service.
-        prepared: list[tuple[Any, str, JobKind, Any]] = []
+        # one batched pass covers them all.  Invalid grids and unknown
+        # backends raise here — submission-time, like the service.
+        prepared: list[tuple[Any, str, JobKind, list[Any]]] = []
         requests: list[Any] = []
         for spec, label in zip(specs, labels):
             kind = job_kind(spec)
-            if kind in PLANNED_KINDS:
-                work = spec.plan()
-                requests.extend(work)
-            else:
-                work = resolve_call(spec)
-            prepared.append((spec, label or spec.default_label(), kind, work))
+            plan = spec.plan() if kind in PLANNED_KINDS else []
+            requests.extend(plan)
+            prepared.append((spec, label or spec.default_label(), kind, plan))
 
         simulation_error: BaseException | None = None
         reports: list = []
@@ -397,20 +331,21 @@ class InlineExecutor(Executor):
 
         handles: list[JobHandle] = []
         cursor = 0
-        for spec, label, kind, work in prepared:
+        for spec, label, kind, plan in prepared:
             self._submitted += 1
             job_id = f"inline-{next(self._ids):04d}"
             value: Any = None
             error = simulation_error
             if kind in PLANNED_KINDS:
-                chunk = reports[cursor : cursor + len(work)]
-                cursor += len(work)
+                chunk = reports[cursor : cursor + len(plan)]
+                cursor += len(plan)
                 if error is None:
                     value = spec.result(chunk)
             else:
-                fn, args, kwargs = work
+                from ..serve.workers import evaluate_quality
+
                 try:
-                    value, error = fn(*args, **kwargs), None
+                    value, error = evaluate_quality(**spec.worker_kwargs()), None
                 # repro: allow[REP009] exception is captured as the handle's error sentinel
                 except Exception as exc:  # noqa: BLE001 - captured on the handle
                     error = exc

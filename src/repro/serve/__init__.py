@@ -19,13 +19,13 @@ traffic*, not as one script.  This package provides the service layer:
     which is GIL-limited).  Jobs enter through ``submit(spec)`` only.
 ``repro.serve.specs``
     The typed wire job specs — ``simulate_spec`` / ``quality_spec`` /
-    ``sweep_spec`` / ``callable_spec`` — resolved server-side, plus the
-    wire-function registry.  Sweeps are *planned on the server*: clients
-    submit one grid, the scheduler expands and coalesces it into
-    :class:`SimulateJobSpec` requests, the one simulation request type.
+    ``sweep_spec`` — plain data resolved server-side; no job carries code.
+    Sweeps are *planned on the server*: clients submit one grid, the
+    scheduler expands and coalesces it into :class:`SimulateJobSpec`
+    requests, the one simulation request type.
 ``repro.serve.workers``
-    Module-level job functions for the process pool, registered as wire
-    functions so clients can invoke them by name.
+    :func:`~repro.serve.workers.evaluate_quality`, the module-level function
+    a quality spec runs on the process pool.
 ``repro.serve.fleet``
     :class:`WorkerFleet` — the lease-tracking dispatch queue behind
     ``repro serve --dispatch workers``: pull-based workers register, claim
@@ -60,7 +60,6 @@ The service and the client *are* executors of the unified execution API in
 (:class:`Job`, :class:`RemoteJob`) are :class:`JobHandle` futures.
 """
 
-from . import workers as _workers  # noqa: F401 - registers the wire functions
 from ..core.execution import (
     Executor,
     InlineExecutor,
@@ -68,7 +67,6 @@ from ..core.execution import (
     JobHandle,
     JobKind,
     JobStatus,
-    LocalCallSpec,
 )
 from .client import RemoteEvaluationClient, RemoteJob, RemoteServiceError
 from .fleet import FleetTask, WorkerFleet, WorkerInfo
@@ -77,18 +75,10 @@ from .jobs import Job
 from .worker import WorkerPoolExecutor, WorkerRuntime, run_worker
 from .scheduler import BatchStats, coalesce_requests, run_batched
 from .service import EvaluationService
-from .specs import (
-    CallableJobSpec,
-    QualityJobSpec,
-    SimulateJobSpec,
-    SweepJobResult,
-    SweepJobSpec,
-    register_wire_function,
-)
+from .specs import QualityJobSpec, SimulateJobSpec, SweepJobResult, SweepJobSpec
 
 __all__ = [
     "BatchStats",
-    "CallableJobSpec",
     "EvaluationHTTPServer",
     "EvaluationService",
     "Executor",
@@ -99,7 +89,6 @@ __all__ = [
     "JobHandle",
     "JobKind",
     "JobStatus",
-    "LocalCallSpec",
     "QualityJobSpec",
     "RemoteEvaluationClient",
     "RemoteJob",
@@ -112,7 +101,6 @@ __all__ = [
     "WorkerPoolExecutor",
     "WorkerRuntime",
     "coalesce_requests",
-    "register_wire_function",
     "run_batched",
     "run_worker",
     "start_http_server",

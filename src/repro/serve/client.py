@@ -17,13 +17,11 @@ Everything crosses the wire as versioned, schema-tagged JSON
 (:mod:`repro.core.codec` envelopes) — never pickles.  A job's result comes
 back in one binary frame (:func:`~repro.core.codec.unpack_frame`): the
 summary as JSON, the result's arrays as raw sidecar buffers after it.
-Callable jobs name functions from the server's wire-function registry
-(:func:`repro.serve.specs.register_wire_function`); sweeps are submitted as
-one grid spec and planned server-side.  The client advertises its wire
-version on every request and surfaces the server's 4xx rejections (unknown
-schema, oversized body, bad spec) as :class:`RemoteServiceError` without
-retrying; unknown job ids become :class:`KeyError`, matching the in-process
-service.
+Specs are plain data, never code; sweeps are submitted as one grid spec and
+planned server-side.  The client advertises its wire version on every
+request and surfaces the server's 4xx rejections (unknown schema, oversized
+body, bad spec) as :class:`RemoteServiceError` without retrying; unknown job
+ids become :class:`KeyError`, matching the in-process service.
 
 Connections live in a small pool owned by the client: a request checks one
 out and returns it after a complete response, so a thread's requests share
@@ -75,7 +73,6 @@ from ..core.execution import (
     JobFailedError,
     JobHandle,
     JobStatus,
-    LocalCallSpec,
     job_kind,
 )
 from ..core.report_cache import memoized_fingerprint_trace
@@ -94,13 +91,7 @@ _BACKOFF_SECONDS = get_registry().counter(
     "repro_client_backoff_seconds_total", "Cumulative time spent sleeping between retries."
 )
 from .fleet import MAX_LONG_POLL_SECONDS
-from .specs import (
-    CallableJobSpec,
-    DigestLRU,
-    SweepJobSpec,
-    TraceRef,
-    require_wire_name,
-)
+from .specs import DigestLRU, SweepJobSpec, TraceRef
 
 #: Upper bound honored for a server's ``Retry-After`` header, so a
 #: misconfigured (or hostile) server cannot park clients for hours.
@@ -557,22 +548,12 @@ class RemoteEvaluationClient(Executor):
         """Submit one job spec as a schema-tagged JSON envelope (the executor
         entry point).
 
-        A :class:`~repro.core.execution.LocalCallSpec` crosses only as the
-        ``callable_spec`` of a registered wire function, run on the server's
-        thread pool: no code crosses the wire, so an unregistered callable
-        is rejected with the registration recipe.  A simulate or sweep spec
-        whose trace this server already accepted from this client carries a
-        ``trace_ref`` instead of the trace (see the module docstring).
+        A simulate or sweep spec whose trace this server already accepted
+        from this client carries a ``trace_ref`` instead of the trace (see
+        the module docstring).
         """
         kind = job_kind(spec)  # rejects non-specs with the uniform TypeError
         label = label or spec.default_label()
-        if isinstance(spec, LocalCallSpec):
-            spec = CallableJobSpec(
-                function=require_wire_name(spec.fn),
-                args=spec.args,
-                kwargs=dict(spec.kwargs),
-                pool="thread",
-            )
         if kind not in PLANNED_KINDS:
             return RemoteJob(self, self._post_job(spec, label))
         digest = memoized_fingerprint_trace(spec.trace)

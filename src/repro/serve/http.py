@@ -587,7 +587,7 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
             raise _HTTPError(
                 400,
                 "job submission needs a 'spec' field holding a typed job-spec "
-                "envelope (simulate_spec, sweep_spec, quality_spec or callable_spec)",
+                "envelope (simulate_spec, sweep_spec or quality_spec)",
             )
         label = str(body.get("label") or "")
         try:
@@ -619,9 +619,8 @@ class _EvaluationRequestHandler(BaseHTTPRequestHandler):
         try:
             job = self.server.service.submit(spec, label=label)
         except (TypeError, ValueError, KeyError) as exc:
-            # e.g. an envelope that is no job spec, an unregistered wire
-            # function or a config the spec's own validation only catches at
-            # planning time: the client's error.
+            # e.g. an envelope that is no job spec or a config the spec's own
+            # validation only catches at planning time: the client's error.
             raise _HTTPError(400, f"cannot submit {type(spec).__name__}: {exc}") from None
         summary = job.summary()
         if trace_digest is not None:

@@ -1,12 +1,12 @@
 """Job model of the evaluation service: submit, watch, collect.
 
-A :class:`Job` is one submitted job spec — a simulation, a sweep, a
-sampling run or a callable (its :class:`~repro.core.execution.JobKind`) —
-owned by an :class:`~repro.serve.service.EvaluationService`.  Jobs move
-through ``QUEUED -> RUNNING -> DONE | FAILED`` (or ``CANCELLED``, either at
-service shutdown or through :meth:`EvaluationService.cancel`); a simulation
-or sweep job turns RUNNING when its first planned request is claimed, a
-sampling or callable job when a pool picks it up.  Completion is signalled
+A :class:`Job` is one submitted job spec — a simulation, a sweep or a
+sampling run (its :class:`~repro.core.execution.JobKind`) — owned by an
+:class:`~repro.serve.service.EvaluationService`.  Jobs move through
+``QUEUED -> RUNNING -> DONE | FAILED`` (or ``CANCELLED``, either at service
+shutdown or through :meth:`EvaluationService.cancel`); a simulation or sweep
+job turns RUNNING when its first planned request is claimed, a sampling job
+when the scheduler hands it to the process pool.  Completion is signalled
 through a :class:`threading.Event`, so any number of client threads can
 block on :meth:`Job.wait` without polling.  ``Job`` is the service's
 :class:`~repro.core.execution.JobHandle`: the same future the inline and

@@ -9,16 +9,16 @@ share an energy table and backend into single batched passes
 (:func:`~repro.serve.scheduler.run_batched`), and routes work to the right
 pool:
 
-* **simulation, sweep and callable jobs → threads.**  The batched NumPy
-  engine releases the GIL for its array work, so a thread pool scales and
-  shares the in-process report cache.
+* **simulation and sweep jobs → threads.**  The batched NumPy engine
+  releases the GIL for its array work, so a thread pool scales and shares
+  the in-process report cache.
 * **sampling jobs → processes.**  FID generation runs the Python-level U-Net
-  sampler and is GIL-bound; quality specs and ``pool="process"`` callables
-  run registered module-level functions (e.g. from
-  :mod:`repro.serve.workers`) in a ``ProcessPoolExecutor`` (created lazily on
-  first use, its workers started with ``spawn``, never ``fork``: see
-  :data:`PROCESS_START_METHOD`).  Payloads are pickle-checked at submit time
-  so an unpicklable job fails fast with an actionable message instead of a
+  sampler and is GIL-bound; a quality spec runs
+  :func:`repro.serve.workers.evaluate_quality` of its fields in a
+  ``ProcessPoolExecutor`` (created lazily on first use, its workers started
+  with ``spawn``, never ``fork``: see :data:`PROCESS_START_METHOD`).  Its
+  fields are pickle-checked at submit time, so an unpicklable
+  ``pipeline_overrides`` fails fast with an actionable message instead of a
   pool traceback.
 
 Because submission batches naturally (callers enqueue a sweep's worth of jobs
@@ -49,7 +49,7 @@ import threading
 from collections import Counter
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from ..core import telemetry
 from ..core.columnar import ColumnarReportBatch
@@ -60,13 +60,13 @@ from ..core.execution import (
     JobStatus,
     ensure_picklable,
     job_kind,
-    resolve_call,
 )
 from ..core.report_cache import CacheKey, DEFAULT_REPORT_CACHE, ReportCache
 from .fleet import WorkerFleet
 from .jobs import Job, mark_per_job
 from .scheduler import BatchStats, _config_partitions, coalesce_requests, run_batched
 from .specs import SimulateJobSpec, SweepJobResult
+from .workers import evaluate_quality
 
 #: Result bytes the job history may pin: beyond them the oldest terminal jobs
 #: are forgotten, as beyond ``history_limit`` jobs.  A 17-point sweep of a
@@ -154,7 +154,7 @@ class EvaluationService(Executor):
         give it an :class:`~repro.core.artifacts.ArtifactStore` to persist
         results across processes.
     max_workers:
-        Thread-pool size for simulation/callable jobs (library default if
+        Thread-pool size for simulation and sweep jobs (library default if
         None).
     process_workers:
         Process-pool size for sampling jobs (library default if None).  The
@@ -332,30 +332,25 @@ class EvaluationService(Executor):
         executor callers and the HTTP front end alike.
 
         Simulate and sweep specs are planned here (every planned request
-        joins the coalescing/single-flight scheduler); quality specs and
-        ``pool="process"`` callables go to the process pool, other callables
-        and :class:`~repro.core.execution.LocalCallSpec` to the thread pool.
-        Invalid grids, unknown backends, unregistered function names and
-        unpicklable process-pool payloads raise :class:`ValueError`,
-        anything that is not a job spec :class:`TypeError`, before anything
-        is queued.
+        joins the coalescing/single-flight scheduler); quality specs go to
+        the process pool.  Invalid grids, unknown backends and unpicklable
+        quality fields raise :class:`ValueError`, anything that is not a job
+        spec :class:`TypeError`, before anything is queued.
         """
         kind = job_kind(spec)
         if kind in PLANNED_KINDS:
             requests = spec.plan()
             job = self._new_job(kind, label or spec.default_label())
             return self._enqueue(job, _PlannedJob(job, spec, requests))
-        call = resolve_call(spec)
-        if kind is JobKind.SAMPLING:
-            ensure_picklable(
-                call,
-                "sampling jobs execute in worker processes, so the function and its "
-                "arguments must be picklable: register a module-level function (e.g. "
-                "from repro.serve.workers) and pass plain-data arguments, not lambdas, "
-                "bound methods or live model objects",
-            )
+        kwargs = spec.worker_kwargs()
+        ensure_picklable(
+            kwargs,
+            "quality jobs run in worker processes, so their fields must be "
+            "picklable: pass plain-data pipeline_overrides, not lambdas or live "
+            "model objects",
+        )
         job = self._new_job(kind, label or spec.default_label())
-        return self._enqueue(job, call)
+        return self._enqueue(job, kwargs)
 
     # -- inspection -------------------------------------------------------------
 
@@ -474,10 +469,8 @@ class EvaluationService(Executor):
         for job, payload in drained:
             if job.kind in PLANNED_KINDS:
                 planned.append(payload)
-            elif job.kind is JobKind.SAMPLING:
-                self._dispatch_process_job(job, payload)
             else:
-                self._dispatch_thread_job(job, payload)
+                self._dispatch_process_job(job, payload)
         if not planned:
             return
 
@@ -633,26 +626,7 @@ class EvaluationService(Executor):
             for sink in attached:
                 sink.deliver(reports_by_key[key])
 
-    def _dispatch_thread_job(self, job: Job, payload: Any) -> None:
-        fn, args, kwargs = payload
-        try:
-            self._threads.submit(self._run_thread_job, job, fn, args, kwargs)
-        except Exception as exc:  # noqa: BLE001 - e.g. submitting to a broken pool
-            job.mark_failed(exc)
-
-    def _run_thread_job(self, job: Job, fn: Callable[..., Any], args: tuple, kwargs: dict) -> None:
-        if not job.mark_running():  # cancelled while waiting for a worker
-            return
-        try:
-            result = fn(*args, **kwargs)
-        except Exception as exc:  # noqa: BLE001 - recorded on the job
-            job.mark_failed(exc)
-        else:
-            job.mark_done(result)
-
-    def _dispatch_process_job(self, job: Job, payload: Any) -> None:
-        fn, args, kwargs = payload
-
+    def _dispatch_process_job(self, job: Job, kwargs: dict[str, Any]) -> None:
         def complete(future: Future) -> None:
             error = future.exception()
             if error is not None:
@@ -668,14 +642,14 @@ class EvaluationService(Executor):
         try:
             pool = self._processes()
             try:
-                future = pool.submit(fn, *args, **kwargs)
+                future = pool.submit(evaluate_quality, **kwargs)
             except BrokenProcessPool:
                 # A worker died (e.g. OOM-killed) and took the pool with it.
                 # Replace the pool and resubmit once: this job never started.
                 # Only the scheduler thread touches the pool, so no lock.
                 pool.shutdown(wait=False)
                 self._process_pool = None
-                future = self._processes().submit(fn, *args, **kwargs)
+                future = self._processes().submit(evaluate_quality, **kwargs)
         except Exception as exc:  # noqa: BLE001 - e.g. an unpicklable payload
             job.mark_failed(exc)
             return

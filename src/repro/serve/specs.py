@@ -1,12 +1,8 @@
 """Declarative, typed job specifications for the evaluation service.
 
-Before the typed wire schema, remote jobs crossed the HTTP boundary as
-base64-encoded pickles — including *callables*, which meant the server
-executed whatever bytes a client sent and both ends had to run the same
-codebase.  This module replaces that with declarative specs: a client
-states *what* to evaluate, the server resolves *how* entirely on its side.
-
-Four spec types cover the service surface:
+A client states *what* to evaluate and the server resolves *how*, entirely
+on its side: a spec is plain data, and no job carries code.  Three spec
+types cover the service surface:
 
 :class:`SimulateJobSpec`
     One workload trace on one accelerator configuration — also the
@@ -25,11 +21,6 @@ Four spec types cover the service surface:
     with a :class:`SweepJobResult` — so N clients submitting the same grid
     cost one simulation per unique design point, and clients no longer
     pre-plan N jobs.
-:class:`CallableJobSpec`
-    A *named* function from the wire-function registry with plain-data
-    arguments.  Only functions explicitly registered on the server
-    (:func:`register_wire_function`) are callable — nothing arbitrary
-    crosses the wire.
 
 All specs (and :class:`SweepJobResult`) carry versioned wire schemas
 registered with :mod:`repro.core.codec`, so they round-trip through plain
@@ -46,7 +37,7 @@ import itertools
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from ..accelerator.backends import resolve_backend_name
 from ..accelerator.config import AcceleratorConfig
@@ -64,60 +55,6 @@ from ..core.schemas import WORKLOAD_TRACE_SCHEMA
 SWEEPABLE_CONFIG_FIELDS = frozenset(
     f.name for f in dataclasses.fields(AcceleratorConfig)
 ) - {"name", "pe"}
-
-
-# -- wire-function registry --------------------------------------------------------
-
-_WIRE_FUNCTIONS: dict[str, Callable[..., Any]] = {}
-_WIRE_NAMES: dict[Callable[..., Any], str] = {}
-
-
-def register_wire_function(name: str, fn: Callable[..., Any]) -> Callable[..., Any]:
-    """Allow ``fn`` to be invoked by remote clients under ``name``.
-
-    This is the server-side allowlist that replaces pickled callables: a
-    :class:`CallableJobSpec` can only name functions registered here.
-    Re-registering a name rebinds it (tests rely on that).
-    """
-    _WIRE_FUNCTIONS[name] = fn
-    _WIRE_NAMES[fn] = name
-    return fn
-
-
-def resolve_wire_function(name: str) -> Callable[..., Any]:
-    """The function registered under ``name``; raises with the known names."""
-    try:
-        return _WIRE_FUNCTIONS[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown wire function {name!r}; this server registers "
-            f"{sorted(_WIRE_FUNCTIONS)} (see repro.serve.specs.register_wire_function)"
-        ) from None
-
-
-def wire_function_name(fn: Callable[..., Any]) -> str | None:
-    """The wire name ``fn`` is registered under, or None."""
-    return _WIRE_NAMES.get(fn)
-
-
-def require_wire_name(fn: Callable[..., Any] | str) -> str:
-    """Resolve a callable (or name) to its wire-function name, or explain how.
-
-    The one validation every remote submission path shares: remote jobs name
-    server-side functions instead of shipping code, so anything not in the
-    registry is rejected with the registration recipe.
-    """
-    if isinstance(fn, str):
-        return fn
-    name = wire_function_name(fn)
-    if name is None:
-        raise ValueError(
-            f"{fn!r} is not a registered wire function: remote jobs name "
-            "server-side functions instead of shipping code, so register it "
-            "with repro.serve.specs.register_wire_function (on the server) "
-            "or pass its registered name as a string"
-        )
-    return name
 
 
 # -- trace helpers -----------------------------------------------------------------
@@ -289,37 +226,14 @@ class QualityJobSpec:
 
 
 @dataclass(frozen=True)
-class CallableJobSpec:
-    """A named, server-registered function with plain-data arguments."""
-
-    function: str
-    args: tuple = ()
-    kwargs: dict[str, Any] = field(default_factory=dict)
-    #: ``"thread"`` for simulation-bound work (a ``callable`` job),
-    #: ``"process"`` for GIL-bound sampling work (a ``sampling`` job).
-    pool: str = "thread"
-
-    def __post_init__(self) -> None:
-        if self.pool not in ("thread", "process"):
-            raise ValueError(f"pool must be 'thread' or 'process', got {self.pool!r}")
-        object.__setattr__(self, "args", tuple(self.args))
-
-    def default_label(self) -> str:
-        return f"call:{self.function}"
-
-    def resolve(self) -> Callable[..., Any]:
-        return resolve_wire_function(self.function)
-
-
-@dataclass(frozen=True)
 class SweepJobSpec:
     """One Cartesian grid over accelerator knobs, planned server-side.
 
     ``grid`` maps :class:`AcceleratorConfig` field names to value lists; the
     cross product is enumerated in row-major order (last parameter fastest),
-    matching :class:`repro.core.experiments.SweepSpec`.  ``baseline``, when
-    given, is simulated on the same trace and returned alongside the cases
-    (the dense-baseline comparison every sweep report needs).
+    matching nested-loop reading order.  ``baseline``, when given, is
+    simulated on the same trace and returned alongside the cases (the
+    dense-baseline comparison every sweep report needs).
     """
 
     base: AcceleratorConfig
@@ -559,7 +473,6 @@ def _decode_sweep(doc: Mapping[str, Any], ctx: Decoder) -> SweepJobSpec:
 register_schema("sweep_spec", 1, _encode_sweep, _decode_sweep, type=SweepJobSpec)
 
 codec.register_dataclass(QualityJobSpec, "quality_spec")
-codec.register_dataclass(CallableJobSpec, "callable_spec")
 codec.register_dataclass(TraceRef, "trace_ref")
 
 

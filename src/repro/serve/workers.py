@@ -1,49 +1,21 @@
-"""Process-pool job functions for sampling-bound evaluation work.
+"""The process-pool job function for sampling-bound evaluation work.
 
 FID generation runs the NumPy U-Net sampler layer by layer from Python, so —
 unlike the vectorized simulator — it holds the GIL for most of its runtime
-and gains nothing from threads.  The evaluation service therefore routes
-sampling-bound jobs to a ``ProcessPoolExecutor``, which requires the job
-functions to live at module level (picklable by reference) and to exchange
-only plain, picklable values: workload names and knob dicts in, result dicts
-out.  Each worker process builds its own pipeline; the persistent artifact
-store (``REPRO_ARTIFACT_DIR`` or the explicit ``artifact_dir`` argument)
-is what lets workers share FID reference statistics and sparsity traces
-instead of recomputing them.
-
-Both entry points are registered as *wire functions* (see
-:func:`repro.serve.specs.register_wire_function`), so remote clients can
-invoke them by name through a ``callable_spec`` — the server resolves the
-name to these functions; no code crosses the wire.
+and gains nothing from threads.  The evaluation service therefore runs a
+:class:`~repro.serve.specs.QualityJobSpec` as :func:`evaluate_quality` of its
+fields in a ``ProcessPoolExecutor``, which requires the function to live at
+module level (picklable by reference) and to exchange only plain, picklable
+values: a workload name and knob dicts in, a result dict out.  Each worker
+process builds its own pipeline; the persistent artifact store
+(``REPRO_ARTIFACT_DIR`` or the explicit ``artifact_dir`` argument) is what
+lets workers share FID reference statistics and sparsity traces instead of
+recomputing them.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
-
-from .specs import register_wire_function
-
-if TYPE_CHECKING:
-    from ..core.pipeline import SQDMPipeline
-
-
-def _build_pipeline(
-    workload: str,
-    resolution: int | None = None,
-    pipeline_overrides: dict[str, Any] | None = None,
-    artifact_dir: str | None = None,
-) -> "SQDMPipeline":
-    from ..core.pipeline import PipelineConfig, SQDMPipeline
-    from ..workloads.models import load_workload
-
-    config = PipelineConfig(**(pipeline_overrides or {}))
-    loaded = load_workload(workload, resolution=resolution)
-    artifacts: Any = "auto"
-    if artifact_dir:
-        from ..core.artifacts import artifact_store_at
-
-        artifacts = artifact_store_at(artifact_dir)
-    return SQDMPipeline(workload=loaded, config=config, artifacts=artifacts)
+from typing import Any
 
 
 def evaluate_quality(
@@ -60,7 +32,17 @@ def evaluate_quality(
     ``"MP+ReLU"``.  Returns a plain dict so results cross the process
     boundary without dragging model objects along.
     """
-    pipeline = _build_pipeline(workload, resolution, pipeline_overrides, artifact_dir)
+    from ..core.pipeline import PipelineConfig, SQDMPipeline
+    from ..workloads.models import load_workload
+
+    config = PipelineConfig(**(pipeline_overrides or {}))
+    loaded = load_workload(workload, resolution=resolution)
+    artifacts: Any = "auto"
+    if artifact_dir:
+        from ..core.artifacts import artifact_store_at
+
+        artifacts = artifact_store_at(artifact_dir)
+    pipeline = SQDMPipeline(workload=loaded, config=config, artifacts=artifacts)
     if scheme in ("MP-only", "MP+ReLU"):
         evaluation = pipeline.evaluate_mixed_precision(relu=scheme == "MP+ReLU")
     else:
@@ -73,29 +55,3 @@ def evaluate_quality(
         "memory_saving": evaluation.memory_saving,
         "relu_based": evaluation.relu_based,
     }
-
-
-def evaluate_hardware(
-    workload: str,
-    resolution: int | None = None,
-    pipeline_overrides: dict[str, Any] | None = None,
-    artifact_dir: str | None = None,
-) -> dict[str, Any]:
-    """Run the Fig. 12 hardware comparison for one workload, returning summary numbers."""
-    pipeline = _build_pipeline(workload, resolution, pipeline_overrides, artifact_dir)
-    evaluation = pipeline.evaluate_hardware()
-    return {
-        "workload": evaluation.workload,
-        "average_sparsity": evaluation.average_sparsity,
-        "sparsity_speedup": evaluation.sparsity_speedup,
-        "sparsity_energy_saving": evaluation.sparsity_energy_saving,
-        "quantization_speedup": evaluation.quantization_speedup,
-        "total_speedup": evaluation.total_speedup,
-        "sqdm_cycles": evaluation.sqdm_report.total_cycles,
-        "sqdm_energy_pj": evaluation.sqdm_report.total_energy.total_pj,
-        "sqdm_time_ms": evaluation.sqdm_report.total_time_ms,
-    }
-
-
-register_wire_function("evaluate_quality", evaluate_quality)
-register_wire_function("evaluate_hardware", evaluate_hardware)

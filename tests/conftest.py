@@ -8,6 +8,8 @@ blocking-call-under-lock was recorded anywhere in the run.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,8 @@ from repro.devtools import lockwatch as _lockwatch
 
 _WATCH = _lockwatch.install_from_env()
 
+from repro.accelerator import backends as simulation_backends  # noqa: E402
+from repro.accelerator.backends import VectorizedBackend  # noqa: E402
 from repro.accelerator.workload import random_workload  # noqa: E402
 from repro.diffusion.datasets import load_dataset  # noqa: E402
 from repro.diffusion.edm import EDMDenoiser  # noqa: E402
@@ -88,3 +92,53 @@ def _lockwatch_gate():
     yield
     if _WATCH is not None:
         _WATCH.check()
+
+
+class SimulationGate:
+    """The rendezvous of the test-only ``gated`` simulation backend: each run
+    sets ``started``, then waits for the test to set ``release``."""
+
+    backend = "gated"
+
+    def __init__(self) -> None:
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+
+@pytest.fixture()
+def gated_backend(monkeypatch):
+    """Register the ``gated`` simulation backend, which simulates like the
+    default one once the test releases its gate, so a job can be held
+    queued or running.  The service, an in-process HTTP server and
+    ``WorkerPoolExecutor``'s worker threads resolve it by name.  Yields the
+    gate, released at teardown."""
+    gate = SimulationGate()
+
+    class GatedBackend(VectorizedBackend):
+        name = SimulationGate.backend
+
+        def run(self, entries):
+            gate.started.set()
+            assert gate.release.wait(30), "the test never released the gated backend"
+            return super().run(entries)
+
+    monkeypatch.setitem(simulation_backends._BACKENDS, GatedBackend.name, GatedBackend)
+    try:
+        yield gate
+    finally:
+        gate.release.set()  # never leave a pool thread parked on a failed test
+
+
+@pytest.fixture()
+def failing_backend(monkeypatch) -> str:
+    """Register the ``failing`` simulation backend, whose every run raises
+    ``RuntimeError("kaboom")``; returns its name."""
+
+    class FailingBackend(VectorizedBackend):
+        name = "failing"
+
+        def run(self, entries):
+            raise RuntimeError("kaboom")
+
+    monkeypatch.setitem(simulation_backends._BACKENDS, FailingBackend.name, FailingBackend)
+    return FailingBackend.name

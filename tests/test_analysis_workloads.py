@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.breakdown import cost_breakdown
+from repro.analysis.sensitivity import block_sensitivity_sweep
 from repro.analysis.distributions import (
     compare_activation_distributions,
     distribution_summary,
@@ -16,7 +17,7 @@ from repro.analysis.distributions import (
 )
 from repro.analysis.speedup import figure1_summary, summarize_hardware
 from repro.analysis.tables import format_percentage, format_speedup, format_table, render_ascii_map
-from repro.core.pipeline import HardwareEvaluation
+from repro.core.pipeline import HardwareEvaluation, PipelineConfig, SQDMPipeline
 from repro.nn.unet import BLOCK_CONV
 from repro.quant.formats import INT4, INT8, UINT4
 from repro.workloads.models import WORKLOAD_SPECS, build_unet, load_workload, workload_names
@@ -82,6 +83,29 @@ class TestBreakdown:
     def test_totals_positive(self, cifar_workload):
         report = cost_breakdown(cifar_workload.unet)
         assert report.total_macs > 0 and report.total_memory_elements > 0
+
+
+class TestSensitivity:
+    # Two generated samples give a rank-one feature covariance, whose square
+    # root SciPy flags; the test checks the sweep's bookkeeping, not FIDs.
+    @pytest.mark.filterwarnings("ignore:Matrix is singular")
+    def test_fig3_sweep_scores_every_block_in_order(self, cifar_workload):
+        """Fig. 3's runner: one entry per U-Net block, in ``block_infos()``
+        order, each measured against the all-MXINT8 reference."""
+        config = PipelineConfig(
+            num_fid_samples=2,
+            num_reference_samples=16,
+            num_sampling_steps=2,
+            num_trace_samples=1,
+        )
+        pipeline = SQDMPipeline(workload=cifar_workload, config=config, artifacts=None)
+        report = block_sensitivity_sweep(pipeline)
+        assert report.workload == "cifar10"
+        assert [(block.block_name, block.order) for block in report.blocks] == [
+            (info.name, info.order) for info in cifar_workload.unet.block_infos()
+        ]
+        for block in report.blocks:
+            assert block.fid_delta == block.fid - report.reference_fid
 
 
 class TestDistributions:

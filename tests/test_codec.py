@@ -21,7 +21,6 @@ from repro.core.report_cache import CacheStats
 from repro.core.sparsity import TemporalSparsityTrace, TracedLayer
 from repro.diffusion.fid import FeatureStatistics
 from repro.serve.specs import (
-    CallableJobSpec,
     QualityJobSpec,
     SimulateJobSpec,
     SweepJobResult,
@@ -168,10 +167,6 @@ def sample_objects() -> dict[str, tuple]:
         "trace_ref": (TraceRef(digest="0f" * 32), None),
         "quality_spec": (
             QualityJobSpec(workload="cifar10", scheme="MXINT8", pipeline_overrides={"seed": 1}),
-            None,
-        ),
-        "callable_spec": (
-            CallableJobSpec(function="evaluate_quality", args=(1, "x"), kwargs={"k": [1, 2]}),
             None,
         ),
         "sweep_spec": (

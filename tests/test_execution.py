@@ -3,9 +3,11 @@
 `InlineExecutor`, `EvaluationService` and `RemoteEvaluationClient` are each
 an `Executor`, and their handles (`CompletedHandle`, `Job`, `RemoteJob`) are
 `JobHandle`s.  Covers the handle contract on every backend —
-`result(timeout=)`, `cancel()`, callbacks, `kind` — run_sweep's executor
-ownership, and one sweep driven through all three backends yielding
-bit-identical `SimulationReport`s.
+`result(timeout=)`, `cancel()`, callbacks, `kind` — with simulate specs over
+small traces, and one sweep driven through all three backends yielding
+bit-identical `SimulationReport`s.  A job that must stay queued or running
+runs on the test-only ``gated`` simulation backend, a job that must fail on
+the ``failing`` one (both in tests/conftest.py).
 """
 
 from __future__ import annotations
@@ -24,20 +26,20 @@ from repro.core.execution import (
     JobFailedError,
     JobKind,
     JobStatus,
-    LocalCallSpec,
     job_kind,
 )
-from repro.core.experiments import SweepSpec, run_sweep
+from repro.core.pipeline import PipelineConfig, SQDMPipeline
 from repro.core.report_cache import ReportCache
 from repro.serve import (
     EvaluationService,
+    QualityJobSpec,
     RemoteEvaluationClient,
     SimulateJobSpec,
     SweepJobSpec,
-    register_wire_function,
     start_http_server,
 )
-from repro.serve import service as service_module
+
+from test_serve import cycles, simulate
 
 
 def make_trace(seed: int = 0, steps: int = 2, layers: int = 2):
@@ -52,41 +54,18 @@ def make_trace(seed: int = 0, steps: int = 2, layers: int = 2):
     ]
 
 
-def _square(x):
-    return x * x
-
-
-def _boom():
-    raise RuntimeError("kaboom")
-
-
-#: Event-rendezvous wire functions: the HTTP test server runs in-process, so
-#: these module-level events synchronize remote jobs deterministically.
-_BLOCK_STARTED = threading.Event()
-_BLOCK_RELEASE = threading.Event()
-
-
-def _blocking_job():
-    _BLOCK_STARTED.set()
-    assert _BLOCK_RELEASE.wait(30)
-    return "released"
-
-
-register_wire_function("exec_square", _square)
-register_wire_function("exec_boom", _boom)
-register_wire_function("exec_block", _blocking_job)
-
-
-@pytest.fixture(autouse=True)
-def _reset_block_events():
-    _BLOCK_STARTED.clear()
-    _BLOCK_RELEASE.clear()
-    yield
-    _BLOCK_RELEASE.set()  # never leave a worker parked
+def small_pipeline(workload) -> SQDMPipeline:
+    """A pipeline whose hardware evaluation takes a fraction of a second."""
+    return SQDMPipeline(
+        workload=workload,
+        config=PipelineConfig(num_sampling_steps=2, num_trace_samples=1, num_reference_samples=8),
+        artifacts=None,
+        report_cache=ReportCache(),
+    )
 
 
 @contextlib.contextmanager
-def open_backend(name: str):
+def open_backend(name: str, gate):
     """One executor per backend; the queueing ones run one job at a time."""
     if name == "inline":
         yield InlineExecutor(cache=ReportCache())
@@ -96,36 +75,36 @@ def open_backend(name: str):
     try:
         yield service if server is None else RemoteEvaluationClient(server.endpoint)
     finally:
-        _BLOCK_RELEASE.set()  # a parked job would stall the shutdown below
+        gate.release.set()  # a parked job would stall the shutdown below
         if server is not None:
             server.close()
         service.close(cancel_queued=True)
 
 
 @pytest.fixture()
-def client():
+def client(gated_backend):
     """A client of a live HTTP server that has its own cache and one worker."""
-    with open_backend("remote") as client:
+    with open_backend("remote", gated_backend) as client:
         yield client
 
 
 @pytest.fixture(params=["inline", "service", "remote"])
-def executor(request):
-    with open_backend(request.param) as executor:
+def executor(request, gated_backend):
+    with open_backend(request.param, gated_backend) as executor:
         yield executor
 
 
 @pytest.fixture(params=["service", "remote"])
-def queueing(request):
+def queueing(request, gated_backend):
     """The backends that queue work, so a job can still be waiting or running."""
-    with open_backend(request.param) as executor:
+    with open_backend(request.param, gated_backend) as executor:
         yield executor
 
 
-def _park(executor):
+def _park(executor, gate):
     """Occupy the backend's single worker; returns the running handle."""
-    blocker = executor.submit(LocalCallSpec(fn="exec_block"))
-    assert _BLOCK_STARTED.wait(10)
+    blocker = executor.submit(simulate(100, backend=gate.backend))
+    assert gate.started.wait(10)
     return blocker
 
 
@@ -134,16 +113,17 @@ def _park(executor):
 
 class TestInlineExecutor:
     def test_submit_returns_completed_handle(self):
-        with InlineExecutor() as executor:
-            handle = executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 7}))
+        spec = simulate(1)
+        with InlineExecutor(cache=ReportCache()) as executor:
+            handle = executor.submit(spec)
         assert handle.done and handle.ok
         assert handle.status is JobStatus.DONE
-        assert handle.result() == 49
-        assert handle.result(timeout=0.001) == 49  # timeout is moot when done
+        assert handle.result().total_cycles == cycles(spec)
+        assert handle.result(timeout=0.001) is handle.result()  # timeout is moot when done
 
-    def test_work_failure_captured_on_handle(self):
-        with InlineExecutor() as executor:
-            handle = executor.submit(LocalCallSpec(fn=_boom))
+    def test_work_failure_captured_on_handle(self, failing_backend):
+        with InlineExecutor(cache=ReportCache()) as executor:
+            handle = executor.submit(simulate(2, backend=failing_backend))
         assert handle.status is JobStatus.FAILED and not handle.ok
         assert isinstance(handle.error, RuntimeError)
         with pytest.raises(JobFailedError, match="kaboom") as excinfo:
@@ -152,23 +132,24 @@ class TestInlineExecutor:
 
     def test_cancel_is_always_false(self):
         """Inline work runs at submission; there is never anything to prevent."""
-        with InlineExecutor() as executor:
-            handle = executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 2}))
+        with InlineExecutor(cache=ReportCache()) as executor:
+            handle = executor.submit(simulate(3))
         assert handle.cancel() is False
         assert handle.status is JobStatus.DONE  # cancel() never corrupts a result
 
     def test_add_done_callback_fires_immediately(self):
         seen = []
-        with InlineExecutor() as executor:
-            handle = executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 3}))
-            handle.add_done_callback(lambda h: seen.append(h.result()))
-        assert seen == [9]
+        spec = simulate(4)
+        with InlineExecutor(cache=ReportCache()) as executor:
+            handle = executor.submit(spec)
+            handle.add_done_callback(lambda h: seen.append(h.result().total_cycles))
+        assert seen == [cycles(spec)]
 
     def test_add_done_callback_swallows_observer_errors_like_other_backends(self):
-        with InlineExecutor() as executor:
-            handle = executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 3}))
+        with InlineExecutor(cache=ReportCache()) as executor:
+            handle = executor.submit(simulate(5))
             handle.add_done_callback(lambda h: (_ for _ in ()).throw(RuntimeError("observer")))
-        assert handle.result() == 9  # the raising callback never escaped
+        assert handle.ok  # the raising callback never escaped
 
     def test_map_batches_simulations_and_coalesces_duplicates(self):
         """One map() call = one batched pass; duplicate keys cost one simulation."""
@@ -186,17 +167,6 @@ class TestInlineExecutor:
         assert cache.stats.misses == 2  # two unique keys, three requests
         assert reports[0] is reports[1]
         assert reports[0].total_cycles != reports[2].total_cycles
-
-    def test_wire_function_name_resolves_locally(self):
-        with InlineExecutor() as executor:
-            assert executor.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 6})).result() == 36
-
-    def test_unknown_wire_name_raises_at_submission(self):
-        """Parity with the queueing backends: a bad name is a submit error,
-        not a deferred handle failure."""
-        with InlineExecutor() as executor:
-            with pytest.raises(ValueError, match="unknown wire function"):
-                executor.submit(LocalCallSpec(fn="no_such_wire_fn"))
 
     def test_sweep_spec_executes_inline(self):
         trace = make_trace(2)
@@ -221,10 +191,10 @@ class TestInlineExecutor:
                     )
                 )
 
-    def test_stats_count_submissions_and_failures(self):
-        with InlineExecutor() as executor:
-            executor.submit(LocalCallSpec(fn=_square, kwargs={"x": 1}))
-            executor.submit(LocalCallSpec(fn=_boom))
+    def test_stats_count_submissions_and_failures(self, failing_backend):
+        with InlineExecutor(cache=ReportCache()) as executor:
+            executor.submit(simulate(6))
+            executor.submit(simulate(7, backend=failing_backend))
             stats = executor.stats()
         assert stats["submitted"] == 2 and stats["failed"] == 1
 
@@ -238,24 +208,26 @@ class TestInlineExecutor:
 
 class TestHandleContract:
     def test_map_runs_specs_in_order(self, executor):
-        handles = executor.map(
-            [LocalCallSpec(fn="exec_square", kwargs={"x": x}) for x in (2, 3, 4)]
-        )
-        assert [h.result(timeout=30) for h in handles] == [4, 9, 16]
+        specs = [simulate(seed) for seed in (8, 9, 10)]
+        handles = executor.map(specs)
+        assert [h.result(timeout=30).total_cycles for h in handles] == [
+            cycles(spec) for spec in specs
+        ]
 
-    def test_result_timeout_raises_while_queued(self, queueing):
-        blocker = _park(queueing)
-        queued = queueing.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 5}))
+    def test_result_timeout_raises_while_queued(self, queueing, gated_backend):
+        blocker = _park(queueing, gated_backend)
+        spec = simulate(11)
+        queued = queueing.submit(spec)
         with pytest.raises(TimeoutError, match="still running"):
             blocker.result(timeout=0.05)
         with pytest.raises(TimeoutError, match="still running"):
             queued.result(timeout=0.05)
-        _BLOCK_RELEASE.set()
-        assert blocker.result(timeout=30) == "released"
-        assert queued.result(timeout=30) == 25
+        gated_backend.release.set()
+        assert blocker.result(timeout=30).total_cycles == cycles(simulate(100))
+        assert queued.result(timeout=30).total_cycles == cycles(spec)
 
-    def test_failure_raises_job_failed_error_chained_to_cause(self, executor):
-        handle = executor.submit(LocalCallSpec(fn="exec_boom"))
+    def test_failure_raises_job_failed_error_chained_to_cause(self, executor, failing_backend):
+        handle = executor.submit(simulate(12, backend=failing_backend))
         with pytest.raises(JobFailedError, match="kaboom") as excinfo:
             handle.result(timeout=30)
         assert handle.status is JobStatus.FAILED and not handle.ok
@@ -263,32 +235,33 @@ class TestHandleContract:
         # its error as is, since exception types do not cross the wire.
         assert handle.error in (excinfo.value.__cause__, excinfo.value)
 
-    def test_cancel_queued_job_wins_and_result_reports_it(self, queueing):
-        _park(queueing)
-        queued = queueing.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 5}))
+    def test_cancel_queued_job_wins_and_result_reports_it(self, queueing, gated_backend):
+        _park(queueing, gated_backend)
+        queued = queueing.submit(simulate(13))
         assert queued.cancel() is True
         assert queued.status is JobStatus.CANCELLED and queued.done
         with pytest.raises(JobFailedError, match="cancelled"):
             queued.result(timeout=30)
         assert queued.cancel() is False  # a second attempt cannot win again
 
-    def test_cancel_running_job_is_false(self, queueing):
-        running = _park(queueing)
+    def test_cancel_running_job_is_false(self, queueing, gated_backend):
+        running = _park(queueing, gated_backend)
         assert running.status is JobStatus.RUNNING
         assert running.cancel() is False
-        _BLOCK_RELEASE.set()
-        assert running.result(timeout=30) == "released"
+        gated_backend.release.set()
+        assert running.result(timeout=30).total_cycles == cycles(simulate(100))
         assert running.cancel() is False  # finished work is never cancellable
 
     def test_add_done_callback_fires_once(self, executor):
         fired = threading.Event()
         seen = []
-        handle = executor.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 8}))
-        handle.add_done_callback(lambda h: (seen.append(h.result()), fired.set()))
+        spec = simulate(14)
+        handle = executor.submit(spec)
+        handle.add_done_callback(lambda h: (seen.append(h.result().total_cycles), fired.set()))
         assert fired.wait(30) and handle.wait(30)
         late = []
         handle.add_done_callback(lambda h: late.append(h.status))  # terminal: fires now
-        assert seen == [64] and late == [JobStatus.DONE]
+        assert seen == [cycles(spec)] and late == [JobStatus.DONE]
 
     def test_add_done_callback_swallows_observer_errors(self, executor):
         fired = threading.Event()
@@ -296,11 +269,12 @@ class TestHandleContract:
         def observer(handle):
             raise RuntimeError("observer")
 
-        handle = executor.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 3}))
+        spec = simulate(15)
+        handle = executor.submit(spec)
         handle.add_done_callback(observer)
         handle.add_done_callback(lambda h: fired.set())
         assert fired.wait(30)  # the raising callback stopped nothing
-        assert handle.result(timeout=30) == 9
+        assert handle.result(timeout=30).total_cycles == cycles(spec)
 
     def test_same_kind_on_every_backend(self, executor):
         """A handle's kind is the service's job kind, whichever backend ran it."""
@@ -310,7 +284,6 @@ class TestHandleContract:
             "sweep": SweepJobSpec(
                 base=sqdm_config(), grid={"sparsity_threshold": [0.3]}, trace=trace
             ),
-            "callable": LocalCallSpec(fn="exec_square", kwargs={"x": 2}),
         }
         handles = {kind: executor.submit(spec) for kind, spec in specs.items()}
         for handle in handles.values():
@@ -327,40 +300,43 @@ class TestServiceExecutor:
     """The in-process service, submitted to directly as an `Executor`."""
 
     def test_owned_service_lifecycle_and_results(self):
-        with EvaluationService(max_workers=2) as service:
-            handle = service.submit(LocalCallSpec(fn=_square, kwargs={"x": 12}))
-            assert handle.result(timeout=30) == 144
+        spec = simulate(16)
+        with EvaluationService(cache=ReportCache(), max_workers=2) as service:
+            handle = service.submit(spec)
+            assert handle.result(timeout=30).total_cycles == cycles(spec)
             assert service.stats()["executor"] == "service"
-            assert service.stats()["submitted"] == {"callable": 1}
+            assert service.stats()["submitted"] == {"simulation": 1}
         assert service._closed  # the context manager shut the service down
 
     def test_borrowed_service_stays_open(self):
-        with EvaluationService(max_workers=1) as service:
-            assert run_sweep(_square, {"x": [2]}, executor=service).values() == [4]
-            assert not service._closed  # run_sweep never closes a borrowed executor
-            assert service.submit(LocalCallSpec(fn=_square, args=(3,))).result(30) == 9
+        """Code handed a service never closes it: an HTTP server over it
+        closes, and the service keeps taking jobs."""
+        with EvaluationService(cache=ReportCache(), max_workers=1) as service:
+            start_http_server(service, port=0).close()
+            assert not service._closed
+            spec = simulate(28)
+            assert service.submit(spec).result(timeout=30).total_cycles == cycles(spec)
 
-    def test_result_timeout_and_failure_semantics(self):
-        release = threading.Event()
-        try:
-            with EvaluationService(max_workers=1) as service:
-                blocker = service.submit(LocalCallSpec(fn=release.wait, args=(30,)))
+    def test_result_timeout_and_failure_semantics(self, gated_backend, failing_backend):
+        with EvaluationService(cache=ReportCache(), max_workers=1) as service:
+            try:
+                blocker = service.submit(simulate(17, backend=gated_backend.backend))
+                assert gated_backend.started.wait(10)
                 with pytest.raises(TimeoutError, match="still running"):
                     blocker.result(timeout=0.05)
-                failing = service.submit(LocalCallSpec(fn=_boom))
-                release.set()
-                assert blocker.result(timeout=30) is True
+                failing = service.submit(simulate(18, backend=failing_backend))
+                gated_backend.release.set()
+                assert blocker.result(timeout=30).total_cycles == cycles(simulate(17))
                 with pytest.raises(JobFailedError, match="kaboom"):
                     failing.result(timeout=30)
-        finally:
-            release.set()
+            finally:
+                gated_backend.release.set()
 
-    def test_cancel_queued_job_wins(self):
-        release = threading.Event()
-        try:
-            with EvaluationService(max_workers=1) as service:
-                service.submit(LocalCallSpec(fn=release.wait, args=(30,)))
-                queued = service.submit(LocalCallSpec(fn=_square, kwargs={"x": 5}))
+    def test_cancel_queued_job_wins(self, gated_backend):
+        with EvaluationService(cache=ReportCache(), max_workers=1) as service:
+            try:
+                _park(service, gated_backend)
+                queued = service.submit(simulate(19))
                 assert queued.cancel() is True
                 assert queued.status is JobStatus.CANCELLED
                 with pytest.raises(JobFailedError, match="cancelled"):
@@ -368,15 +344,14 @@ class TestServiceExecutor:
                 assert queued.cancel() is False  # second attempt cannot win again
                 # Job.cancel() goes through the service like service.cancel(id).
                 assert service.service_stats()["cancelled"] == 1
-                release.set()
-        finally:
-            release.set()
+            finally:
+                gated_backend.release.set()
 
     def test_cancel_retired_job_returns_false(self):
-        with EvaluationService(max_workers=1, history_limit=0) as service:
-            retired = service.submit(LocalCallSpec(fn=_square, kwargs={"x": 2}))
-            assert retired.result(timeout=30) == 4
-            service.submit(LocalCallSpec(fn=_square, kwargs={"x": 3})).result(timeout=30)
+        with EvaluationService(cache=ReportCache(), max_workers=1, history_limit=0) as service:
+            retired = service.submit(simulate(20))
+            assert retired.result(timeout=30).total_cycles == cycles(simulate(20))
+            service.submit(simulate(21)).result(timeout=30)
             with pytest.raises(KeyError):
                 service.cancel(retired.id)  # gone from the service's history
             assert retired.cancel() is False
@@ -385,11 +360,12 @@ class TestServiceExecutor:
     def test_add_done_callback_through_job(self):
         done = threading.Event()
         seen = []
-        with EvaluationService(max_workers=1) as service:
-            handle = service.submit(LocalCallSpec(fn=_square, kwargs={"x": 4}))
-            handle.add_done_callback(lambda h: (seen.append(h.result()), done.set()))
+        spec = simulate(22)
+        with EvaluationService(cache=ReportCache(), max_workers=1) as service:
+            handle = service.submit(spec)
+            handle.add_done_callback(lambda h: (seen.append(h.result().total_cycles), done.set()))
             assert done.wait(10)
-            assert seen == [16]
+            assert seen == [cycles(spec)]
             # registering after completion fires immediately
             late = []
             handle.add_done_callback(lambda h: late.append(h.status))
@@ -417,37 +393,31 @@ class TestRemoteExecutor:
     """The remote client, submitted to directly as an `Executor`."""
 
     def test_submit_and_result(self, client):
-        handle = client.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 11}))
-        assert handle.result(timeout=60) == 121
+        spec = simulate(23)
+        handle = client.submit(spec)
+        assert handle.result(timeout=60).total_cycles == cycles(spec)
         assert handle.status is JobStatus.DONE and handle.ok
 
-    def test_live_callables_must_be_wire_registered(self, client):
-        with pytest.raises(ValueError, match="register_wire_function"):
-            client.submit(LocalCallSpec(fn=lambda: 1))
-        assert client.submit(LocalCallSpec(fn=_square, kwargs={"x": 5})).result(60) == 25
-
-    def test_result_timeout_raises(self, client):
-        blocker = client.submit(LocalCallSpec(fn="exec_block"))
-        assert _BLOCK_STARTED.wait(10)
+    def test_result_timeout_raises(self, client, gated_backend):
+        blocker = _park(client, gated_backend)
         with pytest.raises(TimeoutError, match="still running"):
             blocker.result(timeout=0.05)
-        _BLOCK_RELEASE.set()
-        assert blocker.result(timeout=60) == "released"
+        gated_backend.release.set()
+        assert blocker.result(timeout=60).total_cycles == cycles(simulate(100))
 
-    def test_cancel_queued_job_wins(self, client):
-        blocker = client.submit(LocalCallSpec(fn="exec_block"))
-        assert _BLOCK_STARTED.wait(10)  # the single worker is now parked
-        queued = client.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 3}))
+    def test_cancel_queued_job_wins(self, client, gated_backend):
+        blocker = _park(client, gated_backend)  # the single worker is now parked
+        queued = client.submit(simulate(24))
         assert queued.cancel() is True
         assert queued.status is JobStatus.CANCELLED
         with pytest.raises(JobFailedError, match="cancelled"):
             queued.result(timeout=60)
-        _BLOCK_RELEASE.set()
-        assert blocker.result(timeout=60) == "released"
+        gated_backend.release.set()
+        assert blocker.result(timeout=60).total_cycles == cycles(simulate(100))
         assert blocker.cancel() is False  # already finished
 
-    def test_failure_carries_server_message(self, client):
-        handle = client.submit(LocalCallSpec(fn="exec_boom"))
+    def test_failure_carries_server_message(self, client, failing_backend):
+        handle = client.submit(simulate(25, backend=failing_backend))
         with pytest.raises(JobFailedError, match="kaboom"):
             handle.result(timeout=60)
         assert handle.status is JobStatus.FAILED
@@ -455,10 +425,11 @@ class TestRemoteExecutor:
     def test_add_done_callback_via_watcher(self, client):
         done = threading.Event()
         seen = []
-        handle = client.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 7}))
-        handle.add_done_callback(lambda h: (seen.append(h.result()), done.set()))
+        spec = simulate(26)
+        handle = client.submit(spec)
+        handle.add_done_callback(lambda h: (seen.append(h.result().total_cycles), done.set()))
         assert done.wait(30)
-        assert seen == [49]
+        assert seen == [cycles(spec)]
         late = []
         handle.add_done_callback(lambda h: late.append(h.ok))
         assert late == [True]
@@ -473,88 +444,25 @@ class TestRemoteExecutor:
             return request(method, path, *args, **kwargs)
 
         monkeypatch.setattr(client, "_request", recording_request)
-        handle = client.submit(LocalCallSpec(fn="exec_square", kwargs={"x": 2}))
-        assert handle.result(60) == 4
+        spec = simulate(27)
+        handle = client.submit(spec)
+        assert handle.result(60).total_cycles == cycles(spec)
         assert calls[0] == ("POST", "/jobs")
         assert all(method == "GET" for method, _ in calls[1:]) and len(calls) >= 2
 
-    def test_borrowed_client_not_closed_with_executor(self, client, monkeypatch):
-        """run_sweep borrows a client it is handed and never closes it; the
-        context manager is what closes one."""
+    def test_borrowed_client_not_closed_with_executor(self, client, monkeypatch, cifar_workload):
+        """Code handed a client (here a pipeline's hardware evaluation) never
+        closes it; the context manager is what closes one."""
         closed = []
         monkeypatch.setattr(client, "close", lambda: closed.append(True))
-        assert run_sweep("exec_square", {"x": [2]}, executor=client).values() == [4]
+        pipeline = small_pipeline(cifar_workload)
+        trace = pipeline.collect_trace(relu=True)
+        remote = pipeline.evaluate_hardware(trace=trace, executor=client)
+        assert remote.total_speedup == pipeline.evaluate_hardware(trace=trace).total_speedup
         assert closed == []  # borrowed: untouched
         with client:
             pass
         assert closed == [True]
-
-
-# -- run_sweep over the executors --------------------------------------------------
-
-
-class TestRunSweepExecutors:
-    def test_executor_instance_is_borrowed_not_closed(self):
-        with EvaluationService(max_workers=2) as executor:
-            first = run_sweep(_square, {"x": [1, 2]}, executor=executor)
-            second = run_sweep(_square, {"x": [3]}, executor=executor)
-        assert first.values() == [1, 4] and second.values() == [9]
-
-    def test_default_executor_is_an_owned_service_closed_after(self, monkeypatch):
-        built = []
-
-        class RecordingService(EvaluationService):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                built.append(self)
-
-        monkeypatch.setattr(service_module, "EvaluationService", RecordingService)
-        result = run_sweep(_square, {"x": [1, 2, 3]}, max_workers=3)
-        assert result.values() == [1, 4, 9]
-        assert len(built) == 1 and built[0]._closed
-        assert built[0].stats()["submitted"] == {"callable": 3}
-
-    def test_inline_instance_runs_sweep(self):
-        result = run_sweep(
-            lambda a, b: a * 10 + b,
-            SweepSpec(name="s", grid={"a": [1, 2], "b": [3, 4]}),
-            executor=InlineExecutor(),
-        )
-        assert result.values() == [13, 14, 23, 24]
-
-    def test_inline_raise_mode_stops_at_first_failure(self):
-        """The historical serial contract: on_error='raise' must not run the
-        rest of the grid once a case fails."""
-        ran = []
-
-        def flaky(i):
-            ran.append(i)
-            if i == 1:
-                raise RuntimeError("stop here")
-            return i
-
-        with pytest.raises(RuntimeError, match="stop here"):
-            run_sweep(flaky, {"i": [0, 1, 2, 3]}, executor=InlineExecutor())
-        assert ran == [0, 1]  # cases 2 and 3 never executed
-
-    def test_non_executor_object_rejected_with_guidance(self):
-        """A non-executor must not surface as a bare AttributeError deep
-        inside map(); the error names what to pass instead."""
-        with pytest.raises(TypeError, match="EvaluationService"):
-            run_sweep(_square, {"x": [1]}, executor=object())
-
-    def test_capture_mode_records_handle_errors(self):
-        def flaky(i):
-            if i == 1:
-                raise RuntimeError("nope")
-            return i
-
-        with EvaluationService(max_workers=2) as executor:
-            result = run_sweep(
-                flaky, {"i": [0, 1, 2]}, executor=executor, on_error="capture"
-            )
-        assert [case.ok for case in result.cases] == [True, False, True]
-        assert "nope" in str(result.cases[1].error)
 
 
 # -- cross-backend bit-identity ----------------------------------------------------
@@ -598,16 +506,7 @@ class TestCrossBackendBitIdentity:
         assert [c["sparsity_threshold"] for c in outcomes["remote"].params] == [0.15, 0.45]
 
     def test_evaluate_hardware_identical_through_service_executor(self, cifar_workload):
-        from repro.core.pipeline import PipelineConfig, SQDMPipeline
-
-        pipeline = SQDMPipeline(
-            workload=cifar_workload,
-            config=PipelineConfig(
-                num_sampling_steps=2, num_trace_samples=1, num_reference_samples=8
-            ),
-            artifacts=None,
-            report_cache=ReportCache(),
-        )
+        pipeline = small_pipeline(cifar_workload)
         trace = pipeline.collect_trace(relu=True)
         default = pipeline.evaluate_hardware(trace=trace)
         with EvaluationService(cache=ReportCache(), max_workers=2) as service:
@@ -622,7 +521,7 @@ class TestCrossBackendBitIdentity:
 
 class TestHandleBasics:
     def test_completed_handle_repr_and_done(self):
-        handle = CompletedHandle("inline-0001", "lbl", "callable", value=1)
+        handle = CompletedHandle("inline-0001", "lbl", "simulation", value=1)
         assert handle.done and handle.wait(0) and handle.error is None
 
     def test_executor_protocol_is_abstract(self):
@@ -630,7 +529,12 @@ class TestHandleBasics:
             Executor()  # submit() is abstract
 
     def test_job_kind_names(self):
-        assert job_kind(LocalCallSpec(fn=_square)) is JobKind.CALLABLE
+        """Three specs are jobs, and nothing else is."""
+        assert [kind.value for kind in JobKind] == ["simulation", "sweep", "sampling"]
         assert job_kind(SimulateJobSpec(config=sqdm_config(), trace=[])) is JobKind.SIMULATION
-        with pytest.raises(TypeError, match="not a job spec"):
-            job_kind(sqdm_config())
+        sweep = SweepJobSpec(base=sqdm_config(), grid={"sparsity_threshold": [0.2]}, trace=[])
+        assert job_kind(sweep) is JobKind.SWEEP
+        assert job_kind(QualityJobSpec(workload="cifar10", scheme="INT8")) is JobKind.SAMPLING
+        for not_a_spec in (sqdm_config(), {"kind": "dict"}, print):
+            with pytest.raises(TypeError, match="not a job spec"):
+                job_kind(not_a_spec)

@@ -1,4 +1,4 @@
-"""Tests for the declarative sweep runner and the simulation-report cache."""
+"""Tests for the sweep spec's grid and the simulation-report cache."""
 
 from __future__ import annotations
 
@@ -14,8 +14,6 @@ from repro.accelerator import (
     sqdm_config,
 )
 from repro.core.columnar import ensure_report
-from repro.core.execution import InlineExecutor
-from repro.core.experiments import SweepSpec, run_sweep, sweep_table
 from repro.core.report_cache import (
     ReportCache,
     fingerprint_config,
@@ -24,84 +22,42 @@ from repro.core.report_cache import (
 )
 from repro.accelerator.energy import EnergyTable
 from repro.serve.scheduler import run_batched
-from repro.serve.specs import SimulateJobSpec
-from repro.serve.service import EvaluationService
+from repro.serve.specs import SimulateJobSpec, SweepJobSpec
 
 
 class TestSweepSpec:
+    """The grid of a ``sweep_spec`` (:class:`SweepJobSpec`), the one sweep
+    description."""
+
     def test_cases_enumerate_cross_product_in_order(self):
-        spec = SweepSpec(name="s", grid={"a": [1, 2], "b": ["x", "y"]})
+        spec = SweepJobSpec(
+            base=sqdm_config(),
+            grid={"num_spe": [1, 2], "sparsity_threshold": [0.1, 0.3]},
+            trace=[],
+        )
         assert spec.num_cases == 4
         assert spec.cases() == [
-            {"a": 1, "b": "x"},
-            {"a": 1, "b": "y"},
-            {"a": 2, "b": "x"},
-            {"a": 2, "b": "y"},
+            {"num_spe": 1, "sparsity_threshold": 0.1},
+            {"num_spe": 1, "sparsity_threshold": 0.3},
+            {"num_spe": 2, "sparsity_threshold": 0.1},
+            {"num_spe": 2, "sparsity_threshold": 0.3},
         ]
+        # Planned in that order too, the baseline last.
+        spec = SweepJobSpec(
+            base=sqdm_config(), grid=spec.grid, trace=[], baseline=dense_baseline_config()
+        )
+        planned = [
+            (request.config.num_spe, request.config.sparsity_threshold)
+            for request in spec.plan()
+        ]
+        assert planned[:4] == [(1, 0.1), (1, 0.3), (2, 0.1), (2, 0.3)]
+        assert spec.plan()[-1].config == dense_baseline_config()
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            SweepSpec(name="s", grid={})
+            SweepJobSpec(base=sqdm_config(), grid={}, trace=[])
         with pytest.raises(ValueError):
-            SweepSpec(name="s", grid={"a": []})
-
-
-class TestRunSweep:
-    @pytest.mark.parametrize(
-        "make_executor",
-        [InlineExecutor, lambda: EvaluationService(max_workers=2)],
-        ids=["serial", "thread"],
-    )
-    def test_results_in_grid_order(self, make_executor):
-        with make_executor() as executor:
-            result = run_sweep(
-                lambda a, b: a * 10 + b, {"a": [1, 2, 3], "b": [4, 5]}, executor=executor
-            )
-        assert result.values() == [14, 15, 24, 25, 34, 35]
-
-    def test_threaded_sweep_actually_fans_out(self):
-        started = []
-        barrier = threading.Barrier(3, timeout=10)
-
-        def task(i):
-            started.append(i)
-            barrier.wait()  # deadlocks unless 3 workers run concurrently
-            return i
-
-        # No executor: the sweep's own service runs the cases on 3 threads.
-        result = run_sweep(task, {"i": [0, 1, 2]}, max_workers=3)
-        assert result.values() == [0, 1, 2]
-        assert sorted(started) == [0, 1, 2]
-
-    def test_capture_keeps_going_after_failure(self):
-        def flaky(i):
-            if i == 1:
-                raise RuntimeError("boom")
-            return i
-
-        result = run_sweep(flaky, {"i": [0, 1, 2]}, on_error="capture")
-        assert [c.ok for c in result.cases] == [True, False, True]
-        assert len(result.failures()) == 1
-        with pytest.raises(RuntimeError, match="failed"):
-            result.values()
-
-    def test_raise_propagates_failure(self):
-        def bad(i):
-            raise ValueError("nope")
-
-        with pytest.raises(ValueError, match="nope"):
-            run_sweep(bad, {"i": [0, 1]}, executor=InlineExecutor())
-
-    def test_invalid_executor_rejected(self):
-        for name in ("gpu", "service"):  # executor names are not executors
-            with pytest.raises(TypeError, match="Executor"):
-                run_sweep(lambda i: i, {"i": [1]}, executor=name)
-
-    def test_sweep_table_view(self):
-        result = run_sweep(lambda a: a + 1, {"a": [1, 2]}, executor=InlineExecutor())
-        header, rows = sweep_table(result, value_label="a+1")
-        assert header == ["a", "a+1"]
-        assert rows == [[1, 2], [2, 3]]
+            SweepJobSpec(base=sqdm_config(), grid={"num_spe": []}, trace=[])
 
 
 @pytest.fixture()

@@ -9,6 +9,7 @@ unpickling (see ``TestRawJSONWire``, which drives a sweep with nothing but
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import http.client
 import io
@@ -30,48 +31,23 @@ from repro.accelerator import AcceleratorSimulator, dense_baseline_config, sqdm_
 from repro.core import codec, telemetry
 from repro.core.artifacts import ArtifactStore
 from repro.core.columnar import ARRAY_FIELDS
-from repro.core.experiments import run_sweep
 from repro.core.report_cache import ReportCache, fingerprint_trace
 from repro.serve import (
     EvaluationService,
     InlineExecutor,
     JobFailedError,
     JobStatus,
-    LocalCallSpec,
     RemoteEvaluationClient,
     RemoteServiceError,
     SimulateJobSpec,
     SweepJobSpec,
-    register_wire_function,
     start_http_server,
 )
 from repro.serve import client as client_module
 from repro.serve import service as service_module
 from repro.serve.cli import main as cli_main
 
-from test_serve import _module_level_boom, _module_level_square, make_trace
-
-register_wire_function("square", _module_level_square)
-register_wire_function("boom", _module_level_boom)
-
-
-def _module_level_wait_forever(seconds):
-    time.sleep(seconds)
-    return "done"
-
-
-register_wire_function("wait_forever", _module_level_wait_forever)
-
-#: Server-side gates: a ``gated`` job runs until its test sets the gate.
-_GATES: dict[str, threading.Event] = {}
-
-
-def _module_level_gated(key):
-    _GATES[key].wait(30)
-    return key
-
-
-register_wire_function("gated", _module_level_gated)
+from test_serve import cycles, make_trace, simulate
 
 
 @pytest.fixture()
@@ -87,6 +63,25 @@ def served(tmp_path):
     finally:
         server.close()
         service.close(cancel_queued=True)
+
+
+@contextlib.contextmanager
+def held_scheduler(service, monkeypatch):
+    """Hold the service's scheduler in its next drain, so that jobs submitted
+    meanwhile stay queued; yields the event the hold sets once it begins."""
+    dispatching, release = threading.Event(), threading.Event()
+    dispatch = service._dispatch
+
+    def held_dispatch(drained):
+        dispatching.set()
+        release.wait(30)
+        dispatch(drained)
+
+    monkeypatch.setattr(service, "_dispatch", held_dispatch)
+    try:
+        yield dispatching
+    finally:
+        release.set()
 
 
 def _raw_request(endpoint, path, data=None, headers=None, method=None):
@@ -139,6 +134,7 @@ class TestEndpoints:
             assert listing["schemas"][name] == [1]
         assert listing["schemas"]["sweep_result"] == [3]
         assert listing["schemas"]["columnar_report_batch"] == [1]
+        assert "callable_spec" not in listing["schemas"]  # no job carries code
 
     def test_cache_stats_shape(self, served):
         client, _, _, _ = served
@@ -219,13 +215,26 @@ class TestHTTPErrorPaths:
         status, body = _raw_request(server.endpoint, "/jobs", data=payload)
         assert status == 400 and "not a job spec" in body["error"]
 
-    def test_unregistered_wire_function_is_400(self, served):
-        _, _, _, server = served
+    def test_callable_spec_is_an_unknown_schema_and_writes_nothing(self, served, tmp_path):
+        """No job carries code: an envelope naming a server function and a
+        filesystem path for it to write into is an unknown schema, refused
+        before any job exists or anything is written there."""
+        _, service, _, server = served
+        target = tmp_path / "chosen-by-the-client"
         payload = json.dumps(
-            {"spec": {"$schema": "callable_spec@1", "function": "rm_rf_slash"}}
+            {
+                "spec": {
+                    "$schema": "callable_spec@1",
+                    "function": "evaluate_hardware",
+                    "kwargs": {"workload": "cifar10", "artifact_dir": str(target)},
+                }
+            }
         ).encode()
         status, body = _raw_request(server.endpoint, "/jobs", data=payload)
-        assert status == 400 and "unknown wire function" in body["error"]
+        assert status == 400
+        assert "unknown schema 'callable_spec'" in body["error"]
+        assert service.jobs() == []
+        assert not target.exists()
 
     def test_wrong_content_type_is_415(self, served):
         _, _, _, server = served
@@ -402,21 +411,20 @@ class TestHTTPErrorPaths:
         assert status == 400  # from the capture stub
         assert captured["spec"].artifact_dir == str(store.root)
 
-    def test_cancelled_job_result_fetch(self, served):
+    def test_cancelled_job_result_fetch(self, served, monkeypatch):
         """``?result=1`` on a cancelled job returns its summary, no result."""
         client, service, _, server = served
-        blockers = [client.submit(LocalCallSpec("wait_forever", args=(0.4,))) for _ in range(4)]
-        victim = client.submit(LocalCallSpec("square", args=(5,)))
-        cancelled = victim.cancel()
-        client.wait_all([*blockers, victim], timeout=30)
+        with held_scheduler(service, monkeypatch) as dispatching:
+            first = client.submit(simulate(80))
+            assert dispatching.wait(10)  # the next job stays queued
+            victim = client.submit(simulate(81))
+            assert victim.cancel() is True
+        assert client.wait_all([first, victim], timeout=30)
         status, body = _raw_request(server.endpoint, f"/jobs/{victim.id}?result=1")
         assert status == 200
-        if cancelled:
-            assert body["status"] == "cancelled"
-            assert "result" not in body
-            assert "cancel" in body["error"]
-        else:  # lost the race benignly: it ran before the cancel arrived
-            assert body["status"] == "done" and "result" in body
+        assert body["status"] == "cancelled"
+        assert "result" not in body
+        assert "cancel" in body["error"]
 
 
 class TestKeepAlive:
@@ -511,9 +519,9 @@ class TestKeepAlive:
         assert client.health()["status"] == "ok"
         assert len(accepted) == 2
         self._close_idle_connections(server)
-        job = client.submit(LocalCallSpec("square", args=(5,)))
+        job = client.submit(simulate(82))
         assert len(accepted) == 3
-        assert job.result(timeout=30) == 25
+        assert job.result(timeout=30).total_cycles == cycles(simulate(82))
         assert [j.id for j in service.jobs()] == [job.id]  # submitted exactly once
 
     def test_a_connection_closed_while_idle_is_dropped_before_reuse(self, served, monkeypatch):
@@ -584,7 +592,7 @@ class TestKeepAlive:
 class TestJobListing:
     def test_status_filter_and_limit(self, served):
         client, _, _, _ = served
-        jobs = [client.submit(LocalCallSpec("square", args=(i,))) for i in range(4)]
+        jobs = [client.submit(simulate(seed)) for seed in range(70, 74)]
         assert client.wait_all(jobs, timeout=30)
         done = client.list_jobs(status="done")
         assert {job.id for job in jobs} <= {job.id for job in done}
@@ -606,30 +614,30 @@ class TestJobListing:
 
 
 class TestRemoteJobs:
-    def test_named_callable_roundtrip(self, served):
+    def test_job_roundtrip_by_handle_and_by_id(self, served):
         client, _, _, _ = served
-        job = client.submit(LocalCallSpec("square", args=(9,)))
-        assert job.result(timeout=30) == 81
+        spec = simulate(83)
+        job = client.submit(spec)
+        assert job.result(timeout=30).total_cycles == cycles(spec)
         assert job.ok and job.done
         assert client.status(job.id) is JobStatus.DONE
-        assert client.result(job.id, timeout=30) == 81
+        assert client.result(job.id, timeout=30).total_cycles == cycles(spec)
 
-    def test_registered_function_object_resolves_to_name(self, served):
+    def test_non_spec_rejected_client_side(self, served, monkeypatch):
         client, _, _, _ = served
-        job = client.submit(LocalCallSpec(_module_level_square, args=(7,)))
-        assert job.result(timeout=30) == 49
+        sent = []
+        monkeypatch.setattr(client, "_request", lambda *args, **kwargs: sent.append(args))
+        for not_a_spec in (lambda: 1, {"kind": "dict"}):
+            with pytest.raises(TypeError, match="not a job spec"):
+                client.submit(not_a_spec)
+        assert sent == []  # nothing hit the wire
 
-    def test_unregistered_callable_rejected_client_side(self, served):
+    def test_failed_job_surfaces_server_error(self, served, failing_backend):
         client, _, _, _ = served
-        with pytest.raises(ValueError, match="register_wire_function"):
-            client.submit(LocalCallSpec(lambda: 1))  # nothing hits the wire
-
-    def test_failed_job_surfaces_server_error(self, served):
-        client, _, _, _ = served
-        job = client.submit(LocalCallSpec("boom"))
+        job = client.submit(simulate(84, backend=failing_backend))
         assert job.wait(30)
         assert job.status is JobStatus.FAILED
-        with pytest.raises(JobFailedError, match="boom"):
+        with pytest.raises(JobFailedError, match="kaboom"):
             job.result()
 
     def test_unknown_job_raises_keyerror(self, served):
@@ -639,18 +647,18 @@ class TestRemoteJobs:
         with pytest.raises(KeyError):
             client.cancel("job-9999")
 
-    def test_cancel_pending_job(self, served):
+    def test_cancel_pending_job(self, served, monkeypatch):
         client, service, _, _ = served
-        blockers = [client.submit(LocalCallSpec("wait_forever", args=(0.5,))) for _ in range(4)]
-        victim = client.submit(LocalCallSpec("square", args=(5,)))
-        cancelled = victim.cancel()
-        assert client.wait_all([*blockers, victim], timeout=30)
-        if cancelled:  # won the race: the job must report cancelled, not run
-            assert victim.status is JobStatus.CANCELLED
-            with pytest.raises(JobFailedError, match="cancel"):
-                victim.result()
-        else:  # lost the race benignly: it ran before the cancel arrived
-            assert victim.result(timeout=30) == 25
+        with held_scheduler(service, monkeypatch) as dispatching:
+            first = client.submit(simulate(85))
+            assert dispatching.wait(10)  # the next job stays queued
+            victim = client.submit(simulate(86))
+            assert victim.cancel() is True
+        assert client.wait_all([first, victim], timeout=30)
+        assert victim.status is JobStatus.CANCELLED  # it never ran
+        with pytest.raises(JobFailedError, match="cancel"):
+            victim.result()
+        assert first.result(timeout=30).total_cycles == cycles(simulate(85))
 
     def test_simulation_job_matches_local_run(self, served):
         client, _, _, _ = served
@@ -666,15 +674,6 @@ class TestLongPoll:
     """``GET /jobs/<id>?wait=<s>`` holds the request until the job ends, and
     the client's waits ride on it: no sleep between polls, and the result
     arrives in the response that sees the job finish."""
-
-    @pytest.fixture()
-    def gate(self):
-        key = f"gate-{len(_GATES)}"
-        event = _GATES[key] = threading.Event()
-        try:
-            yield key, event
-        finally:
-            event.set()  # never leave a server thread parked on a failed test
 
     def test_cold_sweep_costs_one_post_and_one_get(self, served, monkeypatch):
         client, service, _, _ = served
@@ -699,10 +698,9 @@ class TestLongPoll:
         assert [method for method, _ in calls] == ["POST", "GET"], calls
         assert calls[1][1].startswith(f"/jobs/{job.id}?result=1&wait=")
 
-    def test_open_get_returns_as_soon_as_the_job_finishes(self, served, gate):
+    def test_open_get_returns_as_soon_as_the_job_finishes(self, served, gated_backend):
         client, _, _, server = served
-        key, event = gate
-        job = client.submit(LocalCallSpec("gated", args=(key,)))
+        job = client.submit(simulate(87, backend=gated_backend.backend))
         response = {}
 
         def long_poll():
@@ -714,32 +712,36 @@ class TestLongPoll:
         time.sleep(0.3)
         assert "reply" not in response, "the GET must be held while the job runs"
         released = time.monotonic()
-        event.set()
+        gated_backend.release.set()
         thread.join(timeout=10)
         assert not thread.is_alive()
         status, body = response["reply"]
         assert status == 200 and body["status"] == "done"
-        assert codec.decode(body["result"]) == key
+        assert codec.decode(body["result"]).total_cycles == cycles(simulate(87))
         assert response["at"] - released < 0.2
 
-    def test_result_timeout_clips_the_hold(self, served, gate):
+    def test_result_timeout_clips_the_hold(self, served, gated_backend):
         client, _, _, _ = served
-        key, event = gate
-        job = client.submit(LocalCallSpec("gated", args=(key,)))
+        job = client.submit(simulate(88, backend=gated_backend.backend))
         began = time.monotonic()
         with pytest.raises(TimeoutError):
             job.result(timeout=0.3)
         assert time.monotonic() - began < 1.0
-        event.set()
-        assert job.result(timeout=30) == key
+        gated_backend.release.set()
+        assert job.result(timeout=30).total_cycles == cycles(simulate(88))
 
-    def test_socket_timeout_covers_the_hold(self, served):
+    def test_socket_timeout_covers_the_hold(self, served, gated_backend):
         """With no retries to fall back on, a 0.5-s socket timeout still
         collects a 1.5-s job: the hold is added to the timeout."""
         _, _, _, server = served
         client = RemoteEvaluationClient(server.endpoint, timeout=0.5, retries=1)
-        job = client.submit(LocalCallSpec("wait_forever", args=(1.5,)))
-        assert job.result(timeout=30) == "done"
+        release = threading.Timer(1.5, gated_backend.release.set)
+        release.start()
+        try:
+            job = client.submit(simulate(89, backend=gated_backend.backend))
+            assert job.result(timeout=30).total_cycles == cycles(simulate(89))
+        finally:
+            release.cancel()
 
     def test_close_cancel_queued_ends_a_long_poll_at_once(self, served, monkeypatch):
         client, service, _, _ = served
@@ -752,9 +754,9 @@ class TestLongPoll:
             dispatch(drained)
 
         monkeypatch.setattr(service, "_dispatch", held_dispatch)
-        client.submit(LocalCallSpec("square", args=(2,)))
+        client.submit(simulate(90))
         assert dispatching.wait(10)  # the scheduler is held: the next job stays queued
-        victim = client.submit(LocalCallSpec("square", args=(3,)))
+        victim = client.submit(simulate(91))
         outcome = {}
 
         def wait_for_victim():
@@ -777,12 +779,11 @@ class TestLongPoll:
         assert "cancelled" in str(outcome.get("error")), outcome
         assert outcome["at"] - closing < 0.5
 
-    def test_server_close_lets_an_open_long_poll_finish(self, served, gate):
+    def test_server_close_lets_an_open_long_poll_finish(self, served, gated_backend):
         """close() shuts a busy connection only for reading: the held GET
         still gets its whole response once the job ends."""
         client, _, _, server = served
-        key, event = gate
-        job = client.submit(LocalCallSpec("gated", args=(key,)))
+        job = client.submit(simulate(92, backend=gated_backend.backend))
         response = {}
 
         def long_poll():
@@ -792,17 +793,17 @@ class TestLongPoll:
         thread.start()
         time.sleep(0.3)  # the GET is held
         server.close()
-        event.set()
+        gated_backend.release.set()
         thread.join(timeout=10)
         assert not thread.is_alive()
         status, body = response["reply"]
         assert status == 200 and body["status"] == "done"
-        assert codec.decode(body["result"]) == key
+        assert codec.decode(body["result"]).total_cycles == cycles(simulate(92))
 
     def test_wait_parameter_is_validated(self, served):
         client, _, _, server = served
-        job = client.submit(LocalCallSpec("square", args=(4,)))
-        assert job.result(timeout=30) == 16
+        job = client.submit(simulate(93))
+        assert job.result(timeout=30).total_cycles == cycles(simulate(93))
         for bad in ("nan", "NaN", "banana"):
             status, body = _raw_request(server.endpoint, f"/jobs/{job.id}?wait={bad}")
             assert status == 400 and "wait" in body["error"], (bad, body)
@@ -1367,8 +1368,8 @@ class TestResultFrames:
     )
     def test_json_unless_a_result_long_poll_names_the_frame(self, served, accept, query):
         client, _, _, server = served
-        job = client.submit(LocalCallSpec(fn="square", kwargs={"x": 6}))
-        assert job.result(timeout=30) == 36
+        job = client.submit(simulate(94))
+        assert job.result(timeout=30).total_cycles == cycles(simulate(94))
         status, content_type, body = _get(server.endpoint, f"/jobs/{job.id}{query}", accept)
         assert (status, content_type) == (200, "application/json")
         assert json.loads(body)["status"] == "done"
@@ -1382,7 +1383,7 @@ class TestResultFrames:
 
     def test_a_frame_only_accept_is_refused_since_errors_are_json(self, served):
         client, _, _, server = served
-        job = client.submit(LocalCallSpec(fn="square", kwargs={"x": 2}))
+        job = client.submit(simulate(95))
         job.result(timeout=30)
         status, content_type, body = _get(
             server.endpoint, f"/jobs/{job.id}?result=1", codec.FRAME_MEDIA_TYPE
@@ -1421,46 +1422,6 @@ class TestResultFrames:
         with pytest.raises((RemoteServiceError, codec.SchemaError), match=fault):
             job.result(timeout=5)
         assert job.result_value is None
-
-
-class TestRemoteSweeps:
-    def test_run_sweep_remote_executor_with_wire_function(self, served):
-        _, _, _, server = served
-        with RemoteEvaluationClient(server.endpoint) as client:
-            result = run_sweep(_module_level_square, {"x": [2, 3, 4]}, executor=client)
-        assert result.values() == [4, 9, 16]
-
-    def test_run_sweep_remote_with_shared_client_and_name(self, served):
-        client, _, _, _ = served
-        result = run_sweep("square", {"x": [5, 6]}, executor=client)
-        assert result.values() == [25, 36]
-
-    def test_run_sweep_remote_captures_failures(self, served):
-        client, _, _, _ = served
-        result = run_sweep(
-            _remote_flaky,
-            {"i": [0, 1, 2]},
-            executor=client,
-            on_error="capture",
-        )
-        assert [case.ok for case in result.cases] == [True, False, True]
-        assert "nope" in str(result.cases[1].error)
-
-    def test_run_sweep_remote_rejects_unregistered_fn(self, served):
-        client, _, _, _ = served
-        captured = []
-        with pytest.raises(ValueError, match="register_wire_function"):
-            run_sweep(lambda i: captured.append(i), {"i": [0]}, executor=client)
-        assert captured == []
-
-
-def _remote_flaky(i):
-    if i == 1:
-        raise RuntimeError("nope")
-    return i
-
-
-register_wire_function("flaky", _remote_flaky)
 
 
 class TestCLIRemote:

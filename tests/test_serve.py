@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import os
+import signal
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -21,21 +23,18 @@ from repro.accelerator import (
 from repro.accelerator.backends import resolve_backend_name
 from repro.core.artifacts import ArtifactStore
 from repro.core.columnar import ARRAY_FIELDS, ColumnarReportBatch, ensure_report
-from repro.core.experiments import run_sweep
 from repro.core.report_cache import ReportCache
 from repro.serve import (
     BatchStats,
-    CallableJobSpec,
     EvaluationService,
     InlineExecutor,
     JobFailedError,
+    JobKind,
     JobStatus,
-    LocalCallSpec,
     QualityJobSpec,
     SimulateJobSpec,
     SweepJobSpec,
     coalesce_requests,
-    register_wire_function,
     run_batched,
 )
 from repro.serve import service as service_module
@@ -56,6 +55,21 @@ def make_trace(seed: int, steps: int = 3, layers: int = 2, in_channels: int = 24
         ]
         for s in range(steps)
     ]
+
+
+def simulate(seed: int, backend: str | None = None) -> SimulateJobSpec:
+    """A simulate spec on a trace of its own: distinct seeds never share a
+    cache key, so no job hits the cache or coalesces with another."""
+    return SimulateJobSpec(config=sqdm_config(), trace=make_trace(seed), backend=backend)
+
+
+def cycles(spec: SimulateJobSpec) -> float:
+    """The spec's total cycles, simulated directly."""
+    return AcceleratorSimulator(spec.config).run_trace(spec.trace).total_cycles
+
+
+#: A quality spec that fails fast wherever it runs, in a pool worker included.
+UNKNOWN_WORKLOAD = QualityJobSpec(workload="no-such-workload", scheme="INT8")
 
 
 # -- cross-trace batched backend entry point ------------------------------------
@@ -242,14 +256,6 @@ class TestRunBatched:
 # -- evaluation service ----------------------------------------------------------
 
 
-def _module_level_square(x):
-    return x * x
-
-
-def _module_level_boom():
-    raise RuntimeError("boom")
-
-
 class TestEvaluationService:
     def test_simulation_jobs_coalesce_and_complete(self, monkeypatch):
         calls: list[int] = []
@@ -264,10 +270,12 @@ class TestEvaluationService:
         traces = [make_trace(seed) for seed in range(4)]
         cache = ReportCache()
         with EvaluationService(cache=cache, max_workers=2) as service:
-            jobs = [
-                service.submit(SimulateJobSpec(config=sqdm_config(), trace=trace))
-                for trace in traces
-            ]
+            # All four land in one drain: the scheduler waits on this lock.
+            with service._condition:
+                jobs = [
+                    service.submit(SimulateJobSpec(config=sqdm_config(), trace=trace))
+                    for trace in traces
+                ]
             reports = [job.result(timeout=60) for job in jobs]
         # all four unique traces were simulated, in fewer batched calls
         assert sum(calls) == 4 and len(calls) < 4
@@ -275,42 +283,60 @@ class TestEvaluationService:
             expected = AcceleratorSimulator(sqdm_config()).run_trace(trace)
             assert report.total_cycles == expected.total_cycles
 
-    def test_callable_jobs_and_status(self):
-        with EvaluationService(max_workers=2) as service:
-            job = service.submit(LocalCallSpec(_module_level_square, args=(7,)))
-            assert job.result(timeout=30) == 49
+    def test_jobs_and_status(self):
+        spec = simulate(30)
+        with EvaluationService(cache=ReportCache(), max_workers=2) as service:
+            job = service.submit(spec)
+            assert job.result(timeout=30).total_cycles == cycles(spec)
             assert service.status(job.id) is JobStatus.DONE
             assert service.job(job.id).summary()["status"] == "done"
             with pytest.raises(KeyError):
                 service.job("job-9999")
 
-    def test_failed_job_reports_error(self):
-        with EvaluationService(max_workers=1) as service:
-            job = service.submit(LocalCallSpec(_module_level_boom))
+    def test_failed_job_reports_error(self, failing_backend):
+        with EvaluationService(cache=ReportCache(), max_workers=1) as service:
+            job = service.submit(simulate(31, backend=failing_backend))
             job.wait(30)
             assert job.status is JobStatus.FAILED
-            with pytest.raises(JobFailedError, match="boom"):
+            with pytest.raises(JobFailedError, match="kaboom"):
                 job.result()
 
     def test_sampling_job_runs_in_separate_process(self):
-        register_wire_function("serve-test-getpid", os.getpid)
+        """A quality spec is a sampling job and runs in a pool worker: its
+        error carries the worker's traceback, which an exception raised in
+        this process would not."""
         with EvaluationService(process_workers=1) as service:
-            job = service.submit(CallableJobSpec("serve-test-getpid", pool="process"))
-            worker_pid = job.result(timeout=120)
-        assert worker_pid != os.getpid()
+            job = service.submit(UNKNOWN_WORKLOAD)
+            assert job.wait(120)
+        assert job.kind is JobKind.SAMPLING and job.status is JobStatus.FAILED
+        assert isinstance(job.error, KeyError) and "unknown workload" in str(job.error)
+        assert type(job.error.__cause__).__name__ == "_RemoteTraceback"
 
-    def test_killed_sampling_worker_does_not_break_later_jobs(self):
+    def test_killed_sampling_worker_does_not_break_later_jobs(self, tmp_path):
         """A worker that dies takes the process pool with it; the service
         replaces the pool, so only the killed job fails."""
-        register_wire_function("serve-test-exit", os._exit)
-        register_wire_function("serve-test-getpid", os.getpid)
+        evaluation = QualityJobSpec(
+            workload="cifar10",
+            scheme="INT8",
+            resolution=8,
+            pipeline_overrides=QUALITY_OVERRIDES,
+            artifact_dir=str(tmp_path),
+        )
         with EvaluationService(process_workers=1) as service:
-            killed = service.submit(CallableJobSpec("serve-test-exit", args=(1,), pool="process"))
+            killed = service.submit(evaluation)
+            deadline = time.monotonic() + 60
+            while not (service._process_pool and service._process_pool._processes):
+                assert time.monotonic() < deadline, "the pool never started a worker"
+                time.sleep(0.005)
+            for pid in list(service._process_pool._processes):
+                os.kill(pid, signal.SIGKILL)
             assert killed.wait(120)
             assert killed.status is JobStatus.FAILED
-            survivor = service.submit(CallableJobSpec("serve-test-getpid", pool="process"))
-            worker_pid = survivor.result(timeout=120)
-        assert worker_pid != os.getpid()
+            assert isinstance(killed.error, BrokenProcessPool)
+            survivor = service.submit(UNKNOWN_WORKLOAD)
+            assert survivor.wait(120)
+        assert "unknown workload" in str(survivor.error)  # the new pool ran it
+        assert type(survivor.error.__cause__).__name__ == "_RemoteTraceback"
 
     def test_sampling_pool_starts_while_the_caller_multiplies_matrices(self):
         """``repro evaluate`` runs the hardware evaluation (BLAS GEMMs) while
@@ -322,18 +348,16 @@ class TestEvaluationService:
 
         script = "\n".join(
             [
-                "import os",
                 "import numpy as np",
-                "from repro.serve import CallableJobSpec, EvaluationService,"
-                " register_wire_function",
-                "register_wire_function('getpid', os.getpid)",
+                "from repro.serve import EvaluationService, QualityJobSpec",
+                "spec = QualityJobSpec(workload='no-such-workload', scheme='INT8')",
                 "a = np.random.default_rng(0).normal(size=(300, 300))",
                 "for _ in range(2):",
                 "    with EvaluationService(process_workers=1) as service:",
-                "        job = service.submit(CallableJobSpec('getpid', pool='process'))",
+                "        job = service.submit(spec)",
                 "        while not job.done:",
                 "            a @ a",
-                "        assert job.result() != os.getpid()",
+                "        assert 'unknown workload' in str(job.error), job.error",
             ]
         )
         env = dict(os.environ)
@@ -345,10 +369,12 @@ class TestEvaluationService:
         assert completed.returncode == 0, completed.stderr.decode()
 
     def test_unpicklable_sampling_job_fails_fast(self):
-        register_wire_function("serve-test-lambda", lambda: 1)
+        spec = QualityJobSpec(
+            workload="cifar10", scheme="INT8", pipeline_overrides={"seed": lambda: 1}
+        )
         with EvaluationService() as service:
             with pytest.raises(ValueError, match="picklable"):
-                service.submit(CallableJobSpec("serve-test-lambda", pool="process"))
+                service.submit(spec)
         # nothing was queued, so the failure cannot have come from the pool
         assert service.jobs() == []
 
@@ -394,31 +420,29 @@ class TestEvaluationService:
         service = EvaluationService(max_workers=1)
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
-            service.submit(LocalCallSpec(_module_level_square, args=(2,)))
+            service.submit(simulate(32))
 
     def test_wait_all(self):
-        with EvaluationService(max_workers=2) as service:
-            jobs = [
-                service.submit(LocalCallSpec(_module_level_square, args=(i,)))
-                for i in range(5)
-            ]
+        specs = [simulate(40 + i) for i in range(5)]
+        with EvaluationService(cache=ReportCache(), max_workers=2) as service:
+            jobs = [service.submit(spec) for spec in specs]
             assert service.wait_all(jobs, timeout=60)
-            assert [job.result_value for job in jobs] == [0, 1, 4, 9, 16]
+            assert [job.result_value.total_cycles for job in jobs] == [
+                cycles(spec) for spec in specs
+            ]
 
     def test_completed_job_history_is_bounded(self):
         """A long-lived service must not pin every finished job forever."""
-        with EvaluationService(max_workers=2, history_limit=3) as service:
-            jobs = [
-                service.submit(LocalCallSpec(_module_level_square, args=(i,)))
-                for i in range(8)
-            ]
+        specs = [simulate(50 + i) for i in range(8)]
+        with EvaluationService(cache=ReportCache(), max_workers=2, history_limit=3) as service:
+            jobs = [service.submit(spec) for spec in specs]
             assert service.wait_all(jobs, timeout=60)
             # triggers pruning
-            final = service.submit(LocalCallSpec(_module_level_square, args=(99,)))
-            assert final.result(timeout=30) == 99 * 99
+            final = service.submit(simulate(59))
+            assert final.result(timeout=30).total_cycles == cycles(simulate(59))
             assert len(service.jobs()) <= 4  # 3 retained terminal + the new one
             # retired jobs lose id-based lookup, but the handles still work
-            assert jobs[0].result_value == 0
+            assert jobs[0].result_value.total_cycles == cycles(specs[0])
             with pytest.raises(KeyError):
                 service.job(jobs[0].id)
 
@@ -583,19 +607,17 @@ class TestSweepJobs:
         assert simulated == [1], "cancelled sweep was simulated anyway"
 
     def test_submit_spec_dispatches_by_type(self):
-        register_wire_function("serve-test-double", _module_level_square)
+        sweep = SweepJobSpec(
+            base=sqdm_config(), grid={"sparsity_threshold": [0.2]}, trace=make_trace(33)
+        )
         with EvaluationService(cache=ReportCache(), max_workers=1) as service:
-            job = service.submit(CallableJobSpec(function="serve-test-double", args=(6,)))
-            assert job.result(timeout=30) == 36
-            with pytest.raises(ValueError, match="unknown wire function"):
-                service.submit(CallableJobSpec(function="nope"))
-            with pytest.raises(TypeError, match="not a job spec"):
-                service.submit({"kind": "dict"})
-
-
-def _module_level_wait(event):
-    event.wait(30)
-    return "ran"
+            jobs = [service.submit(simulate(33)), service.submit(sweep)]
+            assert [job.kind for job in jobs] == [JobKind.SIMULATION, JobKind.SWEEP]
+            assert service.wait_all(jobs, timeout=60) and all(job.ok for job in jobs)
+            for not_a_spec in ({"kind": "dict"}, print):
+                with pytest.raises(TypeError, match="not a job spec"):
+                    service.submit(not_a_spec)
+            assert len(service.jobs()) == 2
 
 
 class TestCancellation:
@@ -679,40 +701,47 @@ class TestCancellation:
                 job.result()
         assert simulated == [], "cancelled sweep was simulated anyway"
 
-    def test_cancelled_callable_never_runs(self):
-        """A callable queued behind a busy pool is cancellable until it starts."""
-        gate = threading.Event()
-        ran: list[int] = []
-        with EvaluationService(max_workers=1) as service:
-            blocker = service.submit(LocalCallSpec(_module_level_wait, args=(gate,)))
-            victims = [service.submit(LocalCallSpec(ran.append, args=(i,))) for i in range(3)]
+    def test_cancelled_queued_jobs_never_run(self, gated_backend, monkeypatch):
+        """Jobs queued behind a busy pool are cancellable until they start."""
+        simulated: list[int] = []
+        original_run = AcceleratorSimulator.run
+
+        def counting(self, entries):
+            simulated.append(sum(len(traces) for _, traces in entries))
+            return original_run(self, entries)
+
+        monkeypatch.setattr(AcceleratorSimulator, "run", counting)
+        with EvaluationService(cache=ReportCache(), max_workers=1) as service:
+            blocker = service.submit(simulate(60, backend=gated_backend.backend))
+            assert gated_backend.started.wait(10)
+            victims = [service.submit(simulate(61 + i)) for i in range(3)]
             cancelled = [service.cancel(job.id) for job in victims]
-            gate.set()
+            gated_backend.release.set()
             blocker.wait(30)
         assert all(cancelled)
-        assert ran == []
+        assert simulated == [1], "only the blocker's trace may be simulated"
         assert all(job.status is JobStatus.CANCELLED for job in victims)
 
     def test_cancel_finished_job_returns_false(self):
-        with EvaluationService(max_workers=1) as service:
-            job = service.submit(LocalCallSpec(_module_level_square, args=(3,)))
-            assert job.result(timeout=30) == 9
+        with EvaluationService(cache=ReportCache(), max_workers=1) as service:
+            job = service.submit(simulate(64))
+            assert job.result(timeout=30).total_cycles == cycles(simulate(64))
             assert service.cancel(job.id) is False
             assert job.status is JobStatus.DONE
             with pytest.raises(KeyError):
                 service.cancel("job-9999")
 
-    def test_cancelled_count_in_service_stats(self):
-        gate = threading.Event()
-        with EvaluationService(max_workers=1) as service:
-            blocker = service.submit(LocalCallSpec(_module_level_wait, args=(gate,)))
-            victim = service.submit(LocalCallSpec(_module_level_square, args=(1,)))
+    def test_cancelled_count_in_service_stats(self, gated_backend):
+        with EvaluationService(cache=ReportCache(), max_workers=1) as service:
+            blocker = service.submit(simulate(65, backend=gated_backend.backend))
+            assert gated_backend.started.wait(10)
+            victim = service.submit(simulate(66))
             assert service.cancel(victim.id)
             stats = service.service_stats()
-            gate.set()
+            gated_backend.release.set()
             blocker.wait(30)
         assert stats["cancelled"] == 1
-        assert stats["submitted"]["callable"] == 2
+        assert stats["submitted"]["simulation"] == 2
 
 
 class TestSingleFlight:
@@ -754,28 +783,6 @@ class TestSingleFlight:
         assert cache.stats.misses == 1
         assert all(report.total_cycles == reports[0].total_cycles for report in reports)
         assert service.service_stats()["coalesced_attached"] == 3
-
-
-class TestServiceExecutorSweeps:
-    def test_run_sweep_on_ephemeral_service(self):
-        with EvaluationService() as service:
-            result = run_sweep(
-                lambda a, b: a * 10 + b, {"a": [1, 2], "b": [3, 4]}, executor=service
-            )
-        assert result.values() == [13, 14, 23, 24]
-
-    def test_run_sweep_on_shared_service_captures_errors(self):
-        def flaky(i):
-            if i == 1:
-                raise RuntimeError("nope")
-            return i
-
-        with EvaluationService(max_workers=2) as service:
-            result = run_sweep(
-                flaky, {"i": [0, 1, 2]}, executor=service, on_error="capture"
-            )
-        assert [case.ok for case in result.cases] == [True, False, True]
-        assert result.cases[0].value == 0 and result.cases[2].value == 2
 
 
 # -- satellite guards ------------------------------------------------------------
@@ -937,14 +944,18 @@ class TestConcurrentServiceTraffic:
         """Service survives a burst of mixed traffic from several threads."""
         cache = ReportCache()
         traces = [make_trace(seed) for seed in range(3)]
+        # A one-case sweep of the sqdm config itself: a second job kind on
+        # the same three design points.
+        grid = {"sparsity_threshold": [sqdm_config().sparsity_threshold]}
         with EvaluationService(cache=cache, max_workers=4) as service:
             jobs: list = []
             jobs_lock = threading.Lock()
 
             def client(seed: int) -> None:
+                trace = traces[seed % 3]
                 submitted = [
-                    service.submit(SimulateJobSpec(config=sqdm_config(), trace=traces[seed % 3])),
-                    service.submit(LocalCallSpec(_module_level_square, args=(seed,))),
+                    service.submit(SimulateJobSpec(config=sqdm_config(), trace=trace)),
+                    service.submit(SweepJobSpec(base=sqdm_config(), grid=grid, trace=trace)),
                 ]
                 with jobs_lock:
                     jobs.extend(submitted)
@@ -956,8 +967,9 @@ class TestConcurrentServiceTraffic:
                 thread.join()
             assert service.wait_all(jobs, timeout=120)
         assert all(job.ok for job in jobs)
-        # Three unique traces exist.  Concurrent drains may race benignly on a
-        # key (both simulate, one insert wins), so misses can exceed 3 but
-        # never the simulation-job count, and the cache stays deduplicated.
-        assert 3 <= cache.stats.misses <= 6
+        # Three unique design points exist.  Concurrent drains may race
+        # benignly on a key (both simulate, one insert wins), so misses can
+        # exceed 3 but never the request count, and the cache stays
+        # deduplicated.
+        assert 3 <= cache.stats.misses <= 12
         assert len(cache) == 3

@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from repro.core.execution import LocalCallSpec
+from repro.accelerator import random_workload, sqdm_config
+from repro.core.report_cache import ReportCache
 from repro.core.telemetry import (
     COUNT_BUCKETS,
     EventLog,
@@ -23,6 +24,7 @@ from repro.core.telemetry import (
     span,
 )
 from repro.serve.service import EvaluationService
+from repro.serve.specs import SimulateJobSpec
 from repro.serve.top import histogram_quantiles, parse_prometheus, sample_total
 
 
@@ -119,7 +121,7 @@ class TestGauges:
         """A second service built and closed must not blank the first one's
         queue-depth gauge while the first is still running."""
         gate = threading.Event()
-        first = EvaluationService(max_workers=1)
+        first = EvaluationService(cache=ReportCache(), max_workers=1)
         dispatch = first._dispatch
 
         def held_dispatch(drained):
@@ -127,19 +129,21 @@ class TestGauges:
             dispatch(drained)
 
         monkeypatch.setattr(first, "_dispatch", held_dispatch)
+        trace = [[random_workload(in_channels=8, spatial=4, seed=1, name="l0")]]
+        spec = SimulateJobSpec(config=sqdm_config(), trace=trace)
         try:
-            jobs = [first.submit(LocalCallSpec(fn=abs, args=(-1,)))]
+            jobs = [first.submit(spec)]
             deadline = time.monotonic() + 10
             while first.service_stats()["queued"] and time.monotonic() < deadline:
                 time.sleep(0.005)  # the scheduler took the first job and is held
-            jobs += [first.submit(LocalCallSpec(fn=abs, args=(-2,))) for _ in range(2)]
+            jobs += [first.submit(spec) for _ in range(2)]
             EvaluationService(max_workers=1).close()
             depth = get_registry().get("repro_service_queue_depth")
             assert depth is not None and depth.value() == 2.0
         finally:
             gate.set()
             first.close()
-        assert [job.result(timeout=30) for job in jobs] == [1, 2, 2]
+        assert all(job.result(timeout=30) == jobs[0].result() for job in jobs)
 
     def test_callback_errors_fall_back_to_stored_value(self, registry):
         g = registry.gauge("t_fallback", "safe")
